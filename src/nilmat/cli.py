@@ -14,7 +14,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .config import DEFAULT, Config
@@ -165,9 +164,8 @@ def run_command(cmd: str, G: GroupSpec, config: Config = DEFAULT, group_file=Non
                 report["budgets_hit"].append("prime_not_above_degree")
             if cd.checks.get("image_semisimple") is False:
                 report["budgets_hit"].append("evaluation_image_not_semisimple")
-        pres = v.artifacts.get("presentation")
-        if pres is not None:
-            report["image_order"] = pres.image_order
+        if "image_order" in v.artifacts:
+            report["image_order"] = v.artifacts["image_order"]
     elif cmd in ("is-finite", "order", "sylow", "primary", "is-completely-reducible", "cr-series"):
         if cmd in ("is-completely-reducible", "cr-series"):
             from .errors import ImperfectField
@@ -326,8 +324,7 @@ def _cmd_batch(args, config) -> int:
                 "error": f"{type(e).__name__}: {e}",
             }, 1
 
-    with ThreadPoolExecutor(max_workers=min(8, len(files))) as pool:
-        results = list(pool.map(work, files))
+    results = [work(path) for path in files]
     reports = [r for r, _ in results]
     print(json.dumps(reports, indent=2))
     return max(code for _, code in results)

@@ -2,10 +2,12 @@
 
 A validated modulus reduces GL(n, D_pi) onto GL(n, GF(p^l)) with a kernel
 that is torsion-free in characteristic zero, so a finite group maps
-injectively and relator preimages generate the kernel.  The checks bundled
-in CongruenceData are exactly the ones that buy that guarantee: p odd,
-coprime to the denominators, unramified for number fields, and keeping the
-generators' minimal polynomials squarefree so the image stays semisimple.
+injectively.  The kernel is normally generated by the Schreier generators of
+the image's Cayley graph, lifted along the transversal to the source group
+(congruence_kernel).  The checks bundled in CongruenceData are exactly the
+ones that buy that guarantee: p odd, coprime to the denominators, unramified
+for number fields, and keeping the generators' minimal polynomials
+squarefree so the image stays semisimple.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from .fields import (
     RationalField,
     reduce_mod,
 )
-from .groups import Elt, GroupSpec, word_inverse, word_mul
-from .linalg import Matrix, inverse, minimal_polynomial
+from .groups import GroupSpec, enumerate_group
+from .linalg import Matrix, minimal_polynomial
 from .numth import factorint, odd_primes
 from .poly import Poly, factor, gcd as poly_gcd, resultant
 
@@ -95,11 +97,7 @@ def _functionfield_denominator_factors(field, mats):
                 den = c[1]
                 if len(den) <= 1:
                     continue
-                den_poly = Poly.make(base, den)
-                if isinstance(base, RationalField):
-                    _, facs = factor(den_poly)
-                else:
-                    _, facs = factor(den_poly)
+                _, facs = factor(Poly.make(base, den))
                 for g, _ in facs:
                     key = g.coeffs
                     if key not in seen:
@@ -463,16 +461,7 @@ def apply_congruence(m: Matrix, cd: CongruenceData) -> Matrix:
     if isinstance(F, RationalField):
         return Matrix.make(target, [[reduce_mod(c, cd.p) for c in row] for row in m.rows])
     if isinstance(F, NumberField):
-        aimg = cd.alpha_image
-
-        def red(c):
-            acc = target.zero
-            for coeff in reversed(c):
-                cc = reduce_mod(coeff, cd.p)
-                cc = cc if target.l == 1 else target.from_coeffs([cc])
-                acc = target.add(target.mul(acc, aimg), cc)
-            return acc
-
+        red = _nf_reduction_map(target, cd.alpha_image, cd.p)
         return Matrix.make(target, [[red(c) for c in row] for row in m.rows])
     if isinstance(F, FunctionField):
         if isinstance(F.base, RationalField):
@@ -489,56 +478,20 @@ def apply_congruence_group(G: GroupSpec, cd: CongruenceData) -> GroupSpec:
 
 
 # ---------------------------------------------------------------------------
-# Cayley closure, presentations, kernels
+# the congruence kernel
 
-@dataclass(frozen=True)
-class PresentationData:
-    n_gens: int
-    relators: tuple      # Words over the generators
-    transversal: dict    # image Matrix -> Word
-    image_order: int
+def congruence_kernel(G: GroupSpec, image_gens, cap):
+    """(image order, normal generators of the congruence kernel).
 
-
-def finite_image_presentation(image_gens, cap, identity=None) -> PresentationData:
-    """Breadth-first Cayley closure of the image with a spanning-tree
-    transversal; one relator per non-tree edge."""
-    if not image_gens:
-        ident = identity
-        if ident is None:
-            raise ValueError("need generators or an explicit identity")
-        return PresentationData(0, (), {ident: ()}, 1)
-    F = image_gens[0].field
-    ident = Matrix.identity(F, image_gens[0].n)
-    inv_gens = [inverse(g) for g in image_gens]
-    transversal = {ident: ()}
-    order = [ident]
-    relators = []
-    qi = 0
-    while qi < len(order):
-        v = order[qi]
-        tv = transversal[v]
-        qi += 1
-        for i, g in enumerate(image_gens):
-            w = v * g
-            if w in transversal:
-                rel = word_mul(tv, ((i, 1),), word_inverse(transversal[w]))
-                if rel:
-                    relators.append(rel)
-            else:
-                if len(order) + 1 > cap:
-                    raise CapExceeded(cap, "Cayley closure")
-                transversal[w] = word_mul(tv, ((i, 1),))
-                order.append(w)
-    return PresentationData(len(image_gens), tuple(relators), transversal, len(order))
-
-
-def kernel_normal_generators(G: GroupSpec, pres: PresentationData):
-    """Relator evaluations over the source generators: normal generators of
-    the congruence kernel."""
-    out = []
-    for rel in pres.relators:
-        out.append(Elt(G.evaluate(rel), rel))
-    return out
+    The kernel of G.gens[i] -> image_gens[i] is normally generated by the
+    Schreier generators of the image's Cayley graph lifted to G: one per
+    non-tree edge, in discovery order, trivial ones included.  Each word
+    is the relator of its edge over the generators of G.
+    """
+    enum = enumerate_group(list(image_gens), cap, lift=G.elts())
+    if enum.overflowed:
+        raise CapExceeded(cap, "Cayley closure")
+    return len(enum), enum.schreier
 
 
 def kernel_is_central(G: GroupSpec, kernel_elts):
@@ -549,54 +502,3 @@ def kernel_is_central(G: GroupSpec, kernel_elts):
             if not (z.mat * g == g * z.mat):
                 return False, (z, i)
     return True, None
-
-
-def schreier_kernel_generators(source_elts, image_mats, cap):
-    """Kernel generators of the map source_elts[i] -> image_mats[i], assumed
-    a homomorphism onto the group the images generate.
-
-    Returns (kernel Elts, image order, transversal words).  Words compose
-    through the BFS transversal, so each kernel element lifts to the
-    reference generators.
-    """
-    if not image_mats:
-        return [], 1, ((),)
-    F = image_mats[0].field
-    ident = Matrix.identity(F, image_mats[0].n)
-    transversal = {ident: ()}
-    order = [ident]
-    schreier_words = []
-    qi = 0
-    while qi < len(order):
-        v = order[qi]
-        tv = transversal[v]
-        qi += 1
-        for i, g in enumerate(image_mats):
-            w = v * g
-            if w in transversal:
-                word = word_mul(tv, ((i, 1),), word_inverse(transversal[w]))
-                if word:
-                    schreier_words.append(word)
-            else:
-                if len(order) + 1 > cap:
-                    raise CapExceeded(cap, "Schreier enumeration")
-                transversal[w] = word_mul(tv, ((i, 1),))
-                order.append(w)
-    # evaluate the schreier words over the source elements
-    out = []
-    seen = set()
-    for word in schreier_words:
-        mat = None
-        elt_word = ()
-        for i, e in word:
-            piece = source_elts[i] if e == 1 else source_elts[i].inv()
-            mat = piece.mat if mat is None else mat * piece.mat
-            elt_word = word_mul(elt_word, piece.word)
-        if mat is None:
-            continue
-        if mat.is_identity():
-            continue
-        if mat not in seen:
-            seen.add(mat)
-            out.append(Elt(mat, elt_word))
-    return out, len(order), tuple(transversal[v] for v in order)

@@ -1,5 +1,6 @@
 """Finitely generated matrix groups: generator lists with cached inverses,
-and words over the generators used for witnesses and Schreier bookkeeping.
+words over the generators used for witnesses and Schreier bookkeeping, and
+the one Cayley enumeration engine the pipeline uses.
 
 A Word is a tuple of (generator index, +1 | -1) pairs; the empty word is
 the identity.  Pipeline elements travel as Elt pairs (matrix, word) so a
@@ -66,6 +67,69 @@ class Elt:
 
     def is_identity(self):
         return self.mat.is_identity()
+
+
+@dataclass
+class Enumeration:
+    """A breadth-first Cayley enumeration; see enumerate_group."""
+
+    vertices: list     # matrices in breadth-first order, identity first
+    words: list        # tree word of each vertex over the generator indices
+    overflowed: bool
+    schreier: list     # with a lift: one Elt per non-tree edge, in discovery order
+
+    def __len__(self):
+        return len(self.vertices)
+
+
+def enumerate_group(gens, cap: int, lift=None) -> Enumeration:
+    """Breadth-first Cayley enumeration of the group the matrices `gens`
+    generate, with a spanning tree of positive-letter words.
+
+    Stops with `overflowed` set instead of adding a vertex beyond `cap`.
+
+    With `lift` (one source Elt per generator, the source group mapping
+    homomorphically onto the enumerated one by lift[i] -> gens[i]), the
+    source transversal T(v) and its inverse ride along the tree edges, and
+    every non-tree edge (v, i, w) yields the Schreier generator
+    T(v) lift[i] T(w)^-1 with its word.  By Schreier's lemma these
+    generate the kernel of the map; when T(v) lift[i] equals T(w) the
+    generator is the identity and costs no product with T(w)^-1.
+    """
+    if not gens:
+        raise ValueError("cannot enumerate a group without generators")
+    ident = Matrix.identity(gens[0].field, gens[0].n)
+    index = {ident: 0}
+    vertices = [ident]
+    words = [()]
+    schreier = []
+    if lift is not None:
+        lift_mats = [s.mat for s in lift]
+        lift_invs = [inverse(m) for m in lift_mats]
+        source_ident = Matrix.identity(lift_mats[0].field, lift_mats[0].n)
+        tmats, twords, tinvs = [source_ident], [()], [source_ident]
+    qi = 0
+    while qi < len(vertices):
+        v = vertices[qi]
+        for i, g in enumerate(gens):
+            w = v * g
+            j = index.get(w)
+            if j is None:
+                if len(vertices) >= cap:
+                    return Enumeration(vertices, words, True, schreier)
+                index[w] = len(vertices)
+                vertices.append(w)
+                words.append(words[qi] + ((i, 1),))
+                if lift is not None:
+                    tmats.append(tmats[qi] * lift_mats[i])
+                    twords.append(word_mul(twords[qi], lift[i].word))
+                    tinvs.append(lift_invs[i] * tinvs[qi])
+            elif lift is not None:
+                prod = tmats[qi] * lift_mats[i]
+                mat = source_ident if prod == tmats[j] else prod * tinvs[j]
+                schreier.append(Elt(mat, word_mul(twords[qi], lift[i].word, word_inverse(twords[j]))))
+        qi += 1
+    return Enumeration(vertices, words, False, schreier)
 
 
 class GroupSpec:

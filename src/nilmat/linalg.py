@@ -135,9 +135,6 @@ class Matrix:
             e >>= 1
         return out
 
-    def transpose(self):
-        return Matrix(self.field, tuple(zip(*self.rows)))
-
     def apply(self, vec):
         """Matrix times column vector."""
         F = self.field
@@ -149,23 +146,12 @@ class Matrix:
             out.append(acc)
         return tuple(out)
 
-    def column(self, j):
-        return tuple(row[j] for row in self.rows)
-
-    def commutes_with(self, other):
-        return self * other == other * self
-
     def __repr__(self):
         return f"Matrix({self.field.name()}, {[list(r) for r in self.rows]})"
 
 
 def commutator(a: Matrix, b: Matrix) -> Matrix:
     return inverse(a) * inverse(b) * a * b
-
-
-def conjugate(a: Matrix, t: Matrix) -> Matrix:
-    """t a t^-1."""
-    return t * a * inverse(t)
 
 
 # ---------------------------------------------------------------------------

@@ -14,14 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dfield
 
 from .config import DEFAULT, Config
-from .congruence import (
-    apply_congruence,
-    finite_image_presentation,
-    kernel_is_central,
-    kernel_normal_generators,
-    schreier_kernel_generators,
-    select_modulus,
-)
+from .congruence import apply_congruence, congruence_kernel, kernel_is_central, select_modulus
 from .errors import (
     CapExceeded,
     LoopOverflow,
@@ -31,19 +24,10 @@ from .errors import (
     VerdictUnavailable,
 )
 from .fields import FiniteField, FunctionField, NumberField, RationalField
-from .groups import Elt, GroupSpec
-from .linalg import (
-    AlgebraBasis,
-    Matrix,
-    Subspace,
-    inverse,
-    minimal_polynomial,
-    nullspace,
-    poly_at_matrix,
-    spin_basis,
-)
+from .groups import Elt, GroupSpec, enumerate_group, word_mul
+from .linalg import AlgebraBasis, Matrix, inverse, minimal_polynomial, spin_basis
 from .numth import factorint, max_root_of_unity_order
-from .poly import factor, gcd as poly_gcd
+from .poly import gcd as poly_gcd
 from .splitting import finite_order, is_unipotent_matrix, jordan, reduction_split
 from .witness import WItem, Witness, pair_witness
 
@@ -87,8 +71,6 @@ class Chain4Level:
     A: list            # abelian normal subgroup generators
     C: list            # centralizer generators (the next chain term)
     image_orders: list # phi image sizes per intersected stage
-    components: list | None  # cutting result for <A>, when available
-    schreier: list = dfield(default_factory=list)  # transversal words per stage
 
 
 @dataclass
@@ -239,68 +221,10 @@ def noncentral_abelian(H_elts, a: Elt, context="input"):
     return out
 
 
-def split_semisimple_commutative(gen_mats):
-    """Decompose the space into the primary components of the commutative
-    semisimple algebra spanned by the given matrices."""
-    if not gen_mats:
-        raise ValueError("no generators")
-    F = gen_mats[0].field
-    n = gen_mats[0].n
-    components = [Subspace.full(F, n)]
-    for a in gen_mats:
-        new = []
-        for w in components:
-            if w.dim == 0:
-                continue
-            restricted = _restrict_to(a, w)
-            h = minimal_polynomial(restricted)
-            if poly_gcd(h, h.derivative()).degree != 0:
-                raise NotSemisimple("generator minimal polynomial is not squarefree")
-            _, facs = factor(h)
-            if len(facs) == 1:
-                new.append(w)
-                continue
-            for g, _ in facs:
-                img = poly_at_matrix(g, restricted)
-                kern = nullspace(F, [list(r) for r in img.rows], w.dim)
-                vecs = [_lift_from(w, v) for v in kern]
-                new.append(Subspace.from_vectors(F, n, vecs))
-        components = new
-    return components
-
-
-def _restrict_to(a: Matrix, w: Subspace) -> Matrix:
-    """Action of a on the subspace in the coordinates of its RREF basis."""
-    F = a.field
-    from .linalg import Span
-
-    span = Span(F, w.ambient)
-    for row in w.basis:
-        span.insert(row)
-    cols = []
-    for row in w.basis:
-        img = a.apply(row)
-        coords = span.coords(img)
-        if coords is None:
-            raise ValueError("subspace is not invariant")
-        cols.append(coords)
-    d = w.dim
-    return Matrix(F, tuple(tuple(cols[j][i] for j in range(d)) for i in range(d)))
-
-
-def _lift_from(w: Subspace, coords):
-    F = w.field
-    out = [F.zero] * w.ambient
-    for c, row in zip(coords, w.basis):
-        if not F.is_zero(c):
-            for j in range(w.ambient):
-                out[j] = F.add(out[j], F.mul(c, row[j]))
-    return tuple(out)
-
-
 def _index_cap(field, n: int) -> int:
-    """Stand-in for the centralizer index bound: n times the number of
-    available roots of unity."""
+    """Budget for the centralizer index: n times the number of available
+    roots of unity.  It is not a proven bound on the index in a nilpotent
+    group, so exceeding it is a CapExceeded budget error, never a verdict."""
     if isinstance(field, RationalField):
         t = 2
     elif isinstance(field, FiniteField):
@@ -318,27 +242,15 @@ def centralizer_of_abelian(H_elts, A_elts, a: Elt, config: Config = DEFAULT, con
     """Generators of the centralizer of A in H, by Schreier generators of the
     kernel of g -> [g, a], intersected over the remaining A generators.
 
-    The commutator-value image is enumerated as a Cayley graph; exceeding
-    the index cap is a non-nilpotency verdict with the overflow recorded.
+    The commutator-value image is enumerated as a Cayley graph lifted to
+    the current generators; an image larger than the index cap raises
+    CapExceeded.
     """
     if not H_elts:
-        return [], Chain4Level(a, list(A_elts), [], [], None)
-    field = H_elts[0].mat.field
-    n = H_elts[0].mat.n
-    cap = _index_cap(field, n)
-    components = None
-    try:
-        mats = [x.mat for x in A_elts]
-        if all(
-            poly_gcd((h := minimal_polynomial(m)), h.derivative()).degree == 0
-            for m in mats
-        ):
-            components = split_semisimple_commutative(mats)
-    except (NotSemisimple, UnsupportedField):
-        components = None
+        return [], Chain4Level(a, list(A_elts), [], [])
+    cap = _index_cap(H_elts[0].mat.field, H_elts[0].mat.n)
     current = list(H_elts)
     image_orders = []
-    transversals = []
     for aprime in [a] + [x for x in A_elts if x.mat != a.mat]:
         if not current:
             break
@@ -360,28 +272,12 @@ def centralizer_of_abelian(H_elts, A_elts, a: Elt, config: Config = DEFAULT, con
                         note="a commutator value fails to be central, so the centralizer map is not a homomorphism",
                     )
                 )
-        try:
-            kernel, image_order, twords = schreier_kernel_generators(
-                current, [v.mat for v in phi_vals], cap
-            )
-        except CapExceeded as ce:
-            raise NotNilpotentSignal(
-                Witness(
-                    kind="index_overflow",
-                    context=context,
-                    items=(WItem("a", aprime.mat, aprime.word, {"cap": ce.cap}),),
-                    note=(
-                        f"the centralizer index exceeded the bound {ce.cap} available "
-                        "to nilpotent groups over this field"
-                    ),
-                )
-            ) from None
-        image_orders.append(image_order)
-        transversals.append(twords)
-        current = kernel
-    return current, Chain4Level(
-        a, list(A_elts), list(current), image_orders, components, transversals
-    )
+        enum = enumerate_group([v.mat for v in phi_vals], cap, lift=current)
+        if enum.overflowed:
+            raise CapExceeded(cap, "centralizer index")
+        image_orders.append(len(enum))
+        current = _dedup_elts(enum.schreier)
+    return current, Chain4Level(a, list(A_elts), list(current), image_orders)
 
 
 def test_series(G_elts, field, n: int, k: int, config: Config = DEFAULT, context="input") -> Chain4:
@@ -438,8 +334,6 @@ def _dedup_elts(elts):
 
 def _finite_nilpotent_core(elts, field, n, config: Config, chain: Chain4 | None = None, context="input"):
     """Sylow verification for a group expected to be finite."""
-    from .testkit import closure_elts
-
     elts = _dedup_elts(elts)
     if not elts:
         return Verdict(True, artifacts={"sylow": SylowSystem({}, {}), "order": 1, "chain": Chain4([], [])})
@@ -482,24 +376,23 @@ def _finite_nilpotent_core(elts, field, n, config: Config, chain: Chain4 | None 
                         )
     orders = {}
     for p in primes:
-        closure = closure_elts(parts[p], config.closure_cap)
-        size = len(closure)
+        enum = enumerate_group([x.mat for x in parts[p]], config.closure_cap)
+        if enum.overflowed:
+            raise CapExceeded(config.closure_cap, "subgroup closure")
+        size = len(enum)
         fac = factorint(size)
         if set(fac) - {p}:
-            witness_elt = None
-            for y in closure:
+            items = ()
+            for y, tree_word in zip(enum.vertices, enum.words):
                 try:
-                    m = finite_order(y.mat, config)
+                    m = finite_order(y, config)
                 except CapExceeded:
                     continue
                 if m is not None and set(factorint(m)) - {p}:
-                    witness_elt = (y, m)
+                    word = word_mul(*(parts[p][i].word for i, _ in tree_word))
+                    items = (WItem("y", y, word, {"order": m, "prime": p}),)
                     break
-            items = ()
             note = f"the component for prime {p} closes into a group of order {size}, not a power of {p}"
-            if witness_elt is not None:
-                y, m = witness_elt
-                items = (WItem("y", y.mat, y.word, {"order": m, "prime": p}),)
             return Verdict(
                 False,
                 Witness(kind="non_p_element", context=context, items=items, note=note),
@@ -597,83 +490,71 @@ def _attach_context_gens(witness: Witness, gens) -> Witness:
 
 
 def is_nilpotent(G: GroupSpec, config: Config = DEFAULT) -> Verdict:
-    """Nilpotency of a finitely generated matrix group over any supported field."""
+    """Nilpotency of a finitely generated matrix group over any supported field.
+
+    Over an infinite field the group is reduced onto a finite image, whose
+    verdict comes first; the congruence kernel must then be central.  In
+    characteristic zero only the diagonalizable parts are reduced; char-p
+    function fields are imperfect, so the generators are reduced as given.
+    """
     if not G.gens or G.is_trivial():
         return Verdict(True, artifacts={"order": 1, "trivial": True})
     F = G.field
     if isinstance(F, FiniteField):
         return is_finite_nilpotent(G, config)
-    if isinstance(F, FunctionField) and F.characteristic() > 0:
-        return _is_nilpotent_ff_char_p(G, config)
-    # characteristic zero: split, reduce, test the image, test the kernel
-    try:
-        split = reduction_split(G, config)
-    except NotNilpotentSignal as s:
-        return Verdict(False, s.witness)
-    artifacts = {"split": split}
-    if all(s.is_identity() for s in split.gens_s):
-        artifacts["unipotent"] = True
-        return Verdict(True, artifacts=artifacts)
-    Gs = GroupSpec(F, split.gens_s)
+    char_p = isinstance(F, FunctionField) and F.characteristic() > 0
+    artifacts = {}
+    if char_p:
+        Gs = G
+    else:
+        try:
+            split = reduction_split(G, config)
+        except NotNilpotentSignal as s:
+            return Verdict(False, s.witness)
+        artifacts["split"] = split
+        if all(s.is_identity() for s in split.gens_s):
+            artifacts["unipotent"] = True
+            return Verdict(True, artifacts=artifacts)
+        Gs = GroupSpec(F, split.gens_s)
     cd = select_modulus(Gs, config)
     artifacts["congruence"] = cd
-    image_gens = [apply_congruence(s, cd) for s in split.gens_s]
-    image = GroupSpec(cd.target, image_gens)
+    image_gens = [apply_congruence(g, cd) for g in Gs.gens]
     artifacts["image_gens"] = image_gens
-    v_img = is_finite_nilpotent(image, config)
+    v_img = is_finite_nilpotent(GroupSpec(cd.target, image_gens), config)
     if not v_img.nilpotent:
         w = v_img.witness
-        w = Witness(w.kind, "image", w.items, w.note + " (found in the congruence image)")
-        w = _attach_context_gens(w, image_gens)
-        return Verdict(False, w, artifacts)
+        where = "evaluation" if char_p else "congruence"
+        w = Witness(w.kind, "image", w.items, w.note + f" (found in the {where} image)")
+        return Verdict(False, _attach_context_gens(w, image_gens), artifacts)
     artifacts["image_sylow"] = v_img.artifacts.get("sylow")
     artifacts["image_chain"] = v_img.artifacts.get("chain")
-    pres = finite_image_presentation(image_gens, config.cayley_cap)
-    artifacts["presentation"] = pres
-    kernel = kernel_normal_generators(Gs, pres)
+    artifacts["image_order"], kernel = congruence_kernel(Gs, image_gens, config.cayley_cap)
     artifacts["kernel_gens"] = kernel
     ok, bad = kernel_is_central(Gs, kernel)
-    if not ok:
-        z, gi = bad
-        w = Witness(
-            kind="noncentral_kernel_element",
-            context="s_parts",
-            items=(
-                WItem("z", z.mat, z.word),
-                WItem("g", Gs.gens[gi], ((gi, 1),)),
-            ),
-            note=(
-                "a congruence kernel generator (a relator of the finite image "
-                "evaluated over the diagonalizable parts) is not central"
-            ),
-        )
-        return Verdict(False, _attach_context_gens(w, Gs.gens), artifacts)
-    return Verdict(True, artifacts=artifacts)
-
-
-def _is_nilpotent_ff_char_p(G: GroupSpec, config: Config) -> Verdict:
-    """Char-p function fields reduce by evaluation first; the kernel-central
-    test decides nilpotency only when it passes, a non-central kernel
-    witness here is beyond the implemented machinery."""
-    cd = select_modulus(G, config)
-    artifacts = {"congruence": cd}
-    image_gens = [apply_congruence(g, cd) for g in G.gens]
-    image = GroupSpec(cd.target, image_gens)
-    artifacts["image_gens"] = image_gens
-    v_img = is_finite_nilpotent(image, config)
-    if not v_img.nilpotent:
-        w = v_img.witness
-        w = Witness(w.kind, "image", w.items, w.note + " (found in the evaluation image)")
-        w = _attach_context_gens(w, image_gens)
-        return Verdict(False, w, artifacts)
-    artifacts["image_sylow"] = v_img.artifacts.get("sylow")
-    pres = finite_image_presentation(image_gens, config.cayley_cap)
-    artifacts["presentation"] = pres
-    kernel = kernel_normal_generators(G, pres)
-    artifacts["kernel_gens"] = kernel
-    ok, bad = kernel_is_central(G, kernel)
     if ok:
         return Verdict(True, artifacts=artifacts)
+    if char_p:
+        return _refute_char_p(G, kernel, artifacts)
+    z, gi = bad
+    w = Witness(
+        kind="noncentral_kernel_element",
+        context="s_parts",
+        items=(
+            WItem("z", z.mat, z.word),
+            WItem("g", Gs.gens[gi], ((gi, 1),)),
+        ),
+        note=(
+            "a congruence kernel generator (a relator of the finite image "
+            "evaluated over the diagonalizable parts) is not central"
+        ),
+    )
+    return Verdict(False, _attach_context_gens(w, Gs.gens), artifacts)
+
+
+def _refute_char_p(G: GroupSpec, kernel, artifacts) -> Verdict:
+    """A char-p evaluation kernel that is not central decides nilpotency
+    only through a non-unipotent commutator; otherwise the deciding
+    machinery is beyond the implemented one."""
     # In a nilpotent group the semisimple parts form a homomorphic image in
     # which the evaluation kernel lands centrally, so every commutator of a
     # kernel generator against a generator must be unipotent.  A

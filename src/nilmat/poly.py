@@ -105,12 +105,6 @@ class Poly:
     def evaluate(self, x):
         return fields.pt_eval(self.field, self.coeffs, x)
 
-    def shift_up(self, k):
-        """Multiply by X^k."""
-        if self.is_zero():
-            return self
-        return Poly(self.field, (self.field.zero,) * k + self.coeffs)
-
     def pow_mod(self, e, m):
         F = self.field
         out = Poly.one_(F) % m
@@ -121,9 +115,6 @@ class Poly:
             base = (base * base) % m
             e >>= 1
         return out
-
-    def map_coeffs(self, target_field, fn):
-        return Poly.make(target_field, [fn(c) for c in self.coeffs])
 
     def __repr__(self):
         return f"Poly({self.field.name()}, {list(self.coeffs)})"
@@ -521,19 +512,6 @@ def factor(f: Poly):
     if isinstance(F, FiniteField):
         return _factor_finite(f)
     raise UnsupportedField(f"factorization over {F.name()} is not provided")
-
-
-def roots_in_field(f: Poly):
-    """Roots of f lying in its own coefficient field (finite fields: full scan
-    via factorization; Q: linear factors)."""
-    _, facs = factor(f)
-    out = []
-    F = f.field
-    for g, _ in facs:
-        if g.degree == 1:
-            out.append(F.neg(g.coeffs[0]))
-    out.sort()
-    return out
 
 
 def resultant(f: Poly, g: Poly):

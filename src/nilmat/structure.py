@@ -6,10 +6,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dfield
 
 from .config import DEFAULT, Config
-from .congruence import finite_image_presentation, kernel_normal_generators
-from .errors import ImperfectField, VerdictUnavailable
+from .congruence import congruence_kernel
+from .errors import CapExceeded, ImperfectField, VerdictUnavailable
 from .fields import FiniteField, FunctionField
-from .groups import Elt, GroupSpec
+from .groups import Elt, GroupSpec, enumerate_group
 from .nilpotency import (
     SylowSystem,
     Verdict,
@@ -118,24 +118,22 @@ def order(G: GroupSpec, config: Config = DEFAULT, verdict: Verdict | None = None
     if verdict.artifacts.get("trivial"):
         return 1
     if isinstance(F, FiniteField):
-        pres = finite_image_presentation(list(G.gens), config.cayley_cap, identity=G.identity)
-        return pres.image_order
+        # the product of the verified Sylow component orders
+        return verdict.artifacts["order"]
     fin, route, witness, verdict = is_finite(G, config, verdict)
     if not fin:
         raise ValueError("order is defined for finite groups only")
     if isinstance(F, FunctionField) and F.characteristic() > 0:
-        from .testkit import closure_elts
-
-        image_order = verdict.artifacts["presentation"].image_order
-        kernel = verdict.artifacts.get("kernel_gens", [])
-        kernel = [z for z in kernel if not z.is_identity()]
-        ksize = len(closure_elts(kernel, config.closure_cap)) if kernel else 1
-        return image_order * ksize
-    pres = verdict.artifacts.get("presentation")
-    if pres is None:
-        # purely unipotent finite group in char 0 is trivial
-        return 1
-    return pres.image_order
+        image_order = verdict.artifacts["image_order"]
+        kernel = [z.mat for z in verdict.artifacts.get("kernel_gens", []) if not z.is_identity()]
+        if not kernel:
+            return image_order
+        enum = enumerate_group(kernel, config.closure_cap)
+        if enum.overflowed:
+            raise CapExceeded(config.closure_cap, "subgroup closure")
+        return image_order * len(enum)
+    # a purely unipotent finite group in char 0 is trivial and has no image
+    return verdict.artifacts.get("image_order", 1)
 
 
 def is_completely_reducible(G: GroupSpec, config: Config = DEFAULT, verdict: Verdict | None = None):
@@ -214,15 +212,16 @@ def primary_decomposition(G: GroupSpec, config: Config = DEFAULT, verdict: Verdi
 
 
 def center_generators(G: GroupSpec, config: Config = DEFAULT):
-    """Generators of the center of a completely reducible nilpotent group,
-    as relator evaluations through the adjoint representation."""
+    """Generators of the center of a completely reducible nilpotent group:
+    the kernel of the adjoint representation, generated by the Schreier
+    generators of the adjoint image lifted to the group."""
     if not G.gens or G.is_trivial():
         return [Elt(G.identity, ())]
     ad = adjoint_rep(G)
-    pres = finite_image_presentation(list(ad.adj_gens), config.cayley_cap)
+    _, kernel = congruence_kernel(G, ad.adj_gens, config.cayley_cap)
     out = []
     seen = set()
-    for z in kernel_normal_generators(G, pres):
+    for z in kernel:
         if z.mat in seen:
             continue
         seen.add(z.mat)

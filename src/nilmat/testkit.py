@@ -2,11 +2,14 @@
 
 The closure/oracle side is the independent ground truth the test suite
 checks the pipeline against: plain breadth-first multiplication closure
-and a literal lower central series on the element set.  The generator
-side builds the standard stock of nilpotent matrix groups: wreath-type
-maximal absolutely irreducible subgroups for prime-power degrees, their
-Kronecker products for composite degrees, and degree-doubled reducible
-but not completely reducible variants.
+and a literal lower central series on the element set.  `closure` is kept
+apart from the pipeline's enumeration engine (groups.enumerate_group) on
+purpose, so the two can be compared.
+
+The generator side builds the standard stock of nilpotent matrix groups:
+wreath-type maximal absolutely irreducible subgroups for prime-power
+degrees, their Kronecker products for composite degrees, and
+degree-doubled reducible but not completely reducible variants.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 
 from .errors import CapExceeded, NonexistenceError, UnsupportedTwoCase
 from .fields import FiniteField
-from .groups import Elt, GroupSpec
+from .groups import GroupSpec
 from .linalg import Matrix, inverse, kron
 from .numth import factorint
 
@@ -53,28 +56,6 @@ def closure(gens, cap: int) -> Closure:
                 seen.add(w)
                 order.append(w)
     return Closure(order, False, cap)
-
-
-def closure_elts(elts, cap: int):
-    """Word-tracked closure; raises CapExceeded instead of overflowing."""
-    if not elts:
-        return []
-    F = elts[0].mat.field
-    ident = Elt(Matrix.identity(F, elts[0].mat.n), ())
-    seen = {ident.mat}
-    order = [ident]
-    qi = 0
-    while qi < len(order):
-        v = order[qi]
-        qi += 1
-        for g in elts:
-            w = v * g
-            if w.mat not in seen:
-                if len(order) >= cap:
-                    raise CapExceeded(cap, "subgroup closure")
-                seen.add(w.mat)
-                order.append(w)
-    return order
 
 
 def _subgroup_closure(mats, cap):

@@ -151,9 +151,6 @@ def verify_witness(witness: Witness, group: GroupSpec | None = None):
             add("c = [z, g]", inverse(z.mat) * inverse(g.mat) * z.mat * g.mat == c.mat)
             add("c not unipotent", not is_unipotent_matrix(c.mat))
             add("z word consistent", word_consistent(z))
-    elif kind == "index_overflow":
-        a = witness.find("a")
-        add("marker data present", a is not None and "cap" in a.data)
     else:
         add(f"known witness kind ({kind})", False)
     ok = all(passed for _, passed, _ in checks)

@@ -36,9 +36,6 @@ class Witness:
                 return it
         return None
 
-    def find_all(self, label):
-        return [it for it in self.items if it.label == label]
-
 
 def pair_witness(context, x_mat, x_word, y_mat, y_word, note=""):
     return Witness(

@@ -1,6 +1,9 @@
 """Command line front end: parsing, reports, determinism, verification."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -248,3 +251,11 @@ def test_primary_command(tmp_path, capsys):
     assert main(["primary", str(c12), "--json"]) == 0
     rep2 = json.loads(capsys.readouterr().out)
     assert {k: v["order"] for k, v in rep2["sylow"]["components"].items()} == {"2": 4, "3": 3}
+
+
+@pytest.mark.parametrize("script", ["witness_replay_demo.py", "run_verdict_table.py"])
+def test_scripts_run(script):
+    """The scripts shipped with the package run to completion."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / script
+    proc = subprocess.run([sys.executable, str(path)], capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr

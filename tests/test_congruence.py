@@ -1,4 +1,4 @@
-"""Congruence data selection, reduction maps, presentations, kernels."""
+"""Congruence data selection, reduction maps, image enumerations, kernels."""
 
 import random
 from fractions import Fraction
@@ -9,16 +9,16 @@ from nilmat.config import DEFAULT
 from nilmat.congruence import (
     apply_congruence,
     apply_congruence_group,
+    congruence_kernel,
     denominator_set,
-    finite_image_presentation,
     kernel_is_central,
-    kernel_normal_generators,
     select_modulus,
 )
 from nilmat.errors import CapExceeded, NoPrimeInRange, UnsupportedField
 from nilmat.fields import QQ, FiniteField, FunctionField, NumberField, reduce_mod
-from nilmat.groups import GroupSpec
+from nilmat.groups import GroupSpec, enumerate_group
 from nilmat.linalg import Matrix
+from nilmat.nilpotency import is_nilpotent
 from nilmat.poly import Poly, resultant
 
 
@@ -150,36 +150,44 @@ def test_apply_congruence_is_homomorphism():
 
 
 def test_finite_image_presentation_examples():
+    """Lifting an image to itself leaves only trivial Schreier generators,
+    whose words are the relators of the image's Cayley graph."""
     F5 = FiniteField(5)
-    pres = finite_image_presentation([Matrix.from_ints(F5, [[2]])], 10**6)
-    assert pres.image_order == 4
-    assert pres.relators == (((0, 1),) * 4,)
-    trivial = finite_image_presentation([Matrix.identity(F5, 1)], 10**6)
-    assert trivial.image_order == 1
+    c4 = GroupSpec(F5, [Matrix.from_ints(F5, [[2]])])
+    order, relators = congruence_kernel(c4, c4.gens, 10**6)
+    assert order == 4
+    assert tuple(z.word for z in relators) == (((0, 1),) * 4,)
+    trivial = GroupSpec(F5, [Matrix.identity(F5, 1)])
+    assert congruence_kernel(trivial, trivial.gens, 10**6)[0] == 1
     # every relator evaluates to the identity in the image
     rot = Matrix.from_ints(F5, [[0, 4], [1, 0]])
     refl = Matrix.from_ints(F5, [[1, 0], [0, 4]])
     img = GroupSpec(F5, [rot, refl])
-    pres8 = finite_image_presentation(list(img.gens), 10**6)
-    assert pres8.image_order == 8
-    assert len(pres8.relators) >= 2
-    for rel in pres8.relators:
-        assert img.evaluate(rel).is_identity()
-    assert len(pres8.transversal) == 8
+    order8, relators8 = congruence_kernel(img, img.gens, 10**6)
+    assert order8 == 8
+    assert len(relators8) >= 2
+    for z in relators8:
+        assert img.evaluate(z.word).is_identity() and z.mat.is_identity()
+    enum8 = enumerate_group(img.gens, 10**6)
+    assert len(set(enum8.vertices)) == len(enum8.words) == 8
+    for mat, word in zip(enum8.vertices, enum8.words):
+        assert img.evaluate(word) == mat
 
 
 def test_finite_image_presentation_cap():
     F7 = FiniteField(7)
+    c6 = GroupSpec(F7, [Matrix.from_ints(F7, [[3]])])
     with pytest.raises(CapExceeded):
-        finite_image_presentation([Matrix.from_ints(F7, [[3]])], 3)
+        congruence_kernel(c6, c6.gens, 3)
+    enum = enumerate_group(c6.gens, 3)
+    assert enum.overflowed and len(enum) == 3
 
 
 def test_kernel_normal_generators_examples():
     G = GroupSpec(QQ, [Matrix.from_ints(QQ, [[2]])])
     cd = select_modulus(G, DEFAULT.with_(prime_override=5))
     img = apply_congruence_group(G, cd)
-    pres = finite_image_presentation(list(img.gens), 10**6)
-    kg = kernel_normal_generators(G, pres)
+    _, kg = congruence_kernel(G, img.gens, 10**6)
     assert [z.mat.rows for z in kg] == [((Fraction(16),),)]
     # D8 with integer entries: the mod-5 image is faithful, kernel trivial
     r = Matrix.from_ints(QQ, [[0, -1], [1, 0]])
@@ -187,10 +195,42 @@ def test_kernel_normal_generators_examples():
     D8 = GroupSpec(QQ, [r, s])
     cd8 = select_modulus(D8)
     img8 = apply_congruence_group(D8, cd8)
-    pres8 = finite_image_presentation(list(img8.gens), 10**6)
-    assert pres8.image_order == 8
-    for z in kernel_normal_generators(D8, pres8):
+    order8, kg8 = congruence_kernel(D8, img8.gens, 10**6)
+    assert order8 == 8
+    for z in kg8:
         assert z.mat.is_identity()
+
+
+def test_lifted_kernel_generators_replay(q_corpus, monkeypatch):
+    """On the rational corpus every kernel generator the verdict path lifts
+    replays from its word over the diagonalizable parts, and the source
+    products are two per tree edge, one per non-tree edge and one more per
+    nontrivial generator: a trivial edge costs no product with T(w)^-1."""
+    reached = 0
+    for entry in q_corpus:
+        v = is_nilpotent(entry.group)
+        if "kernel_gens" not in v.artifacts:
+            continue
+        reached += 1
+        Gs = GroupSpec(QQ, v.artifacts["split"].gens_s)
+        kernel = v.artifacts["kernel_gens"]
+        for z in kernel:
+            assert Gs.evaluate(z.word) == z.mat, entry.name
+        counted = []
+        product = Matrix.__mul__
+
+        def counting(a, b):
+            if a.field is QQ:
+                counted.append(1)
+            return product(a, b)
+
+        with monkeypatch.context() as m:
+            m.setattr(Matrix, "__mul__", counting)
+            order, again = congruence_kernel(Gs, v.artifacts["image_gens"], 10**6)
+        assert again == kernel and order == v.artifacts["image_order"], entry.name
+        nontrivial = sum(not z.is_identity() for z in kernel)
+        assert len(counted) == 2 * (order - 1) + len(kernel) + nontrivial, entry.name
+    assert reached >= 20
 
 
 def test_kernel_is_central_examples():
@@ -199,9 +239,8 @@ def test_kernel_is_central_examples():
     G = GroupSpec(QQ, [d31, swap])
     cd = select_modulus(G)
     img = apply_congruence_group(G, cd)
-    pres = finite_image_presentation(list(img.gens), 10**6)
-    assert pres.image_order == 32
-    kg = kernel_normal_generators(G, pres)
+    order, kg = congruence_kernel(G, img.gens, 10**6)
+    assert order == 32
     ok, bad = kernel_is_central(G, kg)
     assert not ok
     z, gi = bad
@@ -209,8 +248,8 @@ def test_kernel_is_central_examples():
     # abelian groups have central kernels by construction
     Ga = GroupSpec(QQ, [Matrix.from_ints(QQ, [[2]])])
     cda = select_modulus(Ga)
-    presa = finite_image_presentation(list(apply_congruence_group(Ga, cda).gens), 10**6)
-    oka, _ = kernel_is_central(Ga, kernel_normal_generators(Ga, presa))
+    _, kga = congruence_kernel(Ga, apply_congruence_group(Ga, cda).gens, 10**6)
+    oka, _ = kernel_is_central(Ga, kga)
     assert oka
 
 
@@ -223,8 +262,7 @@ def test_faithful_image_orders_on_finite_groups(ff_corpus):
         G = GroupSpec(QQ, gens)
         cd = select_modulus(G)
         img = apply_congruence_group(G, cd)
-        pres = finite_image_presentation(list(img.gens), 10**6)
-        assert pres.image_order == order
+        assert congruence_kernel(G, img.gens, 10**6)[0] == order
 
 
 def test_select_modulus_rejects_finite_fields():

@@ -13,13 +13,13 @@ from hypothesis import strategies as st
 from corpus import rational_corpus
 
 from nilmat.cli import group_to_json
-from nilmat.errors import Singular
+from nilmat.errors import CapExceeded, Singular
 from nilmat.fields import QQ, FiniteField, NumberField
 from nilmat.groups import GroupSpec
 from nilmat.linalg import Matrix, inverse
 from nilmat.nilpotency import is_nilpotent
 from nilmat.verify import verify_report
-from nilmat.witness import deserialize_witness, serialize_witness
+from nilmat.witness import WItem, Witness, deserialize_witness, serialize_witness
 
 
 words = st.lists(
@@ -175,18 +175,58 @@ def test_dihedral_16_over_quadratic_field():
     assert len(zc) == 2
 
 
-def test_index_overflow_is_a_verdict_not_a_crash(monkeypatch):
-    """Forcing a tiny centralizer index cap turns the chain construction
-    into a NotNilpotent verdict carrying the overflow marker."""
+def test_index_overflow_is_a_budget_error_not_a_verdict(monkeypatch):
+    """The centralizer index cap is a budget, not a proven bound: forcing a
+    tiny one makes the chain construction raise CapExceeded, and the
+    verifier does not confirm an overflow marker claimed as a witness."""
     import nilmat.nilpotency as nilp
 
     monkeypatch.setattr(nilp, "_index_cap", lambda field, n: 1)
     G = GroupSpec(QQ, [Matrix.from_ints(QQ, [[0, -1], [1, 0]]), Matrix.from_ints(QQ, [[1, 0], [0, -1]])])
-    v = nilp.is_nilpotent(G)
-    assert not v.nilpotent
-    assert v.witness.kind == "index_overflow"
-    ok, _ = verify_report({"witness": serialize_witness(v.witness)}, G)
-    assert ok
+    with pytest.raises(CapExceeded):
+        nilp.is_nilpotent(G)
+    marker = Witness(
+        kind="index_overflow",
+        context="input",
+        items=(WItem("a", G.gens[0], ((0, 1),), {"cap": 1}),),
+        note="the centralizer index exceeded the bound 1",
+    )
+    ok, _ = verify_report({"witness": serialize_witness(marker)}, G)
+    assert not ok
+
+
+def _q8_power_with_diagonal(k):
+    """Block-diagonal Q8^k <= GL(2k, 3): the diagonal (i, ..., i) plus an i
+    and a j in each block."""
+    F = FiniteField(3)
+    qi = Matrix.from_ints(F, [[0, -1], [1, 0]])
+    qj = Matrix.from_ints(F, [[1, 1], [1, -1]])
+    n = 2 * k
+
+    def blocks(mats):
+        rows = [[0] * n for _ in range(n)]
+        for b, m in enumerate(mats):
+            for r in range(2):
+                for c in range(2):
+                    rows[2 * b + r][2 * b + c] = m.rows[r][c]
+        return Matrix.make(F, rows)
+
+    one = Matrix.identity(F, 2)
+    gens = [blocks([qi] * k)]
+    for b in range(k):
+        for x in (qi, qj):
+            gens.append(blocks([x if c == b else one for c in range(k)]))
+    return GroupSpec(F, gens)
+
+
+def test_q8_power_index_overflow_is_not_a_verdict():
+    """Q8^k is nilpotent by construction.  For k = 5 the centralizer image
+    (Z/2)^5 exceeds the index cap 2n = 20, which is a budget error, never a
+    not-nilpotent verdict."""
+    for k in (2, 3):
+        assert is_nilpotent(_q8_power_with_diagonal(k)).nilpotent, k
+    with pytest.raises(CapExceeded):
+        is_nilpotent(_q8_power_with_diagonal(5))
 
 
 def test_adjoint_route_over_finite_fields():

@@ -15,7 +15,6 @@ from nilmat.nilpotency import (
     is_nilpotent_adjoint,
     noncentral_abelian,
     second_central_element,
-    split_semisimple_commutative,
 )
 from nilmat.nilpotency import test_series as chain_series
 
@@ -95,19 +94,6 @@ def test_noncentral_abelian_trivial_cases():
     elts = G.elts()
     A = noncentral_abelian(elts, elts[0])
     assert [x.mat for x in A] == [G.gens[0]]
-
-
-def test_split_semisimple_commutative_examples():
-    d = Matrix.diagonal(QQ, (QQ.from_int(1), QQ.from_int(2)))
-    comps = split_semisimple_commutative([d])
-    assert sorted(w.dim for w in comps) == [1, 1]
-    rot = _m(QQ, [[0, -1], [1, 0]])
-    comps2 = split_semisimple_commutative([rot])
-    assert [w.dim for w in comps2] == [2]
-    comps3 = split_semisimple_commutative([Matrix.identity(QQ, 3)])
-    assert [w.dim for w in comps3] == [3]
-    with pytest.raises(NotSemisimple):
-        split_semisimple_commutative([_m(QQ, [[1, 1], [0, 1]])])
 
 
 def test_centralizer_of_abelian_d8():
@@ -206,10 +192,10 @@ def test_adjoint_rep_examples():
     d8 = d8_group()
     ad8 = adjoint_rep(d8)
     assert ad8.dim == 4
-    from nilmat.congruence import finite_image_presentation
+    from nilmat.groups import enumerate_group
 
-    pres = finite_image_presentation(list(ad8.adj_gens), 10**4)
-    assert pres.image_order == 4
+    enum = enumerate_group(ad8.adj_gens, 10**4)
+    assert len(enum) == 4 and not enum.overflowed
     Gd = GroupSpec(QQ, [Matrix.diagonal(QQ, (QQ.from_int(1), QQ.from_int(2)))])
     add = adjoint_rep(Gd)
     assert add.dim == 2 and all(m.is_identity() for m in add.adj_gens)

@@ -6,13 +6,12 @@ import pytest
 
 from nilmat.errors import CapExceeded, NonexistenceError, UnsupportedTwoCase
 from nilmat.fields import QQ, FiniteField
-from nilmat.groups import GroupSpec
+from nilmat.groups import GroupSpec, enumerate_group
 from nilmat.linalg import Matrix, spin_basis
 from nilmat.nilpotency import is_nilpotent
 from nilmat.structure import is_completely_reducible
 from nilmat.testkit import (
     closure,
-    closure_elts,
     gen_max_abs_irr_nilpotent,
     gen_reducible_nilpotent,
     oracle_invariants,
@@ -49,13 +48,15 @@ def test_closure_generation_order_independent():
 
 
 def test_closure_elts_tracks_words():
+    """The pipeline's enumeration engine tracks a word per element and
+    agrees with the oracle's closure."""
     d8 = GroupSpec(QQ, [_m(QQ, [[0, -1], [1, 0]]), _m(QQ, [[1, 0], [0, -1]])])
-    elts = closure_elts(d8.elts(), 100)
-    assert len(elts) == 8
-    for e in elts:
-        assert d8.evaluate(e.word) == e.mat
-    with pytest.raises(CapExceeded):
-        closure_elts(GroupSpec(QQ, [_m(QQ, [[2]])]).elts(), 10)
+    enum = enumerate_group(d8.gens, 100)
+    assert len(enum) == 8 and not enum.overflowed
+    assert set(enum.vertices) == set(closure(list(d8.gens), 100).elements)
+    for mat, word in zip(enum.vertices, enum.words):
+        assert d8.evaluate(word) == mat
+    assert enumerate_group([_m(QQ, [[2]])], 10).overflowed
 
 
 def test_oracle_invariants_examples():
