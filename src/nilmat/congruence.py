@@ -153,20 +153,37 @@ def _try_prime_rational(G, pi, minpolys, p):
     )
 
 
-def _select_modulus_rational(G, config):
-    pi = denominator_set(G)
-    n = G.degree
-    minpolys = [minimal_polynomial(g) for g in G.gens]
+def _first_valid_prime(G, minpolys, try_prime, config):
+    """Least odd prime p <= prime_cap with try_prime(p) not None, preferring
+    p > n.
+
+    A minimal polynomial h with a repeated factor g^2 fails at every prime,
+    so it raises before any is tried.  At a p the other checks admit, g may
+    be taken monic with p-integral coefficients (the p-integral ring is
+    integrally closed when p does not divide the discriminant), so g-bar^2
+    divides h-bar; whenever deg h-bar = deg h, also deg g-bar = deg g >= 1,
+    and the squarefree check rejects p."""
+    message = f"no valid odd prime below {config.prime_cap}"
+    if any(poly_gcd(h, h.derivative()).degree > 0 for h in minpolys):
+        raise NoPrimeInRange(message)
     for require_gt_n in ([True, False] if config.prefer_p_gt_n else [False]):
         for p in odd_primes(3):
             if p > config.prime_cap:
                 break
-            if require_gt_n and p <= n:
+            if require_gt_n and p <= G.degree:
                 continue
-            cd = _try_prime_rational(G, pi, minpolys, p)
+            cd = try_prime(p)
             if cd is not None:
                 return cd
-    raise NoPrimeInRange(f"no valid odd prime below {config.prime_cap}")
+    raise NoPrimeInRange(message)
+
+
+def _select_modulus_rational(G, config):
+    pi = denominator_set(G)
+    minpolys = [minimal_polynomial(g) for g in G.gens]
+    return _first_valid_prime(
+        G, minpolys, lambda p: _try_prime_rational(G, pi, minpolys, p), config
+    )
 
 
 def _frobenius_roots(target: FiniteField, factor_poly: Poly):
@@ -239,21 +256,12 @@ def _try_prime_numberfield(G, pi, minpolys, disc_num, p):
 def _select_modulus_numberfield(G, config):
     F = G.field
     pi = denominator_set(G)
-    n = G.degree
     minpolys = [minimal_polynomial(g) for g in G.gens]
     fq = Poly.from_ints(QQ, F.minpoly)
-    disc = resultant(fq, fq.derivative())
-    disc_num = abs(disc.numerator)
-    for require_gt_n in ([True, False] if config.prefer_p_gt_n else [False]):
-        for p in odd_primes(3):
-            if p > config.prime_cap:
-                break
-            if require_gt_n and p <= n:
-                continue
-            cd = _try_prime_numberfield(G, pi, minpolys, disc_num, p)
-            if cd is not None:
-                return cd
-    raise NoPrimeInRange(f"no valid odd prime below {config.prime_cap}")
+    disc_num = abs(resultant(fq, fq.derivative()).numerator)
+    return _first_valid_prime(
+        G, minpolys, lambda p: _try_prime_numberfield(G, pi, minpolys, disc_num, p), config
+    )
 
 
 def _ff_candidate_points(base, config, seed=0):

@@ -12,12 +12,23 @@ values are plain hashable Python objects:
 
 Keeping values primitive means matrices assembled from them hash and
 compare exactly, which the closure and Cayley machinery depends on.
+
+`Field.matmul` is the one matrix product.  The base class runs the plain
+add/mul loop (function fields use it); GF(p), GF(p^l), Q and number fields
+override it with integer kernels that return exactly the same canonical
+values: byte-packed rows or one reduction per dot product over GF(p),
+Kronecker substitution of digit vectors over GF(p^l), and integer
+numerators over one common denominator per row and column over Q and
+number fields.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import chain
+from math import lcm
+from operator import mul
 
 from .errors import DenominatorDivisible, ParseError
 from .numth import is_prime
@@ -182,6 +193,10 @@ class Field:
 
     kind = None
 
+    def __init__(self):
+        # fields are never mutated after construction, so neither is this hash
+        self._hash = hash(self.descriptor())
+
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
@@ -209,11 +224,28 @@ class Field:
     def characteristic(self):
         return 0
 
+    def matmul(self, rows, cols):
+        """Rows of the product of the matrix with these rows and the one with
+        these columns.  This loop over add and mul defines the values; a
+        field's own kernel must return exactly the same canonical values."""
+        out = []
+        for row in rows:
+            orow = []
+            for col in cols:
+                acc = self.zero
+                for a, b in zip(row, col):
+                    acc = self.add(acc, self.mul(a, b))
+                orow.append(acc)
+            out.append(tuple(orow))
+        return tuple(out)
+
     def __eq__(self, other):
+        if self is other:
+            return True
         return isinstance(other, Field) and self.descriptor() == other.descriptor()
 
     def __hash__(self):
-        return hash(self.descriptor())
+        return self._hash
 
     def __repr__(self):
         return self.name()
@@ -237,6 +269,16 @@ class RationalField(Field):
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
         return 1 / a
+
+    def matmul(self, rows, cols):
+        # integer numerators over one denominator per row and per column:
+        # one normalizing gcd per entry instead of a Fraction per term
+        ra = [_over_common_denominator(r) for r in rows]
+        cb = [_over_common_denominator(c) for c in cols]
+        return tuple(
+            tuple(Fraction(sum(map(mul, na, nb)), da * db) for nb, db in cb)
+            for na, da in ra
+        )
 
     def from_int(self, k):
         return Fraction(k)
@@ -269,6 +311,12 @@ class RationalField(Field):
 
 
 QQ = RationalField()
+
+
+def _over_common_denominator(fracs):
+    """(integer numerators, d) with fracs[i] == numerators[i] / d, d least."""
+    d = lcm(*[c.denominator for c in fracs])
+    return [c.numerator * (d // c.denominator) for c in fracs], d
 
 
 def reduce_mod(x: Fraction, p: int) -> int:
@@ -320,10 +368,15 @@ class FiniteField(Field):
                     cur = [(cur[i] + carry * red[0][i]) % p for i in range(l)]
                 red.append(tuple(cur))
             self._xpow = red
+        # x -> x mod p on single bytes, for the byte-packed GF(p) product
+        self._byte_mod = None
+        if l == 1 and (p - 1) ** 2 < 256:
+            self._byte_mod = bytes(v % p for v in range(256))
         self._mul_table = None
         self._inv_table = None
         if self.q <= _TABLE_MAX:
             self._build_tables()
+        super().__init__()
 
     def _build_tables(self):
         q = self.q
@@ -389,6 +442,64 @@ class FiniteField(Field):
         if self._mul_table is not None:
             return self._mul_table[a][b]
         return self._mul_slow(a, b)
+
+    def matmul(self, rows, cols):
+        if self.l > 1:
+            return self._matmul_kronecker(rows, cols)
+        p = self.p
+        k = len(cols[0]) if cols else 0
+        if k * (p - 1) ** 2 < 256:
+            # a row of B packed one byte per entry: a row of the product is
+            # one integer sum with no carry between bytes, reduced bytewise
+            n_out = len(cols)
+            packed = [int.from_bytes(bytes(r), "little") for r in zip(*cols)]
+            red = self._byte_mod
+            return tuple(
+                tuple(sum(map(mul, row, packed)).to_bytes(n_out, "little").translate(red))
+                for row in rows
+            )
+        return tuple(tuple(sum(map(mul, row, col)) % p for col in cols) for row in rows)
+
+    def _matmul_kronecker(self, rows, cols):
+        """GF(p^l) product by Kronecker substitution: a digit vector becomes
+        one integer with `bits`-bit slots, so a whole dot product of them is
+        one integer holding the exact convolution in 2l - 1 slots.  The high
+        slots fold into the low l by the packed reductions of X^l..X^(2l-2);
+        `bits` leaves room for that fold, and each low slot is reduced mod p
+        once."""
+        p, l = self.p, self.l
+        k = len(cols[0]) if cols else 0
+        top = k * l * (p - 1) ** 2 * (1 + (l - 1) * (p - 1))
+        bits = top.bit_length() or 1
+        mask = (1 << bits) - 1
+        low = (1 << (bits * l)) - 1
+        lows = range(bits * (l - 1), -1, -bits)
+
+        def pack(v):
+            out = shift = 0
+            while v:
+                v, d = divmod(v, p)
+                out |= d << shift
+                shift += bits
+            return out
+
+        folds = [(bits * (l + j), pack(self.undigits(r))) for j, r in enumerate(self._xpow)]
+
+        def unpack(s):
+            f = s & low
+            for shift, r in folds:
+                f += ((s >> shift) & mask) * r
+            v = 0
+            for shift in lows:
+                v = v * p + ((f >> shift) & mask) % p
+            return v
+
+        packed = {v: pack(v) for v in {*chain(*rows), *chain(*cols)}}.__getitem__
+        pcols = [tuple(map(packed, c)) for c in cols]
+        return tuple(
+            tuple(unpack(sum(map(mul, pr, pc))) for pc in pcols)
+            for pr in (tuple(map(packed, r)) for r in rows)
+        )
 
     def _pow_slow(self, a, e):
         out = self.one
@@ -553,17 +664,18 @@ class NumberField(Field):
         m = self.degree
         self.zero = tuple([Fraction(0)] * m)
         self.one = tuple([Fraction(1)] + [Fraction(0)] * (m - 1))
-        # reductions of a^m .. a^(2m-2)
+        # reductions of a^m .. a^(2m-2), integral because minpoly is monic
         red = []
-        cur = [Fraction(-c) for c in mp[:-1]]
+        cur = [-c for c in mp[:-1]]
         red.append(tuple(cur))
         for _ in range(m - 2):
-            cur = [Fraction(0)] + cur
+            cur = [0] + cur
             carry = cur.pop()
             if carry:
                 cur = [cur[i] + carry * red[0][i] for i in range(m)]
             red.append(tuple(cur))
         self._apow = red
+        super().__init__()
 
     def gen(self):
         m = self.degree
@@ -589,6 +701,48 @@ class NumberField(Field):
                 r = self._apow[k - m]
                 out = [out[i] + c * r[i] for i in range(m)]
         return tuple(out)
+
+    def matmul(self, rows, cols):
+        # coefficient vectors become integers over one denominator per row
+        # and per column; a dot product of their Kronecker substitutions at
+        # 2^bits is the exact integer convolution over the whole dot product,
+        # reduced by the minimal polynomial once per entry
+        m, apow = self.degree, self._apow
+        ra = [_over_common_denominator([*chain(*r)]) for r in rows]
+        cb = [_over_common_denominator([*chain(*c)]) for c in cols]
+        k = len(cols[0]) if cols else 0
+        top = max((max(map(abs, ints), default=0) for ints, _ in ra + cb), default=0)
+        bits = (k * m * top * top).bit_length() + 1
+        mask, half, full = (1 << bits) - 1, 1 << (bits - 1), 1 << bits
+
+        def pack(ints):
+            out = []
+            for i in range(0, len(ints), m):
+                v = 0
+                for c in reversed(ints[i:i + m]):
+                    v = (v << bits) + c
+                out.append(v)
+            return out
+
+        def unpack(s, d):
+            conv = []
+            for _ in range(2 * m - 1):
+                c = s & mask
+                if c >= half:
+                    c -= full
+                conv.append(c)
+                s = (s - c) >> bits
+            out = conv[:m]
+            for c, r in zip(conv[m:], apow):
+                if c:
+                    out = [x + c * y for x, y in zip(out, r)]
+            return tuple(Fraction(x, d) for x in out)
+
+        pcols = [(pack(ints), d) for ints, d in cb]
+        return tuple(
+            tuple(unpack(sum(map(mul, pa, pb)), da * db) for pb, db in pcols)
+            for pa, da in ((pack(ints), d) for ints, d in ra)
+        )
 
     def inv(self, a):
         if self.is_zero(a):
@@ -638,8 +792,6 @@ class NumberField(Field):
 
     def denominator_clearing(self, a):
         """Least positive z with z*a integral in the power basis."""
-        from math import lcm
-
         return lcm(*[c.denominator for c in a]) if a else 1
 
 
@@ -657,6 +809,7 @@ class FunctionField(Field):
         self.base = base
         self.zero = ((), (base.one,))
         self.one = ((base.one,), (base.one,))
+        super().__init__()
 
     def make(self, num, den):
         B = self.base

@@ -1,9 +1,11 @@
 """Exact dense linear algebra over any Field.
 
-Vectors are coefficient tuples, matrices act on column vectors.  Row
-echelon work over Q clears denominators and eliminates by integer cross
-multiplication with per-row content stripping, which keeps entry growth
-in check without floating point or modular tricks.
+Vectors are coefficient tuples, matrices act on column vectors.  Matrix
+and matrix-vector products are the field's own `matmul` kernel, so this
+module holds no per-field product code.  Row echelon work over Q clears
+denominators and eliminates by integer cross multiplication with per-row
+content stripping, which keeps entry growth in check without floating
+point or modular tricks.
 """
 
 from __future__ import annotations
@@ -101,27 +103,7 @@ class Matrix:
         F = self.field
         if not isinstance(other, Matrix):
             return Matrix(F, tuple(tuple(F.mul(c, other) for c in r) for r in self.rows))
-        bt = tuple(zip(*other.rows))
-        mt = getattr(F, "_mul_table", None)
-        if mt is not None and F.l == 1:
-            p = F.p
-            return Matrix(
-                F,
-                tuple(
-                    tuple(sum(mt[a][b] for a, b in zip(row, col)) % p for col in bt)
-                    for row in self.rows
-                ),
-            )
-        out = []
-        for row in self.rows:
-            orow = []
-            for col in bt:
-                acc = F.zero
-                for a, b in zip(row, col):
-                    acc = F.add(acc, F.mul(a, b))
-                orow.append(acc)
-            out.append(tuple(orow))
-        return Matrix(F, tuple(out))
+        return Matrix(F, F.matmul(self.rows, tuple(zip(*other.rows))))
 
     def __pow__(self, e):
         if e < 0:
@@ -137,14 +119,7 @@ class Matrix:
 
     def apply(self, vec):
         """Matrix times column vector."""
-        F = self.field
-        out = []
-        for row in self.rows:
-            acc = F.zero
-            for a, b in zip(row, vec):
-                acc = F.add(acc, F.mul(a, b))
-            out.append(acc)
-        return tuple(out)
+        return tuple(r[0] for r in self.field.matmul(self.rows, (vec,)))
 
     def __repr__(self):
         return f"Matrix({self.field.name()}, {[list(r) for r in self.rows]})"

@@ -85,6 +85,24 @@ def test_select_modulus_numberfield():
     assert cd5.target.mul(a, a) == cd5.target.from_int(2)
 
 
+@pytest.mark.parametrize("kind", ["Q", "NF"])
+def test_select_modulus_fails_fast_on_repeated_minpoly_factor(kind, monkeypatch):
+    """A unipotent generator's minimal polynomial (X - 1)^2 stays square mod
+    every prime, so selection raises at once without trying any prime."""
+    from nilmat import congruence
+
+    F = QQ if kind == "Q" else NumberField((-2, 0, 1))
+    G = GroupSpec(F, [Matrix.from_ints(F, [[1, 1], [0, 1]]), Matrix.from_ints(F, [[0, 1], [1, 0]])])
+
+    def never(*args):
+        raise AssertionError("a prime was tried")
+
+    monkeypatch.setattr(congruence, "_try_prime_rational", never)
+    monkeypatch.setattr(congruence, "_try_prime_numberfield", never)
+    with pytest.raises(NoPrimeInRange, match=f"^no valid odd prime below {DEFAULT.prime_cap}$"):
+        select_modulus(G)
+
+
 def test_select_modulus_function_field_rational_base():
     ff = FunctionField(QQ)
     x = ff.x()

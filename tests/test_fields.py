@@ -148,3 +148,24 @@ def test_entry_format_round_trip():
         for _ in range(20):
             a = f.random_element(rng)
             assert f.parse(f.format(a)) == a
+
+
+def test_field_equality_and_hash_follow_the_descriptor():
+    """Separately built fields with one descriptor are equal and hash alike;
+    a different descriptor is unequal, whatever the kind."""
+    pairs = [
+        (FiniteField(7), FiniteField(7)),
+        (FiniteField(3, 2), FiniteField(3, 2)),
+        (NumberField((-2, 0, 1)), NumberField((-2, 0, 1))),
+        (FunctionField(FiniteField(5)), FunctionField(FiniteField(5))),
+        (FunctionField(QQ), field_from_json({"kind": "FF", "base": {"kind": "Q"}})),
+    ]
+    for a, b in pairs:
+        assert a is not b and a == b and hash(a) == hash(b)
+    distinct = [QQ, FiniteField(7), FiniteField(3, 2), FiniteField(3, 2, (2, 2, 1)),
+                NumberField((-2, 0, 1)), NumberField((1, 0, 1)), FunctionField(QQ),
+                FunctionField(FiniteField(7))]
+    for i, a in enumerate(distinct):
+        for j, b in enumerate(distinct):
+            assert (a == b) == (i == j)
+    assert len(set(distinct)) == len(distinct)

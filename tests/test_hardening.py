@@ -320,6 +320,74 @@ def test_random_groups_differential_against_oracle():
     assert agreements["nilpotent"] >= 10 and agreements["not"] >= 10
 
 
+def test_structured_groups_differential_against_oracle():
+    """Direct products and block-diagonal sums of small random groups over
+    GF(3) and GF(5): the pipeline verdict and order equal the oracle's, and
+    the product is nilpotent exactly when both factors are."""
+    from nilmat.nilpotency import is_finite_nilpotent
+    from nilmat.testkit import closure, oracle_invariants
+
+    rng = random.Random(7331)
+
+    def nonzero(F):
+        return rng.randrange(1, F.q)
+
+    def component(F):
+        family = rng.choice(["scalar", "diagonal", "unitriangular", "monomial", "triangular"])
+        if family == "scalar":
+            return [Matrix.make(F, [[nonzero(F)]])]
+        if family == "diagonal":
+            return [Matrix.diagonal(F, (nonzero(F), nonzero(F))) for _ in range(2)]
+        if family == "unitriangular":
+            return [Matrix.make(F, [[1, nonzero(F)], [0, 1]])]
+        if family == "monomial":
+            return [
+                Matrix.make(F, [[0, nonzero(F)], [nonzero(F), 0]]),
+                Matrix.diagonal(F, (nonzero(F), nonzero(F))),
+            ]
+        return [Matrix.make(F, [[nonzero(F), rng.randrange(F.q)], [0, nonzero(F)]]) for _ in range(2)]
+
+    def block(a, b):
+        z = a.field.zero
+        top = [tuple(r) + (z,) * b.n for r in a.rows]
+        bottom = [(z,) * a.n + tuple(r) for r in b.rows]
+        return Matrix(a.field, tuple(top + bottom))
+
+    def invariants(gens, cap):
+        c = closure(gens, cap)
+        return None if c.overflowed else oracle_invariants(c)
+
+    seen = {"nilpotent x nilpotent": 0, "nilpotent x not": 0}
+    for _ in range(40):
+        F = rng.choice([FiniteField(3), FiniteField(5)])
+        a, b = component(F), component(F)
+        ta, tb = invariants(a, 200), invariants(b, 200)
+        if ta is None or tb is None or (not ta["nilpotent"] and not tb["nilpotent"]):
+            continue
+        ia, ib = Matrix.identity(F, a[0].n), Matrix.identity(F, b[0].n)
+        if rng.random() < 0.5:
+            gens = [block(g, ib) for g in a] + [block(ia, h) for h in b]
+            direct = True
+        else:
+            a2 = a + [ia] * (len(b) - len(a))
+            b2 = b + [ib] * (len(a) - len(b))
+            gens = [block(g, h) for g, h in zip(a2, b2)]
+            direct = False
+        truth = invariants(gens, 400)
+        if truth is None:
+            continue
+        both = ta["nilpotent"] and tb["nilpotent"]
+        assert truth["nilpotent"] == both
+        if direct:
+            assert truth["order"] == ta["order"] * tb["order"]
+        v = is_finite_nilpotent(GroupSpec(F, gens))
+        assert v.nilpotent == truth["nilpotent"], (F.name(), [g.rows for g in gens])
+        if v.nilpotent:
+            assert v.artifacts["order"] == truth["order"]
+        seen["nilpotent x nilpotent" if both else "nilpotent x not"] += 1
+    assert seen["nilpotent x nilpotent"] >= 20 and seen["nilpotent x not"] >= 8, seen
+
+
 def test_char_p_function_field_commutator_witness_verifies():
     from nilmat.fields import FunctionField
 

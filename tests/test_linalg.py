@@ -1,13 +1,14 @@
 """Exact linear algebra."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilmat.errors import NotInvariant, Singular
-from nilmat.fields import QQ, FiniteField, NumberField
+from nilmat.fields import QQ, FiniteField, FunctionField, NumberField
 from nilmat.linalg import (
     Matrix,
     Subspace,
@@ -197,3 +198,73 @@ def test_nullspace_and_rref_rational_blowup_control():
             for a, b in zip(row, v):
                 acc += a * b
             assert acc == 0
+
+
+def schoolbook(field, rows, cols):
+    out = []
+    for row in rows:
+        orow = []
+        for col in cols:
+            acc = field.zero
+            for a, b in zip(row, col):
+                acc = field.add(acc, field.mul(a, b))
+            orow.append(acc)
+        out.append(tuple(orow))
+    return tuple(out)
+
+
+def mixed_rational(rng, size=None):
+    return Fraction(rng.randint(-30, 30), rng.choice([1, 1, 2, 3, 4, 6, 9, 10, 35]))
+
+
+KERNEL_FIELDS = [
+    FiniteField(3),
+    FiniteField(13),
+    FiniteField(101),
+    FiniteField(2, 2),
+    FiniteField(3, 2),
+    FiniteField(2, 5),
+    FiniteField(5, 3),
+    QQ,
+    NumberField((-2, 0, 1)),
+    NumberField((1, 0, 1)),
+    NumberField((-2, -1, 0, 1)),
+    FunctionField(QQ),
+    FunctionField(FiniteField(5)),
+]
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=lambda f: f.name())
+def test_matmul_kernel_matches_schoolbook(field):
+    """Each field's product kernel returns exactly the values, types and
+    representations of the add/mul loop, on square and non-square shapes."""
+    rng = random.Random(31)
+    entry = mixed_rational if field is QQ else field.random_element
+    shapes = [(1, 1, 1), (3, 3, 3), (2, 5, 3), (4, 1, 2), (3, 2, 1), (6, 6, 6)]
+    if not isinstance(field, FunctionField):
+        shapes += [(8, 8, 8), (2, 17, 3)]
+    for n, k, m in shapes:
+        for _ in range(3):
+            a = Matrix.make(field, [[entry(rng) for _ in range(k)] for _ in range(n)])
+            b = Matrix.make(field, [[entry(rng) for _ in range(m)] for _ in range(k)])
+            cols = tuple(zip(*b.rows))
+            got = field.matmul(a.rows, cols)
+            want = schoolbook(field, a.rows, cols)
+            assert got == want and repr(got) == repr(want), (n, k, m)
+            assert (a * b).rows == want
+            vec = cols[0]
+            assert a.apply(vec) == tuple(r[0] for r in want)
+
+
+@pytest.mark.parametrize("p, inner", [(3, 63), (3, 64), (2, 255), (2, 256), (17, 1)])
+def test_matmul_byte_packing_bound(p, inner):
+    """GF(p) packs one byte per entry while inner * (p - 1)^2 < 256: both
+    sides of the bound agree with the loop, also with every entry p - 1."""
+    F = FiniteField(p)
+    rng = random.Random(inner)
+    for fill in (lambda: p - 1, lambda: F.random_element(rng)):
+        rows = tuple(tuple(fill() for _ in range(inner)) for _ in range(3))
+        cols = tuple(tuple(fill() for _ in range(inner)) for _ in range(4))
+        got = F.matmul(rows, cols)
+        want = schoolbook(F, rows, cols)
+        assert got == want and repr(got) == repr(want)
