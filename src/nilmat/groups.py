@@ -60,10 +60,12 @@ class Elt:
         return Elt(inverse(self.mat), word_inverse(self.word))
 
     def commutator(self, other):
-        return Elt(
-            inverse(self.mat) * inverse(other.mat) * self.mat * other.mat,
-            word_commutator(self.word, other.word),
-        )
+        """[a, b] = a^-1 b^-1 a b, taken as (ba)^-1 (ab): the identity when
+        ab = ba, and one inversion otherwise."""
+        ab = self.mat * other.mat
+        ba = other.mat * self.mat
+        mat = Matrix.identity(ab.field, ab.n) if ab == ba else inverse(ba) * ab
+        return Elt(mat, word_commutator(self.word, other.word))
 
     def is_identity(self):
         return self.mat.is_identity()

@@ -125,10 +125,6 @@ class Matrix:
         return f"Matrix({self.field.name()}, {[list(r) for r in self.rows]})"
 
 
-def commutator(a: Matrix, b: Matrix) -> Matrix:
-    return inverse(a) * inverse(b) * a * b
-
-
 # ---------------------------------------------------------------------------
 # echelon forms
 

@@ -2,7 +2,9 @@
 
 The finite side certifies its positive verdicts outright: a generating set
 is split into commuting prime-power parts and each part is closed into a
-verified p-group, which characterizes finite nilpotent groups.  Negative
+verified p-group, which characterizes finite nilpotent groups.  Each
+component is closed over the prime parts of the input generators, which
+already generate it once they close into p-groups.  Negative
 verdicts always carry a replayable witness.  Over infinite fields the
 group is split into diagonalizable and unipotent parts, the diagonalizable
 part is reduced through a validated congruence, and the verdict combines
@@ -333,7 +335,24 @@ def _dedup_elts(elts):
 
 
 def _finite_nilpotent_core(elts, field, n, config: Config, chain: Chain4 | None = None, context="input"):
-    """Sylow verification for a group expected to be finite."""
+    """Sylow verification for a group expected to be finite.
+
+    Every element of the input generators and of the chain's A and C terms
+    is split into its prime-power parts; parts for distinct primes must
+    commute, and the parts for each prime p must close into a p-group,
+    whose order is the Sylow order.
+
+    Each component is first closed over the p-parts of the input
+    generators alone, Q_p.  That is exact whenever every prime has an
+    input part and every Q_p closes, within the cap, into a p-group:
+    an input x is the product of its p-parts (the exponents sum to 1
+    mod ord(x)), and the cross-prime check makes the Q_p commute, so
+    G <= prod Q_p <= G.  Then G is nilpotent with Sylow p-subgroup Q_p,
+    and every A/C part, a p-element of G, lies in Q_p; so the full parts
+    generate Q_p, with the same order, and no membership test is needed.
+    Otherwise the closure over the full parts runs, as the path that
+    raises the budget error or finds the non-p element.
+    """
     elts = _dedup_elts(elts)
     if not elts:
         return Verdict(True, artifacts={"sylow": SylowSystem({}, {}), "order": 1, "chain": Chain4([], [])})
@@ -346,17 +365,20 @@ def _finite_nilpotent_core(elts, field, n, config: Config, chain: Chain4 | None 
         seq.extend(level.C)
     seq = _dedup_elts(seq)
     parts: dict = {}
-    for x in seq:
+    seen: dict = {}
+    n_input: dict = {}  # prime -> how many leading parts come from input generators
+    for j, x in enumerate(seq):
         m = _element_order(x.mat, config, x.word, context)
         for p, e in factorint(m).items():
             mp = m // p**e
             c = pow(mp, -1, p**e)
             xp = _elt_pow(x, mp * c % m)
-            if xp.is_identity():
+            if xp.is_identity() or xp.mat in seen.setdefault(p, set()):
                 continue
-            parts.setdefault(p, [])
-            if xp.mat not in {y.mat for y in parts[p]}:
-                parts[p].append(xp)
+            seen[p].add(xp.mat)
+            parts.setdefault(p, []).append(xp)
+            if j < len(elts):
+                n_input[p] = len(parts[p])
     primes = sorted(parts)
     for i, p in enumerate(primes):
         for q in primes[i + 1 :]:
@@ -374,35 +396,53 @@ def _finite_nilpotent_core(elts, field, n, config: Config, chain: Chain4 | None 
                                 note=f"prime parts for {p} and {q} fail to commute",
                             ),
                         )
-    orders = {}
-    for p in primes:
-        enum = enumerate_group([x.mat for x in parts[p]], config.closure_cap)
-        if enum.overflowed:
-            raise CapExceeded(config.closure_cap, "subgroup closure")
-        size = len(enum)
-        fac = factorint(size)
-        if set(fac) - {p}:
-            items = ()
-            for y, tree_word in zip(enum.vertices, enum.words):
-                try:
-                    m = finite_order(y, config)
-                except CapExceeded:
-                    continue
-                if m is not None and set(factorint(m)) - {p}:
-                    word = word_mul(*(parts[p][i].word for i, _ in tree_word))
-                    items = (WItem("y", y, word, {"order": m, "prime": p}),)
-                    break
-            note = f"the component for prime {p} closes into a group of order {size}, not a power of {p}"
-            return Verdict(
-                False,
-                Witness(kind="non_p_element", context=context, items=items, note=note),
-            )
-        orders[p] = size
+    orders = _input_sylow_orders(parts, n_input, primes, config)
+    if orders is None:
+        orders = {}
+        for p in primes:
+            enum = enumerate_group([x.mat for x in parts[p]], config.closure_cap)
+            if enum.overflowed:
+                raise CapExceeded(config.closure_cap, "subgroup closure")
+            size = len(enum)
+            fac = factorint(size)
+            if set(fac) - {p}:
+                items = ()
+                for y, tree_word in zip(enum.vertices, enum.words):
+                    try:
+                        m = finite_order(y, config)
+                    except CapExceeded:
+                        continue
+                    if m is not None and set(factorint(m)) - {p}:
+                        word = word_mul(*(parts[p][i].word for i, _ in tree_word))
+                        items = (WItem("y", y, word, {"order": m, "prime": p}),)
+                        break
+                note = f"the component for prime {p} closes into a group of order {size}, not a power of {p}"
+                return Verdict(
+                    False,
+                    Witness(kind="non_p_element", context=context, items=items, note=note),
+                )
+            orders[p] = size
     sylow = SylowSystem({p: list(v) for p, v in parts.items()}, orders)
     return Verdict(
         True,
         artifacts={"sylow": sylow, "order": sylow.order, "chain": chain},
     )
+
+
+def _input_sylow_orders(parts, n_input, primes, config: Config):
+    """The order of Q_p, the closure of the input generators' p-parts
+    (the leading n_input[p] entries of parts[p]), for every prime, or None
+    unless every prime has an input part and every Q_p closes within the
+    cap into a p-group; see _finite_nilpotent_core."""
+    orders = {}
+    for p in primes:
+        if not n_input.get(p):
+            return None
+        enum = enumerate_group([x.mat for x in parts[p][: n_input[p]]], config.closure_cap)
+        if enum.overflowed or set(factorint(len(enum))) - {p}:
+            return None
+        orders[p] = len(enum)
+    return orders
 
 
 def is_finite_nilpotent(G: GroupSpec, config: Config = DEFAULT) -> Verdict:
@@ -437,13 +477,19 @@ def adjoint_rep(G: GroupSpec) -> AdjointData:
     return AdjointData(basis, adj)
 
 
-def is_nilpotent_adjoint(G: GroupSpec, config: Config = DEFAULT) -> Verdict:
-    """Nilpotency test through the adjoint representation; the input
-    generators must be diagonalizable."""
+def require_semisimple_gens(G: GroupSpec) -> None:
+    """Raise NotSemisimple unless every generator's minimal polynomial is
+    squarefree, i.e. every generator is diagonalizable over a perfect field."""
     for i, g in enumerate(G.gens):
         h = minimal_polynomial(g)
         if poly_gcd(h, h.derivative()).degree != 0:
             raise NotSemisimple(f"generator {i} is not diagonalizable")
+
+
+def is_nilpotent_adjoint(G: GroupSpec, config: Config = DEFAULT) -> Verdict:
+    """Nilpotency test through the adjoint representation; the input
+    generators must be diagonalizable."""
+    require_semisimple_gens(G)
     if not G.gens or all(g.is_identity() for g in G.gens):
         return Verdict(True, artifacts={"order": 1, "adjoint_trivial": True})
     ad = adjoint_rep(G)

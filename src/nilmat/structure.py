@@ -16,6 +16,7 @@ from .nilpotency import (
     adjoint_rep,
     is_finite_nilpotent,
     is_nilpotent,
+    require_semisimple_gens,
 )
 from .splitting import finite_order
 from .witness import WItem, Witness
@@ -206,7 +207,7 @@ def primary_decomposition(G: GroupSpec, config: Config = DEFAULT, verdict: Verdi
     if adj_sylow is not None:
         for p, elts in adj_sylow.components.items():
             comps[p] = [Elt(Gs.evaluate(e.word), e.word) for e in elts]
-    central = center_generators(Gs, config)
+    central = _center_generators(Gs, config)
     sylow = SylowSystem(comps, dict(adj_sylow.orders) if adj_sylow else {}, central_part=tuple(central))
     return sylow, True, verdict
 
@@ -214,7 +215,18 @@ def primary_decomposition(G: GroupSpec, config: Config = DEFAULT, verdict: Verdi
 def center_generators(G: GroupSpec, config: Config = DEFAULT):
     """Generators of the center of a completely reducible nilpotent group:
     the kernel of the adjoint representation, generated by the Schreier
-    generators of the adjoint image lifted to the group."""
+    generators of the adjoint image lifted to the group.
+
+    In characteristic zero a generator that is not diagonalizable raises
+    NotSemisimple before anything is enumerated: the group is then not
+    completely reducible, and its adjoint image may be infinite."""
+    if G.field.characteristic() == 0:
+        require_semisimple_gens(G)
+    return _center_generators(G, config)
+
+
+def _center_generators(G: GroupSpec, config: Config):
+    """center_generators for a group known to be completely reducible."""
     if not G.gens or G.is_trivial():
         return [Elt(G.identity, ())]
     ad = adjoint_rep(G)
@@ -262,5 +274,5 @@ def analyze(G: GroupSpec, config: Config = DEFAULT) -> StructureReport:
     except VerdictUnavailable as e:
         report.notes.append(str(e))
     if report.completely_reducible:
-        report.center_gens = center_generators(G, config)
+        report.center_gens = _center_generators(G, config)
     return report

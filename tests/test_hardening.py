@@ -436,3 +436,57 @@ def test_nilpotent_number_field_group_through_files(tmp_path):
     assert rep["verdict"]["finite"] is False
     ok, checks = verify_report(rep, G)
     assert ok, checks
+
+
+def test_sylow_closure_uses_input_generator_parts(monkeypatch):
+    """Each Sylow component is closed over the input generators' prime
+    parts, not over the chain terms added to them, and keeps its order."""
+    import nilmat.nilpotency as nilp
+    from nilmat.testkit import gen_max_abs_irr_nilpotent
+
+    counts = []
+    real = nilp.enumerate_group
+
+    def recording(gens, cap, lift=None):
+        if lift is None:
+            counts.append(len(gens))
+        return real(gens, cap, lift)
+
+    monkeypatch.setattr(nilp, "enumerate_group", recording)
+    q8_cubed = _q8_power_with_diagonal(3)
+    q8_cubed = GroupSpec(q8_cubed.field, q8_cubed.gens[1:])  # an i and a j per block
+    for G, order in ((q8_cubed, 512), (gen_max_abs_irr_nilpotent(4, 5, 1), 2048)):
+        counts.clear()
+        v = nilp.is_finite_nilpotent(G)
+        assert v.nilpotent and v.artifacts["sylow"].orders == {2: order}
+        assert counts and max(counts) <= len(G.gens), counts
+
+
+def _random_invertible(field, n, rng):
+    while True:
+        m = Matrix.make(field, [[field.random_element(rng, 2) for _ in range(n)] for _ in range(n)])
+        try:
+            inverse(m)
+            return m
+        except Singular:
+            continue
+
+
+def test_commutator_matches_its_definition():
+    """Elt.commutator, taken as (ba)^-1 (ab), equals a^-1 b^-1 a b with the
+    same word, on commuting and non-commuting pairs."""
+    from nilmat.fields import FunctionField
+    from nilmat.groups import Elt, word_commutator
+
+    rng = random.Random(29)
+    fields = [FiniteField(3), FiniteField(3, 2), QQ, NumberField((-2, 0, 1)), FunctionField(QQ)]
+    for F in fields:
+        n = 2 if isinstance(F, FunctionField) else 3
+        for trial in range(4):
+            a = _random_invertible(F, n, rng)
+            b = a * a if trial == 0 else _random_invertible(F, n, rng)  # a commuting pair first
+            ea, eb = Elt(a, ((0, 1),)), Elt(b, ((1, 1), (0, -1)))
+            c = ea.commutator(eb)
+            assert c.mat == inverse(a) * inverse(b) * a * b, (F.name(), trial)
+            assert c.word == word_commutator(ea.word, eb.word)
+        assert Elt(a, ()).commutator(Elt(a, ())).is_identity()

@@ -343,3 +343,24 @@ def test_rational_image_class_within_bound(q_corpus):
         assert oi["class"] <= (3 * entry.group.degree) // 2, entry.name
         checked += 1
     assert checked >= 10
+
+
+def test_sylow_witness_path_returns_non_p_element():
+    """With no chain, S3 over GF(7) passes the cross-prime check and fails
+    only in its 2-component closure, whose first element of order 6 is
+    the witness."""
+    from nilmat.config import DEFAULT
+    from nilmat.nilpotency import Chain4, _finite_nilpotent_core
+    from nilmat.verify import verify_report
+    from nilmat.witness import serialize_witness
+
+    F7 = FiniteField(7)
+    G = GroupSpec(F7, [_m(F7, [[0, 1], [1, 0]]), _m(F7, [[1, 1], [0, 6]])])
+    v = _finite_nilpotent_core(G.elts(), F7, 2, DEFAULT, chain=Chain4([], []))
+    assert not v.nilpotent and v.witness.kind == "non_p_element"
+    (y,) = v.witness.items
+    assert y.mat == _m(F7, [[0, 6], [1, 1]])
+    assert y.word == ((0, 1), (1, 1))
+    assert y.data == {"order": 6, "prime": 2}
+    ok, checks = verify_report({"witness": serialize_witness(v.witness)}, G)
+    assert ok, checks

@@ -2,6 +2,7 @@
 
 import pytest
 
+from nilmat.config import DEFAULT
 from nilmat.errors import ImperfectField
 from nilmat.fields import QQ, FiniteField, FunctionField
 from nilmat.groups import GroupSpec
@@ -165,8 +166,32 @@ def test_center_contains_oracle_center(ff_corpus, ff_oracle):
     assert checked >= 5
 
 
+def test_center_generators_rejects_non_semisimple_generators():
+    """Over Q a non-diagonalizable generator raises NotSemisimple at once,
+    instead of enumerating the infinite adjoint image; completely
+    reducible groups keep their center."""
+    import time
+
+    from nilmat.errors import NotSemisimple
+    from nilmat.structure import _center_generators
+
+    e13 = _m(QQ, [[1, 0, 1], [0, 1, 0], [0, 0, 1]])
+    for G in (heisenberg(), GroupSpec(QQ, [heisenberg().gens[0], e13, heisenberg().gens[1]])):
+        t0 = time.monotonic()
+        with pytest.raises(NotSemisimple):
+            center_generators(G)
+        assert time.monotonic() - t0 < 1.0
+    qi = _m(QQ, [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
+    qj = _m(QQ, [[0, 0, -1, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0]])
+    for G in (d8(), GroupSpec(QQ, [qi, qj])):
+        zs = center_generators(G)
+        assert zs == _center_generators(G, DEFAULT)
+        minus_one = Matrix.identity(QQ, G.degree) * QQ.from_int(-1)
+        assert minus_one in {z.mat for z in zs}
+        assert len(closure([z.mat for z in zs], 10)) == 2
+
+
 def test_center_generators_cap_is_typed():
-    from nilmat.config import DEFAULT
     from nilmat.errors import CapExceeded
 
     with pytest.raises(CapExceeded):
