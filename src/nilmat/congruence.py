@@ -503,9 +503,22 @@ def congruence_kernel(G: GroupSpec, image_gens, cap):
 
 
 def kernel_is_central(G: GroupSpec, kernel_elts):
-    """True when every kernel normal generator commutes with every generator;
-    otherwise the first offending pair."""
+    """(True, None) when every kernel normal generator commutes with every
+    generator; otherwise (False, (z, i)) for the first offending pair in
+    kernel order.
+
+    Each distinct nontrivial kernel matrix is tested once.  The identity
+    commutes with everything, and a repeated matrix passed at its first
+    occurrence (had it failed, that occurrence would have been returned), so
+    skipping either cannot change the answer.
+    In characteristic 0 the kernel is torsion-free, so a finite group meets
+    it only in the identity and no product is formed at all.
+    """
+    seen = set()
     for z in kernel_elts:
+        if z.is_identity() or z.mat in seen:
+            continue
+        seen.add(z.mat)
         for i, g in enumerate(G.gens):
             if not (z.mat * g == g * z.mat):
                 return False, (z, i)

@@ -14,12 +14,13 @@ Keeping values primitive means matrices assembled from them hash and
 compare exactly, which the closure and Cayley machinery depends on.
 
 `Field.matmul` is the one matrix product.  The base class runs the plain
-add/mul loop (function fields use it); GF(p), GF(p^l), Q and number fields
-override it with integer kernels that return exactly the same canonical
-values: byte-packed rows or one reduction per dot product over GF(p),
-Kronecker substitution of digit vectors over GF(p^l), and integer
-numerators over one common denominator per row and column over Q and
-number fields.
+add/mul loop, which defines the values; every concrete field overrides it
+with a kernel that returns exactly the same canonical values: byte-packed
+rows or one reduction per dot product over GF(p), Kronecker substitution of
+digit vectors over GF(p^l), integer numerators over one common denominator
+per row and column over Q and number fields, and polynomial numerators over
+one monic common denominator per row and column over function fields, with
+one reduction per entry.
 """
 
 from __future__ import annotations
@@ -819,6 +820,8 @@ class FunctionField(Field):
             raise ZeroDivisionError("zero denominator")
         if not num:
             return self.zero
+        if len(den) == 1 and B.is_one(den[0]):
+            return (num, den)
         g = pt_gcd(B, num, den)
         if len(g) > 1 or not B.is_one(g[0]):
             num = pt_divmod(B, num, g)[0]
@@ -849,6 +852,41 @@ class FunctionField(Field):
         if self.is_zero(a):
             raise ZeroDivisionError("inverse of 0")
         return self.make(a[1], a[0])
+
+    def matmul(self, rows, cols):
+        # numerators over one monic common denominator per row and per column:
+        # one normalizing gcd per entry instead of one per term, and none
+        # when both denominators are 1
+        B, one = self.base, self.one[1]
+        ra = [self._over_common_denominator(r) for r in rows]
+        cb = [self._over_common_denominator(c) for c in cols]
+        out = []
+        for na, da in ra:
+            orow = []
+            for nb, db in cb:
+                acc = ()
+                for x, y in zip(na, nb):
+                    if x and y:
+                        acc = pt_add(B, acc, pt_mul(B, x, y))
+                if da == one and db == one:
+                    orow.append((acc, one))
+                else:
+                    orow.append(self.make(acc, pt_mul(B, da, db)))
+            out.append(tuple(orow))
+        return tuple(out)
+
+    def _over_common_denominator(self, entries):
+        """(numerators, d) with entries[i] == numerators[i] / d, d the monic
+        least common multiple of the denominators."""
+        B = self.base
+        d = self.one[1]
+        for _, den in entries:
+            if den != d and len(den) > 1:
+                d = pt_mul(B, d, pt_divmod(B, den, pt_gcd(B, d, den))[0])
+        return [
+            num if den == d else pt_mul(B, num, pt_divmod(B, d, den)[0])
+            for num, den in entries
+        ], d
 
     def from_int(self, k):
         B = self.base

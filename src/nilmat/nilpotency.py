@@ -604,10 +604,17 @@ def _refute_char_p(G: GroupSpec, kernel, artifacts) -> Verdict:
     # In a nilpotent group the semisimple parts form a homomorphic image in
     # which the evaluation kernel lands centrally, so every commutator of a
     # kernel generator against a generator must be unipotent.  A
-    # non-unipotent one refutes nilpotency outright.
+    # non-unipotent one refutes nilpotency outright.  The identity's
+    # commutators are trivial and a repeated matrix gives the commutators of
+    # its first occurrence, so each distinct nontrivial one is tried once.
+    seen = set()
     for z in kernel:
-        for i, g in enumerate(G.gens):
-            c = inverse(z.mat) * inverse(g) * z.mat * g
+        if z.is_identity() or z.mat in seen:
+            continue
+        seen.add(z.mat)
+        zinv = inverse(z.mat)
+        for i, (g, ginv) in enumerate(zip(G.gens, G.invs)):
+            c = zinv * ginv * z.mat * g
             if not is_unipotent_matrix(c):
                 return Verdict(
                     False,

@@ -11,6 +11,7 @@ from .errors import CapExceeded, ImperfectField, VerdictUnavailable
 from .fields import FiniteField, FunctionField
 from .groups import Elt, GroupSpec, enumerate_group
 from .nilpotency import (
+    AdjointData,
     SylowSystem,
     Verdict,
     adjoint_rep,
@@ -207,7 +208,7 @@ def primary_decomposition(G: GroupSpec, config: Config = DEFAULT, verdict: Verdi
     if adj_sylow is not None:
         for p, elts in adj_sylow.components.items():
             comps[p] = [Elt(Gs.evaluate(e.word), e.word) for e in elts]
-    central = _center_generators(Gs, config)
+    central = _center_generators(Gs, config, v_adj.artifacts.get("adjoint"))
     sylow = SylowSystem(comps, dict(adj_sylow.orders) if adj_sylow else {}, central_part=tuple(central))
     return sylow, True, verdict
 
@@ -225,11 +226,13 @@ def center_generators(G: GroupSpec, config: Config = DEFAULT):
     return _center_generators(G, config)
 
 
-def _center_generators(G: GroupSpec, config: Config):
-    """center_generators for a group known to be completely reducible."""
+def _center_generators(G: GroupSpec, config: Config, ad: AdjointData | None = None):
+    """center_generators for a group known to be completely reducible; ad is
+    its adjoint representation, when the caller has already built it."""
     if not G.gens or G.is_trivial():
         return [Elt(G.identity, ())]
-    ad = adjoint_rep(G)
+    if ad is None:
+        ad = adjoint_rep(G)
     _, kernel = congruence_kernel(G, ad.adj_gens, config.cayley_cap)
     out = []
     seen = set()
@@ -274,5 +277,12 @@ def analyze(G: GroupSpec, config: Config = DEFAULT) -> StructureReport:
     except VerdictUnavailable as e:
         report.notes.append(str(e))
     if report.completely_reducible:
-        report.center_gens = _center_generators(G, config)
+        # every unipotent part is 1, so the diagonalizable parts are the
+        # generators themselves and the primary decomposition's center of
+        # them is the center of G
+        central = report.primary.central_part if report.primary_is_extension else ()
+        if central and list(verdict.artifacts["split"].gens_s) == list(G.gens):
+            report.center_gens = list(central)
+        else:
+            report.center_gens = _center_generators(G, config)
     return report

@@ -271,6 +271,80 @@ def test_kernel_is_central_examples():
     assert oka
 
 
+def _d8_times_xI(base):
+    ff = FunctionField(base)
+    x = ff.x()
+    rot = Matrix.from_ints(ff, [[0, -1], [1, 0]])
+    refl = Matrix.from_ints(ff, [[1, 0], [0, -1]])
+    return GroupSpec(ff, [rot, refl, Matrix.diagonal(ff, (x, x))])
+
+
+def _reduced_kernel(G):
+    """(the group whose kernel is tested, the kernel) as is_nilpotent sees
+    them, or None when the verdict is reached before the kernel."""
+    v = is_nilpotent(G)
+    if "kernel_gens" not in v.artifacts:
+        return None
+    split = v.artifacts.get("split")
+    Gs = G if split is None else GroupSpec(G.field, split.gens_s)
+    return Gs, v.artifacts["kernel_gens"]
+
+
+def _plain_centrality(G, kernel):
+    """The definition: every kernel generator against every generator."""
+    for z in kernel:
+        for i, g in enumerate(G.gens):
+            if not (z.mat * g == g * z.mat):
+                return False, (z, i)
+    return True, None
+
+
+def test_kernel_is_central_tests_each_distinct_nontrivial_generator_once(q_corpus, monkeypatch):
+    """kernel_is_central forms two products per generator for each distinct
+    nontrivial kernel matrix and none for the identity, and returns the same
+    pair as the plain loop over every kernel generator."""
+    counted = []
+    product = Matrix.__mul__
+
+    def counting(a, b):
+        counted.append(1)
+        return product(a, b)
+
+    def central_counted(Gs, kernel):
+        counted.clear()
+        with monkeypatch.context() as m:
+            m.setattr(Matrix, "__mul__", counting)
+            out = kernel_is_central(Gs, kernel)
+        return out, len(counted)
+
+    q8 = next(e.group for e in q_corpus if e.name == "Q8")
+    Gs, kernel = _reduced_kernel(q8)
+    assert kernel and all(z.is_identity() for z in kernel)
+    assert central_counted(Gs, kernel) == ((True, None), 0)
+
+    Gs, kernel = _reduced_kernel(_d8_times_xI(QQ))
+    distinct = {z.mat for z in kernel if not z.is_identity()}
+    assert distinct and len(distinct) < sum(not z.is_identity() for z in kernel)
+    out, products = central_counted(Gs, kernel)
+    assert out == (True, None)
+    assert products == 2 * len(Gs.gens) * len(distinct)
+
+    diag_x_swap = [
+        GroupSpec(ff, [Matrix.diagonal(ff, (ff.x(), ff.one)), Matrix.from_ints(ff, [[0, 1], [1, 0]])])
+        for ff in (FunctionField(QQ), FunctionField(FiniteField(5)))
+    ]
+    groups = [e.group for e in q_corpus] + [_d8_times_xI(QQ), _d8_times_xI(FiniteField(5))] + diag_x_swap
+    refuted = 0
+    for reduced in filter(None, map(_reduced_kernel, groups)):
+        Gs, kernel = reduced
+        got, want = kernel_is_central(Gs, kernel), _plain_centrality(Gs, kernel)
+        assert got == want
+        if not want[0]:
+            assert got[1][0] is want[1][0]
+            refuted += 1
+    assert refuted >= 3
+
+
 def test_faithful_image_orders_on_finite_groups(ff_corpus):
     """For rational finite groups the congruence image has the same order;
     checked here on a couple of cases, in bulk by the acceptance suite."""

@@ -256,6 +256,49 @@ def test_matmul_kernel_matches_schoolbook(field):
             assert a.apply(vec) == tuple(r[0] for r in want)
 
 
+@pytest.mark.parametrize(
+    "field",
+    [FunctionField(QQ), FunctionField(FiniteField(5)), FunctionField(FiniteField(3, 2))],
+    ids=lambda f: f.name(),
+)
+def test_function_field_matmul_kernel_edge_cases(field):
+    """The function-field kernel returns the add/mul loop's canonical
+    (num, den) pairs on zero rows and columns, all-polynomial entries
+    (every denominator 1), entries sharing a denominator, and large shapes."""
+    rng = random.Random(47)
+    B, one = field.base, field.one[1]
+    shared = [(B.one, B.one), (B.from_int(2), B.zero, B.one)]  # X + 1, X^2 + 2
+
+    def numerator():
+        return tuple(B.random_element(rng) for _ in range(rng.randint(1, 3)))
+
+    def polynomial(rng):
+        return field.make(numerator(), one)
+
+    def sharing(rng):
+        return field.make(numerator(), rng.choice(shared))
+
+    def mixed(rng):
+        return field.zero if rng.random() < 0.3 else field.random_element(rng)
+
+    shapes = [(1, 1, 1), (3, 3, 3), (2, 5, 3), (8, 8, 8), (2, 17, 3)]
+    for entry in (polynomial, sharing, mixed):
+        for n, k, m in shapes:
+            a = [[entry(rng) for _ in range(k)] for _ in range(n)]
+            b = [[entry(rng) for _ in range(m)] for _ in range(k)]
+            a[0] = [field.zero] * k
+            for row in b:
+                row[-1] = field.zero
+            a, b = Matrix.make(field, a), Matrix.make(field, b)
+            cols = tuple(zip(*b.rows))
+            got = field.matmul(a.rows, cols)
+            want = schoolbook(field, a.rows, cols)
+            assert got == want and repr(got) == repr(want), (entry.__name__, n, k, m)
+            assert (a * b).rows == want
+            for j in (0, m - 1):
+                assert a.apply(cols[j]) == tuple(r[j] for r in want)
+
+
 @pytest.mark.parametrize("p, inner", [(3, 63), (3, 64), (2, 255), (2, 256), (17, 1)])
 def test_matmul_byte_packing_bound(p, inner):
     """GF(p) packs one byte per entry while inner * (p - 1)^2 < 256: both

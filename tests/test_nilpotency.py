@@ -364,3 +364,27 @@ def test_sylow_witness_path_returns_non_p_element():
     assert y.data == {"order": 6, "prime": 2}
     ok, checks = verify_report({"witness": serialize_witness(v.witness)}, G)
     assert ok, checks
+
+
+def test_char_p_refutation_is_the_first_non_unipotent_commutator():
+    """diag(X, 1) and a swap over GF(5)(X): the witness is the first
+    non-unipotent commutator [z, g] in kernel order, identity and repeated
+    kernel generators included in the reference loop."""
+    from nilmat.linalg import inverse
+    from nilmat.splitting import is_unipotent_matrix
+
+    ffp = FunctionField(FiniteField(5))
+    G = GroupSpec(ffp, [Matrix.diagonal(ffp, (ffp.x(), ffp.one)), _m(ffp, [[0, 1], [1, 0]])])
+    v = is_nilpotent(G)
+    assert not v.nilpotent and v.witness.kind == "non_unipotent_commutator"
+    z, i, c = next(
+        (z, i, c)
+        for z in v.artifacts["kernel_gens"]
+        for i, g in enumerate(G.gens)
+        for c in [inverse(z.mat) * inverse(g) * z.mat * g]
+        if not is_unipotent_matrix(c)
+    )
+    items = {w.label: w for w in v.witness.items}
+    assert (items["z"].mat, items["z"].word) == (z.mat, z.word)
+    assert (items["g"].mat, items["g"].word) == (G.gens[i], ((i, 1),))
+    assert items["c"].mat == c

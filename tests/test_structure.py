@@ -191,6 +191,43 @@ def test_center_generators_rejects_non_semisimple_generators():
         assert len(closure([z.mat for z in zs], 10)) == 2
 
 
+def test_analyze_builds_one_adjoint_representation(monkeypatch):
+    """On an infinite completely reducible group analyze builds the adjoint
+    representation once and reuses the primary decomposition's center, which
+    equals center_generators(G), matrices and words."""
+    from fractions import Fraction
+
+    from nilmat import nilpotency, structure
+    from nilmat.fields import NumberField
+
+    ff = FunctionField(QQ)
+    x = ff.x()
+    d8_xI = GroupSpec(ff, [_m(ff, [[0, -1], [1, 0]]), _m(ff, [[1, 0], [0, -1]]), Matrix.diagonal(ff, (x, x))])
+    K = NumberField((-2, 0, 1))
+    h, s2 = (Fraction(0), Fraction(1, 2)), (Fraction(0), Fraction(1))
+    d16_s2I = GroupSpec(
+        K,
+        [Matrix.make(K, [[h, K.neg(h)], [h, h]]), _m(K, [[1, 0], [0, -1]]), Matrix.diagonal(K, (s2, s2))],
+    )
+    built = []
+    adjoint_rep = nilpotency.adjoint_rep
+
+    def counting(G):
+        built.append(G)
+        return adjoint_rep(G)
+
+    for G in (d8_xI, d16_s2I):
+        built.clear()
+        with monkeypatch.context() as m:
+            m.setattr(nilpotency, "adjoint_rep", counting)
+            m.setattr(structure, "adjoint_rep", counting)
+            rep = analyze(G)
+        assert rep.finite is False and rep.completely_reducible and rep.primary_is_extension
+        assert len(built) == 1
+        assert rep.center_gens == center_generators(G)
+        assert [z.word for z in rep.center_gens] == [z.word for z in center_generators(G)]
+
+
 def test_center_generators_cap_is_typed():
     from nilmat.errors import CapExceeded
 
