@@ -895,11 +895,6 @@ class FunctionField(Field):
             return self.zero
         return ((v,), (B.one,))
 
-    def from_base(self, v):
-        if self.base.is_zero(v):
-            return self.zero
-        return ((v,), (self.base.one,))
-
     def characteristic(self):
         return self.base.characteristic()
 

@@ -1,11 +1,12 @@
 """Nilpotency decisions.
 
-The finite side certifies its positive verdicts outright: a generating set
-is split into commuting prime-power parts and each part is closed into a
-verified p-group, which characterizes finite nilpotent groups.  Each
-component is closed over the prime parts of the input generators, which
-already generate it once they close into p-groups.  Negative
-verdicts always carry a replayable witness.  Over infinite fields the
+A finite group is nilpotent exactly when it is the direct product of its
+Sylow subgroups, and that certificate decides every positive finite
+verdict: the input generators are split into prime-power parts, parts for
+distinct primes must commute, and the parts for each prime must close into
+a p-group.  When the certificate fails, the centralizer chain (test_series)
+runs only to refute, and its terms feed the search for a witness; every
+negative verdict carries one that replays.  Over infinite fields the
 group is split into diagonalizable and unipotent parts, the diagonalizable
 part is reduced through a validated congruence, and the verdict combines
 the finite image verdict with centrality of the congruence kernel.
@@ -284,7 +285,11 @@ def centralizer_of_abelian(H_elts, A_elts, a: Elt, config: Config = DEFAULT, con
 
 def test_series(G_elts, field, n: int, k: int, config: Config = DEFAULT, context="input") -> Chain4:
     """Descending chain of centralizers of ascending abelian normal
-    subgroups; stops when the tail is abelian."""
+    subgroups; stops when the tail is abelian.
+
+    The chain only builds witnesses: the finite core runs it after the
+    Sylow certificate has failed, and its refutations rest on the class
+    bound k.  No positive verdict depends on it."""
     levels = []
     current = list(G_elts)
     while not _is_abelian(current):
@@ -316,13 +321,6 @@ def _element_order(mat: Matrix, config: Config, word=None, context="input"):
     return m
 
 
-def _elt_pow(e: Elt, k: int) -> Elt:
-    if k == 0:
-        F = e.mat.field
-        return Elt(Matrix.identity(F, e.mat.n), ())
-    return Elt(e.mat**k, e.word * k)
-
-
 def _dedup_elts(elts):
     out = []
     seen = set()
@@ -334,115 +332,131 @@ def _dedup_elts(elts):
     return out
 
 
-def _finite_nilpotent_core(elts, field, n, config: Config, chain: Chain4 | None = None, context="input"):
-    """Sylow verification for a group expected to be finite.
-
-    Every element of the input generators and of the chain's A and C terms
-    is split into its prime-power parts; parts for distinct primes must
-    commute, and the parts for each prime p must close into a p-group,
-    whose order is the Sylow order.
-
-    Each component is first closed over the p-parts of the input
-    generators alone, Q_p.  That is exact whenever every prime has an
-    input part and every Q_p closes, within the cap, into a p-group:
-    an input x is the product of its p-parts (the exponents sum to 1
-    mod ord(x)), and the cross-prime check makes the Q_p commute, so
-    G <= prod Q_p <= G.  Then G is nilpotent with Sylow p-subgroup Q_p,
-    and every A/C part, a p-element of G, lies in Q_p; so the full parts
-    generate Q_p, with the same order, and no membership test is needed.
-    Otherwise the closure over the full parts runs, as the path that
-    raises the budget error or finds the non-p element.
-    """
-    elts = _dedup_elts(elts)
-    if not elts:
-        return Verdict(True, artifacts={"sylow": SylowSystem({}, {}), "order": 1, "chain": Chain4([], [])})
-    k = config.class_bound_override or class_bound(field, n)
-    if chain is None:
-        chain = test_series(elts, field, n, k, config, context=context)
-    seq = list(elts)
-    for level in chain.levels:
-        seq.extend(level.A)
-        seq.extend(level.C)
-    seq = _dedup_elts(seq)
+def _prime_parts(seq, config: Config, context="input"):
+    """The distinct nontrivial prime-power parts of the elements of seq, per
+    prime, in order of first appearance; an element of infinite order
+    raises the signal."""
     parts: dict = {}
     seen: dict = {}
-    n_input: dict = {}  # prime -> how many leading parts come from input generators
-    for j, x in enumerate(seq):
+    for x in seq:
         m = _element_order(x.mat, config, x.word, context)
         for p, e in factorint(m).items():
             mp = m // p**e
             c = pow(mp, -1, p**e)
-            xp = _elt_pow(x, mp * c % m)
+            t = mp * c % m
+            xp = Elt(x.mat**t, x.word * t)
             if xp.is_identity() or xp.mat in seen.setdefault(p, set()):
                 continue
             seen[p].add(xp.mat)
             parts.setdefault(p, []).append(xp)
-            if j < len(elts):
-                n_input[p] = len(parts[p])
+    return parts
+
+
+def _cross_prime_pair(parts):
+    """The first (p, q, x, y) with x, y parts for distinct primes p < q that
+    fail to commute, or None."""
     primes = sorted(parts)
     for i, p in enumerate(primes):
         for q in primes[i + 1 :]:
             for x in parts[p]:
                 for y in parts[q]:
                     if not (x.mat * y.mat == y.mat * x.mat):
-                        return Verdict(
-                            False,
-                            pair_witness(
-                                context,
-                                x.mat,
-                                x.word,
-                                y.mat,
-                                y.word,
-                                note=f"prime parts for {p} and {q} fail to commute",
-                            ),
-                        )
-    orders = _input_sylow_orders(parts, n_input, primes, config)
-    if orders is None:
-        orders = {}
-        for p in primes:
-            enum = enumerate_group([x.mat for x in parts[p]], config.closure_cap)
-            if enum.overflowed:
-                raise CapExceeded(config.closure_cap, "subgroup closure")
-            size = len(enum)
-            fac = factorint(size)
-            if set(fac) - {p}:
-                items = ()
-                for y, tree_word in zip(enum.vertices, enum.words):
-                    try:
-                        m = finite_order(y, config)
-                    except CapExceeded:
-                        continue
-                    if m is not None and set(factorint(m)) - {p}:
-                        word = word_mul(*(parts[p][i].word for i, _ in tree_word))
-                        items = (WItem("y", y, word, {"order": m, "prime": p}),)
-                        break
-                note = f"the component for prime {p} closes into a group of order {size}, not a power of {p}"
-                return Verdict(
-                    False,
-                    Witness(kind="non_p_element", context=context, items=items, note=note),
-                )
-            orders[p] = size
-    sylow = SylowSystem({p: list(v) for p, v in parts.items()}, orders)
-    return Verdict(
-        True,
-        artifacts={"sylow": sylow, "order": sylow.order, "chain": chain},
-    )
+                        return p, q, x, y
+    return None
 
 
-def _input_sylow_orders(parts, n_input, primes, config: Config):
-    """The order of Q_p, the closure of the input generators' p-parts
-    (the leading n_input[p] entries of parts[p]), for every prime, or None
-    unless every prime has an input part and every Q_p closes within the
-    cap into a p-group; see _finite_nilpotent_core."""
+def _sylow_certificate(elts, config: Config):
+    """The Sylow system of <elts> when the inputs' prime parts certify that
+    it is finite and nilpotent, else None; never a verdict or an error.
+
+    If parts for distinct primes commute and the p-parts close within the
+    cap into a p-group Q_p for every p, then each input is the product of
+    its parts (the exponents sum to 1 mod its order), so G = prod Q_p is
+    the direct product of its Sylow subgroups, which is to say nilpotent.
+    """
+    try:
+        parts = _prime_parts(elts, config)
+    except (NotNilpotentSignal, CapExceeded):
+        return None
+    if _cross_prime_pair(parts) is not None:
+        return None
     orders = {}
-    for p in primes:
-        if not n_input.get(p):
-            return None
-        enum = enumerate_group([x.mat for x in parts[p][: n_input[p]]], config.closure_cap)
+    for p in sorted(parts):
+        enum = enumerate_group([x.mat for x in parts[p]], config.closure_cap)
         if enum.overflowed or set(factorint(len(enum))) - {p}:
             return None
         orders[p] = len(enum)
-    return orders
+    return SylowSystem(parts, orders)
+
+
+def _finite_nilpotent_core(elts, field, n, config: Config, context="input"):
+    """Nilpotency of a group expected to be finite.  The Sylow certificate
+    decides every positive verdict.  When it fails, the centralizer chain
+    runs only to refute: a signal from it, or from the Sylow test over the
+    inputs plus its A and C terms, is the negative verdict's witness.
+    """
+    elts = _dedup_elts(elts)
+    sylow = _sylow_certificate(elts, config)
+    if sylow is not None:
+        return Verdict(True, artifacts={"sylow": sylow, "order": sylow.order})
+    k = config.class_bound_override or class_bound(field, n)
+    chain = test_series(elts, field, n, k, config, context=context)
+    for c in chain.final_abelian:
+        _element_order(c.mat, config, c.word, context)
+    seq = list(elts)
+    for level in chain.levels:
+        seq.extend(level.A)
+        seq.extend(level.C)
+    return _sylow_refutation(_dedup_elts(seq), config, context)
+
+
+def _sylow_refutation(seq, config: Config, context="input") -> Verdict:
+    """The negative verdict from the Sylow test on seq: a cross-prime pair
+    that fails to commute, or a component that is not a p-group, with an
+    element whose order has another prime as witness; a component past the
+    cap raises CapExceeded.
+
+    seq starts with the inputs of a failed certificate, so its parts
+    contain theirs and passing here would pass the certificate too; the
+    end is unreachable, and reaching it is an error, never a verdict.
+    """
+    parts = _prime_parts(seq, config, context)
+    pair = _cross_prime_pair(parts)
+    if pair is not None:
+        p, q, x, y = pair
+        return Verdict(
+            False,
+            pair_witness(
+                context,
+                x.mat,
+                x.word,
+                y.mat,
+                y.word,
+                note=f"prime parts for {p} and {q} fail to commute",
+            ),
+        )
+    for p in sorted(parts):
+        enum = enumerate_group([x.mat for x in parts[p]], config.closure_cap)
+        if enum.overflowed:
+            raise CapExceeded(config.closure_cap, "subgroup closure")
+        size = len(enum)
+        if set(factorint(size)) - {p}:
+            items = ()
+            for y, tree_word in zip(enum.vertices, enum.words):
+                try:
+                    m = finite_order(y, config)
+                except CapExceeded:
+                    continue
+                if m is not None and set(factorint(m)) - {p}:
+                    word = word_mul(*(parts[p][i].word for i, _ in tree_word))
+                    items = (WItem("y", y, word, {"order": m, "prime": p}),)
+                    break
+            note = f"the component for prime {p} closes into a group of order {size}, not a power of {p}"
+            return Verdict(
+                False,
+                Witness(kind="non_p_element", context=context, items=items, note=note),
+            )
+    raise AssertionError("the Sylow test passed on parts whose input parts failed the certificate")
 
 
 def is_finite_nilpotent(G: GroupSpec, config: Config = DEFAULT) -> Verdict:
@@ -513,12 +527,8 @@ def is_nilpotent_adjoint(G: GroupSpec, config: Config = DEFAULT) -> Verdict:
                 ),
                 artifacts={"adjoint": ad},
             )
-    k = config.class_bound_override or class_bound(F, m)
     try:
-        chain = test_series(adj_elts, F, m, k, config, context="adjoint")
-        for c in chain.final_abelian:
-            _element_order(c.mat, config, c.word, "adjoint")
-        core = _finite_nilpotent_core(adj_elts, F, m, config, chain=chain, context="adjoint")
+        core = _finite_nilpotent_core(adj_elts, F, m, config, context="adjoint")
     except NotNilpotentSignal as s:
         return Verdict(False, s.witness, artifacts={"adjoint": ad})
     core.artifacts["adjoint"] = ad
@@ -573,7 +583,6 @@ def is_nilpotent(G: GroupSpec, config: Config = DEFAULT) -> Verdict:
         w = Witness(w.kind, "image", w.items, w.note + f" (found in the {where} image)")
         return Verdict(False, _attach_context_gens(w, image_gens), artifacts)
     artifacts["image_sylow"] = v_img.artifacts.get("sylow")
-    artifacts["image_chain"] = v_img.artifacts.get("chain")
     artifacts["image_order"], kernel = congruence_kernel(Gs, image_gens, config.cayley_cap)
     artifacts["kernel_gens"] = kernel
     ok, bad = kernel_is_central(Gs, kernel)

@@ -57,9 +57,6 @@ class Poly:
     def is_one(self):
         return len(self.coeffs) == 1 and self.field.is_one(self.coeffs[0])
 
-    def is_constant(self):
-        return len(self.coeffs) <= 1
-
     def lc(self):
         return self.coeffs[-1]
 

@@ -19,7 +19,7 @@ from .nilpotency import (
     is_nilpotent,
     require_semisimple_gens,
 )
-from .splitting import finite_order
+from .splitting import cr_series, finite_order, reduction_split
 from .witness import WItem, Witness
 
 
@@ -145,14 +145,8 @@ def is_completely_reducible(G: GroupSpec, config: Config = DEFAULT, verdict: Ver
     if isinstance(F, FunctionField) and F.characteristic() > 0:
         raise ImperfectField("complete reducibility testing needs a perfect field")
     verdict = _require_nilpotent(G, config, verdict)
-    split = verdict.artifacts.get("split")
-    if split is None:
-        from .splitting import reduction_split
-
-        split = reduction_split(G, config)
-    flag = list(split.cert_u.flag)
-    cr = all(u.is_identity() for u in split.gens_u)
-    return cr, flag
+    split = verdict.artifacts.get("split") or reduction_split(G, config)
+    return all(u.is_identity() for u in split.gens_u), cr_series(G, split, config)
 
 
 def primary_decomposition(G: GroupSpec, config: Config = DEFAULT, verdict: Verdict | None = None):
@@ -172,19 +166,12 @@ def primary_decomposition(G: GroupSpec, config: Config = DEFAULT, verdict: Verdi
             raise VerdictUnavailable(
                 "primary decomposition over char-p function fields is provided for finite groups only"
             )
-        kernel = [z for z in verdict.artifacts.get("kernel_gens", []) if not z.is_identity()]
-        if kernel:
+        if any(not z.is_identity() for z in verdict.artifacts.get("kernel_gens", [])):
             raise VerdictUnavailable(
                 "primary decomposition needs a faithful evaluation image here"
             )
-        image_sylow = verdict.artifacts["image_sylow"]
-        comps = {
-            p: [Elt(G.evaluate(e.word), e.word) for e in elts]
-            for p, elts in image_sylow.components.items()
-        }
-        return SylowSystem(comps, dict(image_sylow.orders)), False, verdict
     if fin:
-        # faithful congruence image: pull the image Sylow system back by words
+        # a faithful congruence or evaluation image: pull its Sylow system back by words
         image_sylow = verdict.artifacts.get("image_sylow")
         if image_sylow is None:
             return SylowSystem({}, {}), False, verdict

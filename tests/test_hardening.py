@@ -177,14 +177,14 @@ def test_dihedral_16_over_quadratic_field():
 
 def test_index_overflow_is_a_budget_error_not_a_verdict(monkeypatch):
     """The centralizer index cap is a budget, not a proven bound: forcing a
-    tiny one makes the chain construction raise CapExceeded, and the
+    tiny one makes the chain construction on D8 raise CapExceeded, and the
     verifier does not confirm an overflow marker claimed as a witness."""
     import nilmat.nilpotency as nilp
 
     monkeypatch.setattr(nilp, "_index_cap", lambda field, n: 1)
     G = GroupSpec(QQ, [Matrix.from_ints(QQ, [[0, -1], [1, 0]]), Matrix.from_ints(QQ, [[1, 0], [0, -1]])])
     with pytest.raises(CapExceeded):
-        nilp.is_nilpotent(G)
+        nilp.test_series(G.elts(), QQ, 2, nilp.class_bound(QQ, 2))
     marker = Witness(
         kind="index_overflow",
         context="input",
@@ -220,13 +220,47 @@ def _q8_power_with_diagonal(k):
 
 
 def test_q8_power_index_overflow_is_not_a_verdict():
-    """Q8^k is nilpotent by construction.  For k = 5 the centralizer image
+    """Q8^k is nilpotent by construction, and the Sylow certificate says so
+    without the centralizer chain.  For k = 5 the chain's centralizer image
     (Z/2)^5 exceeds the index cap 2n = 20, which is a budget error, never a
     not-nilpotent verdict."""
+    from nilmat.nilpotency import class_bound, test_series
+
     for k in (2, 3):
         assert is_nilpotent(_q8_power_with_diagonal(k)).nilpotent, k
+    G = _q8_power_with_diagonal(5)
+    v = is_nilpotent(G)
+    assert v.nilpotent and v.artifacts["sylow"].orders == {2: 32768}
     with pytest.raises(CapExceeded):
-        is_nilpotent(_q8_power_with_diagonal(5))
+        test_series(G.elts(), G.field, G.degree, class_bound(G.field, G.degree))
+
+
+def _semidihedral(q):
+    """<C, S> <= GL(2, q) for q = 3 mod 4: C is the companion matrix of a
+    zeta in GF(q^2) of order 2 (q+1)_2, with minimal polynomial
+    x^2 + a x + b, and S the Frobenius in the basis {1, zeta}.  It is the
+    semidihedral Sylow 2-subgroup of GL(2, q) (Carter & Fong, J. Algebra 1,
+    1964), of order 4 (q+1)_2 and class log2((q+1)_2) + 1."""
+    E = FiniteField(q, 2)
+    two = (q + 1) & -(q + 1)
+    z = E.element_of_order(2 * two)
+    zq = E.frobenius(z)
+    a, b = E.neg(E.add(z, zq)), E.mul(z, zq)  # both lie in GF(q)
+    F = FiniteField(q)
+    return GroupSpec(F, [Matrix.from_ints(F, [[0, -b], [1, -a]]), Matrix.from_ints(F, [[1, -a], [0, -1]])])
+
+
+def test_semidihedral_sylow_subgroup_is_nilpotent():
+    """The class of these 2-groups exceeds class_bound(GF(q), 2), so the
+    centralizer chain calls them not nilpotent; the Sylow certificate
+    decides them without it."""
+    from nilmat.groups import enumerate_group
+
+    for q in (127, 383):
+        G = _semidihedral(q)
+        assert len(enumerate_group(list(G.gens), 10**4)) == 512, q
+        v = is_nilpotent(G)
+        assert v.nilpotent and v.artifacts["sylow"].orders == {2: 512}, q
 
 
 def test_adjoint_route_over_finite_fields():

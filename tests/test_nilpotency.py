@@ -346,17 +346,17 @@ def test_rational_image_class_within_bound(q_corpus):
 
 
 def test_sylow_witness_path_returns_non_p_element():
-    """With no chain, S3 over GF(7) passes the cross-prime check and fails
-    only in its 2-component closure, whose first element of order 6 is
-    the witness."""
+    """On the input elements alone, S3 over GF(7) passes the cross-prime
+    check of the refutation path and fails only in its 2-component closure,
+    whose first element of order 6 is the witness."""
     from nilmat.config import DEFAULT
-    from nilmat.nilpotency import Chain4, _finite_nilpotent_core
+    from nilmat.nilpotency import _sylow_refutation
     from nilmat.verify import verify_report
     from nilmat.witness import serialize_witness
 
     F7 = FiniteField(7)
     G = GroupSpec(F7, [_m(F7, [[0, 1], [1, 0]]), _m(F7, [[1, 1], [0, 6]])])
-    v = _finite_nilpotent_core(G.elts(), F7, 2, DEFAULT, chain=Chain4([], []))
+    v = _sylow_refutation(G.elts(), DEFAULT)
     assert not v.nilpotent and v.witness.kind == "non_p_element"
     (y,) = v.witness.items
     assert y.mat == _m(F7, [[0, 6], [1, 1]])
@@ -364,6 +364,40 @@ def test_sylow_witness_path_returns_non_p_element():
     assert y.data == {"order": 6, "prime": 2}
     ok, checks = verify_report({"witness": serialize_witness(v.witness)}, G)
     assert ok, checks
+
+
+def test_positive_verdicts_never_run_the_chain(monkeypatch, ff_corpus):
+    """The Sylow certificate decides every positive finite and adjoint
+    verdict: with test_series made to raise, every nilpotent group of the
+    benchmark stocks (seed 1) and of the finite-field corpus keeps its
+    verdict, and its analyze report wherever the stock runs analyze."""
+    from pathlib import Path
+    from random import Random
+
+    import nilmat.nilpotency as nilp
+    from nilmat.structure import analyze
+
+    def no_chain(*args, **kwargs):
+        raise AssertionError("the centralizer chain ran")
+
+    monkeypatch.setattr(nilp, "test_series", no_chain)
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import stock
+
+    groups = [
+        (e.label, e.group, e.analyze, e.order)
+        for build in (stock.finite_stock, stock.char0_stock, stock.cli_stock)
+        for e in build(Random(1))
+        if e.nilpotent
+    ]
+    assert len(groups) == 34
+    groups += [(c.name, c.group, True, c.order) for c in ff_corpus if c.nilpotent]
+    for name, G, run_analyze, order in groups:
+        assert is_nilpotent(G).nilpotent, name
+        if run_analyze:
+            rep = analyze(G)
+            assert rep.nilpotent, name
+            assert order is None or not rep.finite or rep.order == order, name
 
 
 def test_char_p_refutation_is_the_first_non_unipotent_commutator():
