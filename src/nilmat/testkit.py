@@ -1,10 +1,15 @@
 """Brute-force oracle and corpus generators.
 
 The closure/oracle side is the independent ground truth the test suite
-checks the pipeline against: plain breadth-first multiplication closure
-and a literal lower central series on the element set.  `closure` is kept
-apart from the pipeline's enumeration engine (groups.enumerate_group) on
-purpose, so the two can be compared.
+checks the pipeline against: plain breadth-first multiplication closure,
+then the upper central series of the element set over the generators
+the closure was taken from.  z lies in Z_(i+1) iff [z, g] lies in Z_i for
+every generator g, since Z_(i+1)/Z_i = Z(G/Z_i) and centrality in G/Z_i
+needs checking on generators only; G is nilpotent iff the series reaches
+G, in as many steps as its lower central series has.  Only matrix
+products and equality are used.  `closure` is kept apart from the
+pipeline's enumeration engine (groups.enumerate_group) on purpose, so the
+two can be compared.
 
 The generator side builds the standard stock of nilpotent matrix groups:
 wreath-type maximal absolutely irreducible subgroups for prime-power
@@ -16,10 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import CapExceeded, NonexistenceError, UnsupportedTwoCase
+from .errors import NonexistenceError, UnsupportedTwoCase
 from .fields import FiniteField
 from .groups import GroupSpec
-from .linalg import Matrix, inverse, kron
+from .linalg import Matrix, kron
 from .numth import factorint
 
 
@@ -28,6 +33,7 @@ class Closure:
     elements: list
     overflowed: bool
     cap: int
+    gens: list
 
     def __len__(self):
         return len(self.elements)
@@ -39,7 +45,7 @@ def closure(gens, cap: int) -> Closure:
         raise ValueError("cap must be positive")
     gens = [g for g in gens]
     if not gens:
-        return Closure([], False, cap)
+        return Closure([], False, cap, gens)
     F = gens[0].field
     ident = Matrix.identity(F, gens[0].n)
     seen = {ident}
@@ -52,110 +58,57 @@ def closure(gens, cap: int) -> Closure:
             w = v * g
             if w not in seen:
                 if len(order) >= cap:
-                    return Closure(order, True, cap)
+                    return Closure(order, True, cap, gens)
                 seen.add(w)
                 order.append(w)
-    return Closure(order, False, cap)
+    return Closure(order, False, cap, gens)
 
 
-def _subgroup_closure(mats, cap):
-    """Closure under products of the given elements and their inverses."""
-    if not mats:
-        return []
-    F = mats[0].field
-    gens = list(mats) + [inverse(m) for m in mats]
-    c = closure(gens, cap)
-    if c.overflowed:
-        raise CapExceeded(cap, "oracle subgroup closure")
-    return c.elements
-
-
-_ORACLE_LITERAL_LIMIT = 400
-
-
-def _generating_subset(candidates, cap):
-    """Greedy subset of the candidates generating the same subgroup."""
-    gens = []
-    spanned = set()
-    for m in candidates:
-        if m.is_identity() or m in spanned:
-            continue
-        gens.append(m)
-        spanned = set(_subgroup_closure(gens, cap))
-    return gens
-
-
-def _small_generating_set(elements):
-    """Greedy generating subset of a finite group given as a closure list."""
-    return _generating_subset(elements, len(elements) + 1)
-
-
-def _normal_closure(elements, inv, base, cap):
-    """Normal closure of `base` inside the finite group `elements`: the
-    subgroup generated by all conjugates of a generating set of <base>,
-    which one pass over the whole group collects exactly."""
-    small = _generating_subset(sorted(base, key=lambda m: m.rows), cap)
-    conj = {inv[h] * b * h for b in small for h in elements}
-    conj_gens = _generating_subset(sorted(conj, key=lambda m: m.rows), cap)
-    return _subgroup_closure(conj_gens, cap)
-
-
-def oracle_invariants(c: Closure, cap: int = 10**5):
+def oracle_invariants(c: Closure):
     """Order, nilpotency, class and center size by direct computation.
 
-    For small closures the lower central series is taken literally: the
-    next term is the subgroup generated by every commutator [g, x] with g
-    in the group and x in the current term.  Larger closures use the
-    normal closure of the commutators against a generating set of the
-    current term, which is the same subgroup."""
+    Takes the upper central series 1 = Z_0 <= Z_1 <= ... over the closure's
+    generators.  Z_(i+1)/Z_i is the center of G/Z_i, and a coset zZ_i is
+    central there iff it commutes with the image of every generator, so z
+    lies in Z_(i+1) iff [z, g] = (gz)^-1 zg lies in Z_i, that is iff zg and
+    gz lie in one coset of Z_i, for every generator g.  G is nilpotent iff
+    the series reaches G; its class is the number of steps, which equals
+    the length of the lower central series, and its center is Z_1.  A
+    series that stalls below G means G is not nilpotent.  Every zg and gz
+    is formed once; each step after the first labels the cosets of the
+    current term with |G| more products."""
     if c.overflowed:
         raise ValueError("cannot take invariants of an overflowed closure")
     elements = c.elements
     order = len(elements)
     if order == 0:
         return {"order": 0, "nilpotent": True, "class": 0, "center": 0}
-    F = elements[0].field
-    ident = Matrix.identity(F, elements[0].n)
-    inv = {m: inverse(m) for m in elements}
-    center = [z for z in elements if all(z * g == g * z for g in elements)]
-
-    def comm(a, b):
-        return inv[a] * inv[b] * a * b
-
-    inner_cap = order + 1
-    gamma = list(elements)       # gamma_(k+1) as a full element list
-    if order <= _ORACLE_LITERAL_LIMIT:
-        gamma_gens = list(elements)
-    else:
-        gamma_gens = _small_generating_set(elements)
-    klass = 0
-    nilpotent = None
-    while True:
-        if len(gamma) == 1:
-            nilpotent = True
+    index = {m: i for i, m in enumerate(elements)}
+    gens = [g for g in dict.fromkeys(c.gens) if not g.is_identity()]
+    # (zg, gz) as element indices, one pair of rows per generator
+    sides = [([index[z * g] for z in elements], [index[g * z] for z in elements]) for g in gens]
+    coset = list(range(order))      # the cosets of Z_0 = 1, labelled by index
+    sizes = []                      # |Z_1|, |Z_2|, ...
+    size = 1
+    while size < order:
+        term = [z for z in range(order) if all(coset[r[z]] == coset[l[z]] for r, l in sides)]
+        if len(term) == size:
             break
-        if klass > order:
-            nilpotent = False
-            break
-        if order <= _ORACLE_LITERAL_LIMIT:
-            commutators = {comm(g, x) for g in elements for x in gamma}
-            new_gens = [m for m in commutators if m != ident]
-            nxt = _subgroup_closure(new_gens, inner_cap) if new_gens else [ident]
-        else:
-            commutators = {comm(g, x) for g in elements for x in gamma_gens}
-            new_gens = [m for m in commutators if m != ident]
-            nxt = _normal_closure(elements, inv, new_gens, inner_cap) if new_gens else [ident]
-        if len(nxt) == len(gamma):
-            nilpotent = False
-            break
-        gamma = nxt
-        gamma_gens = new_gens if new_gens else [ident]
-        klass += 1
+        size = len(term)
+        sizes.append(size)
+        if size < order:
+            # label each element by the first element of its coset xZ_i
+            coset = [None] * order
+            for x in range(order):
+                if coset[x] is None:
+                    for w in term:
+                        coset[index[elements[x] * elements[w]]] = x
+    nilpotent = size == order
     return {
         "order": order,
         "nilpotent": nilpotent,
-        "class": klass if nilpotent else None,
-        "center": len(center),
+        "class": len(sizes) if nilpotent else None,
+        "center": sizes[0] if sizes else 1,
     }
 
 

@@ -142,7 +142,7 @@ def test_gen_and_oracle_commands(tmp_path, capsys):
     capsys.readouterr()
     assert main(["oracle", str(out), "--json"]) == 0
     rep = json.loads(capsys.readouterr().out)
-    assert rep["verdict"]["order"] == 32 and rep["verdict"]["nilpotent"]
+    assert rep["verdict"] == {"order": 32, "nilpotent": True, "class": 3, "center": 4, "overflowed": False}
     assert main(["gen", "max-irr", "3", "5"]) == 1
     capsys.readouterr()
     red = tmp_path / "red.json"

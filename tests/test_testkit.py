@@ -73,22 +73,71 @@ def test_oracle_invariants_examples():
     assert triv == {"order": 1, "nilpotent": True, "class": 0, "center": 1}
 
 
-def test_oracle_literal_and_generator_paths_agree():
-    """The all-pairs series and the normal-closure series compute the same
-    subgroups; force both paths on the same mid-size group."""
-    import nilmat.testkit as tk
+def _unitriangular(F, n):
+    """The generators E_(i,i+1) of UT(n)."""
+    return [
+        _m(F, [[1 if a == b or (a == i and b == i + 1) else 0 for b in range(n)] for a in range(n)])
+        for i in range(n - 1)
+    ]
 
-    G = gen_max_abs_irr_nilpotent(2, 13, 1)
-    c = closure(list(G.gens), 1000)
-    literal_limit = tk._ORACLE_LITERAL_LIMIT
-    try:
-        tk._ORACLE_LITERAL_LIMIT = 10**9
-        literal = oracle_invariants(c)
-        tk._ORACLE_LITERAL_LIMIT = 0
-        generator = oracle_invariants(c)
-    finally:
-        tk._ORACLE_LITERAL_LIMIT = literal_limit
-    assert literal == generator
+
+def _dihedral(p, k):
+    """Dihedral group of order 2^(k+1) over GF(p), monomial form."""
+    F = FiniteField(p)
+    z = F.element_of_order(2**k)
+    return [Matrix.diagonal(F, (z, F.inv(z))), _m(F, [[0, 1], [1, 0]])]
+
+
+def _q8_power(k):
+    """Block-diagonal Q8^k <= GL(2k, 3): an i and a j in each block."""
+    F = FiniteField(3)
+    gens = []
+    for b in range(k):
+        for x in ([[0, -1], [1, 0]], [[1, 1], [1, -1]]):
+            rows = [[0] * (2 * k) for _ in range(2 * k)]
+            for i in range(2 * k):
+                rows[i][i] = 1
+            for i in range(2):
+                for j in range(2):
+                    rows[2 * b + i][2 * b + j] = x[i][j]
+            gens.append(_m(F, rows))
+    return gens
+
+
+def test_oracle_invariants_match_formulas():
+    """Order, nilpotency, class and center of families whose invariants are
+    known in closed form; GL(2,3) and SL(2,3) stall at a center of order 2."""
+    F3, F5 = FiniteField(3), FiniteField(5)
+    cases = [(_dihedral(p, k), 2 ** (k + 1), True, k, 2) for p, k in ((17, 4), (97, 5))]
+    cases += [(_unitriangular(FiniteField(p), n), p ** (n * (n - 1) // 2), True, n - 1, p) for p, n in ((5, 3), (7, 3), (3, 4))]
+    cases += [(_q8_power(k), 8**k, True, 2, 2**k) for k in (2, 3)]
+    cases.append((_dihedral(257, 8), 512, True, 8, 2))
+    cases.append(([_m(F3, [[1, 1], [0, 1]]), _m(F3, [[0, 1], [1, 0]])], 48, False, None, 2))
+    cases.append(([_m(F3, [[1, 1], [0, 1]]), _m(F3, [[1, 0], [1, 1]])], 24, False, None, 2))
+    s3 = [_m(F5, [[0, 1, 0], [0, 0, 1], [1, 0, 0]]), _m(F5, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])]
+    cases.append((s3, 6, False, None, 1))
+    for gens, order, nilpotent, klass, center in cases:
+        oi = oracle_invariants(closure(gens, 10**4))
+        assert oi == {"order": order, "nilpotent": nilpotent, "class": klass, "center": center}, gens
+
+
+def test_oracle_products_linear_in_order(monkeypatch):
+    """The oracle forms O(class * |G| * |gens|) products, not |G|^2: on
+    UT4(3) at most 3 (class + 1) |G| |gens|."""
+    gens = _unitriangular(FiniteField(3), 4)
+    c = closure(gens, 10**4)
+    calls = []
+    mul = Matrix.__mul__
+
+    def counting(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(Matrix, "__mul__", counting)
+    oi = oracle_invariants(c)
+    monkeypatch.undo()
+    assert oi == {"order": 729, "nilpotent": True, "class": 3, "center": 3}
+    assert len(calls) <= 3 * (oi["class"] + 1) * len(c) * len(gens)
 
 
 def test_gen_max_abs_irr_examples():
