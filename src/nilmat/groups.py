@@ -10,6 +10,7 @@ generators by plain multiplication.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 from .errors import Singular, SingularGenerator
@@ -79,9 +80,54 @@ class Enumeration:
     words: list        # tree word of each vertex over the generator indices
     overflowed: bool
     schreier: list     # with a lift: one Elt per non-tree edge, in discovery order
+    parents: array     # tree parent of each vertex; the identity's is -1
+    table: array       # table[v * ngens + i] is the index of vertices[v] * gens[i]
+    ngens: int
 
     def __len__(self):
         return len(self.vertices)
+
+    def center(self) -> list:
+        """Indices of vertices generating the center of a complete
+        enumeration, read off the Cayley table with no matrix products.
+
+        Left multiplication by g_i follows the tree: g_i v is g_i parent(v)
+        times v's last letter, one table lookup per vertex, and v is
+        central iff g_i v = v g_i for every i.  A central vertex outside
+        the span of those already chosen is chosen, in breadth-first order;
+        each choice multiplies the span's order by at least the smallest
+        prime dividing |Z|, so a p-group gets at most log_p |Z| generators.
+        The span grows coset by coset, walking the chosen vertex's tree
+        word through the table.
+        """
+        n, k, table, parents = len(self.vertices), self.ngens, self.table, self.parents
+        letters = [0] + [w[-1][0] for w in self.words[1:]]
+        central = bytearray(b"\x01") * n
+        for i in range(k):
+            left = [table[i]] * n
+            for v in range(1, n):
+                lv = left[v] = table[left[parents[v]] * k + letters[v]]
+                if lv != table[v * k + i]:
+                    central[v] = 0
+        span = bytearray(n)
+        span[0] = 1
+        members = [0]
+        out = []
+        for v in range(1, n):
+            if not central[v] or span[v]:
+                continue
+            out.append(v)
+            path = [i for i, _ in self.words[v]]
+            coset = list(members)
+            while True:
+                for a in path:
+                    coset = [table[x * k + a] for x in coset]
+                if span[coset[0]]:
+                    break
+                for x in coset:
+                    span[x] = 1
+                members.extend(coset)
+        return out
 
 
 def enumerate_group(gens, cap: int, lift=None) -> Enumeration:
@@ -89,6 +135,9 @@ def enumerate_group(gens, cap: int, lift=None) -> Enumeration:
     generate, with a spanning tree of positive-letter words.
 
     Stops with `overflowed` set instead of adding a vertex beyond `cap`.
+    Every edge looked up is recorded in the Cayley table, and every new
+    vertex's tree parent with it; an overflowed enumeration keeps the rows
+    it completed.
 
     With `lift` (one source Elt per generator, the source group mapping
     homomorphically onto the enumerated one by lift[i] -> gens[i]), the
@@ -105,6 +154,9 @@ def enumerate_group(gens, cap: int, lift=None) -> Enumeration:
     vertices = [ident]
     words = [()]
     schreier = []
+    k = len(gens)
+    parents = array("i", [-1])
+    table = array("i")
     if lift is not None:
         lift_mats = [s.mat for s in lift]
         lift_invs = [inverse(m) for m in lift_mats]
@@ -118,10 +170,12 @@ def enumerate_group(gens, cap: int, lift=None) -> Enumeration:
             j = index.get(w)
             if j is None:
                 if len(vertices) >= cap:
-                    return Enumeration(vertices, words, True, schreier)
-                index[w] = len(vertices)
+                    del table[qi * k :]
+                    return Enumeration(vertices, words, True, schreier, parents, table, k)
+                j = index[w] = len(vertices)
                 vertices.append(w)
                 words.append(words[qi] + ((i, 1),))
+                parents.append(qi)
                 if lift is not None:
                     tmats.append(tmats[qi] * lift_mats[i])
                     twords.append(word_mul(twords[qi], lift[i].word))
@@ -130,8 +184,9 @@ def enumerate_group(gens, cap: int, lift=None) -> Enumeration:
                 prod = tmats[qi] * lift_mats[i]
                 mat = source_ident if prod == tmats[j] else prod * tinvs[j]
                 schreier.append(Elt(mat, word_mul(twords[qi], lift[i].word, word_inverse(twords[j]))))
+            table.append(j)
         qi += 1
-    return Enumeration(vertices, words, False, schreier)
+    return Enumeration(vertices, words, False, schreier, parents, table, k)
 
 
 class GroupSpec:

@@ -91,12 +91,28 @@ class SylowSystem:
     components: dict       # prime -> list of Elt
     orders: dict           # prime -> verified component order
     central_part: tuple = ()
+    # prime -> the certificate's Enumeration of the component, over its elements
+    enums: dict = dfield(default_factory=dict, compare=False, repr=False)
 
     @property
     def order(self):
         out = 1
         for v in self.orders.values():
             out *= v
+        return out
+
+    def center(self) -> list:
+        """Generators of the center of a certified system, as Elts over the
+        reference generators: Z(prod P_p) = prod Z(P_p), and each Z(P_p)
+        is read off the component's Cayley table with no matrix products.
+        Each word is the vertex's tree word mapped through the components'
+        words."""
+        out = []
+        for p in sorted(self.enums):
+            enum, parts = self.enums[p], self.components[p]
+            for v in enum.center():
+                word = word_mul(*(parts[i].word for i, _ in enum.words[v]))
+                out.append(Elt(enum.vertices[v], word))
         return out
 
 
@@ -373,6 +389,8 @@ def _sylow_certificate(elts, config: Config):
     cap into a p-group Q_p for every p, then each input is the product of
     its parts (the exponents sum to 1 mod its order), so G = prod Q_p is
     the direct product of its Sylow subgroups, which is to say nilpotent.
+    The components' enumerations stay with the system, which reads the
+    center off them.
     """
     try:
         parts = _prime_parts(elts, config)
@@ -380,13 +398,13 @@ def _sylow_certificate(elts, config: Config):
         return None
     if _cross_prime_pair(parts) is not None:
         return None
-    orders = {}
+    orders, enums = {}, {}
     for p in sorted(parts):
         enum = enumerate_group([x.mat for x in parts[p]], config.closure_cap)
         if enum.overflowed or set(factorint(len(enum))) - {p}:
             return None
-        orders[p] = len(enum)
-    return SylowSystem(parts, orders)
+        orders[p], enums[p] = len(enum), enum
+    return SylowSystem(parts, orders, enums=enums)
 
 
 def _finite_nilpotent_core(elts, field, n, config: Config, context="input"):

@@ -1,5 +1,12 @@
 """Structural queries for groups already known nilpotent: finiteness,
-order, complete reducibility, primary/Sylow decomposition, center."""
+order, complete reducibility, primary/Sylow decomposition, center.
+
+A finite group's center is read off the Cayley tables that its Sylow
+certificate enumerated (Z(G) is the product of the Sylow subgroups'
+centers), with no matrix products; over an infinite field the tables are
+the congruence image's, which is faithful for a finite group.  Only an
+infinite completely reducible group takes its center from the kernel of
+the adjoint representation."""
 
 from __future__ import annotations
 
@@ -201,21 +208,46 @@ def primary_decomposition(G: GroupSpec, config: Config = DEFAULT, verdict: Verdi
 
 
 def center_generators(G: GroupSpec, config: Config = DEFAULT):
-    """Generators of the center of a completely reducible nilpotent group:
-    the kernel of the adjoint representation, generated by the Schreier
-    generators of the adjoint image lifted to the group.
+    """Generators of the center of a completely reducible nilpotent group.
 
-    In characteristic zero a generator that is not diagonalizable raises
-    NotSemisimple before anything is enumerated: the group is then not
-    completely reducible, and its adjoint image may be infinite."""
+    A finite group's center is read off its Sylow certificate's Cayley
+    tables (_finite_center); otherwise it is the kernel of the adjoint
+    representation (_center_generators).  A group that is not nilpotent
+    raises ValueError, like every structural query.  In characteristic
+    zero a generator that is not diagonalizable raises NotSemisimple before
+    anything is enumerated: the group is then not completely reducible, and
+    its adjoint image may be infinite."""
     if G.field.characteristic() == 0:
         require_semisimple_gens(G)
+    fin, _, _, verdict = is_finite(G, config)
+    # a finite group over a char-p function field may have a nontrivial
+    # evaluation kernel, and then its image's tables do not give its center
+    if fin and all(z.is_identity() for z in verdict.artifacts.get("kernel_gens", [])):
+        return _finite_center(G, verdict)
     return _center_generators(G, config)
 
 
+def _finite_center(G: GroupSpec, verdict: Verdict):
+    """Generators of the center of a finite nilpotent group, read off the
+    Cayley tables of its verdict's Sylow certificate (SylowSystem.center).
+    Over an infinite field the certificate is the image's; the image map
+    is injective when every kernel generator is trivial, so each word is
+    evaluated over G."""
+    a = verdict.artifacts
+    if a.get("trivial"):
+        zs = []
+    elif "sylow" in a:
+        zs = a["sylow"].center()
+    else:
+        zs = [Elt(G.evaluate(z.word), z.word) for z in a["image_sylow"].center()]
+    return zs or [Elt(G.identity, ())]
+
+
 def _center_generators(G: GroupSpec, config: Config, ad: AdjointData | None = None):
-    """center_generators for a group known to be completely reducible; ad is
-    its adjoint representation, when the caller has already built it."""
+    """Generators of the center of a completely reducible nilpotent group:
+    the kernel of the adjoint representation, generated by the Schreier
+    generators of the adjoint image lifted to the group.  ad is the
+    adjoint representation, when the caller has already built it."""
     if not G.gens or G.is_trivial():
         return [Elt(G.identity, ())]
     if ad is None:
@@ -264,12 +296,8 @@ def analyze(G: GroupSpec, config: Config = DEFAULT) -> StructureReport:
     except VerdictUnavailable as e:
         report.notes.append(str(e))
     if report.completely_reducible:
-        # every unipotent part is 1, so the diagonalizable parts are the
-        # generators themselves and the primary decomposition's center of
-        # them is the center of G
-        central = report.primary.central_part if report.primary_is_extension else ()
-        if central and list(verdict.artifacts["split"].gens_s) == list(G.gens):
-            report.center_gens = list(central)
-        else:
-            report.center_gens = _center_generators(G, config)
+        # every unipotent part is 1, so an infinite group's diagonalizable
+        # parts are its generators, and the primary decomposition's center
+        # of them is the center of G
+        report.center_gens = _finite_center(G, verdict) if fin else list(report.primary.central_part)
     return report

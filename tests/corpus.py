@@ -266,3 +266,42 @@ def finite_field_corpus():
         CorpusGroup("scalars-GF25", GroupSpec(F25, [Matrix.diagonal(F25, (F25.multiplicative_generator(),))]), True, True, 24)
     )
     return entries
+
+
+def q8_power_with_diagonal(k):
+    """Block-diagonal Q8^k <= GL(2k, 3): the diagonal (i, ..., i) plus an i
+    and a j in each block."""
+    F = FiniteField(3)
+    qi = Matrix.from_ints(F, [[0, -1], [1, 0]])
+    qj = Matrix.from_ints(F, [[1, 1], [1, -1]])
+    n = 2 * k
+
+    def blocks(mats):
+        rows = [[0] * n for _ in range(n)]
+        for b, m in enumerate(mats):
+            for r in range(2):
+                for c in range(2):
+                    rows[2 * b + r][2 * b + c] = m.rows[r][c]
+        return Matrix.make(F, rows)
+
+    one = Matrix.identity(F, 2)
+    gens = [blocks([qi] * k)]
+    for b in range(k):
+        for x in (qi, qj):
+            gens.append(blocks([x if c == b else one for c in range(k)]))
+    return GroupSpec(F, gens)
+
+
+def semidihedral(q):
+    """<C, S> <= GL(2, q) for q = 3 mod 4: C is the companion matrix of a
+    zeta in GF(q^2) of order 2 (q+1)_2, with minimal polynomial
+    x^2 + a x + b, and S the Frobenius in the basis {1, zeta}.  It is the
+    semidihedral Sylow 2-subgroup of GL(2, q) (Carter & Fong, J. Algebra 1,
+    1964), of order 4 (q+1)_2 and class log2((q+1)_2) + 1."""
+    E = FiniteField(q, 2)
+    two = (q + 1) & -(q + 1)
+    z = E.element_of_order(2 * two)
+    zq = E.frobenius(z)
+    a, b = E.neg(E.add(z, zq)), E.mul(z, zq)  # both lie in GF(q)
+    F = FiniteField(q)
+    return GroupSpec(F, [Matrix.from_ints(F, [[0, -b], [1, -a]]), Matrix.from_ints(F, [[1, -a], [0, -1]])])

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import rational_corpus
+from corpus import q8_power_with_diagonal, rational_corpus, semidihedral
 
 from nilmat.cli import group_to_json
 from nilmat.errors import CapExceeded, Singular
@@ -195,30 +195,6 @@ def test_index_overflow_is_a_budget_error_not_a_verdict(monkeypatch):
     assert not ok
 
 
-def _q8_power_with_diagonal(k):
-    """Block-diagonal Q8^k <= GL(2k, 3): the diagonal (i, ..., i) plus an i
-    and a j in each block."""
-    F = FiniteField(3)
-    qi = Matrix.from_ints(F, [[0, -1], [1, 0]])
-    qj = Matrix.from_ints(F, [[1, 1], [1, -1]])
-    n = 2 * k
-
-    def blocks(mats):
-        rows = [[0] * n for _ in range(n)]
-        for b, m in enumerate(mats):
-            for r in range(2):
-                for c in range(2):
-                    rows[2 * b + r][2 * b + c] = m.rows[r][c]
-        return Matrix.make(F, rows)
-
-    one = Matrix.identity(F, 2)
-    gens = [blocks([qi] * k)]
-    for b in range(k):
-        for x in (qi, qj):
-            gens.append(blocks([x if c == b else one for c in range(k)]))
-    return GroupSpec(F, gens)
-
-
 def test_q8_power_index_overflow_is_not_a_verdict():
     """Q8^k is nilpotent by construction, and the Sylow certificate says so
     without the centralizer chain.  For k = 5 the chain's centralizer image
@@ -227,27 +203,12 @@ def test_q8_power_index_overflow_is_not_a_verdict():
     from nilmat.nilpotency import class_bound, test_series
 
     for k in (2, 3):
-        assert is_nilpotent(_q8_power_with_diagonal(k)).nilpotent, k
-    G = _q8_power_with_diagonal(5)
+        assert is_nilpotent(q8_power_with_diagonal(k)).nilpotent, k
+    G = q8_power_with_diagonal(5)
     v = is_nilpotent(G)
     assert v.nilpotent and v.artifacts["sylow"].orders == {2: 32768}
     with pytest.raises(CapExceeded):
         test_series(G.elts(), G.field, G.degree, class_bound(G.field, G.degree))
-
-
-def _semidihedral(q):
-    """<C, S> <= GL(2, q) for q = 3 mod 4: C is the companion matrix of a
-    zeta in GF(q^2) of order 2 (q+1)_2, with minimal polynomial
-    x^2 + a x + b, and S the Frobenius in the basis {1, zeta}.  It is the
-    semidihedral Sylow 2-subgroup of GL(2, q) (Carter & Fong, J. Algebra 1,
-    1964), of order 4 (q+1)_2 and class log2((q+1)_2) + 1."""
-    E = FiniteField(q, 2)
-    two = (q + 1) & -(q + 1)
-    z = E.element_of_order(2 * two)
-    zq = E.frobenius(z)
-    a, b = E.neg(E.add(z, zq)), E.mul(z, zq)  # both lie in GF(q)
-    F = FiniteField(q)
-    return GroupSpec(F, [Matrix.from_ints(F, [[0, -b], [1, -a]]), Matrix.from_ints(F, [[1, -a], [0, -1]])])
 
 
 def test_semidihedral_sylow_subgroup_is_nilpotent():
@@ -257,7 +218,7 @@ def test_semidihedral_sylow_subgroup_is_nilpotent():
     from nilmat.groups import enumerate_group
 
     for q in (127, 383):
-        G = _semidihedral(q)
+        G = semidihedral(q)
         assert len(enumerate_group(list(G.gens), 10**4)) == 512, q
         v = is_nilpotent(G)
         assert v.nilpotent and v.artifacts["sylow"].orders == {2: 512}, q
@@ -487,7 +448,7 @@ def test_sylow_closure_uses_input_generator_parts(monkeypatch):
         return real(gens, cap, lift)
 
     monkeypatch.setattr(nilp, "enumerate_group", recording)
-    q8_cubed = _q8_power_with_diagonal(3)
+    q8_cubed = q8_power_with_diagonal(3)
     q8_cubed = GroupSpec(q8_cubed.field, q8_cubed.gens[1:])  # an i and a j per block
     for G, order in ((q8_cubed, 512), (gen_max_abs_irr_nilpotent(4, 5, 1), 2048)):
         counts.clear()

@@ -7,6 +7,7 @@ from nilmat.errors import ImperfectField
 from nilmat.fields import QQ, FiniteField, FunctionField
 from nilmat.groups import GroupSpec
 from nilmat.linalg import Matrix
+from nilmat.numth import factorint
 from nilmat.structure import (
     analyze,
     center_generators,
@@ -154,7 +155,7 @@ def test_center_contains_oracle_center(ff_corpus, ff_oracle):
     checked = 0
     for entry in ff_corpus:
         oi = ff_oracle[entry.name]
-        if not oi["nilpotent"] or oi["order"] > 200:
+        if not oi["nilpotent"]:
             continue
         cr, _ = is_completely_reducible(entry.group)
         if not cr:
@@ -166,10 +167,103 @@ def test_center_contains_oracle_center(ff_corpus, ff_oracle):
     assert checked >= 5
 
 
+def _check_center(G, zs, size, name):
+    """zs are central in G, replay from their words, generate a subgroup of
+    order size, and number at most the count of prime factors of size."""
+    for z in zs:
+        assert G.evaluate(z.word) == z.mat, name
+        assert all(z.mat * g == g * z.mat for g in G.gens), name
+    assert len(closure([z.mat for z in zs], 10**4)) == size, name
+    assert len(zs) <= max(1, sum(factorint(size).values())), name
+
+
+def test_finite_center_matches_oracle(ff_corpus, ff_oracle):
+    """analyze reads a finite group's center off its Sylow tables; on every
+    nilpotent, completely reducible corpus group over GF(q) and Q it
+    generates the oracle's center."""
+    from corpus import rational_finite_corpus
+
+    cases = [(e, ff_oracle[e.name]) for e in ff_corpus]
+    cases += [(e, oracle_invariants(closure(list(e.group.gens), 10**4))) for e in rational_finite_corpus()]
+    checked = 0
+    for entry, oi in cases:
+        if not oi["nilpotent"]:
+            continue
+        rep = analyze(entry.group)
+        assert rep.nilpotent and rep.finite and rep.order == oi["order"], entry.name
+        if not rep.completely_reducible:
+            continue
+        _check_center(entry.group, rep.center_gens, oi["center"], entry.name)
+        checked += 1
+    assert checked >= 60
+
+
+def _signed_perm_sylow2():
+    """The Sylow 2-subgroup of the signed permutation matrices of degree 4,
+    of order 128."""
+
+    def perm(images):
+        return _m(QQ, [[1 if images[j] == i else 0 for j in range(4)] for i in range(4)])
+
+    return GroupSpec(QQ, [Matrix.diagonal(QQ, (-1, 1, 1, 1)), perm([1, 2, 3, 0]), perm([2, 1, 0, 3])])
+
+
+def test_known_finite_centers():
+    """Centers of groups too large for the corpus, through analyze and
+    center_generators alike."""
+    from corpus import q8_power_with_diagonal, semidihedral
+
+    cases = (
+        ("max-irr(4,GF(5))", gen_max_abs_irr_nilpotent(4, 5, 1), 4),
+        ("max-irr(6,GF(13))", gen_max_abs_irr_nilpotent(6, 13, 1), 12),
+        ("signed-perm-Sylow2(4,Q)", _signed_perm_sylow2(), 2),
+        ("Q8^4", q8_power_with_diagonal(4), 16),
+        ("semidihedral(127)", semidihedral(127), 2),
+    )
+    for name, G, size in cases:
+        rep = analyze(G)
+        assert rep.finite and rep.completely_reducible, name
+        _check_center(G, rep.center_gens, size, name)
+        assert center_generators(G) == rep.center_gens, name
+
+
+def test_finite_analyze_builds_no_adjoint_representation(monkeypatch):
+    """A finite group's center comes from the Sylow tables, over GF(q), Q,
+    Q(sqrt2) and Q(i) alike, with no adjoint representation."""
+    from fractions import Fraction
+
+    from nilmat import nilpotency, structure
+    from nilmat.fields import NumberField
+
+    def refuse(G):
+        raise AssertionError("adjoint representation built for a finite group")
+
+    monkeypatch.setattr(nilpotency, "adjoint_rep", refuse)
+    monkeypatch.setattr(structure, "adjoint_rep", refuse)
+    K = NumberField((-2, 0, 1))
+    h = (Fraction(0), Fraction(1, 2))
+    d16 = GroupSpec(K, [Matrix.make(K, [[h, K.neg(h)], [h, h]]), _m(K, [[1, 0], [0, -1]])])
+    Ki = NumberField((1, 0, 1))
+    c4wr = GroupSpec(Ki, [Matrix.diagonal(Ki, ((Fraction(0), Fraction(1)), Ki.one)), _m(Ki, [[0, 1], [1, 0]])])
+    cases = (
+        ("max-irr(2,GF(5))", gen_max_abs_irr_nilpotent(2, 5, 1), 32, 4),
+        ("D8(Q)", d8(), 8, 2),
+        ("signed-perm-Sylow2(4,Q)", _signed_perm_sylow2(), 128, 2),
+        ("D16(Q(sqrt2))", d16, 16, 2),
+        ("C4wrC2(Q(i))", c4wr, 32, 4),
+    )
+    for name, G, size, center in cases:
+        rep = analyze(G)
+        assert rep.finite and rep.order == size and rep.completely_reducible, name
+        _check_center(G, rep.center_gens, center, name)
+        assert center_generators(G) == rep.center_gens, name
+
+
 def test_center_generators_rejects_non_semisimple_generators():
     """Over Q a non-diagonalizable generator raises NotSemisimple at once,
     instead of enumerating the infinite adjoint image; completely
-    reducible groups keep their center."""
+    reducible groups keep their center, which the Sylow tables and the
+    adjoint kernel generate alike."""
     import time
 
     from nilmat.errors import NotSemisimple
@@ -185,7 +279,8 @@ def test_center_generators_rejects_non_semisimple_generators():
     qj = _m(QQ, [[0, 0, -1, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0]])
     for G in (d8(), GroupSpec(QQ, [qi, qj])):
         zs = center_generators(G)
-        assert zs == _center_generators(G, DEFAULT)
+        adjoint = closure([z.mat for z in _center_generators(G, DEFAULT)], 10)
+        assert set(closure([z.mat for z in zs], 10).elements) == set(adjoint.elements)
         minus_one = Matrix.identity(QQ, G.degree) * QQ.from_int(-1)
         assert minus_one in {z.mat for z in zs}
         assert len(closure([z.mat for z in zs], 10)) == 2

@@ -59,6 +59,39 @@ def test_closure_elts_tracks_words():
     assert enumerate_group([_m(QQ, [[2]])], 10).overflowed
 
 
+def _check_cayley_rows(enum, gens, rows):
+    """The first `rows` rows of the table hold the products' indices, and
+    every vertex's word is its parent's word plus one letter."""
+    k = len(gens)
+    index = {m: v for v, m in enumerate(enum.vertices)}
+    assert enum.ngens == k and enum.parents[0] == -1
+    for v in range(rows):
+        for i, g in enumerate(gens):
+            assert enum.table[v * k + i] == index[enum.vertices[v] * g], (v, i)
+    for v in range(1, len(enum)):
+        u = enum.parents[v]
+        i = enum.words[v][-1][0]
+        assert u < v and enum.words[v] == enum.words[u] + ((i, 1),)
+        assert enum.vertices[v] == enum.vertices[u] * gens[i]
+
+
+def test_enumeration_records_cayley_table():
+    """The engine records table[v][i] = index of v * g_i and each vertex's
+    tree parent; an overflowed enumeration keeps its completed rows."""
+    d8 = [_m(QQ, [[0, -1], [1, 0]]), _m(QQ, [[1, 0], [0, -1]])]
+    q8sq = _q8_power(2)
+    for gens, size in ((d8, 8), (q8sq, 64)):
+        enum = enumerate_group(gens, 100)
+        assert len(enum) == size and len(enum.table) == size * len(gens)
+        _check_cayley_rows(enum, gens, size)
+    for gens, cap in ((q8sq, 20), (d8, 7), ([_m(QQ, [[2]])], 10)):
+        enum = enumerate_group(gens, cap)
+        assert enum.overflowed and len(enum) == cap
+        rows, rest = divmod(len(enum.table), len(gens))
+        assert rest == 0 and 0 < rows < cap
+        _check_cayley_rows(enum, gens, rows)
+
+
 def test_oracle_invariants_examples():
     d8 = closure([_m(QQ, [[0, -1], [1, 0]]), _m(QQ, [[1, 0], [0, -1]])], 100)
     oi = oracle_invariants(d8)
