@@ -1,6 +1,8 @@
 """Finitely generated matrix groups: generator lists with cached inverses,
 words over the generators used for witnesses and Schreier bookkeeping, and
-the one Cayley enumeration engine the pipeline uses.
+the one Cayley enumeration engine the pipeline uses.  The engine works on
+interned row ids, so a Cayley edge is a few lookups and the field's work is
+one batched product per generator over the rows not yet acted on.
 
 A Word is a tuple of (generator index, +1 | -1) pairs; the empty word is
 the identity.  Pipeline elements travel as Elt pairs (matrix, word) so a
@@ -74,7 +76,9 @@ class Elt:
 
 @dataclass
 class Enumeration:
-    """A breadth-first Cayley enumeration; see enumerate_group."""
+    """A breadth-first Cayley enumeration; see enumerate_group.  Its
+    table was filled by row-id lookups, and its vertices share the row
+    tuples of the distinct rows the field multiplied once per generator."""
 
     vertices: list     # matrices in breadth-first order, identity first
     words: list        # tree word of each vertex over the generator indices
@@ -134,6 +138,16 @@ def enumerate_group(gens, cap: int, lift=None) -> Enumeration:
     """Breadth-first Cayley enumeration of the group the matrices `gens`
     generate, with a spanning tree of positive-letter words.
 
+    The engine works on row ids: every distinct row vector met gets one
+    id, the identity's rows being 0..n-1, and a vertex is the tuple of its
+    rows' ids, which is exact since a matrix is its rows.  The generators
+    act on ids through `images[i][r]`, the id of row r times gens[i], so an
+    edge is n list lookups and one dict lookup.  The field works only on
+    new rows: when the vertex at the head of the queue holds a row not yet
+    acted on, every such row is multiplied by each generator in one batched
+    `Field.matmul`.  The vertex matrices are built at the end, sharing the
+    row tuples.
+
     Stops with `overflowed` set instead of adding a vertex beyond `cap`.
     Every edge looked up is recorded in the Cayley table, and every new
     vertex's tree parent with it; an overflowed enumeration keeps the rows
@@ -149,9 +163,14 @@ def enumerate_group(gens, cap: int, lift=None) -> Enumeration:
     """
     if not gens:
         raise ValueError("cannot enumerate a group without generators")
-    ident = Matrix.identity(gens[0].field, gens[0].n)
-    index = {ident: 0}
-    vertices = [ident]
+    field = gens[0].field
+    points = list(Matrix.identity(field, gens[0].n).rows)
+    point_index = {r: j for j, r in enumerate(points)}
+    cols = [tuple(zip(*g.rows)) for g in gens]
+    images = [[] for _ in gens]
+    done = 0
+    keys = [tuple(range(len(points)))]
+    index = {keys[0]: 0}
     words = [()]
     schreier = []
     k = len(gens)
@@ -162,18 +181,32 @@ def enumerate_group(gens, cap: int, lift=None) -> Enumeration:
         lift_invs = [inverse(m) for m in lift_mats]
         source_ident = Matrix.identity(lift_mats[0].field, lift_mats[0].n)
         tmats, twords, tinvs = [source_ident], [()], [source_ident]
+
+    def result(overflowed):
+        vertices = [Matrix(field, tuple(map(points.__getitem__, w))) for w in keys]
+        return Enumeration(vertices, words, overflowed, schreier, parents, table, k)
+
     qi = 0
-    while qi < len(vertices):
-        v = vertices[qi]
-        for i, g in enumerate(gens):
-            w = v * g
+    while qi < len(keys):
+        v = keys[qi]
+        if max(v) >= done:
+            batch, done = points[done:], len(points)
+            for img, c in zip(images, cols):
+                for r in field.matmul(batch, c):
+                    j = point_index.get(r)
+                    if j is None:
+                        j = point_index[r] = len(points)
+                        points.append(r)
+                    img.append(j)
+        for i, img in enumerate(images):
+            w = tuple(map(img.__getitem__, v))
             j = index.get(w)
             if j is None:
-                if len(vertices) >= cap:
+                if len(keys) >= cap:
                     del table[qi * k :]
-                    return Enumeration(vertices, words, True, schreier, parents, table, k)
-                j = index[w] = len(vertices)
-                vertices.append(w)
+                    return result(True)
+                j = index[w] = len(keys)
+                keys.append(w)
                 words.append(words[qi] + ((i, 1),))
                 parents.append(qi)
                 if lift is not None:
@@ -186,7 +219,7 @@ def enumerate_group(gens, cap: int, lift=None) -> Enumeration:
                 schreier.append(Elt(mat, word_mul(twords[qi], lift[i].word, word_inverse(twords[j]))))
             table.append(j)
         qi += 1
-    return Enumeration(vertices, words, False, schreier, parents, table, k)
+    return result(False)
 
 
 class GroupSpec:

@@ -21,6 +21,7 @@ from .nilpotency import (
     AdjointData,
     SylowSystem,
     Verdict,
+    _dedup_elts,
     adjoint_rep,
     is_finite_nilpotent,
     is_nilpotent,
@@ -246,23 +247,15 @@ def _finite_center(G: GroupSpec, verdict: Verdict):
 def _center_generators(G: GroupSpec, config: Config, ad: AdjointData | None = None):
     """Generators of the center of a completely reducible nilpotent group:
     the kernel of the adjoint representation, generated by the Schreier
-    generators of the adjoint image lifted to the group.  ad is the
-    adjoint representation, when the caller has already built it."""
+    generators of the adjoint image lifted to the group, each distinct
+    nontrivial one once.  ad is the adjoint representation, when the caller
+    has already built it."""
     if not G.gens or G.is_trivial():
         return [Elt(G.identity, ())]
     if ad is None:
         ad = adjoint_rep(G)
     _, kernel = congruence_kernel(G, ad.adj_gens, config.cayley_cap)
-    out = []
-    seen = set()
-    for z in kernel:
-        if z.mat in seen:
-            continue
-        seen.add(z.mat)
-        out.append(z)
-    if not out:
-        out = [Elt(G.identity, ())]
-    return out
+    return _dedup_elts(kernel) or [Elt(G.identity, ())]
 
 
 def analyze(G: GroupSpec, config: Config = DEFAULT) -> StructureReport:

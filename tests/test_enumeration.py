@@ -1,0 +1,144 @@
+"""The Cayley enumeration engine against a Matrix-keyed reference, and the
+field work it does."""
+
+from array import array
+
+from corpus import finite_field_corpus, q8_power_with_diagonal, rational_corpus, rational_finite_corpus
+
+from nilmat import congruence, nilpotency, structure
+from nilmat.config import DEFAULT
+from nilmat.congruence import apply_congruence_group, select_modulus
+from nilmat.fields import QQ
+from nilmat.groups import Elt, Enumeration, enumerate_group, word_inverse, word_mul
+from nilmat.linalg import Matrix, inverse
+from nilmat.nilpotency import _dedup_elts, _prime_parts, is_nilpotent
+from nilmat.testkit import gen_max_abs_irr_nilpotent
+
+
+def reference_enumeration(gens, cap, lift=None):
+    """The engine's contract as a plain breadth-first search keyed by whole
+    matrices: one full product per edge."""
+    ident = Matrix.identity(gens[0].field, gens[0].n)
+    index = {ident: 0}
+    vertices = [ident]
+    words = [()]
+    schreier = []
+    k = len(gens)
+    parents = array("i", [-1])
+    table = array("i")
+    if lift is not None:
+        lift_mats = [s.mat for s in lift]
+        lift_invs = [inverse(m) for m in lift_mats]
+        source_ident = Matrix.identity(lift_mats[0].field, lift_mats[0].n)
+        tmats, twords, tinvs = [source_ident], [()], [source_ident]
+    qi = 0
+    while qi < len(vertices):
+        v = vertices[qi]
+        for i, g in enumerate(gens):
+            w = v * g
+            j = index.get(w)
+            if j is None:
+                if len(vertices) >= cap:
+                    del table[qi * k :]
+                    return Enumeration(vertices, words, True, schreier, parents, table, k)
+                j = index[w] = len(vertices)
+                vertices.append(w)
+                words.append(words[qi] + ((i, 1),))
+                parents.append(qi)
+                if lift is not None:
+                    tmats.append(tmats[qi] * lift_mats[i])
+                    twords.append(word_mul(twords[qi], lift[i].word))
+                    tinvs.append(lift_invs[i] * tinvs[qi])
+            elif lift is not None:
+                prod = tmats[qi] * lift_mats[i]
+                mat = source_ident if prod == tmats[j] else prod * tinvs[j]
+                schreier.append(Elt(mat, word_mul(twords[qi], lift[i].word, word_inverse(twords[j]))))
+            table.append(j)
+        qi += 1
+    return Enumeration(vertices, words, False, schreier, parents, table, k)
+
+
+def _assert_same(gens, cap, lift=None):
+    got = enumerate_group(gens, cap, lift)
+    ref = reference_enumeration(gens, cap, lift)
+    assert got.vertices == ref.vertices
+    assert got.words == ref.words
+    assert got.parents == ref.parents
+    assert got.table == ref.table
+    assert got.overflowed == ref.overflowed
+    assert got.ngens == ref.ngens
+    assert got.schreier == ref.schreier
+    return got
+
+
+def test_engine_matches_reference_on_finite_field_corpus():
+    for entry in finite_field_corpus():
+        got = _assert_same(list(entry.group.gens), 10**4)
+        assert not got.overflowed, entry.name
+
+
+def test_engine_matches_reference_on_congruence_images(monkeypatch):
+    """Plain and lifted enumerations of the finite rational groups'
+    congruence images, then every enumeration the verdict makes on the
+    rational corpus, lifted ones (congruence kernels) included."""
+    for entry in rational_finite_corpus():
+        G = entry.group
+        image = apply_congruence_group(G, select_modulus(G))
+        assert not _assert_same(list(image.gens), 10**4).overflowed, entry.name
+        _assert_same(list(image.gens), 10**4, lift=G.elts())
+    lifted = []
+
+    def checked(gens, cap, lift=None):
+        lifted.append(lift is not None)
+        return _assert_same(gens, cap, lift)
+
+    for module in (congruence, nilpotency, structure):
+        monkeypatch.setattr(module, "enumerate_group", checked)
+    for entry in rational_corpus():
+        assert is_nilpotent(entry.group).nilpotent == entry.nilpotent, entry.name
+    assert sum(lifted) >= len(rational_corpus()) // 2
+
+
+def test_engine_matches_reference_when_overflowing_mid_row():
+    d8 = [Matrix.from_ints(QQ, [[0, -1], [1, 0]]), Matrix.from_ints(QQ, [[1, 0], [0, -1]])]
+    q8sq = list(q8_power_with_diagonal(2).gens)
+    scalar = [Matrix.from_ints(QQ, [[2]])]
+    lift = [Elt(g, ((i, 1),)) for i, g in enumerate(d8)]
+    cases = ((d8, 7, True), (d8, 20, False), (d8, 1, True), (q8sq, 20, True), (q8sq, 45, True), (scalar, 10, True))
+    for gens, cap, overflowed in cases:
+        assert _assert_same(gens, cap).overflowed == overflowed, (len(gens), cap)
+    for cap in (3, 7, 8):
+        _assert_same(d8, cap, lift=lift)
+
+
+def _rows_multiplied(monkeypatch, gens):
+    """(rows the field multiplied, distinct rows, order) of the group of
+    `gens`, counted while enumerating it."""
+    field = gens[0].field
+    matmul = field.matmul
+    rows = []
+
+    def counting(a, b):
+        rows.append(len(a))
+        return matmul(a, b)
+
+    monkeypatch.setattr(field, "matmul", counting)
+    enum = enumerate_group(gens, 10**5)
+    monkeypatch.undo()
+    assert not enum.overflowed
+    return sum(rows), len({r for m in enum.vertices for r in m.rows}), len(enum)
+
+
+def test_engine_field_work_follows_distinct_rows(monkeypatch):
+    """Each distinct row is multiplied once by each generator, so the rows
+    sent to the field number at most k times the distinct rows, against
+    |P| k n for one full product per edge."""
+    G = gen_max_abs_irr_nilpotent(4, 5, 1)
+    part = [x.mat for x in _prime_parts(_dedup_elts(G.elts()), DEFAULT)[2]]
+    t = Matrix.from_ints(G.field, [[1, 0, 1, 0], [0, 1, 0, 0], [0, 0, 1, 1], [0, 0, 0, 1]])
+    tinv = inverse(t)
+    cases = [(part, 2048), ([t * g * tinv for g in part], 2048), (list(q8_power_with_diagonal(3).gens), 512)]
+    for gens, order in cases:
+        multiplied, distinct, size = _rows_multiplied(monkeypatch, gens)
+        assert size == order
+        assert multiplied <= len(gens) * distinct, (multiplied, distinct, size)

@@ -263,7 +263,7 @@ def test_center_generators_rejects_non_semisimple_generators():
     """Over Q a non-diagonalizable generator raises NotSemisimple at once,
     instead of enumerating the infinite adjoint image; completely
     reducible groups keep their center, which the Sylow tables and the
-    adjoint kernel generate alike."""
+    adjoint kernel generate alike; the kernel lists no identity."""
     import time
 
     from nilmat.errors import NotSemisimple
@@ -279,7 +279,9 @@ def test_center_generators_rejects_non_semisimple_generators():
     qj = _m(QQ, [[0, 0, -1, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0]])
     for G in (d8(), GroupSpec(QQ, [qi, qj])):
         zs = center_generators(G)
-        adjoint = closure([z.mat for z in _center_generators(G, DEFAULT)], 10)
+        kernel = _center_generators(G, DEFAULT)
+        assert not any(z.is_identity() for z in kernel)
+        adjoint = closure([z.mat for z in kernel], 10)
         assert set(closure([z.mat for z in zs], 10).elements) == set(adjoint.elements)
         minus_one = Matrix.identity(QQ, G.degree) * QQ.from_int(-1)
         assert minus_one in {z.mat for z in zs}
