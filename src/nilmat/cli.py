@@ -20,7 +20,6 @@ from .config import DEFAULT, Config
 from .congruence import apply_congruence, select_modulus
 from .errors import (
     CapExceeded,
-    LoopOverflow,
     NilmatError,
     NoPrimeInRange,
     ParseError,
@@ -122,8 +121,6 @@ def _config_from_args(args) -> Config:
     updates = {}
     if getattr(args, "prime", None):
         updates["prime_override"] = args.prime
-    if getattr(args, "class_bound", None):
-        updates["class_bound_override"] = args.class_bound
     if getattr(args, "cap", None):
         updates["closure_cap"] = args.cap
         updates["cayley_cap"] = args.cap
@@ -144,7 +141,6 @@ def run_command(cmd: str, G: GroupSpec, config: Config = DEFAULT, group_file=Non
         "n_generators": len(G.gens),
         "flags": {
             "prime": config.prime_override,
-            "class_bound": config.class_bound_override,
             "closure_cap": config.closure_cap,
             "cayley_cap": config.cayley_cap,
             "seed": config.seed,
@@ -231,7 +227,6 @@ def _emit(report, as_json):
 def _add_common(p):
     p.add_argument("--json", action="store_true", help="emit the JSON report")
     p.add_argument("--prime", type=int, default=None, help="override the reduction prime")
-    p.add_argument("--class-bound", dest="class_bound", type=int, default=None)
     p.add_argument("--cap", type=int, default=None, help="closure and Cayley caps")
     p.add_argument("--seed", type=int, default=0, help="seed for the modulus search")
 
@@ -296,7 +291,7 @@ def main(argv=None) -> int:
     except (ParseError, SingularGenerator) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (CapExceeded, NoPrimeInRange, VerdictUnavailable, LoopOverflow) as e:
+    except (CapExceeded, NoPrimeInRange, VerdictUnavailable) as e:
         print(f"budget: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
     except NilmatError as e:

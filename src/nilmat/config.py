@@ -15,7 +15,6 @@ class Config:
     eval_cap: int = 200             # evaluation points tried for function fields
     seed: int = 0                   # drives the extension-modulus search
     prime_override: int | None = None
-    class_bound_override: int | None = None
 
     def with_(self, **kw):
         d = self.__dict__.copy()

@@ -52,10 +52,6 @@ class CapExceeded(NilmatError):
         self.what = what
 
 
-class LoopOverflow(NilmatError):
-    """Centralizer chain reached the ambient degree; indicates an internal bug."""
-
-
 class NonexistenceError(NilmatError):
     """Requested maximal nilpotent subgroup does not exist for these parameters."""
 

@@ -99,12 +99,3 @@ def euler_phi(n: int) -> int:
         result = result // p * (p - 1)
     return result
 
-
-def max_root_of_unity_order(degree_bound: int) -> int:
-    """Largest k with euler_phi(k) <= degree_bound."""
-    best = 1
-    # phi(k) > sqrt(k/2), so k <= 2*(bound+1)^2 suffices as a scan range
-    for k in range(1, 2 * (degree_bound + 1) ** 2 + 2):
-        if euler_phi(k) <= degree_bound:
-            best = k
-    return best

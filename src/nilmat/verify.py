@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from .groups import GroupSpec, evaluate_word
 from .linalg import Matrix, inverse, minimal_polynomial, nullspace
-from .nilpotency import class_bound
+from .numth import factorint, is_prime
 from .poly import gcd as poly_gcd
 from .splitting import finite_order, is_unipotent_matrix
-from .witness import Witness, deserialize_witness
+from .witness import Witness, deserialize_witness, deserialize_word
 
 
 def _context_gens(witness: Witness):
@@ -21,9 +21,22 @@ def _context_gens(witness: Witness):
     return gens or None
 
 
-def _evaluate(word, gens):
-    invs = [inverse(g) for g in gens]
-    return evaluate_word(word, gens, invs)
+def _replays(word, gens, mat) -> bool:
+    """Whether word over gens evaluates to mat; a malformed word does not."""
+    try:
+        return evaluate_word(deserialize_word(word), gens, [inverse(g) for g in gens]) == mat
+    except Exception:
+        return False
+
+
+def _is_prime(v) -> bool:
+    return isinstance(v, int) and is_prime(v)
+
+
+def _is_p_element(mat: Matrix, p: int) -> bool:
+    """mat has finite order, a power of the prime p."""
+    m = finite_order(mat)
+    return m is not None and not set(factorint(m)) - {p}
 
 
 def verify_witness(witness: Witness, group: GroupSpec | None = None):
@@ -40,10 +53,7 @@ def verify_witness(witness: Witness, group: GroupSpec | None = None):
     def word_consistent(item):
         if item.word is None or ctx_gens is None or item.mat is None:
             return True
-        try:
-            return _evaluate(item.word, ctx_gens) == item.mat
-        except Exception:
-            return False
+        return _replays(item.word, ctx_gens, item.mat)
 
     kind = witness.kind
     if kind == "non_commuting_pair":
@@ -53,35 +63,14 @@ def verify_witness(witness: Witness, group: GroupSpec | None = None):
             add("x y != y x", not (x.mat * y.mat == y.mat * x.mat))
             add("x word consistent", word_consistent(x))
             add("y word consistent", word_consistent(y))
-    elif kind == "commutator_chain":
-        a_items = [it for it in witness.items if it.label.startswith("a_")]
-        x_items = {it.label: it for it in witness.items if it.label.startswith("x_")}
-        h_items = {it.label: it for it in witness.items if it.label.startswith("h_")}
-        a_items.sort(key=lambda it: int(it.label.split("_")[1]))
-        add("chain nonempty", len(a_items) >= 2)
-        for i in range(len(a_items) - 1):
-            a, a_next = a_items[i], a_items[i + 1]
-            x = x_items.get(f"x_{i}")
-            if x is None:
-                add(f"x_{i} present", False)
-                continue
-            lhs = inverse(a.mat) * inverse(x.mat) * a.mat * x.mat
-            add(f"a_{i + 1} = [a_{i}, x_{i}]", lhs == a_next.mat)
-        for i, a in enumerate(a_items):
-            h = h_items.get(f"h_{i}")
-            if h is not None:
-                add(f"a_{i} not central", not (a.mat * h.mat == h.mat * a.mat))
-            else:
-                add(f"a_{i} nontrivial", not a.mat.is_identity())
-        if a_items:
-            F = a_items[0].mat.field
-            n = a_items[0].mat.n
-            bound = class_bound(F, n)
-            add(
-                f"chain length exceeds class bound {bound}",
-                len(a_items) - 1 > bound,
-                f"{len(a_items) - 1} replacements",
-            )
+            if witness.context != "jordan_parts":
+                # elements of coprime orders commute in a nilpotent group
+                p, q = x.data.get("prime"), y.data.get("prime")
+                primes = _is_prime(p) and _is_prime(q)
+                add("distinct primes", primes and p != q, f"{p}, {q}")
+                if primes:
+                    add(f"x is a {p}-element", _is_p_element(x.mat, p))
+                    add(f"y is a {q}-element", _is_p_element(y.mat, q))
     elif kind == "not_unipotent_fixed_point_free":
         mats = [it.mat for it in witness.items if it.mat is not None and it.label.startswith("quotient_gen_")]
         add("generators present", bool(mats))
@@ -125,15 +114,26 @@ def verify_witness(witness: Witness, group: GroupSpec | None = None):
             add("infinite order", finite_order(x.mat) is None)
             add("word consistent", word_consistent(x))
     elif kind == "non_p_element":
+        # the p-elements of a nilpotent group form a subgroup, so a product
+        # of p-elements whose order is not a power of p refutes nilpotency
         y = witness.find("y")
-        add("present", y is not None)
-        if y is not None:
-            m = y.data.get("order")
-            p = y.data.get("prime")
-            add("order data present", m is not None and p is not None)
-            if m and p:
-                from .numth import factorint
-
+        k = sum(it.label.startswith("part_") for it in witness.items)
+        parts = [witness.find(f"part_{i}") for i in range(k)]
+        present = y is not None and bool(parts) and None not in parts
+        add("y and parts part_0 .. part_(k-1) present", present)
+        if present:
+            m, p = y.data.get("order"), y.data.get("prime")
+            data_ok = isinstance(m, int) and m > 0 and _is_prime(p)
+            add("order data present", data_ok)
+            if data_ok:
+                for it in parts:
+                    add(f"{it.label} is a {p}-element", it.data.get("prime") == p and _is_p_element(it.mat, p))
+                    add(f"{it.label} word consistent", word_consistent(it))
+                add(
+                    "y is the parts_word product of the parts",
+                    _replays(y.data.get("parts_word"), [it.mat for it in parts], y.mat),
+                )
+                add("y word consistent", word_consistent(y))
                 add("y^m = 1", (y.mat**m).is_identity())
                 fac = factorint(m)
                 add("order exact", all(not (y.mat ** (m // t)).is_identity() for t in fac))

@@ -37,18 +37,6 @@ class Witness:
         return None
 
 
-def pair_witness(context, x_mat, x_word, y_mat, y_word, note=""):
-    return Witness(
-        kind="non_commuting_pair",
-        context=context,
-        items=(
-            WItem("x", x_mat, x_word),
-            WItem("y", y_mat, y_word),
-        ),
-        note=note or "the two elements do not commute",
-    )
-
-
 def serialize_matrix(m: Matrix):
     return {"field": m.field.to_json(), "rows": [[m.field.format(c) for c in row] for row in m.rows]}
 

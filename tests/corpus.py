@@ -114,7 +114,14 @@ def rational_corpus():
         CorpusGroup("Q8", GroupSpec(Q, [qi, qj]), True, True, 8),
         CorpusGroup(
             "D8xC2",
-            GroupSpec(Q, [_blockdiag(Q, rot4, _m(Q, [[1]])), _blockdiag(Q, refl, _m(Q, [[-1]]))]),
+            GroupSpec(
+                Q,
+                [
+                    _blockdiag(Q, rot4, _m(Q, [[1]])),
+                    _blockdiag(Q, refl, _m(Q, [[-1]])),
+                    _blockdiag(Q, Matrix.identity(Q, 2), _m(Q, [[-1]])),
+                ],
+            ),
             True,
             True,
             16,

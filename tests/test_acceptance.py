@@ -28,7 +28,7 @@ from nilmat.errors import NoPrimeInRange, NonexistenceError
 from nilmat.fields import QQ, FiniteField, FunctionField, NumberField
 from nilmat.groups import GroupSpec
 from nilmat.linalg import Matrix, inverse, minimal_polynomial, spin_basis
-from nilmat.nilpotency import class_bound, is_finite_nilpotent, is_nilpotent
+from nilmat.nilpotency import is_finite_nilpotent, is_nilpotent
 from nilmat.numth import odd_primes
 from nilmat.poly import gcd as poly_gcd
 from nilmat.splitting import is_unipotent_matrix, jordan
@@ -133,14 +133,6 @@ def test_criterion_3_finiteness_and_order(runs123):
     assert runs123["fin"]["Z-diag2"][0]["verdict"]["finite"] is False
     assert runs123["fin"]["heisenberg"][0]["verdict"]["finite"] is False
     report_pass(3, f"order exact on {checked_finite} finite groups; infinite cases flagged")
-
-
-def test_criterion_4_class_bound_values():
-    assert class_bound(FiniteField(5), 2) == 6
-    assert class_bound(FiniteField(7), 2) == 4
-    assert class_bound(FiniteField(2, 2), 3) == 9
-    assert [class_bound(QQ, n) for n in range(2, 7)] == [3, 4, 6, 7, 9]
-    report_pass(4, "l_{2,5}=6, l_{2,7}=4, l_{3,4}=9, rational bounds 3n/2")
 
 
 def test_criterion_5_congruence_validity():

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from corpus import rational_finite_corpus
+
 from nilmat.config import DEFAULT
 from nilmat.congruence import (
     apply_congruence,
@@ -371,3 +373,15 @@ def test_apply_congruence_stale_data_raises():
     stale = Matrix.make(QQ, [[Fraction(1, 5), Fraction(0)], [Fraction(0), Fraction(1)]])
     with pytest.raises(DenominatorDivisible):
         apply_congruence(stale, cd)
+
+
+def test_rational_corpus_labels_match_image_orders():
+    """Every finite rational corpus entry's labelled order is the order of
+    its congruence image, which is faithful on a finite group."""
+    from corpus import rational_finite_corpus
+
+    for entry in rational_finite_corpus():
+        cd = select_modulus(entry.group)
+        img = apply_congruence_group(entry.group, cd)
+        image_order, _ = congruence_kernel(entry.group, img.gens, 10**6)
+        assert image_order == entry.order, entry.name

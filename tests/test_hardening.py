@@ -175,16 +175,11 @@ def test_dihedral_16_over_quadratic_field():
     assert len(zc) == 2
 
 
-def test_index_overflow_is_a_budget_error_not_a_verdict(monkeypatch):
-    """The centralizer index cap is a budget, not a proven bound: forcing a
-    tiny one makes the chain construction on D8 raise CapExceeded, and the
-    verifier does not confirm an overflow marker claimed as a witness."""
-    import nilmat.nilpotency as nilp
-
-    monkeypatch.setattr(nilp, "_index_cap", lambda field, n: 1)
+def test_index_overflow_is_a_budget_error_not_a_verdict():
+    """D8 is nilpotent, and the verifier does not confirm a centralizer
+    index overflow marker claimed as a witness."""
     G = GroupSpec(QQ, [Matrix.from_ints(QQ, [[0, -1], [1, 0]]), Matrix.from_ints(QQ, [[1, 0], [0, -1]])])
-    with pytest.raises(CapExceeded):
-        nilp.test_series(G.elts(), QQ, 2, nilp.class_bound(QQ, 2))
+    assert is_nilpotent(G).nilpotent
     marker = Witness(
         kind="index_overflow",
         context="input",
@@ -196,25 +191,18 @@ def test_index_overflow_is_a_budget_error_not_a_verdict(monkeypatch):
 
 
 def test_q8_power_index_overflow_is_not_a_verdict():
-    """Q8^k is nilpotent by construction, and the Sylow certificate says so
-    without the centralizer chain.  For k = 5 the chain's centralizer image
-    (Z/2)^5 exceeds the index cap 2n = 20, which is a budget error, never a
-    not-nilpotent verdict."""
-    from nilmat.nilpotency import class_bound, test_series
-
+    """Q8^k is nilpotent by construction, and the Sylow test says so; for
+    k = 5 its 2-component has 32768 elements."""
     for k in (2, 3):
         assert is_nilpotent(q8_power_with_diagonal(k)).nilpotent, k
     G = q8_power_with_diagonal(5)
     v = is_nilpotent(G)
     assert v.nilpotent and v.artifacts["sylow"].orders == {2: 32768}
-    with pytest.raises(CapExceeded):
-        test_series(G.elts(), G.field, G.degree, class_bound(G.field, G.degree))
 
 
 def test_semidihedral_sylow_subgroup_is_nilpotent():
-    """The class of these 2-groups exceeds class_bound(GF(q), 2), so the
-    centralizer chain calls them not nilpotent; the Sylow certificate
-    decides them without it."""
+    """These 2-groups in GL(2, q) have class 8; the Sylow test decides
+    them with no bound on the class."""
     from nilmat.groups import enumerate_group
 
     for q in (127, 383):
@@ -222,6 +210,67 @@ def test_semidihedral_sylow_subgroup_is_nilpotent():
         assert len(enumerate_group(list(G.gens), 10**4)) == 512, q
         v = is_nilpotent(G)
         assert v.nilpotent and v.artifacts["sylow"].orders == {2: 512}, q
+
+
+def test_sylow_component_past_the_cap_is_a_budget_error():
+    """A nilpotent group whose 2-component passes closure_cap raises
+    CapExceeded; no verdict comes from a cheaper route."""
+    from nilmat.config import DEFAULT
+
+    with pytest.raises(CapExceeded):
+        is_nilpotent(semidihedral(127), DEFAULT.with_(closure_cap=100))
+
+
+def test_commutator_chain_witness_is_not_confirmed():
+    """The verifier has no class bound to check a commutator chain against,
+    so it fails closed on one: a hand-built chain on S3 over GF(7), where
+    each a_(i+1) = [a_i, x_i] is nontrivial, is not confirmed."""
+    F7 = FiniteField(7)
+    c3 = Matrix.from_ints(F7, [[0, 6], [1, 6]])
+    t = Matrix.from_ints(F7, [[0, 1], [1, 0]])
+    G = GroupSpec(F7, [c3, t])
+    a, items = c3, []
+    for i in range(6):
+        items += [WItem(f"a_{i}", a), WItem(f"x_{i}", t), WItem(f"h_{i}", t)]
+        a = inverse(a) * inverse(t) * a * t
+    items.append(WItem("a_6", a))
+    chain = Witness(kind="commutator_chain", context="input", items=tuple(items), note="")
+    ok, checks = verify_report({"witness": serialize_witness(chain)}, G)
+    assert not ok and checks == [("known witness kind (commutator_chain)", False, "")]
+
+
+def test_forged_cross_prime_pair_is_not_confirmed():
+    """On the nilpotent D8 over GF(7) two generators fail to commute, but
+    they are no cross-prime pair: without prime data, or with primes their
+    orders do not match, the pair is not confirmed."""
+    F7 = FiniteField(7)
+    r, s = Matrix.from_ints(F7, [[0, 6], [1, 0]]), Matrix.diagonal(F7, (1, 6))
+    G = GroupSpec(F7, [r, s])
+    assert is_nilpotent(G).nilpotent
+    for x_data, y_data in (({}, {}), ({"prime": 2}, {"prime": 3}), ({"prime": 2}, {"prime": 2})):
+        pair = Witness(
+            kind="non_commuting_pair",
+            context="input",
+            items=(WItem("x", r, ((0, 1),), x_data), WItem("y", s, ((1, 1),), y_data)),
+        )
+        ok, checks = verify_report({"witness": serialize_witness(pair)}, G)
+        assert not ok, (x_data, y_data, checks)
+
+
+def test_forged_non_p_element_is_not_confirmed():
+    """On the nilpotent D8 over GF(7), diag(3, 1) has order 6 but lies
+    outside the group: claimed with a wrong word, alone or as a product of
+    the 2-element generators, it is not confirmed."""
+    F7 = FiniteField(7)
+    r, s = Matrix.from_ints(F7, [[0, 6], [1, 0]]), Matrix.diagonal(F7, (1, 6))
+    G = GroupSpec(F7, [r, s])
+    y_data = {"order": 6, "prime": 2, "parts_word": [[0, 1]]}
+    y = WItem("y", Matrix.diagonal(F7, (3, 1)), ((0, 1),), y_data)
+    parts = (WItem("part_0", r, ((0, 1),), {"prime": 2}), WItem("part_1", s, ((1, 1),), {"prime": 2}))
+    for items in ((y,), parts + (y,)):
+        forged = Witness(kind="non_p_element", context="input", items=items)
+        ok, checks = verify_report({"witness": serialize_witness(forged)}, G)
+        assert not ok, checks
 
 
 def test_adjoint_route_over_finite_fields():
@@ -435,7 +484,7 @@ def test_nilpotent_number_field_group_through_files(tmp_path):
 
 def test_sylow_closure_uses_input_generator_parts(monkeypatch):
     """Each Sylow component is closed over the input generators' prime
-    parts, not over the chain terms added to them, and keeps its order."""
+    parts only, and keeps its order."""
     import nilmat.nilpotency as nilp
     from nilmat.testkit import gen_max_abs_irr_nilpotent
 

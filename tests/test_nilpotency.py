@@ -1,22 +1,12 @@
-"""The decision core: class bounds, abelian series machinery, verdicts."""
+"""The decision core: the Sylow test, the adjoint route, verdicts."""
 
 import pytest
 
-from nilmat.errors import NotNilpotentSignal, NotSemisimple, VerdictUnavailable
+from nilmat.errors import NotSemisimple, VerdictUnavailable
 from nilmat.fields import QQ, FiniteField, FunctionField, NumberField
 from nilmat.groups import GroupSpec
 from nilmat.linalg import Matrix
-from nilmat.nilpotency import (
-    adjoint_rep,
-    centralizer_of_abelian,
-    class_bound,
-    is_finite_nilpotent,
-    is_nilpotent,
-    is_nilpotent_adjoint,
-    noncentral_abelian,
-    second_central_element,
-)
-from nilmat.nilpotency import test_series as chain_series
+from nilmat.nilpotency import adjoint_rep, is_finite_nilpotent, is_nilpotent, is_nilpotent_adjoint
 
 
 def _m(field, rows):
@@ -25,117 +15,6 @@ def _m(field, rows):
 
 def d8_group(field=QQ):
     return GroupSpec(field, [_m(field, [[0, -1], [1, 0]]), _m(field, [[1, 0], [0, -1]])])
-
-
-def s3_group(field=QQ):
-    return GroupSpec(
-        field,
-        [_m(field, [[0, 0, 1], [1, 0, 0], [0, 1, 0]]), _m(field, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])],
-    )
-
-
-def test_class_bound_values():
-    assert class_bound(FiniteField(5), 2) == 6
-    assert class_bound(FiniteField(7), 2) == 4
-    assert class_bound(FiniteField(2, 2), 3) == 9
-    assert [class_bound(QQ, n) for n in range(2, 7)] == [3, 4, 6, 7, 9]
-    assert class_bound(NumberField((-2, 0, 1)), 2) == 6
-    assert class_bound(FunctionField(QQ), 2) == 4  # max(3, 1) + 1
-    assert class_bound(FunctionField(FiniteField(5)), 2) == 7
-
-
-def test_class_bound_monotonicity():
-    for q in (3, 5, 7, 9, 11, 13):
-        F = FiniteField(3, 2) if q == 9 else FiniteField(q)
-        for n in range(2, 5):
-            if any((q - 1) % t == 0 for t in (2, 3, 5) if t <= n and t != F.characteristic()):
-                assert class_bound(F, n) >= n
-
-
-def test_second_central_element_d8():
-    G = d8_group()
-    elts = G.elts()
-    a = second_central_element(elts, elts, class_bound(QQ, 2))
-    # the rotation qualifies: its commutators with everything are central
-    assert a.mat == G.gens[0]
-    for g in elts:
-        c = g.commutator(a)
-        for h in elts:
-            assert c.mat * h.mat == h.mat * c.mat
-
-
-def test_second_central_element_s3_exhausts():
-    G = s3_group()
-    elts = G.elts()
-    with pytest.raises(NotNilpotentSignal) as exc:
-        second_central_element(elts, elts, 4)
-    assert exc.value.witness.kind == "commutator_chain"
-
-
-def test_second_central_element_rejects_abelian():
-    G = GroupSpec(QQ, [_m(QQ, [[2]])])
-    with pytest.raises(ValueError):
-        second_central_element(G.elts(), G.elts(), 3)
-
-
-def test_noncentral_abelian_d8():
-    G = d8_group()
-    elts = G.elts()
-    a = second_central_element(elts, elts, 3)
-    A = noncentral_abelian(elts, a)
-    mats = {x.mat for x in A}
-    assert G.gens[0] in mats  # the rotation
-    assert _m(QQ, [[-1, 0], [0, -1]]) in mats  # its square, from [s, r]
-    assert len(mats) == 2
-
-
-def test_noncentral_abelian_trivial_cases():
-    G = GroupSpec(QQ, [_m(QQ, [[2, 0], [0, 2]]), _m(QQ, [[3, 0], [0, 3]])])
-    elts = G.elts()
-    A = noncentral_abelian(elts, elts[0])
-    assert [x.mat for x in A] == [G.gens[0]]
-
-
-def test_centralizer_of_abelian_d8():
-    G = d8_group()
-    elts = G.elts()
-    a = second_central_element(elts, elts, 3)
-    A = noncentral_abelian(elts, a)
-    C, level = centralizer_of_abelian(elts, A, a)
-    # the centralizer of the rotation subgroup in D8 is the rotation subgroup
-    assert level.image_orders == [2]
-    span = {e.mat for e in C}
-    assert G.gens[0] in span or (G.gens[0] ** -1) in span
-    for c in C:
-        assert c.mat * a.mat == a.mat * c.mat
-
-
-def test_centralizer_abelian_grp_is_whole_group():
-    G = GroupSpec(QQ, [Matrix.diagonal(QQ, (QQ.from_int(2), QQ.from_int(3)))])
-    elts = G.elts()
-    # a central a means the centralizer stage is skipped entirely
-    C, level = centralizer_of_abelian(elts, [elts[0]], elts[0])
-    assert {e.mat for e in C} == {e.mat for e in elts}
-
-
-def test_chain_series_examples():
-    G = d8_group()
-    chain = chain_series(G.elts(), QQ, 2, class_bound(QQ, 2))
-    assert chain.depth == 1
-    level = chain.levels[0]
-    for x in level.A:
-        for y in level.A:
-            assert x.mat * y.mat == y.mat * x.mat
-    for c in chain.final_abelian:
-        for x in level.A:
-            assert c.mat * x.mat == x.mat * c.mat
-    assert chain.depth <= 1  # n - 1 = 1
-
-    Gab = GroupSpec(QQ, [Matrix.diagonal(QQ, (QQ.from_int(2), QQ.from_int(3)))])
-    assert chain_series(Gab.elts(), QQ, 2, 3).depth == 0
-
-    with pytest.raises(NotNilpotentSignal):
-        chain_series(s3_group().elts(), QQ, 3, class_bound(QQ, 3))
 
 
 def test_is_finite_nilpotent_examples(ff_corpus, ff_oracle):
@@ -346,41 +225,46 @@ def test_rational_image_class_within_bound(q_corpus):
 
 
 def test_sylow_witness_path_returns_non_p_element():
-    """On the input elements alone, S3 over GF(7) passes the cross-prime
-    check of the refutation path and fails only in its 2-component closure,
-    whose first element of order 6 is the witness."""
+    """S3 over GF(7) has two generators of order 2, so the cross-prime
+    check passes and the Sylow test fails only in the 2-component closure,
+    whose first element of order 6 is the witness, carried with the
+    2-parts and its word over them."""
     from nilmat.config import DEFAULT
-    from nilmat.nilpotency import _sylow_refutation
+    from nilmat.nilpotency import _sylow_test
     from nilmat.verify import verify_report
     from nilmat.witness import serialize_witness
 
     F7 = FiniteField(7)
     G = GroupSpec(F7, [_m(F7, [[0, 1], [1, 0]]), _m(F7, [[1, 1], [0, 6]])])
-    v = _sylow_refutation(G.elts(), DEFAULT)
+    v = _sylow_test(G.elts(), DEFAULT)
     assert not v.nilpotent and v.witness.kind == "non_p_element"
-    (y,) = v.witness.items
+    part_0, part_1, y = v.witness.items
+    assert (part_0.label, part_0.mat, part_0.word, part_0.data) == ("part_0", G.gens[0], ((0, 1),), {"prime": 2})
+    assert (part_1.label, part_1.mat, part_1.word, part_1.data) == ("part_1", G.gens[1], ((1, 1),), {"prime": 2})
+    assert y.label == "y"
     assert y.mat == _m(F7, [[0, 6], [1, 1]])
     assert y.word == ((0, 1), (1, 1))
-    assert y.data == {"order": 6, "prime": 2}
+    assert y.data == {"order": 6, "prime": 2, "parts_word": [[0, 1], [1, 1]]}
     ok, checks = verify_report({"witness": serialize_witness(v.witness)}, G)
     assert ok, checks
+    assert {name for name, _, _ in checks} >= {
+        "part_0 is a 2-element",
+        "part_1 word consistent",
+        "y is the parts_word product of the parts",
+        "y word consistent",
+    }
 
 
 def test_positive_verdicts_never_run_the_chain(monkeypatch, ff_corpus):
-    """The Sylow certificate decides every positive finite and adjoint
-    verdict: with test_series made to raise, every nilpotent group of the
-    benchmark stocks (seed 1) and of the finite-field corpus keeps its
-    verdict, and its analyze report wherever the stock runs analyze."""
+    """The Sylow test decides every positive finite and adjoint verdict
+    with no class bound: every nilpotent group of the benchmark stocks
+    (seed 1) and of the finite-field corpus keeps its verdict, and its
+    analyze report wherever the stock runs analyze."""
     from pathlib import Path
     from random import Random
 
-    import nilmat.nilpotency as nilp
     from nilmat.structure import analyze
 
-    def no_chain(*args, **kwargs):
-        raise AssertionError("the centralizer chain ran")
-
-    monkeypatch.setattr(nilp, "test_series", no_chain)
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
     import stock
 
