@@ -494,7 +494,10 @@ def congruence_kernel(G: GroupSpec, image_gens, cap):
     The kernel of G.gens[i] -> image_gens[i] is normally generated by the
     Schreier generators of the image's Cayley graph lifted to G: one per
     non-tree edge, in discovery order, trivial ones included.  Each word
-    is the relator of its edge over the generators of G.
+    is the relator of its edge over the generators of G.  The lift runs on
+    G's row ids (groups.enumerate_group), so only a nontrivial generator
+    costs a product over G's field: a finite G, whose kernel is trivial in
+    characteristic 0, forms none.
     """
     enum = enumerate_group(list(image_gens), cap, lift=G.elts())
     if enum.overflowed:

@@ -2,7 +2,8 @@
 words over the generators used for witnesses and Schreier bookkeeping, and
 the one Cayley enumeration engine the pipeline uses.  The engine works on
 interned row ids, so a Cayley edge is a few lookups and the field's work is
-one batched product per generator over the rows not yet acted on.
+one batched product per generator over the rows not yet acted on; the
+transversal of a lift to a source group runs on the source's row ids alike.
 
 A Word is a tuple of (generator index, +1 | -1) pairs; the empty word is
 the identity.  Pipeline elements travel as Elt pairs (matrix, word) so a
@@ -134,17 +135,45 @@ class Enumeration:
         return out
 
 
+class _RowAction:
+    """Interned row vectors of one field and degree, acted on by fixed
+    matrices through lookup lists: every distinct row met gets one id, the
+    identity's rows being 0..n-1, and `images[i][r]` is the id of row r
+    times mats[i].  `extend` multiplies every row not yet acted on by each
+    matrix in one batched `Field.matmul`."""
+
+    def __init__(self, mats):
+        self.field = mats[0].field
+        self.points = list(Matrix.identity(self.field, mats[0].n).rows)
+        self.index = {r: j for j, r in enumerate(self.points)}
+        self.cols = [tuple(zip(*m.rows)) for m in mats]
+        self.images = [[] for _ in mats]
+        self.done = 0
+
+    def extend(self):
+        points, index = self.points, self.index
+        batch, self.done = points[self.done :], len(points)
+        for img, c in zip(self.images, self.cols):
+            for r in self.field.matmul(batch, c):
+                j = index.get(r)
+                if j is None:
+                    j = index[r] = len(points)
+                    points.append(r)
+                img.append(j)
+
+    def matrix(self, key):
+        return Matrix(self.field, tuple(map(self.points.__getitem__, key)))
+
+
 def enumerate_group(gens, cap: int, lift=None) -> Enumeration:
     """Breadth-first Cayley enumeration of the group the matrices `gens`
     generate, with a spanning tree of positive-letter words.
 
-    The engine works on row ids: every distinct row vector met gets one
-    id, the identity's rows being 0..n-1, and a vertex is the tuple of its
-    rows' ids, which is exact since a matrix is its rows.  The generators
-    act on ids through `images[i][r]`, the id of row r times gens[i], so an
-    edge is n list lookups and one dict lookup.  The field works only on
-    new rows: when the vertex at the head of the queue holds a row not yet
-    acted on, every such row is multiplied by each generator in one batched
+    The engine works on row ids (_RowAction): a vertex is the tuple of its
+    rows' ids, which is exact since a matrix is its rows, and an edge is n
+    list lookups and one dict lookup.  The field works only on new rows:
+    when the vertex at the head of the queue holds a row not yet acted on,
+    every such row is multiplied by each generator in one batched
     `Field.matmul`.  The vertex matrices are built at the end, sharing the
     row tuples.
 
@@ -154,22 +183,22 @@ def enumerate_group(gens, cap: int, lift=None) -> Enumeration:
     it completed.
 
     With `lift` (one source Elt per generator, the source group mapping
-    homomorphically onto the enumerated one by lift[i] -> gens[i]), the
-    source transversal T(v) and its inverse ride along the tree edges, and
-    every non-tree edge (v, i, w) yields the Schreier generator
-    T(v) lift[i] T(w)^-1 with its word.  By Schreier's lemma these
-    generate the kernel of the map; when T(v) lift[i] equals T(w) the
-    generator is the identity and costs no product with T(w)^-1.
+    homomorphically onto the enumerated one by lift[i] -> gens[i]), every
+    non-tree edge (v, i, w) yields the Schreier generator
+    T(v) lift[i] T(w)^-1 with its word, T being the source transversal
+    along the tree; by Schreier's lemma these generate the kernel of the
+    map.  The transversal runs on source row ids the same way, so a tree
+    edge maps T(v)'s ids and costs no product.  When the mapped key of
+    T(v) lift[i] equals T(w)'s the generator is the identity, again with
+    no product; otherwise that key's matrix is multiplied once by T(w)^-1,
+    which is built along the tree from the lift's inverses on first need
+    and kept for the call.
     """
     if not gens:
         raise ValueError("cannot enumerate a group without generators")
-    field = gens[0].field
-    points = list(Matrix.identity(field, gens[0].n).rows)
-    point_index = {r: j for j, r in enumerate(points)}
-    cols = [tuple(zip(*g.rows)) for g in gens]
-    images = [[] for _ in gens]
-    done = 0
-    keys = [tuple(range(len(points)))]
+    rows = _RowAction(gens)
+    images = rows.images
+    keys = [tuple(range(len(rows.points)))]
     index = {keys[0]: 0}
     words = [()]
     schreier = []
@@ -177,27 +206,38 @@ def enumerate_group(gens, cap: int, lift=None) -> Enumeration:
     parents = array("i", [-1])
     table = array("i")
     if lift is not None:
-        lift_mats = [s.mat for s in lift]
-        lift_invs = [inverse(m) for m in lift_mats]
-        source_ident = Matrix.identity(lift_mats[0].field, lift_mats[0].n)
-        tmats, twords, tinvs = [source_ident], [()], [source_ident]
+        src = _RowAction([s.mat for s in lift])
+        simages = src.images
+        source_ident = Matrix.identity(src.field, lift[0].mat.n)
+        tkeys, twords = [tuple(range(lift[0].mat.n))], [()]
+        tinvs, lift_invs = {0: source_ident}, [None] * k
+
+        def tinv(v):
+            path = []
+            while v not in tinvs:
+                path.append(v)
+                v = parents[v]
+            out = tinvs[v]
+            for u in reversed(path):
+                i = words[u][-1][0]
+                if lift_invs[i] is None:
+                    lift_invs[i] = inverse(lift[i].mat)
+                out = tinvs[u] = lift_invs[i] * out
+            return out
 
     def result(overflowed):
-        vertices = [Matrix(field, tuple(map(points.__getitem__, w))) for w in keys]
+        vertices = [rows.matrix(w) for w in keys]
         return Enumeration(vertices, words, overflowed, schreier, parents, table, k)
 
     qi = 0
     while qi < len(keys):
         v = keys[qi]
-        if max(v) >= done:
-            batch, done = points[done:], len(points)
-            for img, c in zip(images, cols):
-                for r in field.matmul(batch, c):
-                    j = point_index.get(r)
-                    if j is None:
-                        j = point_index[r] = len(points)
-                        points.append(r)
-                    img.append(j)
+        if max(v) >= rows.done:
+            rows.extend()
+        if lift is not None:
+            t = tkeys[qi]
+            if max(t) >= src.done:
+                src.extend()
         for i, img in enumerate(images):
             w = tuple(map(img.__getitem__, v))
             j = index.get(w)
@@ -210,12 +250,11 @@ def enumerate_group(gens, cap: int, lift=None) -> Enumeration:
                 words.append(words[qi] + ((i, 1),))
                 parents.append(qi)
                 if lift is not None:
-                    tmats.append(tmats[qi] * lift_mats[i])
+                    tkeys.append(tuple(map(simages[i].__getitem__, t)))
                     twords.append(word_mul(twords[qi], lift[i].word))
-                    tinvs.append(lift_invs[i] * tinvs[qi])
             elif lift is not None:
-                prod = tmats[qi] * lift_mats[i]
-                mat = source_ident if prod == tmats[j] else prod * tinvs[j]
+                tw = tuple(map(simages[i].__getitem__, t))
+                mat = source_ident if tw == tkeys[j] else src.matrix(tw) * tinv(j)
                 schreier.append(Elt(mat, word_mul(twords[qi], lift[i].word, word_inverse(twords[j]))))
             table.append(j)
         qi += 1

@@ -102,7 +102,10 @@ def is_unipotent_group(gens, config: Config = DEFAULT) -> UnipotentCert:
         raise ValueError("no generators")
     F = gens[0].field
     n = gens[0].n
-    for g in gens:
+    nontrivial = [g for g in gens if not g.is_identity()]
+    if not nontrivial:
+        return UnipotentCert((Subspace.full(F, n), Subspace.zero(F, n)), Matrix.identity(F, n))
+    for g in nontrivial:
         if not is_unipotent_matrix(g):
             raise NotUnipotentGenerator("input matrix is not unipotent")
 
@@ -177,6 +180,8 @@ def reduction_split(G: GroupSpec, config: Config = DEFAULT) -> SplitResult:
             )
         ) from None
     for i, u in enumerate(gens_u):
+        if u.is_identity():
+            continue
         for j, s in enumerate(gens_s):
             if not (u * s == s * u):
                 raise NotNilpotentSignal(
@@ -191,6 +196,15 @@ def reduction_split(G: GroupSpec, config: Config = DEFAULT) -> SplitResult:
                     )
                 )
     return SplitResult(gens_s, gens_u, cert, True)
+
+
+def s_part_group(G: GroupSpec, split: SplitResult) -> GroupSpec:
+    """The group of the diagonalizable parts, with the same generator
+    indices: G itself when every unipotent part is 1, since then each
+    part is its generator and G's inverses serve as they are."""
+    if all(u.is_identity() for u in split.gens_u):
+        return G
+    return GroupSpec(G.field, split.gens_s)
 
 
 def cr_series(G: GroupSpec, split: SplitResult | None = None, config: Config = DEFAULT):

@@ -27,7 +27,7 @@ from .nilpotency import (
     is_nilpotent,
     require_semisimple_gens,
 )
-from .splitting import cr_series, finite_order, reduction_split
+from .splitting import cr_series, finite_order, reduction_split, s_part_group
 from .witness import WItem, Witness
 
 
@@ -190,9 +190,9 @@ def primary_decomposition(G: GroupSpec, config: Config = DEFAULT, verdict: Verdi
         return SylowSystem(comps, dict(image_sylow.orders)), False, verdict
     # infinite: decompose the adjoint image of the diagonalizable part
     split = verdict.artifacts.get("split")
-    Gs = GroupSpec(F, split.gens_s)
     if all(s.is_identity() for s in split.gens_s):
         return SylowSystem({}, {}, central_part=()), True, verdict
+    Gs = s_part_group(G, split)
     from .nilpotency import is_nilpotent_adjoint
 
     v_adj = is_nilpotent_adjoint(Gs, config)

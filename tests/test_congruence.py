@@ -223,9 +223,11 @@ def test_kernel_normal_generators_examples():
 
 def test_lifted_kernel_generators_replay(q_corpus, monkeypatch):
     """On the rational corpus every kernel generator the verdict path lifts
-    replays from its word over the diagonalizable parts, and the source
-    products are two per tree edge, one per non-tree edge and one more per
-    nontrivial generator: a trivial edge costs no product with T(w)^-1."""
+    replays from its word over the diagonalizable parts.  The source
+    transversal runs on row ids: each distinct source row goes to the field
+    once per generator, and a source Matrix product is formed only for a
+    nontrivial generator or a tree vertex whose transversal inverse that
+    generator needs, so a finite group forms none."""
     reached = 0
     for entry in q_corpus:
         v = is_nilpotent(entry.group)
@@ -236,20 +238,54 @@ def test_lifted_kernel_generators_replay(q_corpus, monkeypatch):
         kernel = v.artifacts["kernel_gens"]
         for z in kernel:
             assert Gs.evaluate(z.word) == z.mat, entry.name
-        counted = []
-        product = Matrix.__mul__
+        formed, depth, sent, met = [0], [0], [], set(Gs.identity.rows)
+        product, matmul = Matrix.__mul__, QQ.matmul
 
-        def counting(a, b):
-            if a.field is QQ:
-                counted.append(1)
-            return product(a, b)
+        def counting_product(a, b):
+            if a.field is not QQ:
+                return product(a, b)
+            formed[0] += 1
+            depth[0] += 1
+            try:
+                return product(a, b)
+            finally:
+                depth[0] -= 1
+
+        def counting_matmul(rows, cols):
+            out = matmul(rows, cols)
+            sent.append(len(rows))
+            if not depth[0]:
+                # a batch of the row engine, not the rows of a Matrix product
+                met.update(rows, out)
+            return out
 
         with monkeypatch.context() as m:
-            m.setattr(Matrix, "__mul__", counting)
+            m.setattr(Matrix, "__mul__", counting_product)
+            m.setattr(QQ, "matmul", counting_matmul)
             order, again = congruence_kernel(Gs, v.artifacts["image_gens"], 10**6)
         assert again == kernel and order == v.artifacts["image_order"], entry.name
+        # the non-tree edges in discovery order, and the tree vertices on
+        # the paths to the targets of the nontrivial ones
+        enum = enumerate_group(v.artifacts["image_gens"], 10**6)
+        k = enum.ngens
+        targets = [
+            enum.table[u * k + i]
+            for u in range(order)
+            for i in range(k)
+            if enum.words[enum.table[u * k + i]] != enum.words[u] + ((i, 1),)
+        ]
+        assert len(targets) == len(kernel), entry.name
+        inverted = set()
+        for j, z in zip(targets, kernel):
+            while j and not z.is_identity():
+                inverted.add(j)
+                j = enum.parents[j]
         nontrivial = sum(not z.is_identity() for z in kernel)
-        assert len(counted) == 2 * (order - 1) + len(kernel) + nontrivial, entry.name
+        assert formed[0] <= nontrivial + len(inverted), entry.name
+        assert sum(sent) <= k * len(met) + Gs.degree * formed[0], entry.name
+        if entry.finite:
+            assert formed[0] == 0 and sum(sent) <= k * len(met), entry.name
+            assert met == {r for w in enum.words for r in Gs.evaluate(w).rows}, entry.name
     assert reached >= 20
 
 

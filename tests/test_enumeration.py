@@ -2,16 +2,17 @@
 field work it does."""
 
 from array import array
+from fractions import Fraction
 
 from corpus import finite_field_corpus, q8_power_with_diagonal, rational_corpus, rational_finite_corpus
 
 from nilmat import congruence, nilpotency, structure
 from nilmat.config import DEFAULT
 from nilmat.congruence import apply_congruence_group, select_modulus
-from nilmat.fields import QQ
-from nilmat.groups import Elt, Enumeration, enumerate_group, word_inverse, word_mul
+from nilmat.fields import QQ, FiniteField, FunctionField, NumberField
+from nilmat.groups import Elt, Enumeration, GroupSpec, enumerate_group, word_inverse, word_mul
 from nilmat.linalg import Matrix, inverse
-from nilmat.nilpotency import _dedup_elts, _prime_parts, is_nilpotent
+from nilmat.nilpotency import _dedup_elts, _prime_parts, adjoint_rep, is_nilpotent
 from nilmat.testkit import gen_max_abs_irr_nilpotent
 
 
@@ -142,3 +143,45 @@ def test_engine_field_work_follows_distinct_rows(monkeypatch):
         multiplied, distinct, size = _rows_multiplied(monkeypatch, gens)
         assert size == order
         assert multiplied <= len(gens) * distinct, (multiplied, distinct, size)
+
+
+def _nontrivial_kernel_groups():
+    """(name, G) for groups whose congruence kernels are nontrivial, over Q,
+    Q(sqrt2), Q(x) and GF(5)(x)."""
+
+    def d8(F):
+        return [Matrix.from_ints(F, [[0, -1], [1, 0]]), Matrix.from_ints(F, [[1, 0], [0, -1]])]
+
+    def swap(F):
+        return Matrix.from_ints(F, [[0, 1], [1, 0]])
+
+    K = NumberField((-2, 0, 1))
+    h, s2 = (Fraction(0), Fraction(1, 2)), (Fraction(0), Fraction(1))
+    rot45 = Matrix.make(K, [[h, K.neg(h)], [h, h]])
+    out = [
+        ("D16x<sqrt2*I>", GroupSpec(K, [rot45, d8(K)[1], Matrix.diagonal(K, (s2, s2))])),
+        ("diag(sqrt2,1)+swap", GroupSpec(K, [Matrix.diagonal(K, (s2, K.one)), swap(K)])),
+    ]
+    for ff in (FunctionField(QQ), FunctionField(FiniteField(5))):
+        out.append((f"D8x<x*I>({ff.name()})", GroupSpec(ff, d8(ff) + [Matrix.diagonal(ff, (ff.x(), ff.x()))])))
+    out.append(("diag(3,1)+swap", GroupSpec(QQ, [Matrix.from_ints(QQ, [[3, 0], [0, 1]]), swap(QQ)])))
+    return out
+
+
+def test_engine_matches_reference_on_nontrivial_kernels():
+    """Lifted enumerations whose Schreier generators are not all trivial:
+    congruence and evaluation kernels over Q, Q(sqrt2), Q(x) and GF(5)(x),
+    and the adjoint lift of _center_generators over Q(sqrt2), where the
+    adjoint image of diag(sqrt2,1)+swap is infinite and overflows."""
+    groups = _nontrivial_kernel_groups()
+    for name, G in groups:
+        image = apply_congruence_group(G, select_modulus(G))
+        got = _assert_same(list(image.gens), 10**4, lift=G.elts())
+        assert not got.overflowed, name
+        assert any(not z.is_identity() for z in got.schreier), name
+    adjoint_cases = (((7, True), (10**4, False)), ((7, True), (20, True)))
+    for (name, G), caps in zip(groups, adjoint_cases):
+        for cap, overflowed in caps:
+            got = _assert_same(adjoint_rep(G).adj_gens, cap, lift=G.elts())
+            assert got.overflowed == overflowed, name
+        assert any(not z.is_identity() for z in got.schreier), name

@@ -156,6 +156,47 @@ def test_reduction_split_examples():
     assert sc.gens_u[0] == Matrix.from_ints(QQ, [[1, 1], [0, 1]])
 
 
+def test_identity_unipotent_parts_cost_no_field_work(monkeypatch):
+    """When every unipotent part is 1, reduction_split forms no matrix
+    product and no inverse (the flag is (V, 0) with T = I), and
+    is_nilpotent reduces and lifts G itself instead of a copy of its
+    diagonalizable parts; one nontrivial part still gets its products."""
+    from nilmat import nilpotency, splitting
+
+    counted = []
+    product, invert = Matrix.__mul__, splitting.inverse
+
+    def counting(a, b):
+        counted.append(1)
+        return product(a, b)
+
+    def counting_inverse(a):
+        counted.append(1)
+        return invert(a)
+
+    d8 = GroupSpec(QQ, [Matrix.from_ints(QQ, [[0, -1], [1, 0]]), Matrix.from_ints(QQ, [[1, 0], [0, -1]])])
+    mixed = GroupSpec(QQ, [Matrix.from_ints(QQ, [[2, 0], [0, 2]]), Matrix.from_ints(QQ, [[1, 1], [0, 1]])])
+    for G, free in ((d8, True), (mixed, False)):
+        counted.clear()
+        with monkeypatch.context() as m:
+            m.setattr(Matrix, "__mul__", counting)
+            m.setattr(splitting, "inverse", counting_inverse)
+            sr = reduction_split(G)
+        assert (not counted) == free
+        if free:
+            assert [w.dim for w in sr.cert_u.flag] == [2, 0] and sr.cert_u.T.is_identity()
+    lifted = []
+    kernel = nilpotency.congruence_kernel
+
+    def recording(Gs, image_gens, cap):
+        lifted.append(Gs)
+        return kernel(Gs, image_gens, cap)
+
+    monkeypatch.setattr(nilpotency, "congruence_kernel", recording)
+    assert nilpotency.is_nilpotent(d8).nilpotent
+    assert len(lifted) == 1 and lifted[0] is d8
+
+
 def test_reduction_split_never_rejects_oracle_nilpotent_groups(ff_corpus, ff_oracle):
     """Closure-verified nilpotent groups over finite fields always split."""
     for entry in ff_corpus:
