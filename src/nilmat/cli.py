@@ -237,17 +237,7 @@ def main(argv=None) -> int:
         description="Exact nilpotency testing and structure analysis for matrix groups",
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
-    for cmd in (
-        "is-nilpotent",
-        "is-finite",
-        "order",
-        "sylow",
-        "primary",
-        "is-completely-reducible",
-        "cr-series",
-        "reduce",
-        "oracle",
-    ):
+    for cmd in (c for c in COMMANDS if c not in ("gen", "verify-witness")):
         p = sub.add_parser(cmd)
         p.add_argument("file", nargs="?", default=None, help="group file (JSON)")
         p.add_argument("--dir", default=None, help="analyze every .json group file in a directory")

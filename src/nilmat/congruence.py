@@ -23,9 +23,10 @@ from .fields import (
     FunctionField,
     NumberField,
     RationalField,
+    pt_eval,
     reduce_mod,
 )
-from .groups import GroupSpec, enumerate_group
+from .groups import GroupSpec, dedup_elts, enumerate_group
 from .linalg import Matrix, minimal_polynomial
 from .numth import factorint, odd_primes
 from .poly import Poly, factor, gcd as poly_gcd, resultant
@@ -178,9 +179,8 @@ def _first_valid_prime(G, minpolys, try_prime, config):
     raise NoPrimeInRange(message)
 
 
-def _select_modulus_rational(G, config):
+def _select_modulus_rational(G, config, minpolys):
     pi = denominator_set(G)
-    minpolys = [minimal_polynomial(g) for g in G.gens]
     return _first_valid_prime(
         G, minpolys, lambda p: _try_prime_rational(G, pi, minpolys, p), config
     )
@@ -203,18 +203,9 @@ def _frobenius_roots(target: FiniteField, factor_poly: Poly):
 
 
 def _nf_reduction_map(target, aimg, p):
-    """Coefficient-tuple reduction Q(a) -> GF(p^l) at the chosen root."""
-
-    def red(c):
-        acc = target.zero
-        for coeff in reversed(c):
-            cc = reduce_mod(coeff, p)
-            if target.l > 1:
-                cc = target.from_coeffs([cc])
-            acc = target.add(target.mul(acc, aimg), cc)
-        return acc
-
-    return red
+    """Coefficient-tuple reduction Q(a) -> GF(p^l) at the chosen root (an
+    element of GF(p) is its own digit encoding in GF(p^l))."""
+    return lambda c: pt_eval(target, [reduce_mod(x, p) for x in c], aimg)
 
 
 def _try_prime_numberfield(G, pi, minpolys, disc_num, p):
@@ -253,10 +244,9 @@ def _try_prime_numberfield(G, pi, minpolys, disc_num, p):
     )
 
 
-def _select_modulus_numberfield(G, config):
+def _select_modulus_numberfield(G, config, minpolys):
     F = G.field
     pi = denominator_set(G)
-    minpolys = [minimal_polynomial(g) for g in G.gens]
     fq = Poly.from_ints(QQ, F.minpoly)
     disc_num = abs(resultant(fq, fq.derivative()).numerator)
     return _first_valid_prime(
@@ -296,55 +286,22 @@ def _embedding(base: FiniteField, ext: FiniteField):
     )
     if not roots:
         raise ArithmeticError("base modulus has no root in the extension")
-    r = roots[0]
-
-    def emb(a, base=base, ext=ext, r=r):
-        acc = ext.zero
-        for c in reversed(base.digits(a)):
-            acc = ext.add(ext.mul(acc, r), ext.from_coeffs([c]))
-        return acc
-
-    return emb
+    return lambda a: pt_eval(ext, base.digits(a), roots[0])
 
 
 def _evaluate_ff_matrix(field: FunctionField, m: Matrix, point_field, point):
-    base = field.base
-    if point_field is base:
-        conv = lambda v: v
-    else:
-        emb = _embedding(base, point_field)
-        conv = emb
+    """m at X = point over point_field, the base itself or an extension of
+    a finite base."""
+    B = point_field
+    conv = (lambda v: v) if B == field.base else _embedding(field.base, B)
 
     def ev(c):
-        num, den = c
-        B = point_field
-        acc_n = B.zero
-        for coeff in reversed(num):
-            acc_n = B.add(B.mul(acc_n, point), conv(coeff))
-        acc_d = B.zero
-        for coeff in reversed(den):
-            acc_d = B.add(B.mul(acc_d, point), conv(coeff))
-        if B.is_zero(acc_d):
+        num, den = (pt_eval(B, [conv(x) for x in part], point) for part in c)
+        if B.is_zero(den):
             raise ZeroDivisionError("denominator vanishes at the evaluation point")
-        return B.mul(acc_n, B.inv(acc_d))
+        return B.mul(num, B.inv(den))
 
-    return Matrix.make(point_field, [[ev(c) for c in row] for row in m.rows])
-
-
-def _evaluate_ff_matrix_rational(field: FunctionField, m: Matrix, point):
-    def ev(c):
-        num, den = c
-        acc_n = Fraction(0)
-        for coeff in reversed(num):
-            acc_n = acc_n * point + coeff
-        acc_d = Fraction(0)
-        for coeff in reversed(den):
-            acc_d = acc_d * point + coeff
-        if acc_d == 0:
-            raise ZeroDivisionError("denominator vanishes at the evaluation point")
-        return acc_n / acc_d
-
-    return Matrix.make(QQ, [[ev(c) for c in row] for row in m.rows])
+    return Matrix.make(B, [[ev(c) for c in row] for row in m.rows])
 
 
 def _select_modulus_functionfield(G, config):
@@ -364,15 +321,16 @@ def _select_modulus_functionfield(G, config):
             if any(g.evaluate(a) == 0 for g in pi_polys):
                 continue
             try:
-                evaluated = [_evaluate_ff_matrix_rational(F, g, a) for g in G.gens]
+                evaluated = [_evaluate_ff_matrix(F, g, QQ, a) for g in G.gens]
             except ZeroDivisionError:
                 continue
             Geval = GroupSpec(QQ, evaluated)
+            minpolys = [minimal_polynomial(g) for g in evaluated]
             try:
                 if config.prime_override is not None:
-                    inner = _validate_prime(Geval, config.prime_override, config)
+                    inner = _validate_prime(Geval, config.prime_override, config, minpolys)
                 else:
-                    inner = _select_modulus_rational(Geval, config)
+                    inner = _select_modulus_rational(Geval, config, minpolys)
             except NoPrimeInRange:
                 continue
             return CongruenceData(
@@ -428,27 +386,32 @@ def _select_modulus_functionfield(G, config):
     raise NoPrimeInRange(f"no admissible evaluation data within {config.eval_cap} candidates")
 
 
-def select_modulus(G: GroupSpec, config: Config = DEFAULT) -> CongruenceData:
-    """Smallest valid reduction data for the group's coefficient field."""
+def select_modulus(G: GroupSpec, config: Config = DEFAULT, minpolys=None) -> CongruenceData:
+    """Smallest valid reduction data for the group's coefficient field.
+
+    minpolys are the generators' minimal polynomials when the caller has
+    them (the Jordan split's), else they are computed here; a function
+    field reduces evaluated matrices and computes theirs."""
     F = G.field
     if isinstance(F, FiniteField):
         raise UnsupportedField("finite fields need no reduction")
-    if config.prime_override is not None and not isinstance(F, FunctionField):
-        return _validate_prime(G, config.prime_override, config)
-    if isinstance(F, RationalField):
-        return _select_modulus_rational(G, config)
-    if isinstance(F, NumberField):
-        return _select_modulus_numberfield(G, config)
     if isinstance(F, FunctionField):
         return _select_modulus_functionfield(G, config)
+    if minpolys is None:
+        minpolys = [minimal_polynomial(g) for g in G.gens]
+    if config.prime_override is not None:
+        return _validate_prime(G, config.prime_override, config, minpolys)
+    if isinstance(F, RationalField):
+        return _select_modulus_rational(G, config, minpolys)
+    if isinstance(F, NumberField):
+        return _select_modulus_numberfield(G, config, minpolys)
     raise UnsupportedField(f"no reduction strategy for {F.name()}")
 
 
-def _validate_prime(G, p, config):
+def _validate_prime(G, p, config, minpolys):
     """Run the full check battery for a user-supplied prime."""
     F = G.field
     pi = denominator_set(G)
-    minpolys = [minimal_polynomial(g) for g in G.gens]
     if isinstance(F, RationalField):
         cd = _try_prime_rational(G, pi, minpolys, p)
     elif isinstance(F, NumberField):
@@ -472,12 +435,10 @@ def apply_congruence(m: Matrix, cd: CongruenceData) -> Matrix:
         red = _nf_reduction_map(target, cd.alpha_image, cd.p)
         return Matrix.make(target, [[red(c) for c in row] for row in m.rows])
     if isinstance(F, FunctionField):
+        evaluated = _evaluate_ff_matrix(F, m, cd.eval_target, cd.eval_point)
         if isinstance(F.base, RationalField):
-            evaluated = _evaluate_ff_matrix_rational(F, m, cd.eval_point)
-            return Matrix.make(
-                target, [[reduce_mod(c, cd.p) for c in row] for row in evaluated.rows]
-            )
-        return _evaluate_ff_matrix(F, m, cd.eval_target, cd.eval_point)
+            return Matrix.make(target, [[reduce_mod(c, cd.p) for c in row] for row in evaluated.rows])
+        return evaluated
     raise UnsupportedField(f"no reduction for {F.name()}")
 
 
@@ -517,11 +478,7 @@ def kernel_is_central(G: GroupSpec, kernel_elts):
     In characteristic 0 the kernel is torsion-free, so a finite group meets
     it only in the identity and no product is formed at all.
     """
-    seen = set()
-    for z in kernel_elts:
-        if z.is_identity() or z.mat in seen:
-            continue
-        seen.add(z.mat)
+    for z in dedup_elts(kernel_elts):
         for i, g in enumerate(G.gens):
             if not (z.mat * g == g * z.mat):
                 return False, (z, i)

@@ -21,6 +21,14 @@ digit vectors over GF(p^l), integer numerators over one common denominator
 per row and column over Q and number fields, and polynomial numerators over
 one monic common denominator per row and column over function fields, with
 one reduction per entry.
+
+Over Q and number fields, element and polynomial arithmetic clears
+denominators once and runs on integers, again returning exactly the
+canonical Fractions of the plain Fraction loops: a Q(a) product is one
+integer convolution folded by the minimal polynomial, a Q(a) inverse a
+fraction-free (Bareiss) solve of the multiplication matrix, and over Q
+pt_mul, pt_divmod and pt_gcd are integer convolution, pseudo-division and
+the primitive remainder sequence.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import chain
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 from .errors import DenominatorDivisible, ParseError
@@ -69,6 +77,8 @@ def pt_sub(field, a, b):
 def pt_mul(field, a, b):
     if not a or not b:
         return ()
+    if isinstance(field, RationalField):
+        return _pt_mul_q(a, b)
     out = [field.zero] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if field.is_zero(x):
@@ -87,6 +97,8 @@ def pt_scale(field, a, c):
 def pt_divmod(field, a, b):
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
+    if isinstance(field, RationalField):
+        return _pt_divmod_q(a, b)
     a = list(a)
     q = [field.zero] * max(0, len(a) - len(b) + 1)
     inv_lc = field.inv(b[-1])
@@ -105,66 +117,87 @@ def pt_mod(field, a, b):
     return pt_divmod(field, a, b)[1]
 
 
-def _pt_int_primitive(a):
-    """Fraction coefficient tuple -> primitive integer list (content dropped)."""
-    den = 1
-    for c in a:
-        d = c.denominator
-        den = den * d // _igcd(den, d)
-    ints = [int(c * den) for c in a]
-    g = 0
-    for c in ints:
-        g = _igcd(g, abs(c))
-    if g > 1:
-        ints = [c // g for c in ints]
-    return ints
+def int_convolution(a, b):
+    """Coefficients of the product of two integer coefficient lists."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
 
 
-def _igcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
+def _pt_mul_q(a, b):
+    """Product over Q: one integer convolution of the numerators over one
+    common denominator each, and one normalizing gcd per coefficient."""
+    na, da = _over_common_denominator(a)
+    nb, db = _over_common_denominator(b)
+    out = int_convolution(na, nb)
+    while out and not out[-1]:
+        out.pop()
+    d = da * db
+    return tuple(Fraction(c, d) for c in out)
+
+
+def _int_pseudo_divmod(a, b):
+    """(s, q, r) with s*a = q*b + r over the integers and len(r) < len(b).
+    A step whose leading coefficient c is not a multiple of lc(b) first
+    scales by lc(b)/gcd(c, lc(b)), so s = 1 when lc(b) = +-1."""
+    r = list(a)
+    while r and not r[-1]:
+        r.pop()
+    lc, m, s = b[-1], len(b), 1
+    q = [0] * max(0, len(r) - m + 1)
+    while len(r) >= m:
+        c = r[-1]
+        if c % lc:
+            f = lc // gcd(c, lc)
+            r, q, s, c = [x * f for x in r], [x * f for x in q], s * f, c * f
+        t = c // lc
+        k = len(r) - m
+        q[k] = t
+        for i, y in enumerate(b):
+            r[k + i] -= t * y
+        while r and not r[-1]:
+            r.pop()
+    return s, q, r
+
+
+def _pt_divmod_q(a, b):
+    """Division with remainder over Q by integer pseudo-division: with
+    a = A/da, b = B/db and s*A = Q*B + R, a = (Q*db/(s*da))*b + R/(s*da)."""
+    na, da = _over_common_denominator(a)
+    nb, db = _over_common_denominator(b)
+    s, q, r = _int_pseudo_divmod(na, nb)
+    if not q:
+        return (), tuple(a[: len(r)])
+    d = s * da
+    return tuple(Fraction(x * db, d) for x in q), tuple(Fraction(x, d) for x in r)
+
+
+def primitive_ints(fracs):
+    """Fraction sequence -> primitive integer list: the sequence times its
+    least common denominator, divided by the gcd of the results."""
+    ints, _ = _over_common_denominator(fracs)
+    g = gcd(*ints)
+    return [c // g for c in ints] if g > 1 else ints
 
 
 def _pt_gcd_q(a, b):
-    """Primitive polynomial remainder sequence over Z; avoids the coefficient
-    blow-up of naive Fraction division."""
-    fa = _pt_int_primitive(a)
-    fb = _pt_int_primitive(b)
-    while fb and any(fb):
-        if len(fa) < len(fb):
-            fa, fb = fb, fa
-            continue
-        # pseudo-remainder of lc(fb)^k * fa by fb
-        k = len(fa) - len(fb) + 1
-        lc = fb[-1]
-        r = [c * lc**k for c in fa]
-        while len(r) >= len(fb) and any(r):
-            c = r[-1]
-            if c % lc:
-                raise ArithmeticError("pseudo remainder failure")
-            q = c // lc
-            off = len(r) - len(fb)
-            for i, y in enumerate(fb):
-                r[off + i] -= q * y
-            while len(r) > 1 and r[-1] == 0:
-                r.pop()
-            if len(r) == 1 and r[0] == 0:
-                r = []
-                break
-        g = 0
-        for c in r:
-            g = _igcd(g, abs(c))
-        if g > 1:
-            r = [c // g for c in r]
-        fa, fb = fb, r
-    if not fa or not any(fa):
-        return ()
-    lead = Fraction(fa[-1])
-    return tuple(Fraction(c) / lead for c in fa)
+    """Monic gcd of nonzero a, b over Q by the primitive remainder sequence
+    over Z, which avoids the coefficient blow-up of Fraction division; the
+    remainders' signs may differ from Q's, which the final scaling undoes."""
+    fa, fb = primitive_ints(a), primitive_ints(b)
+    while fb:
+        r = _int_pseudo_divmod(fa, fb)[2]
+        g = gcd(*r)
+        fa, fb = fb, [c // g for c in r]
+    return tuple(Fraction(c, fa[-1]) for c in fa)
 
 
 def pt_gcd(field, a, b):
+    """Monic gcd, () when both are zero; over Q by the integer remainder
+    sequence, elsewhere by Euclid."""
     if not a:
         a, b = b, a
     if not b:
@@ -175,8 +208,6 @@ def pt_gcd(field, a, b):
         return _pt_gcd_q(a, b)
     while b:
         a, b = b, pt_mod(field, a, b)
-    if not a:
-        return ()
     return pt_scale(field, a, field.inv(a[-1]))
 
 
@@ -271,6 +302,13 @@ class RationalField(Field):
             raise ZeroDivisionError("inverse of 0")
         return 1 / a
 
+    # comparing with an int takes Fraction's fast path
+    def is_zero(self, a):
+        return a == 0
+
+    def is_one(self, a):
+        return a == 1
+
     def matmul(self, rows, cols):
         # integer numerators over one denominator per row and per column:
         # one normalizing gcd per entry instead of a Fraction per term
@@ -316,8 +354,11 @@ QQ = RationalField()
 
 def _over_common_denominator(fracs):
     """(integer numerators, d) with fracs[i] == numerators[i] / d, d least."""
-    d = lcm(*[c.denominator for c in fracs])
-    return [c.numerator * (d // c.denominator) for c in fracs], d
+    dens = [c.denominator for c in fracs]
+    d = lcm(*dens)
+    if d == 1:
+        return [c.numerator for c in fracs], 1
+    return [c.numerator * (d // e) for c, e in zip(fracs, dens)], d
 
 
 def reduce_mod(x: Fraction, p: int) -> int:
@@ -688,20 +729,22 @@ class NumberField(Field):
     def neg(self, a):
         return tuple(-x for x in a)
 
+    def is_zero(self, a):
+        return not any(a)
+
     def mul(self, a, b):
-        m = self.degree
-        prod = [Fraction(0)] * (2 * m - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    prod[i + j] += x * y
-        out = prod[:m]
-        for k in range(m, 2 * m - 1):
-            c = prod[k]
+        # integer numerators over one denominator each: one integer
+        # convolution folded by the reductions of a^m .. a^(2m-2), and one
+        # normalizing gcd per coefficient
+        na, da = _over_common_denominator(a)
+        nb, db = _over_common_denominator(b)
+        conv = int_convolution(na, nb)
+        out = conv[: self.degree]
+        for c, r in zip(conv[self.degree :], self._apow):
             if c:
-                r = self._apow[k - m]
-                out = [out[i] + c * r[i] for i in range(m)]
-        return tuple(out)
+                out = [x + c * y for x, y in zip(out, r)]
+        d = da * db
+        return tuple(Fraction(x, d) for x in out)
 
     def matmul(self, rows, cols):
         # coefficient vectors become integers over one denominator per row
@@ -748,19 +791,29 @@ class NumberField(Field):
     def inv(self, a):
         if self.is_zero(a):
             raise ZeroDivisionError("inverse of 0")
-        # extended euclid of the representing polynomial with minpoly over Q
-        f = pt_trim(QQ, a)
-        g = tuple(Fraction(c) for c in self.minpoly)
-        r0, r1 = g, f
-        s0, s1 = (), (QQ.one,)
-        while r1:
-            q, r = pt_divmod(QQ, r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, pt_sub(QQ, s0, pt_mul(QQ, q, s1))
-        c = QQ.inv(r0[-1])
-        inv = pt_scale(QQ, s0, c)
-        out = list(inv) + [Fraction(0)] * (self.degree - len(inv))
-        return tuple(out[: self.degree])
+        # a = N/d: solve N x = 1 as the integer system M x = e_0, M the matrix
+        # of multiplication by N, by fraction-free (Bareiss) elimination; by
+        # Cramer x = y/det(M) with y integral, and a^-1 = d x
+        m = self.degree
+        col, d = _over_common_denominator(a)
+        cols = [col]
+        for _ in range(m - 1):
+            col = [x + col[-1] * y for x, y in zip([0] + col[:-1], self._apow[0])]
+            cols.append(col)
+        rows = [list(r) + [int(i == 0)] for i, r in enumerate(zip(*cols))]
+        det = 1
+        for k in range(m):
+            piv = next(i for i in range(k, m) if rows[i][k])
+            rows[k], rows[piv] = rows[piv], rows[k]
+            rk, prev, det = rows[k], det, rows[k][k]
+            for i in range(k + 1, m):
+                f = rows[i][k]
+                rows[i] = [(det * x - f * y) // prev for x, y in zip(rows[i], rk)]
+        # the last pivot is det(M) up to the sign of the row swaps
+        y = [0] * m
+        for i in reversed(range(m)):
+            y[i] = (det * rows[i][m] - sum(map(mul, rows[i][i + 1 : m], y[i + 1 :]))) // rows[i][i]
+        return tuple(Fraction(d * v, det) for v in y)
 
     def from_int(self, k):
         m = self.degree

@@ -75,6 +75,16 @@ class Elt:
         return self.mat.is_identity()
 
 
+def dedup_elts(elts):
+    """The non-identity elements, each distinct matrix once at its first
+    occurrence, lazily; the identity is skipped before any hashing."""
+    seen = set()
+    for e in elts:
+        if not e.is_identity() and e.mat not in seen:
+            seen.add(e.mat)
+            yield e
+
+
 @dataclass
 class Enumeration:
     """A breadth-first Cayley enumeration; see enumerate_group.  Its
@@ -137,7 +147,7 @@ class Enumeration:
 
 class _RowAction:
     """Interned row vectors of one field and degree, acted on by fixed
-    matrices through lookup lists: every distinct row met gets one id, the
+    matrices through lookups: every distinct row met gets one id, the
     identity's rows being 0..n-1, and `images[i][r]` is the id of row r
     times mats[i].  `extend` multiplies every row not yet acted on by each
     matrix in one batched `Field.matmul`."""
@@ -150,19 +160,41 @@ class _RowAction:
         self.images = [[] for _ in mats]
         self.done = 0
 
-    def extend(self):
+    def _act(self, batch):
+        """Per matrix, the ids of the rows of batch times that matrix."""
         points, index = self.points, self.index
-        batch, self.done = points[self.done :], len(points)
-        for img, c in zip(self.images, self.cols):
+        for c in self.cols:
+            img = []
             for r in self.field.matmul(batch, c):
-                j = index.get(r)
-                if j is None:
-                    j = index[r] = len(points)
+                j = index.setdefault(r, len(points))
+                if j == len(points):
                     points.append(r)
                 img.append(j)
+            yield img
+
+    def extend(self):
+        batch, self.done = self.points[self.done :], len(self.points)
+        for img, new in zip(self.images, self._act(batch)):
+            img.extend(new)
 
     def matrix(self, key):
         return Matrix(self.field, tuple(map(self.points.__getitem__, key)))
+
+
+class _SourceAction(_RowAction):
+    """A lift's source side: only rows of transversal keys are acted on, as
+    the rows of nontrivial Schreier keys are only read back by `matrix`;
+    `images[i]` maps acted row ids, `extend` acts on the ids in `pending`."""
+
+    def __init__(self, mats):
+        super().__init__(mats)
+        self.images = [{} for _ in mats]
+        self.pending = set(range(len(self.points)))
+
+    def extend(self):
+        ids, self.pending = sorted(self.pending), set()
+        for img, new in zip(self.images, self._act([self.points[r] for r in ids])):
+            img.update(zip(ids, new))
 
 
 def enumerate_group(gens, cap: int, lift=None) -> Enumeration:
@@ -206,7 +238,7 @@ def enumerate_group(gens, cap: int, lift=None) -> Enumeration:
     parents = array("i", [-1])
     table = array("i")
     if lift is not None:
-        src = _RowAction([s.mat for s in lift])
+        src = _SourceAction([s.mat for s in lift])
         simages = src.images
         source_ident = Matrix.identity(src.field, lift[0].mat.n)
         tkeys, twords = [tuple(range(lift[0].mat.n))], [()]
@@ -236,7 +268,7 @@ def enumerate_group(gens, cap: int, lift=None) -> Enumeration:
             rows.extend()
         if lift is not None:
             t = tkeys[qi]
-            if max(t) >= src.done:
+            if not src.pending.isdisjoint(t):
                 src.extend()
         for i, img in enumerate(images):
             w = tuple(map(img.__getitem__, v))
@@ -251,6 +283,7 @@ def enumerate_group(gens, cap: int, lift=None) -> Enumeration:
                 parents.append(qi)
                 if lift is not None:
                     tkeys.append(tuple(map(simages[i].__getitem__, t)))
+                    src.pending.update(r for r in tkeys[-1] if r not in simages[0])
                     twords.append(word_mul(twords[qi], lift[i].word))
             elif lift is not None:
                 tw = tuple(map(simages[i].__getitem__, t))

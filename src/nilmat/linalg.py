@@ -2,10 +2,13 @@
 
 Vectors are coefficient tuples, matrices act on column vectors.  Matrix
 and matrix-vector products are the field's own `matmul` kernel, so this
-module holds no per-field product code.  Row echelon work over Q clears
-denominators and eliminates by integer cross multiplication with per-row
-content stripping, which keeps entry growth in check without floating
-point or modular tricks.
+module holds no per-field product code.  Row echelon work over Q (`rref`,
+hence `nullspace` and `inverse`) clears denominators and eliminates by
+integer cross multiplication with per-row content stripping, which keeps
+entry growth in check without floating point or modular tricks.
+`minimal_polynomial` reduces its Krylov vectors with `Span`, which runs on
+field operations; over Q and number fields those operations, and the lcm
+of the annihilators, go through the integer kernels of `fields`.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotInvariant, Singular
-from .fields import Field, RationalField
+from .fields import Field, RationalField, primitive_ints
 from .poly import Poly, lcm as poly_lcm
 
 
@@ -128,20 +131,6 @@ class Matrix:
 # ---------------------------------------------------------------------------
 # echelon forms
 
-def _q_strip(row):
-    """Scale a Fraction row to primitive integers; returns list of ints."""
-    den = 1
-    for c in row:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    ints = [int(c * den) for c in row]
-    g = 0
-    for c in ints:
-        g = math.gcd(g, abs(c))
-    if g > 1:
-        ints = [c // g for c in ints]
-    return ints
-
-
 def rref(field, rows):
     """Reduced row echelon form; returns (rows as tuples, pivot columns)."""
     if isinstance(field, RationalField):
@@ -177,7 +166,7 @@ def rref(field, rows):
 def _rref_q(rows):
     """Fraction-free forward elimination over the integers, then pivot
     normalization; equivalent to rref over Q with controlled entry growth."""
-    work = [_q_strip([Fraction(c) for c in r]) for r in rows]
+    work = [primitive_ints([Fraction(c) for c in r]) for r in rows]
     m = len(work)
     ncols = len(work[0]) if work else 0
     pivots = []
@@ -196,9 +185,7 @@ def _rref_q(rows):
             if work[i][c]:
                 f = work[i][c]
                 work[i] = [lead * x - f * y for x, y in zip(work[i], work[r])]
-                g = 0
-                for x in work[i]:
-                    g = math.gcd(g, abs(x))
+                g = math.gcd(*work[i])
                 if g > 1:
                     work[i] = [x // g for x in work[i]]
         pivots.append(c)

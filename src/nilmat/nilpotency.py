@@ -20,7 +20,7 @@ from .config import DEFAULT, Config
 from .congruence import apply_congruence, congruence_kernel, kernel_is_central, select_modulus
 from .errors import CapExceeded, NotNilpotentSignal, NotSemisimple, VerdictUnavailable
 from .fields import FiniteField, FunctionField
-from .groups import Elt, GroupSpec, enumerate_group, word_mul
+from .groups import Elt, GroupSpec, dedup_elts, enumerate_group, word_mul
 from .linalg import AlgebraBasis, Matrix, inverse, minimal_polynomial, spin_basis
 from .numth import factorint
 from .poly import gcd as poly_gcd
@@ -95,17 +95,6 @@ def _element_order(mat: Matrix, config: Config, word=None, context="input"):
     return m
 
 
-def _dedup_elts(elts):
-    out = []
-    seen = set()
-    for e in elts:
-        if e.mat in seen or e.is_identity():
-            continue
-        seen.add(e.mat)
-        out.append(e)
-    return out
-
-
 def _prime_parts(seq, config: Config, context="input"):
     """The distinct nontrivial prime-power parts of the elements of seq, per
     prime, in order of first appearance; an element of infinite order
@@ -155,7 +144,7 @@ def _sylow_test(elts, config: Config, context="input") -> Verdict:
     An input of infinite order raises the signal, and a component past
     the cap raises CapExceeded.
     """
-    parts = _prime_parts(_dedup_elts(elts), config, context)
+    parts = _prime_parts(dedup_elts(elts), config, context)
     pair = _cross_prime_pair(parts)
     if pair is not None:
         p, q, x, y = pair
@@ -229,22 +218,24 @@ def adjoint_rep(G: GroupSpec) -> AdjointData:
     return AdjointData(basis, adj)
 
 
-def require_semisimple_gens(G: GroupSpec) -> None:
+def require_semisimple_gens(G: GroupSpec, minpolys=None) -> None:
     """Raise NotSemisimple unless every generator's minimal polynomial is
-    squarefree, i.e. every generator is diagonalizable over a perfect field."""
-    for i, g in enumerate(G.gens):
-        h = minimal_polynomial(g)
+    squarefree, i.e. every generator is diagonalizable over a perfect field.
+    minpolys, when given, are those polynomials, and none is recomputed."""
+    if minpolys is None:
+        minpolys = [minimal_polynomial(g) for g in G.gens]
+    for i, h in enumerate(minpolys):
         if poly_gcd(h, h.derivative()).degree != 0:
             raise NotSemisimple(f"generator {i} is not diagonalizable")
 
 
-def is_nilpotent_adjoint(G: GroupSpec, config: Config = DEFAULT) -> Verdict:
+def is_nilpotent_adjoint(G: GroupSpec, config: Config = DEFAULT, minpolys=None) -> Verdict:
     """Nilpotency test through the adjoint representation; the input
-    generators must be diagonalizable.  Then so is every adjoint generator,
-    since Ad(s) is diagonalizable on the matrix algebra and stays so on the
-    invariant enveloping algebra, so the adjoint image is decided by the
-    Sylow test alone."""
-    require_semisimple_gens(G)
+    generators must be diagonalizable (minpolys as in require_semisimple_gens).
+    Then so is every adjoint generator, since Ad(s) is diagonalizable on the
+    matrix algebra and stays so on the invariant enveloping algebra, so the
+    adjoint image is decided by the Sylow test alone."""
+    require_semisimple_gens(G, minpolys)
     if not G.gens or all(g.is_identity() for g in G.gens):
         return Verdict(True, artifacts={"order": 1, "adjoint_trivial": True})
     ad = adjoint_rep(G)
@@ -272,7 +263,8 @@ def is_nilpotent(G: GroupSpec, config: Config = DEFAULT) -> Verdict:
 
     Over an infinite field the group is reduced onto a finite image, whose
     verdict comes first; the congruence kernel must then be central.  In
-    characteristic zero only the diagonalizable parts are reduced; char-p
+    characteristic zero only the diagonalizable parts are reduced, and
+    modulus selection takes their minimal polynomials from the split; char-p
     function fields are imperfect, so the generators are reduced as given.
     """
     if not G.gens or G.is_trivial():
@@ -283,7 +275,7 @@ def is_nilpotent(G: GroupSpec, config: Config = DEFAULT) -> Verdict:
     char_p = isinstance(F, FunctionField) and F.characteristic() > 0
     artifacts = {}
     if char_p:
-        Gs = G
+        Gs, minpolys = G, None
     else:
         try:
             split = reduction_split(G, config)
@@ -293,8 +285,8 @@ def is_nilpotent(G: GroupSpec, config: Config = DEFAULT) -> Verdict:
         if all(s.is_identity() for s in split.gens_s):
             artifacts["unipotent"] = True
             return Verdict(True, artifacts=artifacts)
-        Gs = s_part_group(G, split)
-    cd = select_modulus(Gs, config)
+        Gs, minpolys = s_part_group(G, split), split.minpolys_s
+    cd = select_modulus(Gs, config, minpolys)
     artifacts["congruence"] = cd
     image_gens = [apply_congruence(g, cd) for g in Gs.gens]
     artifacts["image_gens"] = image_gens
@@ -338,11 +330,7 @@ def _refute_char_p(G: GroupSpec, kernel, artifacts) -> Verdict:
     # non-unipotent one refutes nilpotency outright.  The identity's
     # commutators are trivial and a repeated matrix gives the commutators of
     # its first occurrence, so each distinct nontrivial one is tried once.
-    seen = set()
-    for z in kernel:
-        if z.is_identity() or z.mat in seen:
-            continue
-        seen.add(z.mat)
+    for z in dedup_elts(kernel):
         zinv = inverse(z.mat)
         for i, (g, ginv) in enumerate(zip(G.gens, G.invs)):
             c = zinv * ginv * z.mat * g

@@ -7,6 +7,11 @@ degree / equal degree chain is used, with the random splitting seeded from
 the polynomial itself so runs are reproducible.  Over Q: reduction mod an
 auxiliary good prime, Hensel lifting to a Mignotte-style bound, then naive
 subset recombination, which is fine at the degrees this package meets.
+
+Arithmetic goes through the coefficient-tuple helpers of `fields`, so over
+Q products, division with remainder and gcd (hence lcm and the squarefree
+decomposition) run on integers: convolution, pseudo-division and the
+primitive remainder sequence.
 """
 
 from __future__ import annotations
@@ -15,7 +20,6 @@ import hashlib
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import fields
 from .errors import UnsupportedField
@@ -118,11 +122,9 @@ class Poly:
 
 
 def gcd(a: Poly, b: Poly) -> Poly:
-    while not b.is_zero():
-        a, b = b, a % b
-    if a.is_zero():
-        return a
-    return a.monic()
+    """Monic gcd (zero when both are): fields.pt_gcd, so over Q the integer
+    remainder sequence."""
+    return Poly(a.field, fields.pt_gcd(a.field, a.coeffs, b.coeffs))
 
 
 def ext_gcd(a: Poly, b: Poly):
@@ -292,15 +294,12 @@ def _factor_finite(f: Poly):
 # --- factorization over Q -------------------------------------------------
 
 def _to_int_primitive(f: Poly):
-    """(content, integer coefficient list), f = content * primitive."""
-    den = math.lcm(*[c.denominator for c in f.coeffs])
-    ints = [int(c * den) for c in f.coeffs]
-    g = math.gcd(*[abs(c) for c in ints])
-    ints = [c // g for c in ints]
+    """(content, integer coefficient list), f = content * primitive, the
+    primitive part with a positive leading coefficient."""
+    ints = fields.primitive_ints(f.coeffs)
     if ints[-1] < 0:
         ints = [-c for c in ints]
-        g = -g
-    return Fraction(g, den), ints
+    return f.lc() / ints[-1], ints
 
 
 def _sym(a, m):
@@ -318,11 +317,7 @@ def _hensel_lift(g_ints, facs_modp, p, k):
     Fp = FiniteField(p)
 
     def pmul(a, b, m):
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] = (out[i + j] + x * y) % m
+        out = [c % m for c in fields.int_convolution(a, b)]
         while len(out) > 1 and out[-1] == 0:
             out.pop()
         return out
@@ -440,11 +435,7 @@ def _factor_rational_squarefree(ints):
         nonlocal current, remaining
         prod = [1]
         for i in idxs:
-            prodn = [0] * (len(prod) + len(lifted[i]) - 1)
-            for a, x in enumerate(prod):
-                for b, y in enumerate(lifted[i]):
-                    prodn[a + b] = (prodn[a + b] + x * y) % mod
-            prod = prodn
+            prod = [c % mod for c in fields.int_convolution(prod, lifted[i])]
         lc_cur = current[-1]
         cand = [_sym(lc_cur * c % mod, mod) for c in prod]
         g = math.gcd(*[abs(c) for c in cand if c] or [1])

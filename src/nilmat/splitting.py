@@ -40,6 +40,7 @@ from .witness import WItem, Witness
 class JordanPair:
     s: Matrix
     u: Matrix
+    minpoly_s: Poly      # minimal polynomial of s: the squarefree part of g's
 
 
 @dataclass(frozen=True)
@@ -58,6 +59,7 @@ class SplitResult:
     gens_u: tuple
     cert_u: UnipotentCert
     commute: bool
+    minpolys_s: tuple = ()   # minimal polynomial of each diagonalizable part
 
 
 def _check_perfect(field):
@@ -72,7 +74,8 @@ def is_unipotent_matrix(g: Matrix) -> bool:
 
 
 def jordan(g: Matrix) -> JordanPair:
-    """Unique commuting factorization g = s u with s diagonalizable, u unipotent."""
+    """Unique commuting factorization g = s u with s diagonalizable, u
+    unipotent, and s's minimal polynomial: the squarefree part of g's."""
     F = g.field
     _check_perfect(F)
     n = g.n
@@ -80,7 +83,7 @@ def jordan(g: Matrix) -> JordanPair:
     f = minimal_polynomial(g)
     fstar = squarefree_part(f)
     if fstar.degree == f.degree:
-        return JordanPair(g, ident)
+        return JordanPair(g, ident, fstar)
     x = g
     dstar = fstar.derivative()
     for _ in range(max(1, math.ceil(math.log2(n)) + 1)):
@@ -92,7 +95,7 @@ def jordan(g: Matrix) -> JordanPair:
     u = inverse(s) * g
     if not (s * u == g and u * s == g and is_unipotent_matrix(u)):
         raise ArithmeticError("jordan iteration failed to converge")
-    return JordanPair(s, u)
+    return JordanPair(s, u, fstar)
 
 
 def is_unipotent_group(gens, config: Config = DEFAULT) -> UnipotentCert:
@@ -195,7 +198,7 @@ def reduction_split(G: GroupSpec, config: Config = DEFAULT) -> SplitResult:
                         note="a unipotent part fails to commute with a diagonalizable part",
                     )
                 )
-    return SplitResult(gens_s, gens_u, cert, True)
+    return SplitResult(gens_s, gens_u, cert, True, tuple(p.minpoly_s for p in pairs))
 
 
 def s_part_group(G: GroupSpec, split: SplitResult) -> GroupSpec:
@@ -246,18 +249,11 @@ def finite_order(g: Matrix, config: Config = DEFAULT):
         else:
             k = cyclotomic_finite_order(f, _field_degree_over_prime(F, n))
         return k
-    if isinstance(F, FiniteField):
-        x = g
-        for i in range(1, config.order_cap + 1):
-            if x == ident:
-                return i
-            x = x * g
-        raise CapExceeded(config.order_cap, "element order iteration")
-    # char-p function field: finite order forces constant semisimple data
-    f = minimal_polynomial(g)
-    fstar = squarefree_part(f)
-    if any(len(c[0]) > 1 or len(c[1]) > 1 for c in fstar.coeffs):
-        return None
+    if not isinstance(F, FiniteField):
+        # char-p function field: finite order forces constant semisimple data
+        fstar = squarefree_part(minimal_polynomial(g))
+        if any(len(c[0]) > 1 or len(c[1]) > 1 for c in fstar.coeffs):
+            return None
     x = g
     for i in range(1, config.order_cap + 1):
         if x == ident:

@@ -16,12 +16,11 @@ from .config import DEFAULT, Config
 from .congruence import congruence_kernel
 from .errors import CapExceeded, ImperfectField, VerdictUnavailable
 from .fields import FiniteField, FunctionField
-from .groups import Elt, GroupSpec, enumerate_group
+from .groups import Elt, GroupSpec, dedup_elts, enumerate_group
 from .nilpotency import (
     AdjointData,
     SylowSystem,
     Verdict,
-    _dedup_elts,
     adjoint_rep,
     is_finite_nilpotent,
     is_nilpotent,
@@ -103,8 +102,9 @@ def is_finite(G: GroupSpec, config: Config = DEFAULT, verdict: Verdict | None = 
 
 
 def _is_finite_ff_char_p(G, config, verdict):
-    kernel = verdict.artifacts.get("kernel_gens", [])
-    for z in kernel:
+    # a repeated kernel matrix has the order of its first occurrence, and
+    # the identity has order 1, so the first infinite-order witness is the same
+    for z in dedup_elts(verdict.artifacts.get("kernel_gens", [])):
         m = finite_order(z.mat, config)
         if m is None:
             return (
@@ -121,8 +121,9 @@ def _is_finite_ff_char_p(G, config, verdict):
     return True, "evaluation-kernel", None, verdict
 
 
-def order(G: GroupSpec, config: Config = DEFAULT, verdict: Verdict | None = None) -> int:
-    """Exact order of a finite nilpotent group."""
+def order(G: GroupSpec, config: Config = DEFAULT, verdict: Verdict | None = None, finite: bool | None = None) -> int:
+    """Exact order of a finite nilpotent group; `finite` is is_finite's
+    answer when the caller has it."""
     verdict = _require_nilpotent(G, config, verdict)
     F = G.field
     if verdict.artifacts.get("trivial"):
@@ -130,8 +131,7 @@ def order(G: GroupSpec, config: Config = DEFAULT, verdict: Verdict | None = None
     if isinstance(F, FiniteField):
         # the product of the verified Sylow component orders
         return verdict.artifacts["order"]
-    fin, route, witness, verdict = is_finite(G, config, verdict)
-    if not fin:
+    if not (is_finite(G, config, verdict)[0] if finite is None else finite):
         raise ValueError("order is defined for finite groups only")
     if isinstance(F, FunctionField) and F.characteristic() > 0:
         image_order = verdict.artifacts["image_order"]
@@ -157,10 +157,13 @@ def is_completely_reducible(G: GroupSpec, config: Config = DEFAULT, verdict: Ver
     return all(u.is_identity() for u in split.gens_u), cr_series(G, split, config)
 
 
-def primary_decomposition(G: GroupSpec, config: Config = DEFAULT, verdict: Verdict | None = None):
+def primary_decomposition(
+    G: GroupSpec, config: Config = DEFAULT, verdict: Verdict | None = None, finite: bool | None = None
+):
     """Sylow/primary system: exact Sylow decomposition for finite groups,
     and for infinite groups the components of the diagonalizable part
-    modulo its center (an extension of the finite notion, labeled as such)."""
+    modulo its center (an extension of the finite notion, labeled as such).
+    `finite` is is_finite's answer when the caller has it."""
     verdict = _require_nilpotent(G, config, verdict)
     F = G.field
     if verdict.artifacts.get("trivial"):
@@ -168,7 +171,7 @@ def primary_decomposition(G: GroupSpec, config: Config = DEFAULT, verdict: Verdi
     if isinstance(F, FiniteField):
         v = is_finite_nilpotent(G, config) if "sylow" not in verdict.artifacts else verdict
         return v.artifacts["sylow"], False, verdict
-    fin, route, witness, verdict = is_finite(G, config, verdict)
+    fin = is_finite(G, config, verdict)[0] if finite is None else finite
     if isinstance(F, FunctionField) and F.characteristic() > 0:
         if not fin:
             raise VerdictUnavailable(
@@ -195,7 +198,7 @@ def primary_decomposition(G: GroupSpec, config: Config = DEFAULT, verdict: Verdi
     Gs = s_part_group(G, split)
     from .nilpotency import is_nilpotent_adjoint
 
-    v_adj = is_nilpotent_adjoint(Gs, config)
+    v_adj = is_nilpotent_adjoint(Gs, config, split.minpolys_s)
     if not v_adj.nilpotent:
         raise ValueError("adjoint decomposition failed on a nilpotent input")
     adj_sylow = v_adj.artifacts.get("sylow")
@@ -255,7 +258,7 @@ def _center_generators(G: GroupSpec, config: Config, ad: AdjointData | None = No
     if ad is None:
         ad = adjoint_rep(G)
     _, kernel = congruence_kernel(G, ad.adj_gens, config.cayley_cap)
-    return _dedup_elts(kernel) or [Elt(G.identity, ())]
+    return list(dedup_elts(kernel)) or [Elt(G.identity, ())]
 
 
 def analyze(G: GroupSpec, config: Config = DEFAULT) -> StructureReport:
@@ -271,14 +274,14 @@ def analyze(G: GroupSpec, config: Config = DEFAULT) -> StructureReport:
     if not fin:
         report.witness = witness
     if fin:
-        report.order = order(G, config, verdict)
+        report.order = order(G, config, verdict, finite=True)
     F = G.field
     if not (isinstance(F, FunctionField) and F.characteristic() > 0):
         cr, flag = is_completely_reducible(G, config, verdict)
         report.completely_reducible = cr
         report.cr_series_dims = [s.dim for s in flag]
     try:
-        sylow, extension, verdict = primary_decomposition(G, config, verdict)
+        sylow, extension, verdict = primary_decomposition(G, config, verdict, finite=fin)
         report.primary = sylow
         report.primary_is_extension = extension
         if extension:

@@ -224,10 +224,11 @@ def test_kernel_normal_generators_examples():
 def test_lifted_kernel_generators_replay(q_corpus, monkeypatch):
     """On the rational corpus every kernel generator the verdict path lifts
     replays from its word over the diagonalizable parts.  The source
-    transversal runs on row ids: each distinct source row goes to the field
-    once per generator, and a source Matrix product is formed only for a
-    nontrivial generator or a tree vertex whose transversal inverse that
-    generator needs, so a finite group forms none."""
+    transversal runs on row ids: only the distinct rows of transversal
+    elements go to the field, once per generator (the rows of nontrivial
+    Schreier generators are never acted on), and a source Matrix product is
+    formed only for a nontrivial generator or a tree vertex whose
+    transversal inverse that generator needs, so a finite group forms none."""
     reached = 0
     for entry in q_corpus:
         v = is_nilpotent(entry.group)
@@ -238,7 +239,7 @@ def test_lifted_kernel_generators_replay(q_corpus, monkeypatch):
         kernel = v.artifacts["kernel_gens"]
         for z in kernel:
             assert Gs.evaluate(z.word) == z.mat, entry.name
-        formed, depth, sent, met = [0], [0], [], set(Gs.identity.rows)
+        formed, depth, sent, batched, met = [0], [0], [], [], set(Gs.identity.rows)
         product, matmul = Matrix.__mul__, QQ.matmul
 
         def counting_product(a, b):
@@ -256,6 +257,7 @@ def test_lifted_kernel_generators_replay(q_corpus, monkeypatch):
             sent.append(len(rows))
             if not depth[0]:
                 # a batch of the row engine, not the rows of a Matrix product
+                batched.append(len(rows))
                 met.update(rows, out)
             return out
 
@@ -282,10 +284,12 @@ def test_lifted_kernel_generators_replay(q_corpus, monkeypatch):
                 j = enum.parents[j]
         nontrivial = sum(not z.is_identity() for z in kernel)
         assert formed[0] <= nontrivial + len(inverted), entry.name
-        assert sum(sent) <= k * len(met) + Gs.degree * formed[0], entry.name
+        transversal_rows = {r for w in enum.words for r in Gs.evaluate(w).rows}
+        assert sum(batched) <= k * len(transversal_rows), entry.name
+        assert sum(sent) <= k * len(transversal_rows) + Gs.degree * formed[0], entry.name
         if entry.finite:
             assert formed[0] == 0 and sum(sent) <= k * len(met), entry.name
-            assert met == {r for w in enum.words for r in Gs.evaluate(w).rows}, entry.name
+            assert met == transversal_rows, entry.name
     assert reached >= 20
 
 

@@ -10,9 +10,9 @@ from nilmat import congruence, nilpotency, structure
 from nilmat.config import DEFAULT
 from nilmat.congruence import apply_congruence_group, select_modulus
 from nilmat.fields import QQ, FiniteField, FunctionField, NumberField
-from nilmat.groups import Elt, Enumeration, GroupSpec, enumerate_group, word_inverse, word_mul
+from nilmat.groups import Elt, Enumeration, GroupSpec, dedup_elts, enumerate_group, word_inverse, word_mul
 from nilmat.linalg import Matrix, inverse
-from nilmat.nilpotency import _dedup_elts, _prime_parts, adjoint_rep, is_nilpotent
+from nilmat.nilpotency import _prime_parts, adjoint_rep, is_nilpotent
 from nilmat.testkit import gen_max_abs_irr_nilpotent
 
 
@@ -135,7 +135,7 @@ def test_engine_field_work_follows_distinct_rows(monkeypatch):
     sent to the field number at most k times the distinct rows, against
     |P| k n for one full product per edge."""
     G = gen_max_abs_irr_nilpotent(4, 5, 1)
-    part = [x.mat for x in _prime_parts(_dedup_elts(G.elts()), DEFAULT)[2]]
+    part = [x.mat for x in _prime_parts(dedup_elts(G.elts()), DEFAULT)[2]]
     t = Matrix.from_ints(G.field, [[1, 0, 1, 0], [0, 1, 0, 0], [0, 0, 1, 1], [0, 0, 0, 1]])
     tinv = inverse(t)
     cases = [(part, 2048), ([t * g * tinv for g in part], 2048), (list(q8_power_with_diagonal(3).gens), 512)]

@@ -169,3 +169,45 @@ def test_field_equality_and_hash_follow_the_descriptor():
         for j, b in enumerate(distinct):
             assert (a == b) == (i == j)
     assert len(set(distinct)) == len(distinct)
+
+
+# number fields of degree 2, 2, 3 and 4, each with a unit: 1 + sqrt2, i,
+# cbrt2 - 1, and a^-1 = 10a - a^3 for a = sqrt2 + sqrt3
+NF_UNITS = [
+    ((-2, 0, 1), (1, 1)),
+    ((1, 0, 1), (0, 1)),
+    ((-2, 0, 0, 1), (-1, 1, 0)),
+    ((1, 0, -10, 0, 1), (0, 1, 0, 0)),
+]
+
+
+@pytest.mark.parametrize("minpoly, unit", NF_UNITS, ids=lambda v: str(v))
+def test_number_field_kernels_match_fraction_reference(minpoly, unit):
+    """NumberField.mul and .inv, on integer numerators over one denominator,
+    return exactly the values and reprs of the Fraction schoolbook product
+    and the extended-Euclid inverse: on zero, one, integral elements,
+    units, large denominators and random elements."""
+    import random
+
+    from reference import nf_inv, nf_mul
+
+    K = NumberField(minpoly)
+    rng = random.Random(sum(minpoly))
+    m = K.degree
+
+    def vec(num, den):
+        return tuple(Fraction(num(), den()) for _ in range(m))
+
+    u = tuple(Fraction(c) for c in unit)
+    samples = [K.zero, K.one, K.gen(), u, K.inv(u), K.neg(u), vec(lambda: rng.randint(-9, 9), lambda: 1)]
+    samples += [vec(lambda: rng.randint(-10**15, 10**15), lambda: rng.randint(1, 10**12)) for _ in range(3)]
+    samples += [K.random_element(rng) for _ in range(6)]
+    for a in samples:
+        for b in samples:
+            got, want = K.mul(a, b), nf_mul(K, a, b)
+            assert got == want and repr(got) == repr(want), (a, b)
+        if not K.is_zero(a):
+            got, want = K.inv(a), nf_inv(K, a)
+            assert got == want and repr(got) == repr(want), a
+            assert K.mul(a, got) == K.one
+    assert K.inv(u) == nf_inv(K, u) and all(c.denominator == 1 for c in K.inv(u))

@@ -306,3 +306,62 @@ def test_char_p_refutation_is_the_first_non_unipotent_commutator():
     assert (items["z"].mat, items["z"].word) == (z.mat, z.word)
     assert (items["g"].mat, items["g"].word) == (G.gens[i], ((i, 1),))
     assert items["c"].mat == c
+
+
+def _minpoly_stock():
+    """D16 over Q(sqrt 2), C4 wr C2 over Q(i), and D8 x <x I> over Q(x) and
+    over GF(5)(x), each conjugated by a unimodular matrix."""
+    K, Ki = NumberField((-2, 0, 1)), NumberField((1, 0, 1))
+    h = (QQ.zero, QQ.from_int(1) / 2)
+    i_ = (QQ.zero, QQ.one)
+    groups = {
+        "D16(Q(sqrt2))": (K, [Matrix.make(K, [[h, K.neg(h)], [h, h]]), _m(K, [[1, 0], [0, -1]])]),
+        "C4wrC2(Q(i))": (Ki, [Matrix.diagonal(Ki, (i_, Ki.one)), _m(Ki, [[0, 1], [1, 0]])]),
+    }
+    for base in (QQ, FiniteField(5)):
+        F = FunctionField(base)
+        groups[f"D8x<xI>({F.name()})"] = (F, d8_group(F).gens + (Matrix.diagonal(F, (F.x(), F.x())),))
+    out = []
+    for name, (F, gens) in groups.items():
+        t, tinv = _m(F, [[1, 1], [0, 1]]), _m(F, [[1, -1], [0, 1]])
+        out.append((name, GroupSpec(F, [t * g * tinv for g in gens])))
+    return out
+
+
+def test_no_minimal_polynomial_computed_twice_in_one_call(q_corpus, monkeypatch):
+    """Within one is_nilpotent or analyze call no matrix's minimal
+    polynomial is computed twice: the Jordan split's f* serves modulus
+    selection and the adjoint guard, analyze hands its finiteness to order
+    and primary_decomposition, and a repeated kernel matrix is tried once.
+
+    Only a matrix met in two roles may recur: a diagonalizable part that is
+    also a generator of its group's adjoint image (Ad(s) = s happens when
+    the enveloping algebra has s's shape)."""
+    import sys
+    from collections import Counter
+
+    from nilmat import linalg
+    from nilmat.splitting import s_part_group
+    from nilmat.structure import analyze
+
+    original = linalg.minimal_polynomial
+    seen = []
+
+    def recording(m):
+        seen.append(m)
+        return original(m)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("nilmat") and getattr(module, "minimal_polynomial", None) is original:
+            monkeypatch.setattr(module, "minimal_polynomial", recording)
+    groups = [(e.name, e.group) for e in q_corpus] + _minpoly_stock()
+    for name, G in groups:
+        split = is_nilpotent(G).artifacts.get("split")
+        two_roles = set()
+        if split is not None and not all(s.is_identity() for s in split.gens_s):
+            two_roles = set(split.gens_s) & set(adjoint_rep(s_part_group(G, split)).adj_gens)
+        for call in (is_nilpotent, analyze):
+            seen.clear()
+            call(G)
+            repeated = {m: c for m, c in Counter(seen).items() if c > 1}
+            assert all(m in two_roles and c == 2 for m, c in repeated.items()), (name, call.__name__)

@@ -162,3 +162,43 @@ def test_poly_divmod_and_gcd():
     a = Poly.from_ints(F, [-1, 1]) * Poly.from_ints(F, [3, 1])
     b = Poly.from_ints(F, [-1, 1]) * Poly.from_ints(F, [5, 1])
     assert gcd(a, b) == Poly.from_ints(F, [-1, 1])
+
+
+def test_rational_polynomial_kernels_match_fraction_reference():
+    """Over Q, pt_mul and pt_divmod (integer numerators, pseudo-division),
+    gcd (the integer remainder sequence), lcm and squarefree_part return
+    exactly the values and reprs of Fraction long division and Euclid, on
+    random pairs and on zero operands, len(a) < len(b), constant and monic
+    divisors, integral coefficients and large denominators."""
+    from fractions import Fraction
+
+    import reference as ref
+    from nilmat.fields import pt_divmod, pt_mul
+    from nilmat.poly import lcm
+
+    rng = random.Random(11)
+
+    def poly(length, num=9, den=12):
+        """length coefficients, the last one nonzero."""
+        cs = [Fraction(rng.randint(-num, num), rng.randint(1, den)) for _ in range(length)]
+        if cs and not cs[-1]:
+            cs[-1] = Fraction(num, den)
+        return tuple(cs)
+
+    pairs = [(poly(rng.randint(0, 6)), poly(rng.randint(0, 4))) for _ in range(150)]
+    pairs += [(poly(5, 10**12, 10**9), poly(3, 10**12, 10**9)) for _ in range(10)]
+    pairs += [(poly(2), poly(5)), (poly(4), (Fraction(-7, 3),)), (poly(5), (Fraction(2), Fraction(0), Fraction(1)))]
+    pairs += [((), poly(3)), (poly(3), ()), ((), ()), ((Fraction(4), Fraction(2)), (Fraction(2),))]
+    for a, b in pairs:
+        got, want = pt_mul(QQ, a, b), ref.poly_mul(a, b)
+        assert got == want and repr(got) == repr(want), (a, b)
+        if b:
+            got, want = pt_divmod(QQ, a, b), ref.poly_divmod(a, b)
+            assert got == want and repr(got) == repr(want), (a, b)
+        pa, pb = Poly(QQ, a), Poly(QQ, b)
+        for got, want in ((gcd(pa, pb), ref.poly_gcd(a, b)), (lcm(pa, pb), ref.poly_lcm(a, b))):
+            assert got.coeffs == want and repr(got.coeffs) == repr(want), (a, b)
+        if len(a) > 1:
+            f = ref.poly_mul(ref.poly_mul(a, a), b or (Fraction(1),))
+            got, want = squarefree_part(Poly(QQ, f)).coeffs, ref.squarefree_part(f)
+            assert got == want and repr(got) == repr(want), f
