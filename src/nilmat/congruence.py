@@ -31,6 +31,9 @@ from .linalg import Matrix, minimal_polynomial
 from .numth import factorint, odd_primes
 from .poly import Poly, factor, gcd as poly_gcd, resultant
 
+PRIME_CAP = 2**20    # largest reduction prime tried
+EVAL_CAP = 200       # evaluation points tried for function fields
+
 
 @dataclass(frozen=True)
 class CongruenceData:
@@ -154,8 +157,8 @@ def _try_prime_rational(G, pi, minpolys, p):
     )
 
 
-def _first_valid_prime(G, minpolys, try_prime, config):
-    """Least odd prime p <= prime_cap with try_prime(p) not None, preferring
+def _first_valid_prime(G, minpolys, try_prime):
+    """Least odd prime p <= PRIME_CAP with try_prime(p) not None, preferring
     p > n.
 
     A minimal polynomial h with a repeated factor g^2 fails at every prime,
@@ -164,12 +167,12 @@ def _first_valid_prime(G, minpolys, try_prime, config):
     integrally closed when p does not divide the discriminant), so g-bar^2
     divides h-bar; whenever deg h-bar = deg h, also deg g-bar = deg g >= 1,
     and the squarefree check rejects p."""
-    message = f"no valid odd prime below {config.prime_cap}"
+    message = f"no valid odd prime below {PRIME_CAP}"
     if any(poly_gcd(h, h.derivative()).degree > 0 for h in minpolys):
         raise NoPrimeInRange(message)
-    for require_gt_n in ([True, False] if config.prefer_p_gt_n else [False]):
+    for require_gt_n in (True, False):
         for p in odd_primes(3):
-            if p > config.prime_cap:
+            if p > PRIME_CAP:
                 break
             if require_gt_n and p <= G.degree:
                 continue
@@ -179,11 +182,9 @@ def _first_valid_prime(G, minpolys, try_prime, config):
     raise NoPrimeInRange(message)
 
 
-def _select_modulus_rational(G, config, minpolys):
+def _select_modulus_rational(G, minpolys):
     pi = denominator_set(G)
-    return _first_valid_prime(
-        G, minpolys, lambda p: _try_prime_rational(G, pi, minpolys, p), config
-    )
+    return _first_valid_prime(G, minpolys, lambda p: _try_prime_rational(G, pi, minpolys, p))
 
 
 def _frobenius_roots(target: FiniteField, factor_poly: Poly):
@@ -244,22 +245,20 @@ def _try_prime_numberfield(G, pi, minpolys, disc_num, p):
     )
 
 
-def _select_modulus_numberfield(G, config, minpolys):
+def _select_modulus_numberfield(G, minpolys):
     F = G.field
     pi = denominator_set(G)
     fq = Poly.from_ints(QQ, F.minpoly)
     disc_num = abs(resultant(fq, fq.derivative()).numerator)
-    return _first_valid_prime(
-        G, minpolys, lambda p: _try_prime_numberfield(G, pi, minpolys, disc_num, p), config
-    )
+    return _first_valid_prime(G, minpolys, lambda p: _try_prime_numberfield(G, pi, minpolys, disc_num, p))
 
 
-def _ff_candidate_points(base, config, seed=0):
+def _ff_candidate_points(base, seed=0):
     """Evaluation point candidates in a canonical order; finite bases extend
     to GF(p^(l*k)) when the base is exhausted."""
     if isinstance(base, RationalField):
         k = 0
-        while k <= config.eval_cap:
+        while k <= EVAL_CAP:
             yield base, Fraction(k)
             k += 1
         return
@@ -312,9 +311,9 @@ def _select_modulus_functionfield(G, config):
     n = G.degree
     tried = 0
     fallback = None
-    for point_field, a in _ff_candidate_points(base, config, seed=config.seed):
+    for point_field, a in _ff_candidate_points(base, seed=config.seed):
         tried += 1
-        if tried > config.eval_cap:
+        if tried > EVAL_CAP:
             break
         # the point must not be a root of any denominator factor
         if isinstance(base, RationalField):
@@ -328,9 +327,9 @@ def _select_modulus_functionfield(G, config):
             minpolys = [minimal_polynomial(g) for g in evaluated]
             try:
                 if config.prime_override is not None:
-                    inner = _validate_prime(Geval, config.prime_override, config, minpolys)
+                    inner = _validate_prime(Geval, config.prime_override, minpolys)
                 else:
-                    inner = _select_modulus_rational(Geval, config, minpolys)
+                    inner = _select_modulus_rational(Geval, minpolys)
             except NoPrimeInRange:
                 continue
             return CongruenceData(
@@ -383,7 +382,7 @@ def _select_modulus_functionfield(G, config):
                 fallback = cd
     if fallback is not None:
         return fallback
-    raise NoPrimeInRange(f"no admissible evaluation data within {config.eval_cap} candidates")
+    raise NoPrimeInRange(f"no admissible evaluation data within {EVAL_CAP} candidates")
 
 
 def select_modulus(G: GroupSpec, config: Config = DEFAULT, minpolys=None) -> CongruenceData:
@@ -400,15 +399,15 @@ def select_modulus(G: GroupSpec, config: Config = DEFAULT, minpolys=None) -> Con
     if minpolys is None:
         minpolys = [minimal_polynomial(g) for g in G.gens]
     if config.prime_override is not None:
-        return _validate_prime(G, config.prime_override, config, minpolys)
+        return _validate_prime(G, config.prime_override, minpolys)
     if isinstance(F, RationalField):
-        return _select_modulus_rational(G, config, minpolys)
+        return _select_modulus_rational(G, minpolys)
     if isinstance(F, NumberField):
-        return _select_modulus_numberfield(G, config, minpolys)
+        return _select_modulus_numberfield(G, minpolys)
     raise UnsupportedField(f"no reduction strategy for {F.name()}")
 
 
-def _validate_prime(G, p, config, minpolys):
+def _validate_prime(G, p, minpolys):
     """Run the full check battery for a user-supplied prime."""
     F = G.field
     pi = denominator_set(G)

@@ -35,10 +35,6 @@ class NotUnipotentGenerator(NilmatError):
     """A generator handed to the unipotency test is not unipotent."""
 
 
-class NotSemisimple(NilmatError):
-    """Cutting requested for an algebra generator with non-squarefree minimal polynomial."""
-
-
 class NoPrimeInRange(NilmatError):
     """No valid reduction prime below the configured cap."""
 

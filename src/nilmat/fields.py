@@ -951,14 +951,6 @@ class FunctionField(Field):
     def characteristic(self):
         return self.base.characteristic()
 
-    def evaluate(self, a, point):
-        """Evaluate at a base-field point; denominator must not vanish."""
-        B = self.base
-        den = pt_eval(B, a[1], point)
-        if B.is_zero(den):
-            raise ZeroDivisionError("denominator vanishes at evaluation point")
-        return B.mul(pt_eval(B, a[0], point), B.inv(den))
-
     def descriptor(self):
         return ("FF", self.base.descriptor())
 

@@ -37,10 +37,6 @@ def word_mul(*ws) -> Word:
     return tuple(out)
 
 
-def word_commutator(a: Word, b: Word) -> Word:
-    return word_mul(word_inverse(a), word_inverse(b), a, b)
-
-
 def evaluate_word(w: Word, gens, invs) -> Matrix:
     if not gens:
         raise ValueError("cannot evaluate a word without generators")
@@ -59,17 +55,6 @@ class Elt:
 
     def __mul__(self, other):
         return Elt(self.mat * other.mat, word_mul(self.word, other.word))
-
-    def inv(self):
-        return Elt(inverse(self.mat), word_inverse(self.word))
-
-    def commutator(self, other):
-        """[a, b] = a^-1 b^-1 a b, taken as (ba)^-1 (ab): the identity when
-        ab = ba, and one inversion otherwise."""
-        ab = self.mat * other.mat
-        ba = other.mat * self.mat
-        mat = Matrix.identity(ab.field, ab.n) if ab == ba else inverse(ba) * ab
-        return Elt(mat, word_commutator(self.word, other.word))
 
     def is_identity(self):
         return self.mat.is_identity()
@@ -330,9 +315,6 @@ class GroupSpec:
 
     def is_trivial(self):
         return all(g.is_identity() for g in self.gens)
-
-    def subgroup(self, gens):
-        return GroupSpec(self.field, gens)
 
     def __repr__(self):
         return f"GroupSpec({self.field.name()}, degree {self.degree}, {len(self.gens)} generators)"

@@ -10,6 +10,10 @@ verdict rests on a bound on the nilpotency class.  Over infinite fields the
 group is split into diagonalizable and unipotent parts, the diagonalizable
 part is reduced through a validated congruence, and the verdict combines
 the finite image verdict with centrality of the congruence kernel.
+
+`adjoint_sylow` is no verdict: it decomposes the adjoint image of the
+diagonalizable part of a group already found nilpotent, for the primary
+decomposition of an infinite group (structure.analyze).
 """
 
 from __future__ import annotations
@@ -18,12 +22,11 @@ from dataclasses import dataclass, field as dfield
 
 from .config import DEFAULT, Config
 from .congruence import apply_congruence, congruence_kernel, kernel_is_central, select_modulus
-from .errors import CapExceeded, NotNilpotentSignal, NotSemisimple, VerdictUnavailable
+from .errors import CapExceeded, NotNilpotentSignal, VerdictUnavailable
 from .fields import FiniteField, FunctionField
 from .groups import Elt, GroupSpec, dedup_elts, enumerate_group, word_mul
-from .linalg import AlgebraBasis, Matrix, inverse, minimal_polynomial, spin_basis
+from .linalg import AlgebraBasis, Matrix, inverse, spin_basis
 from .numth import factorint
-from .poly import gcd as poly_gcd
 from .splitting import finite_order, is_unipotent_matrix, reduction_split, s_part_group
 from .witness import WItem, Witness
 
@@ -81,13 +84,13 @@ class Verdict:
 # ---------------------------------------------------------------------------
 # the finite core
 
-def _element_order(mat: Matrix, config: Config, word=None, context="input"):
-    m = finite_order(mat, config)
+def _element_order(mat: Matrix, word=None):
+    m = finite_order(mat)
     if m is None:
         raise NotNilpotentSignal(
             Witness(
                 kind="infinite_order_element",
-                context=context,
+                context="input",
                 items=(WItem("x", mat, word),),
                 note="an input element has infinite order, so the group has no finite completely reducible quotient",
             )
@@ -95,14 +98,14 @@ def _element_order(mat: Matrix, config: Config, word=None, context="input"):
     return m
 
 
-def _prime_parts(seq, config: Config, context="input"):
+def _prime_parts(seq):
     """The distinct nontrivial prime-power parts of the elements of seq, per
     prime, in order of first appearance; an element of infinite order
     raises the signal."""
     parts: dict = {}
     seen: dict = {}
     for x in seq:
-        m = _element_order(x.mat, config, x.word, context)
+        m = _element_order(x.mat, x.word)
         for p, e in factorint(m).items():
             mp = m // p**e
             c = pow(mp, -1, p**e)
@@ -128,7 +131,7 @@ def _cross_prime_pair(parts):
     return None
 
 
-def _sylow_test(elts, config: Config, context="input") -> Verdict:
+def _sylow_test(elts, config: Config) -> Verdict:
     """Nilpotency of the finite group <elts>, decided both ways by its
     Sylow system in one pass over the inputs' prime parts.
 
@@ -144,7 +147,7 @@ def _sylow_test(elts, config: Config, context="input") -> Verdict:
     An input of infinite order raises the signal, and a component past
     the cap raises CapExceeded.
     """
-    parts = _prime_parts(dedup_elts(elts), config, context)
+    parts = _prime_parts(dedup_elts(elts))
     pair = _cross_prime_pair(parts)
     if pair is not None:
         p, q, x, y = pair
@@ -152,7 +155,7 @@ def _sylow_test(elts, config: Config, context="input") -> Verdict:
             False,
             Witness(
                 kind="non_commuting_pair",
-                context=context,
+                context="input",
                 items=(WItem("x", x.mat, x.word, {"prime": p}), WItem("y", y.mat, y.word, {"prime": q})),
                 note=f"prime parts for {p} and {q} fail to commute",
             ),
@@ -163,27 +166,27 @@ def _sylow_test(elts, config: Config, context="input") -> Verdict:
         if enum.overflowed:
             raise CapExceeded(config.closure_cap, "subgroup closure")
         if set(factorint(len(enum))) - {p}:
-            return Verdict(False, _non_p_witness(p, parts[p], enum, config, context))
+            return Verdict(False, _non_p_witness(p, parts[p], enum))
         orders[p], enums[p] = len(enum), enum
     sylow = SylowSystem(parts, orders, enums=enums)
     return Verdict(True, artifacts={"sylow": sylow, "order": sylow.order})
 
 
-def _non_p_witness(p, parts, enum, config: Config, context) -> Witness:
-    """The p-parts, each with its word over the context generators, and the
-    first element y of their closure whose order is not a power of p, with
-    its tree word over the parts (data["parts_word"]) and over the context
-    generators."""
+def _non_p_witness(p, parts, enum) -> Witness:
+    """The p-parts, each with its word over the tested group's generators,
+    and the first element y of their closure whose order is not a power of
+    p, with its tree word over the parts (data["parts_word"]) and over
+    those generators."""
     items = tuple(WItem(f"part_{i}", x.mat, x.word, {"prime": p}) for i, x in enumerate(parts))
     for y, tree_word in zip(enum.vertices, enum.words):
-        m = finite_order(y, config)
+        m = finite_order(y)
         if set(factorint(m)) - {p}:
             word = word_mul(*(parts[i].word for i, _ in tree_word))
             data = {"order": m, "prime": p, "parts_word": [[i, e] for i, e in tree_word]}
             items += (WItem("y", y, word, data),)
             break
     note = f"the component for prime {p} closes into a group of order {len(enum)}, not a power of {p}"
-    return Witness(kind="non_p_element", context=context, items=items, note=note)
+    return Witness(kind="non_p_element", context="input", items=items, note=note)
 
 
 def is_finite_nilpotent(G: GroupSpec, config: Config = DEFAULT) -> Verdict:
@@ -218,34 +221,20 @@ def adjoint_rep(G: GroupSpec) -> AdjointData:
     return AdjointData(basis, adj)
 
 
-def require_semisimple_gens(G: GroupSpec, minpolys=None) -> None:
-    """Raise NotSemisimple unless every generator's minimal polynomial is
-    squarefree, i.e. every generator is diagonalizable over a perfect field.
-    minpolys, when given, are those polynomials, and none is recomputed."""
-    if minpolys is None:
-        minpolys = [minimal_polynomial(g) for g in G.gens]
-    for i, h in enumerate(minpolys):
-        if poly_gcd(h, h.derivative()).degree != 0:
-            raise NotSemisimple(f"generator {i} is not diagonalizable")
-
-
-def is_nilpotent_adjoint(G: GroupSpec, config: Config = DEFAULT, minpolys=None) -> Verdict:
-    """Nilpotency test through the adjoint representation; the input
-    generators must be diagonalizable (minpolys as in require_semisimple_gens).
-    Then so is every adjoint generator, since Ad(s) is diagonalizable on the
-    matrix algebra and stays so on the invariant enveloping algebra, so the
-    adjoint image is decided by the Sylow test alone."""
-    require_semisimple_gens(G, minpolys)
-    if not G.gens or all(g.is_identity() for g in G.gens):
-        return Verdict(True, artifacts={"order": 1, "adjoint_trivial": True})
+def adjoint_sylow(G: GroupSpec, config: Config = DEFAULT) -> tuple[SylowSystem, AdjointData]:
+    """(Sylow system, adjoint representation) of the adjoint image of a
+    nontrivial nilpotent group with diagonalizable generators.  Each
+    Ad(g) is then diagonalizable on the matrix algebra and stays so on the
+    invariant enveloping algebra, so the Sylow test alone decides the
+    image; it is nilpotent with G, and a negative test raises ValueError."""
     ad = adjoint_rep(G)
-    adj_elts = [Elt(x, ((i, 1),)) for i, x in enumerate(ad.adj_gens)]
     try:
-        core = _sylow_test(adj_elts, config, context="adjoint")
-    except NotNilpotentSignal as s:
-        return Verdict(False, s.witness, artifacts={"adjoint": ad})
-    core.artifacts["adjoint"] = ad
-    return core
+        v = _sylow_test([Elt(x, ((i, 1),)) for i, x in enumerate(ad.adj_gens)], config)
+    except NotNilpotentSignal:
+        v = Verdict(False)
+    if not v.nilpotent:
+        raise ValueError("adjoint decomposition failed on a nilpotent input")
+    return v.artifacts["sylow"], ad
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +267,7 @@ def is_nilpotent(G: GroupSpec, config: Config = DEFAULT) -> Verdict:
         Gs, minpolys = G, None
     else:
         try:
-            split = reduction_split(G, config)
+            split = reduction_split(G)
         except NotNilpotentSignal as s:
             return Verdict(False, s.witness)
         artifacts["split"] = split

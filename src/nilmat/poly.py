@@ -519,14 +519,6 @@ def resultant(f: Poly, g: Poly):
     return F.mul(sign, F.mul(scale, resultant(g, r)))
 
 
-def discriminant(f: Poly):
-    F = f.field
-    d = f.degree
-    r = resultant(f, f.derivative())
-    sign = F.from_int((-1) ** (d * (d - 1) // 2))
-    return F.mul(sign, F.mul(r, F.inv(f.lc())))
-
-
 _cyclo_cache: dict = {}
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .config import DEFAULT, Config
 from .errors import (
     CapExceeded,
     ImperfectField,
@@ -24,7 +23,6 @@ from .fields import FiniteField, FunctionField, NumberField
 from .groups import GroupSpec
 from .linalg import (
     Matrix,
-    Span,
     Subspace,
     fixed_space,
     inverse,
@@ -34,6 +32,8 @@ from .linalg import (
 )
 from .poly import Poly, cyclotomic_finite_order, squarefree_part
 from .witness import WItem, Witness
+
+ORDER_CAP = 10**6    # power iteration budget for element orders
 
 
 @dataclass(frozen=True)
@@ -45,12 +45,9 @@ class JordanPair:
 
 @dataclass(frozen=True)
 class UnipotentCert:
-    flag: tuple          # descending subspaces V = V_0 > V_1 > ... > V_l = 0
-    T: Matrix            # T g T^-1 is upper unitriangular for every generator
-
-    @property
-    def length(self):
-        return len(self.flag) - 1
+    # descending subspaces V = V_0 > V_1 > ... > V_l = 0 with
+    # (g - 1) V_i <= V_(i+1) for every generator g
+    flag: tuple
 
 
 @dataclass(frozen=True)
@@ -58,7 +55,6 @@ class SplitResult:
     gens_s: tuple
     gens_u: tuple
     cert_u: UnipotentCert
-    commute: bool
     minpolys_s: tuple = ()   # minimal polynomial of each diagonalizable part
 
 
@@ -98,7 +94,7 @@ def jordan(g: Matrix) -> JordanPair:
     return JordanPair(s, u, fstar)
 
 
-def is_unipotent_group(gens, config: Config = DEFAULT) -> UnipotentCert:
+def is_unipotent_group(gens) -> UnipotentCert:
     """Flag certificate for the group generated by unipotent matrices, or
     NotUnipotent carrying the quotient generators with zero fixed space."""
     if not gens:
@@ -107,7 +103,7 @@ def is_unipotent_group(gens, config: Config = DEFAULT) -> UnipotentCert:
     n = gens[0].n
     nontrivial = [g for g in gens if not g.is_identity()]
     if not nontrivial:
-        return UnipotentCert((Subspace.full(F, n), Subspace.zero(F, n)), Matrix.identity(F, n))
+        return UnipotentCert((Subspace.full(F, n), Subspace.zero(F, n)))
     for g in nontrivial:
         if not is_unipotent_matrix(g):
             raise NotUnipotentGenerator("input matrix is not unipotent")
@@ -132,15 +128,7 @@ def is_unipotent_group(gens, config: Config = DEFAULT) -> UnipotentCert:
     flag = [Subspace.full(F, n)]
     flag += [Subspace.from_vectors(F, n, vecs) for vecs in inner]
     flag.append(Subspace.zero(F, n))
-    # adapted basis, deepest term first, gives the unitriangularizing T
-    span = Span(F, n)
-    cols = []
-    for sub in reversed(flag):
-        for row in sub.basis:
-            if span.insert(row):
-                cols.append(row)
-    s_mat = Matrix(F, tuple(zip(*cols)))
-    return UnipotentCert(tuple(flag), inverse(s_mat))
+    return UnipotentCert(tuple(flag))
 
 
 def _combine(F, embed, coeffs):
@@ -153,20 +141,20 @@ def _combine(F, embed, coeffs):
     return tuple(out)
 
 
-def reduction_split(G: GroupSpec, config: Config = DEFAULT) -> SplitResult:
+def reduction_split(G: GroupSpec) -> SplitResult:
     """Split the generators into diagonalizable and unipotent parts, certify
     the unipotent part, and check the parts commute; a failed check raises
     NotNilpotentSignal with the witness."""
     _check_perfect(G.field)
     n = G.degree
     if not G.gens:
-        ident_cert = UnipotentCert((Subspace.full(G.field, n), Subspace.zero(G.field, n)), G.identity)
-        return SplitResult((), (), ident_cert, True)
+        ident_cert = UnipotentCert((Subspace.full(G.field, n), Subspace.zero(G.field, n)))
+        return SplitResult((), (), ident_cert)
     pairs = [jordan(g) for g in G.gens]
     gens_s = tuple(p.s for p in pairs)
     gens_u = tuple(p.u for p in pairs)
     try:
-        cert = is_unipotent_group(list(gens_u), config)
+        cert = is_unipotent_group(list(gens_u))
     except NotUnipotent as nu:
         raise NotNilpotentSignal(
             Witness(
@@ -198,7 +186,7 @@ def reduction_split(G: GroupSpec, config: Config = DEFAULT) -> SplitResult:
                         note="a unipotent part fails to commute with a diagonalizable part",
                     )
                 )
-    return SplitResult(gens_s, gens_u, cert, True, tuple(p.minpoly_s for p in pairs))
+    return SplitResult(gens_s, gens_u, cert, tuple(p.minpoly_s for p in pairs))
 
 
 def s_part_group(G: GroupSpec, split: SplitResult) -> GroupSpec:
@@ -210,14 +198,6 @@ def s_part_group(G: GroupSpec, split: SplitResult) -> GroupSpec:
     return GroupSpec(G.field, split.gens_s)
 
 
-def cr_series(G: GroupSpec, split: SplitResult | None = None, config: Config = DEFAULT):
-    """Descending module series with completely reducible factors, from the
-    unipotent-part flag."""
-    if split is None:
-        split = reduction_split(G, config)
-    return list(split.cert_u.flag)
-
-
 def _field_degree_over_prime(field, n):
     """Degree bound for eigenvalue root-of-unity orders."""
     if isinstance(field, NumberField):
@@ -227,7 +207,7 @@ def _field_degree_over_prime(field, n):
     return n
 
 
-def finite_order(g: Matrix, config: Config = DEFAULT):
+def finite_order(g: Matrix):
     """Multiplicative order of g, or None when infinite."""
     F = g.field
     n = g.n
@@ -255,8 +235,8 @@ def finite_order(g: Matrix, config: Config = DEFAULT):
         if any(len(c[0]) > 1 or len(c[1]) > 1 for c in fstar.coeffs):
             return None
     x = g
-    for i in range(1, config.order_cap + 1):
+    for i in range(1, ORDER_CAP + 1):
         if x == ident:
             return i
         x = x * g
-    raise CapExceeded(config.order_cap, "element order iteration")
+    raise CapExceeded(ORDER_CAP, "element order iteration")

@@ -15,6 +15,9 @@ from .poly import gcd as poly_gcd
 from .splitting import finite_order, is_unipotent_matrix
 from .witness import Witness, deserialize_witness, deserialize_word
 
+# the generator sets that witness words index, as the pipeline emits them
+CONTEXTS = ("input", "jordan_parts", "u_parts", "s_parts", "image")
+
 
 def _context_gens(witness: Witness):
     gens = [it.mat for it in witness.items if it.label.startswith("context_gen_")]
@@ -46,6 +49,10 @@ def verify_witness(witness: Witness, group: GroupSpec | None = None):
     def add(name, ok, detail=""):
         checks.append((name, bool(ok), detail))
 
+    if witness.context not in CONTEXTS:
+        # a context the pipeline never emits, such as "adjoint", ties no
+        # item to the group
+        add(f"known context ({witness.context})", False)
     ctx_gens = _context_gens(witness)
     if ctx_gens is None and group is not None and witness.context == "input":
         ctx_gens = list(group.gens)

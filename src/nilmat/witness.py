@@ -2,10 +2,11 @@
 
 A witness embeds the offending matrices together with words over a stated
 reference generator set, so a third party can replay the claim with plain
-matrix arithmetic.  Witnesses found in a congruence image or an adjoint
-image embed that generator set too; their words also make sense over the
-original generators, since both sides of a homomorphism satisfy the same
-word identities.
+matrix arithmetic.  Witnesses found in a congruence image embed that
+generator set too; their words also make sense over the original
+generators, since both sides of a homomorphism satisfy the same word
+identities.  The verifier rejects a context the pipeline does not emit
+(verify.CONTEXTS).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ class WItem:
 @dataclass(frozen=True)
 class Witness:
     kind: str
-    context: str            # which generators the words index: input | u_parts | s_parts | image | adjoint
+    context: str            # which generators the words index: input | jordan_parts | u_parts | s_parts | image
     items: tuple            # WItem sequence
     note: str = ""
 

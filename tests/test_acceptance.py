@@ -32,7 +32,7 @@ from nilmat.nilpotency import is_finite_nilpotent, is_nilpotent
 from nilmat.numth import odd_primes
 from nilmat.poly import gcd as poly_gcd
 from nilmat.splitting import is_unipotent_matrix, jordan
-from nilmat.structure import is_completely_reducible
+from nilmat.structure import analyze
 from nilmat.testkit import closure, gen_max_abs_irr_nilpotent, gen_reducible_nilpotent, oracle_invariants
 from nilmat.verify import verify_report
 
@@ -256,16 +256,14 @@ def test_criterion_7_generator_corpus():
     for base in (d8, GroupSpec(QQ, [Matrix.from_ints(QQ, [[-1]])])):
         red = gen_reducible_nilpotent(base)
         assert is_nilpotent(red).nilpotent
-        cr, _ = is_completely_reducible(red)
-        assert not cr
+        assert analyze(red).completely_reducible is False
     F5 = FiniteField(5)
     d8f = GroupSpec(F5, [Matrix.from_ints(F5, [[0, -1], [1, 0]]), Matrix.from_ints(F5, [[1, 0], [0, -1]])])
     redf = gen_reducible_nilpotent(d8f)
     oraclef = oracle_invariants(closure(list(redf.gens), 10**4))
     assert oraclef["nilpotent"]
     assert is_finite_nilpotent(redf).nilpotent
-    crf, _ = is_completely_reducible(redf)
-    assert not crf
+    assert analyze(redf).completely_reducible is False
     report_pass(7, "(2,5,1) has order 32 and full enveloping algebra; (3,5,1) raises; reducible outputs behave")
 
 

@@ -101,7 +101,7 @@ def test_select_modulus_fails_fast_on_repeated_minpoly_factor(kind, monkeypatch)
 
     monkeypatch.setattr(congruence, "_try_prime_rational", never)
     monkeypatch.setattr(congruence, "_try_prime_numberfield", never)
-    with pytest.raises(NoPrimeInRange, match=f"^no valid odd prime below {DEFAULT.prime_cap}$"):
+    with pytest.raises(NoPrimeInRange, match=f"^no valid odd prime below {congruence.PRIME_CAP}$"):
         select_modulus(G)
 
 

@@ -7,7 +7,6 @@ from fractions import Fraction
 from corpus import finite_field_corpus, q8_power_with_diagonal, rational_corpus, rational_finite_corpus
 
 from nilmat import congruence, nilpotency, structure
-from nilmat.config import DEFAULT
 from nilmat.congruence import apply_congruence_group, select_modulus
 from nilmat.fields import QQ, FiniteField, FunctionField, NumberField
 from nilmat.groups import Elt, Enumeration, GroupSpec, dedup_elts, enumerate_group, word_inverse, word_mul
@@ -135,7 +134,7 @@ def test_engine_field_work_follows_distinct_rows(monkeypatch):
     sent to the field number at most k times the distinct rows, against
     |P| k n for one full product per edge."""
     G = gen_max_abs_irr_nilpotent(4, 5, 1)
-    part = [x.mat for x in _prime_parts(dedup_elts(G.elts()), DEFAULT)[2]]
+    part = [x.mat for x in _prime_parts(dedup_elts(G.elts()))[2]]
     t = Matrix.from_ints(G.field, [[1, 0, 1, 0], [0, 1, 0, 0], [0, 0, 1, 1], [0, 0, 0, 1]])
     tinv = inverse(t)
     cases = [(part, 2048), ([t * g * tinv for g in part], 2048), (list(q8_power_with_diagonal(3).gens), 512)]

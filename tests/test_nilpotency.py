@@ -2,11 +2,11 @@
 
 import pytest
 
-from nilmat.errors import NotSemisimple, VerdictUnavailable
+from nilmat.errors import VerdictUnavailable
 from nilmat.fields import QQ, FiniteField, FunctionField, NumberField
 from nilmat.groups import GroupSpec
 from nilmat.linalg import Matrix
-from nilmat.nilpotency import adjoint_rep, is_finite_nilpotent, is_nilpotent, is_nilpotent_adjoint
+from nilmat.nilpotency import adjoint_rep, adjoint_sylow, is_finite_nilpotent, is_nilpotent
 
 
 def _m(field, rows):
@@ -96,15 +96,17 @@ def test_adjoint_is_homomorphism():
     assert ad.adj_gens[0] * ad.adj_gens[1] == adj_prod
 
 
-def test_is_nilpotent_adjoint_examples():
-    assert is_nilpotent_adjoint(d8_group()).nilpotent
-    d31swap = GroupSpec(QQ, [_m(QQ, [[3, 0], [0, 1]]), _m(QQ, [[0, 1], [1, 0]])])
-    v = is_nilpotent_adjoint(d31swap)
-    assert not v.nilpotent
+def test_adjoint_sylow_examples():
+    """The adjoint image of D8 is D8/Z(D8), of order 4; a scalar group has
+    a trivial one; a group that is not nilpotent raises ValueError."""
+    sylow, ad = adjoint_sylow(d8_group())
+    assert sylow.orders == {2: 4} and ad.dim == 4
     scal = GroupSpec(QQ, [_m(QQ, [[2, 0], [0, 2]])])
-    assert is_nilpotent_adjoint(scal).nilpotent
-    with pytest.raises(NotSemisimple):
-        is_nilpotent_adjoint(GroupSpec(QQ, [_m(QQ, [[1, 1], [0, 1]])]))
+    sylow2, _ = adjoint_sylow(scal)
+    assert sylow2.orders == {} and sylow2.order == 1
+    d31swap = GroupSpec(QQ, [_m(QQ, [[3, 0], [0, 1]]), _m(QQ, [[0, 1], [1, 0]])])
+    with pytest.raises(ValueError):
+        adjoint_sylow(d31swap)
 
 
 def test_is_nilpotent_examples():
@@ -256,8 +258,8 @@ def test_sylow_witness_path_returns_non_p_element():
 
 
 def test_positive_verdicts_never_run_the_chain(monkeypatch, ff_corpus):
-    """The Sylow test decides every positive finite and adjoint verdict
-    with no class bound: every nilpotent group of the benchmark stocks
+    """The Sylow test decides every positive finite verdict and adjoint
+    decomposition with no class bound: every nilpotent group of the benchmark stocks
     (seed 1) and of the finite-field corpus keeps its verdict, and its
     analyze report wherever the stock runs analyze."""
     from pathlib import Path
@@ -331,8 +333,8 @@ def _minpoly_stock():
 def test_no_minimal_polynomial_computed_twice_in_one_call(q_corpus, monkeypatch):
     """Within one is_nilpotent or analyze call no matrix's minimal
     polynomial is computed twice: the Jordan split's f* serves modulus
-    selection and the adjoint guard, analyze hands its finiteness to order
-    and primary_decomposition, and a repeated kernel matrix is tried once.
+    selection, analyze answers every query from one verdict, and a
+    repeated kernel matrix is tried once.
 
     Only a matrix met in two roles may recur: a diagonalizable part that is
     also a generator of its group's adjoint image (Ad(s) = s happens when

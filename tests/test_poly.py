@@ -10,7 +10,6 @@ from nilmat.poly import (
     Poly,
     cyclotomic_finite_order,
     cyclotomic_ints,
-    discriminant,
     factor,
     gcd,
     is_irreducible_over_Q,
@@ -142,8 +141,8 @@ def test_cyclotomic_finite_order_examples():
 
 def test_resultant_and_discriminant():
     f = Poly.from_ints(QQ, [-2, 0, 1])
-    d = discriminant(f)
-    assert d == QQ.from_int(8)
+    # disc(f) = (-1)^(d(d-1)/2) res(f, f') / lc(f), here -res(f, f')
+    assert QQ.neg(resultant(f, f.derivative())) == QQ.from_int(8)
     g = Poly.from_ints(QQ, [-1, 1])
     h = Poly.from_ints(QQ, [1, 1])
     # res(X-1, X+1) = value of X+1 at 1 = 2 up to sign conventions

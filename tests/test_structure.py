@@ -1,21 +1,14 @@
-"""Structural queries for nilpotent groups."""
+"""Structural reports for nilpotent groups, all through analyze."""
 
 import pytest
 
 from nilmat.config import DEFAULT
-from nilmat.errors import ImperfectField
 from nilmat.fields import QQ, FiniteField, FunctionField
 from nilmat.groups import GroupSpec
 from nilmat.linalg import Matrix
+from nilmat.nilpotency import adjoint_rep
 from nilmat.numth import factorint
-from nilmat.structure import (
-    analyze,
-    center_generators,
-    is_completely_reducible,
-    is_finite,
-    order,
-    primary_decomposition,
-)
+from nilmat.structure import _center_generators, analyze
 from nilmat.testkit import closure, gen_max_abs_irr_nilpotent, oracle_invariants
 
 
@@ -35,65 +28,71 @@ def heisenberg():
 
 
 def test_is_finite_examples():
-    fin, route, witness, _ = is_finite(heisenberg())
-    assert not fin and route == "unipotent-part" and witness.kind == "nontrivial_unipotent_part"
+    rep = analyze(heisenberg())
+    assert rep.finite is False and rep.route == "unipotent-part"
+    assert rep.witness.kind == "nontrivial_unipotent_part"
     G2 = GroupSpec(QQ, [_m(QQ, [[2]])])
-    fin2, route2, witness2, _ = is_finite(G2)
-    assert not fin2 and route2 == "congruence-kernel"
-    assert witness2.kind == "nontrivial_kernel_element"
-    fin3, _, _, _ = is_finite(d8())
-    assert fin3
+    rep2 = analyze(G2)
+    assert rep2.finite is False and rep2.route == "congruence-kernel"
+    assert rep2.witness.kind == "nontrivial_kernel_element"
+    assert analyze(d8()).finite
 
 
 def test_is_finite_requires_nilpotent():
+    """A group that is not nilpotent gets its witness and no structural
+    answer."""
     s3 = GroupSpec(
         QQ,
         [_m(QQ, [[0, 0, 1], [1, 0, 0], [0, 1, 0]]), _m(QQ, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])],
     )
-    with pytest.raises(ValueError):
-        is_finite(s3)
+    rep = analyze(s3)
+    assert not rep.nilpotent and rep.witness is not None
+    assert rep.finite is None and rep.order is None and rep.completely_reducible is None
+    assert rep.primary is None and rep.center_gens is None
 
 
 def test_order_examples():
-    assert order(GroupSpec(QQ, [Matrix.identity(QQ, 2)])) == 1
-    assert order(d8()) == 8
+    assert analyze(GroupSpec(QQ, [Matrix.identity(QQ, 2)])).order == 1
+    assert analyze(d8()).order == 8
     G32 = gen_max_abs_irr_nilpotent(2, 5, 1)
-    assert order(G32) == 32
-    with pytest.raises(ValueError):
-        order(GroupSpec(QQ, [_m(QQ, [[2]])]))
+    assert analyze(G32).order == 32
+    rep = analyze(GroupSpec(QQ, [_m(QQ, [[2]])]))
+    assert rep.finite is False and rep.order is None
 
 
 def test_order_matches_oracle_on_finite_corpus(ff_corpus, ff_oracle):
     for entry in ff_corpus:
         if not ff_oracle[entry.name]["nilpotent"]:
             continue
-        assert order(entry.group) == ff_oracle[entry.name]["order"], entry.name
+        assert analyze(entry.group).order == ff_oracle[entry.name]["order"], entry.name
 
 
 def test_is_completely_reducible_examples():
-    cr, flag = is_completely_reducible(d8())
-    assert cr and [w.dim for w in flag] == [2, 0]
-    cr2, flag2 = is_completely_reducible(heisenberg())
-    assert not cr2 and [w.dim for w in flag2] == [3, 2, 1, 0]
-    cr3, _ = is_completely_reducible(GroupSpec(QQ, [_m(QQ, [[2, 2], [0, 2]])]))
-    assert not cr3
-    with pytest.raises(ImperfectField):
-        ffp = FunctionField(FiniteField(5))
-        is_completely_reducible(GroupSpec(ffp, [Matrix.identity(ffp, 2)]))
+    rep = analyze(d8())
+    assert rep.completely_reducible and rep.cr_series_dims == [2, 0]
+    rep2 = analyze(heisenberg())
+    assert rep2.completely_reducible is False and rep2.cr_series_dims == [3, 2, 1, 0]
+    assert analyze(GroupSpec(QQ, [_m(QQ, [[2, 2], [0, 2]])])).completely_reducible is False
+    # char-p function fields are imperfect: no answer
+    ffp = FunctionField(FiniteField(5))
+    rep4 = analyze(GroupSpec(ffp, [Matrix.identity(ffp, 2)]))
+    assert rep4.completely_reducible is None and rep4.cr_series_dims is None
 
 
 def test_primary_decomposition_examples():
     F13 = FiniteField(13)
-    sylow, ext, _ = primary_decomposition(GroupSpec(F13, [_m(F13, [[2]])]))
-    assert not ext and sylow.orders == {2: 4, 3: 3}
-    sylow8, ext8, _ = primary_decomposition(d8())
-    assert not ext8 and set(sylow8.orders) == {2} and sylow8.orders[2] == 8
+    rep = analyze(GroupSpec(F13, [_m(F13, [[2]])]))
+    assert not rep.primary_is_extension and rep.primary.orders == {2: 4, 3: 3}
+    rep8 = analyze(d8())
+    sylow8 = rep8.primary
+    assert not rep8.primary_is_extension and set(sylow8.orders) == {2} and sylow8.orders[2] == 8
     # pulled-back generators really generate the Sylow subgroup over Q
     c = closure([e.mat for e in sylow8.components[2]], 100)
     assert len(c) == 8
     Ginf = GroupSpec(QQ, [_m(QQ, [[2]])])
-    sylow_inf, ext_inf, _ = primary_decomposition(Ginf)
-    assert ext_inf and sylow_inf.components == {} and len(sylow_inf.central_part) >= 1
+    rep_inf = analyze(Ginf)
+    assert rep_inf.primary_is_extension and rep_inf.primary.components == {}
+    assert len(rep_inf.primary.central_part) >= 1
 
 
 def test_primary_infinite_components_use_small_primes_only():
@@ -103,13 +102,9 @@ def test_primary_infinite_components_use_small_primes_only():
     scaled = _m(QQ, [[0, -2], [2, 0]])  # infinite order, commutes with nothing extra
     refl = _m(QQ, [[1, 0], [0, -1]])
     G = GroupSpec(QQ, [scaled, refl])  # infinite dihedral-flavored 2-group times Z
-    v = None
-    from nilmat.nilpotency import is_nilpotent
-
-    v = is_nilpotent(G)
-    assert v.nilpotent
-    sylow, ext, _ = primary_decomposition(G, verdict=v)
-    assert ext
+    rep = analyze(G)
+    assert rep.nilpotent and rep.primary_is_extension
+    sylow = rep.primary
     assert all(p <= G.degree for p in sylow.components), sylow.components
     # central part is present and genuinely central in the diagonalizable part
     for z in sylow.central_part:
@@ -120,11 +115,12 @@ def test_primary_infinite_components_use_small_primes_only():
 def test_primary_cross_prime_commutation():
     F13 = FiniteField(13)
     G = GroupSpec(F13, [Matrix.diagonal(F13, (2, 1)), Matrix.diagonal(F13, (1, 2))])
-    sylow, _, _ = primary_decomposition(G)
+    rep = analyze(G)
+    sylow = rep.primary
     total = 1
     for p, o in sylow.orders.items():
         total *= o
-    assert total == order(G)
+    assert total == rep.order
     primes = sorted(sylow.components)
     for i, p in enumerate(primes):
         for q in primes[i + 1 :]:
@@ -134,7 +130,7 @@ def test_primary_cross_prime_commutation():
 
 
 def test_center_generators_examples():
-    zs = center_generators(d8())
+    zs = analyze(d8()).center_gens
     mats = {z.mat for z in zs}
     assert _m(QQ, [[-1, 0], [0, -1]]) in mats
     for z in zs:
@@ -142,10 +138,10 @@ def test_center_generators_examples():
             assert z.mat * g == g * z.mat
     # abelian group: the center is everything; generators map onto the group
     Gab = GroupSpec(QQ, [_m(QQ, [[0, -1], [1, 0]])])
-    za = center_generators(Gab)
+    za = analyze(Gab).center_gens
     assert len(closure([z.mat for z in za], 10)) == 4
     G32 = gen_max_abs_irr_nilpotent(2, 5, 1)
-    z32 = center_generators(G32)
+    z32 = analyze(G32).center_gens
     c = closure([z.mat for z in z32], 100)
     oi = oracle_invariants(closure(list(G32.gens), 100))
     assert len(c) == oi["center"] == 4
@@ -157,10 +153,10 @@ def test_center_contains_oracle_center(ff_corpus, ff_oracle):
         oi = ff_oracle[entry.name]
         if not oi["nilpotent"]:
             continue
-        cr, _ = is_completely_reducible(entry.group)
-        if not cr:
+        rep = analyze(entry.group)
+        if not rep.completely_reducible:
             continue
-        zs = center_generators(entry.group)
+        zs = rep.center_gens
         zc = closure([z.mat for z in zs], 10**4)
         assert len(zc) == oi["center"], entry.name
         checked += 1
@@ -209,8 +205,7 @@ def _signed_perm_sylow2():
 
 
 def test_known_finite_centers():
-    """Centers of groups too large for the corpus, through analyze and
-    center_generators alike."""
+    """Centers of groups too large for the corpus."""
     from corpus import q8_power_with_diagonal, semidihedral
 
     cases = (
@@ -224,7 +219,6 @@ def test_known_finite_centers():
         rep = analyze(G)
         assert rep.finite and rep.completely_reducible, name
         _check_center(G, rep.center_gens, size, name)
-        assert center_generators(G) == rep.center_gens, name
 
 
 def test_finite_analyze_builds_no_adjoint_representation(monkeypatch):
@@ -232,14 +226,13 @@ def test_finite_analyze_builds_no_adjoint_representation(monkeypatch):
     Q(sqrt2) and Q(i) alike, with no adjoint representation."""
     from fractions import Fraction
 
-    from nilmat import nilpotency, structure
+    from nilmat import nilpotency
     from nilmat.fields import NumberField
 
     def refuse(G):
         raise AssertionError("adjoint representation built for a finite group")
 
     monkeypatch.setattr(nilpotency, "adjoint_rep", refuse)
-    monkeypatch.setattr(structure, "adjoint_rep", refuse)
     K = NumberField((-2, 0, 1))
     h = (Fraction(0), Fraction(1, 2))
     d16 = GroupSpec(K, [Matrix.make(K, [[h, K.neg(h)], [h, h]]), _m(K, [[1, 0], [0, -1]])])
@@ -256,30 +249,26 @@ def test_finite_analyze_builds_no_adjoint_representation(monkeypatch):
         rep = analyze(G)
         assert rep.finite and rep.order == size and rep.completely_reducible, name
         _check_center(G, rep.center_gens, center, name)
-        assert center_generators(G) == rep.center_gens, name
 
 
 def test_center_generators_rejects_non_semisimple_generators():
-    """Over Q a non-diagonalizable generator raises NotSemisimple at once,
-    instead of enumerating the infinite adjoint image; completely
+    """Over Q a non-diagonalizable generator gets no center at once,
+    instead of an enumeration of the infinite adjoint image; completely
     reducible groups keep their center, which the Sylow tables and the
     adjoint kernel generate alike; the kernel lists no identity."""
     import time
 
-    from nilmat.errors import NotSemisimple
-    from nilmat.structure import _center_generators
-
     e13 = _m(QQ, [[1, 0, 1], [0, 1, 0], [0, 0, 1]])
     for G in (heisenberg(), GroupSpec(QQ, [heisenberg().gens[0], e13, heisenberg().gens[1]])):
         t0 = time.monotonic()
-        with pytest.raises(NotSemisimple):
-            center_generators(G)
+        rep = analyze(G)
+        assert rep.completely_reducible is False and rep.center_gens is None
         assert time.monotonic() - t0 < 1.0
     qi = _m(QQ, [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
     qj = _m(QQ, [[0, 0, -1, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0]])
     for G in (d8(), GroupSpec(QQ, [qi, qj])):
-        zs = center_generators(G)
-        kernel = _center_generators(G, DEFAULT)
+        zs = analyze(G).center_gens
+        kernel = _center_generators(G, DEFAULT, adjoint_rep(G))
         assert not any(z.is_identity() for z in kernel)
         adjoint = closure([z.mat for z in kernel], 10)
         assert set(closure([z.mat for z in zs], 10).elements) == set(adjoint.elements)
@@ -291,10 +280,10 @@ def test_center_generators_rejects_non_semisimple_generators():
 def test_analyze_builds_one_adjoint_representation(monkeypatch):
     """On an infinite completely reducible group analyze builds the adjoint
     representation once and reuses the primary decomposition's center, which
-    equals center_generators(G), matrices and words."""
+    equals the adjoint kernel of G, matrices and words."""
     from fractions import Fraction
 
-    from nilmat import nilpotency, structure
+    from nilmat import nilpotency
     from nilmat.fields import NumberField
 
     ff = FunctionField(QQ)
@@ -317,19 +306,19 @@ def test_analyze_builds_one_adjoint_representation(monkeypatch):
         built.clear()
         with monkeypatch.context() as m:
             m.setattr(nilpotency, "adjoint_rep", counting)
-            m.setattr(structure, "adjoint_rep", counting)
             rep = analyze(G)
         assert rep.finite is False and rep.completely_reducible and rep.primary_is_extension
         assert len(built) == 1
-        assert rep.center_gens == center_generators(G)
-        assert [z.word for z in rep.center_gens] == [z.word for z in center_generators(G)]
+        kernel = _center_generators(G, DEFAULT, adjoint_rep(G))
+        assert rep.center_gens == kernel
+        assert [z.word for z in rep.center_gens] == [z.word for z in kernel]
 
 
 def test_center_generators_cap_is_typed():
     from nilmat.errors import CapExceeded
 
     with pytest.raises(CapExceeded):
-        center_generators(d8(), DEFAULT.with_(cayley_cap=2))
+        _center_generators(d8(), DEFAULT.with_(cayley_cap=2), adjoint_rep(d8()))
 
 
 def test_analyze_full_reports():

@@ -9,7 +9,7 @@ from nilmat.fields import QQ, FiniteField
 from nilmat.groups import GroupSpec, enumerate_group
 from nilmat.linalg import Matrix, spin_basis
 from nilmat.nilpotency import is_nilpotent
-from nilmat.structure import is_completely_reducible
+from nilmat.structure import analyze
 from nilmat.testkit import (
     closure,
     gen_max_abs_irr_nilpotent,
@@ -249,16 +249,14 @@ def test_gen_reducible_nilpotent_examples():
     assert Gd.degree == 4
     v = is_nilpotent(Gd)
     assert v.nilpotent
-    cr, _ = is_completely_reducible(Gd)
-    assert not cr
+    assert analyze(Gd).completely_reducible is False
     # over a finite field the construction stays nilpotent and reducible
     F5 = FiniteField(5)
     d8f = GroupSpec(F5, [_m(F5, [[0, -1], [1, 0]]), _m(F5, [[1, 0], [0, -1]])])
     Gf = gen_reducible_nilpotent(d8f)
     oi = oracle_invariants(closure(list(Gf.gens), 10**4))
     assert oi["nilpotent"] and oi["order"] == 40
-    crf, _ = is_completely_reducible(Gf)
-    assert not crf
+    assert analyze(Gf).completely_reducible is False
 
 
 def test_reducible_base_scalars():
