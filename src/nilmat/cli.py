@@ -341,9 +341,12 @@ def _cmd_verify(args) -> int:
         return 2
     group = None
     gf = args.group or report.get("group_file")
+    # a GF(p^l) field without a modulus is built from the seed the report ran with
+    flags = report.get("flags")
+    seed = flags.get("seed") if isinstance(flags, dict) else None
     if gf and Path(gf).exists():
         try:
-            group = parse_group_file(gf)
+            group = parse_group_file(gf, seed=seed if isinstance(seed, int) else 0)
         except (ParseError, SingularGenerator):
             group = None
     ok, checks = verify_report(report, group)

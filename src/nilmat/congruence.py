@@ -27,7 +27,7 @@ from .fields import (
     reduce_mod,
 )
 from .groups import GroupSpec, dedup_elts, enumerate_group
-from .linalg import Matrix, minimal_polynomial
+from .linalg import Matrix, semisimple_minpoly
 from .numth import factorint, odd_primes
 from .poly import Poly, factor, gcd as poly_gcd, resultant
 
@@ -125,7 +125,10 @@ def denominator_set(G: GroupSpec):
 
 
 def _minpoly_stays_squarefree(h: Poly, reduce_coeff, target):
-    """Whether the coefficient-wise reduction of the squarefree h stays squarefree."""
+    """Whether the coefficient-wise reduction of the squarefree h stays
+    squarefree; h None (a generator that is not semisimple) never does."""
+    if h is None:
+        return False
     try:
         hbar = Poly.make(target, [reduce_coeff(c) for c in h.coeffs])
     except DenominatorDivisible:
@@ -161,14 +164,15 @@ def _first_valid_prime(G, minpolys, try_prime):
     """Least odd prime p <= PRIME_CAP with try_prime(p) not None, preferring
     p > n.
 
-    A minimal polynomial h with a repeated factor g^2 fails at every prime,
-    so it raises before any is tried.  At a p the other checks admit, g may
-    be taken monic with p-integral coefficients (the p-integral ring is
-    integrally closed when p does not divide the discriminant), so g-bar^2
-    divides h-bar; whenever deg h-bar = deg h, also deg g-bar = deg g >= 1,
-    and the squarefree check rejects p."""
+    A generator that is not semisimple (minpolys holds None for it) has a
+    minimal polynomial h with a repeated factor g^2, which fails at every
+    prime, so it raises before any is tried.  At a p the other checks
+    admit, g may be taken monic with p-integral coefficients (the
+    p-integral ring is integrally closed when p does not divide the
+    discriminant), so g-bar^2 divides h-bar; whenever deg h-bar = deg h,
+    also deg g-bar = deg g >= 1, and the squarefree check rejects p."""
     message = f"no valid odd prime below {PRIME_CAP}"
-    if any(poly_gcd(h, h.derivative()).degree > 0 for h in minpolys):
+    if any(h is None for h in minpolys):
         raise NoPrimeInRange(message)
     for require_gt_n in (True, False):
         for p in odd_primes(3):
@@ -324,7 +328,7 @@ def _select_modulus_functionfield(G, config):
             except ZeroDivisionError:
                 continue
             Geval = GroupSpec(QQ, evaluated)
-            minpolys = [minimal_polynomial(g) for g in evaluated]
+            minpolys = [semisimple_minpoly(g) for g in evaluated]
             try:
                 if config.prime_override is not None:
                     inner = _validate_prime(Geval, config.prime_override, minpolys)
@@ -359,12 +363,7 @@ def _select_modulus_functionfield(G, config):
                 evaluated = [_evaluate_ff_matrix(F, g, point_field, a) for g in G.gens]
             except ZeroDivisionError:
                 continue
-            semisimple = True
-            for m in evaluated:
-                h = minimal_polynomial(m)
-                if poly_gcd(h, h.derivative()).degree != 0:
-                    semisimple = False
-                    break
+            semisimple = all(semisimple_minpoly(m) is not None for m in evaluated)
             cd = CongruenceData(
                 source=F,
                 pi=pi,
@@ -389,15 +388,16 @@ def select_modulus(G: GroupSpec, config: Config = DEFAULT, minpolys=None) -> Con
     """Smallest valid reduction data for the group's coefficient field.
 
     minpolys are the generators' minimal polynomials when the caller has
-    them (the Jordan split's), else they are computed here; a function
-    field reduces evaluated matrices and computes theirs."""
+    them (the Jordan split's), else they are computed here, None for a
+    generator that is not semisimple; a function field reduces evaluated
+    matrices and computes theirs."""
     F = G.field
     if isinstance(F, FiniteField):
         raise UnsupportedField("finite fields need no reduction")
     if isinstance(F, FunctionField):
         return _select_modulus_functionfield(G, config)
     if minpolys is None:
-        minpolys = [minimal_polynomial(g) for g in G.gens]
+        minpolys = [semisimple_minpoly(g) for g in G.gens]
     if config.prime_override is not None:
         return _validate_prime(G, config.prime_override, minpolys)
     if isinstance(F, RationalField):

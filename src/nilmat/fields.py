@@ -911,8 +911,8 @@ class FunctionField(Field):
         # one normalizing gcd per entry instead of one per term, and none
         # when both denominators are 1
         B, one = self.base, self.one[1]
-        ra = [self._over_common_denominator(r) for r in rows]
-        cb = [self._over_common_denominator(c) for c in cols]
+        ra = [self.over_common_denominator(r) for r in rows]
+        cb = [self.over_common_denominator(c) for c in cols]
         out = []
         for na, da in ra:
             orow = []
@@ -928,7 +928,7 @@ class FunctionField(Field):
             out.append(tuple(orow))
         return tuple(out)
 
-    def _over_common_denominator(self, entries):
+    def over_common_denominator(self, entries):
         """(numerators, d) with entries[i] == numerators[i] / d, d the monic
         least common multiple of the denominators."""
         B = self.base

@@ -6,20 +6,24 @@ module holds no per-field product code.  Row echelon work over Q (`rref`,
 hence `nullspace` and `inverse`) clears denominators and eliminates by
 integer cross multiplication with per-row content stripping, which keeps
 entry growth in check without floating point or modular tricks.
-`minimal_polynomial` reduces its Krylov vectors with `Span`, which runs on
-field operations; over Q and number fields those operations, and the lcm
-of the annihilators, go through the integer kernels of `fields`.
+`charpoly` is Berkowitz's division-free recurrence, on integer or
+polynomial numerators over Q and function fields and on the field's own
+operations elsewhere; the semisimplicity test and the minimal polynomial
+of a semisimple matrix (`semisimple_minpoly`) come from its squarefree
+part, so no Krylov sequence is reduced.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import partial, reduce
 from fractions import Fraction
 
 from .errors import NotInvariant, Singular
-from .fields import Field, RationalField, primitive_ints
-from .poly import Poly, lcm as poly_lcm
+from .fields import Field, FunctionField, RationalField, primitive_ints, pt_add, pt_mul, pt_neg
+from .poly import Poly, squarefree_part
 
 
 @dataclass(frozen=True)
@@ -77,6 +81,10 @@ class Matrix:
                 elif not F.is_zero(c):
                     return False
         return True
+
+    def is_zero(self):
+        F = self.field
+        return all(F.is_zero(c) for row in self.rows for c in row)
 
     def __add__(self, other):
         F = self.field
@@ -375,50 +383,93 @@ def inverse(a: Matrix) -> Matrix:
     return Matrix(F, tuple(tuple(row[n:]) for row in red))
 
 
-def minimal_polynomial(a: Matrix) -> Poly:
-    """Least monic annihilator, by per-vector Krylov annihilators lcm'd
-    over the standard basis."""
+def charpoly(a: Matrix) -> Poly:
+    """det(t - a), monic of degree n, by Berkowitz's division-free
+    recurrence (Inf. Proc. Letters 18, 1984).
+
+    Over Q and function fields it runs on the numerators d*a over the
+    least common denominator d, integers or polynomials: coefficient k of
+    det(t - d*a) is d^(n-k) times that of det(t - a).  Other fields run it
+    on their own add/mul/neg."""
     F = a.field
     n = a.n
-    overall = Poly.one_(F)
-    for j in range(n):
-        if overall.degree == n:
-            break
-        e = [F.zero] * n
-        e[j] = F.one
-        v = tuple(e)
-        # skip vectors already annihilated
-        if _poly_apply_vec(overall, a, v) == tuple([F.zero] * n):
-            continue
-        span = Span(F, n)
-        cur = v
-        while span.insert(cur):
-            cur = a.apply(cur)
-        coeffs = span.coords(cur)
-        ann = Poly.make(F, [F.neg(c) for c in coeffs] + [F.one])
-        overall = poly_lcm(overall, ann)
-    return overall.monic()
+    entries = [c for row in a.rows for c in row]
+    if isinstance(F, RationalField):
+        d = math.lcm(*(c.denominator for c in entries))
+        nums = [c.numerator * (d // c.denominator) for c in entries]
+        one, add, mul, neg, div = 1, operator.add, operator.mul, operator.neg, Fraction
+    elif isinstance(F, FunctionField):
+        B = F.base
+        nums, d = F.over_common_denominator(entries)
+        one, div = (B.one,), F.make
+        add, mul, neg = partial(pt_add, B), partial(pt_mul, B), partial(pt_neg, B)
+    else:
+        return Poly(F, tuple(reversed(_berkowitz(a.rows, F.one, F.add, F.mul, F.neg))))
+    top = _berkowitz([nums[i * n : (i + 1) * n] for i in range(n)], one, add, mul, neg)
+    out, dj = [], one
+    for c in top:
+        out.append(div(c, dj))
+        dj = mul(dj, d)
+    return Poly(F, tuple(reversed(out)))
 
 
-def _poly_apply_vec(f: Poly, a: Matrix, v):
-    F = a.field
-    out = tuple(F.mul(f.coeffs[0], c) for c in v) if not f.is_zero() else tuple([F.zero] * len(v))
-    cur = v
-    for k in range(1, len(f.coeffs)):
-        cur = a.apply(cur)
-        c = f.coeffs[k]
-        if not F.is_zero(c):
-            out = tuple(F.add(x, F.mul(c, y)) for x, y in zip(out, cur))
-    return out
+def _berkowitz(rows, one, add, mul, neg):
+    """Coefficients of det(t - A), highest first, for a square A of size
+    n >= 1 over a commutative ring.
+
+    With A_r the leading r x r block, C the column above and R the row
+    left of entry (r, r), det(t - A_(r+1)) is det(t - A_r) times
+    t - a_rr - sum_k (R A_r^k C) t^-(k+1), of which only the polynomial part
+    survives, so k < r suffices."""
+
+    def dot(x, y):
+        return reduce(add, map(mul, x, y))
+
+    p = [one, neg(rows[0][0])]
+    for r in range(1, len(rows)):
+        block = [row[:r] for row in rows[:r]]
+        col, left = [row[r] for row in rows[:r]], rows[r][:r]
+        w = [one, neg(rows[r][r])]
+        for k in range(r):
+            if k:
+                col = [dot(row, col) for row in block]
+            w.append(neg(dot(left, col)))
+        p = [
+            reduce(add, (mul(w[j], p[i - j]) for j in range(max(0, i - r), i + 1)))
+            for i in range(r + 2)
+        ]
+    return p
 
 
 def poly_at_matrix(f: Poly, a: Matrix) -> Matrix:
+    """f(a) by Horner's rule, each coefficient added on the diagonal."""
     F = a.field
-    n = a.n
-    out = Matrix.zero(F, n)
-    for c in reversed(f.coeffs):
-        out = out * a + Matrix.identity(F, n) * c
+    out = Matrix.zero(F, a.n)
+    for k, c in enumerate(reversed(f.coeffs)):
+        if k:
+            out = out * a
+        out = Matrix(
+            F,
+            tuple(
+                tuple(F.add(x, c) if i == j else x for j, x in enumerate(row))
+                for i, row in enumerate(out.rows)
+            ),
+        )
     return out
+
+
+def semisimple_minpoly(a: Matrix):
+    """a's minimal polynomial when a is semisimple, else None; exact over
+    perfect fields.
+
+    f*, the squarefree part of the characteristic polynomial, divides the
+    minimal polynomial and has the same roots, so a is semisimple exactly
+    when f*(a) = 0, and then f* is its minimal polynomial; deg f* = n makes
+    that evident with no matrix product."""
+    fstar = squarefree_part(charpoly(a))
+    if fstar.degree == a.n or poly_at_matrix(fstar, a).is_zero():
+        return fstar
+    return None
 
 
 class AlgebraBasis:

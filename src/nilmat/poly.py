@@ -9,9 +9,11 @@ auxiliary good prime, Hensel lifting to a Mignotte-style bound, then naive
 subset recombination, which is fine at the degrees this package meets.
 
 Arithmetic goes through the coefficient-tuple helpers of `fields`, so over
-Q products, division with remainder and gcd (hence lcm and the squarefree
+Q products, division with remainder and gcd (hence the squarefree part and
 decomposition) run on integers: convolution, pseudo-division and the
-primitive remainder sequence.
+primitive remainder sequence.  In characteristic 0 the squarefree part
+is the single quotient f // gcd(f, f'); Yun's loop runs only for the full
+decomposition and in characteristic p.
 """
 
 from __future__ import annotations
@@ -144,12 +146,6 @@ def ext_gcd(a: Poly, b: Poly):
     return r0.scale(c), s0.scale(c), t0.scale(c)
 
 
-def lcm(a: Poly, b: Poly) -> Poly:
-    if a.is_zero() or b.is_zero():
-        return Poly.zero(a.field)
-    return ((a * b) // gcd(a, b)).monic()
-
-
 def _pth_root(f: Poly) -> Poly:
     """Inverse of the Frobenius on polynomials with zero derivative, char p."""
     F = f.field
@@ -213,7 +209,10 @@ def squarefree_decomposition(f: Poly):
 
 
 def squarefree_part(f: Poly) -> Poly:
-    """Monic product of the distinct irreducible factors of f."""
+    """Monic product of the distinct irreducible factors of f: f // gcd(f, f')
+    in characteristic 0, Yun's decomposition in characteristic p."""
+    if f.field.characteristic() == 0:
+        return (f // gcd(f, f.derivative())).monic()
     _, dec = squarefree_decomposition(f)
     out = Poly.one_(f.field)
     for g, _ in dec:

@@ -1,9 +1,11 @@
 """Jordan splitting and unipotency machinery.
 
 The multiplicative decomposition g = s u (s diagonalizable, u unipotent,
-commuting) is computed by the classical Newton iteration on the squarefree
-part of the minimal polynomial; over the perfect fields supported here the
-components stay over the ground field.  Char-p function fields are refused,
+commuting) is computed by the classical Newton iteration on f*, the
+squarefree part of the characteristic polynomial (that of the minimal
+polynomial too); over the perfect fields supported here the components
+stay over the ground field.  f* also decides semisimplicity and, in
+characteristic 0, element orders.  Char-p function fields are refused,
 the top-level pipeline reduces those by evaluation first.
 """
 
@@ -24,11 +26,12 @@ from .groups import GroupSpec
 from .linalg import (
     Matrix,
     Subspace,
+    charpoly,
     fixed_space,
     inverse,
-    minimal_polynomial,
     poly_at_matrix,
     quotient_action,
+    semisimple_minpoly,
 )
 from .poly import Poly, cyclotomic_finite_order, squarefree_part
 from .witness import WItem, Witness
@@ -71,22 +74,25 @@ def is_unipotent_matrix(g: Matrix) -> bool:
 
 def jordan(g: Matrix) -> JordanPair:
     """Unique commuting factorization g = s u with s diagonalizable, u
-    unipotent, and s's minimal polynomial: the squarefree part of g's."""
+    unipotent, and s's minimal polynomial f*, the squarefree part of g's
+    characteristic polynomial.  g is its own s when f* has degree n or
+    f*(g) = 0, which the Newton iteration's first step finds."""
     F = g.field
     _check_perfect(F)
     n = g.n
     ident = Matrix.identity(F, n)
-    f = minimal_polynomial(g)
-    fstar = squarefree_part(f)
-    if fstar.degree == f.degree:
+    fstar = squarefree_part(charpoly(g))
+    if fstar.degree == n:
         return JordanPair(g, ident, fstar)
     x = g
     dstar = fstar.derivative()
     for _ in range(max(1, math.ceil(math.log2(n)) + 1)):
         fx = poly_at_matrix(fstar, x)
-        if fx.rows == Matrix.zero(F, n).rows:
+        if fx.is_zero():
             break
         x = x - fx * inverse(poly_at_matrix(dstar, x))
+    if x is g:
+        return JordanPair(g, ident, fstar)
     s = x
     u = inverse(s) * g
     if not (s * u == g and u * s == g and is_unipotent_matrix(u)):
@@ -216,23 +222,20 @@ def finite_order(g: Matrix):
         return 1
     char = F.characteristic()
     if char == 0:
-        f = minimal_polynomial(g)
-        fstar = squarefree_part(f)
-        if fstar.degree != f.degree:
+        fstar = semisimple_minpoly(g)
+        if fstar is None:
             return None
         if isinstance(F, FunctionField):
             # finite order needs constant eigenvalue data
             if any(len(c[0]) > 1 or len(c[1]) > 1 for c in fstar.coeffs):
                 return None
-            base_poly = Poly.make(F.base, [F.base.div(c[0][0] if c[0] else F.base.zero, c[1][0]) for c in fstar.coeffs])
-            k = cyclotomic_finite_order(base_poly, _field_degree_over_prime(F, n))
-        else:
-            k = cyclotomic_finite_order(f, _field_degree_over_prime(F, n))
-        return k
+            fstar = Poly.make(F.base, [F.base.div(c[0][0] if c[0] else F.base.zero, c[1][0]) for c in fstar.coeffs])
+        return cyclotomic_finite_order(fstar, _field_degree_over_prime(F, n))
     if not isinstance(F, FiniteField):
-        # char-p function field: finite order forces constant semisimple data
-        fstar = squarefree_part(minimal_polynomial(g))
-        if any(len(c[0]) > 1 or len(c[1]) > 1 for c in fstar.coeffs):
+        # char-p function field: an element of finite order has roots of
+        # unity as eigenvalues, which are constants, so its characteristic
+        # polynomial has constant coefficients
+        if any(len(c[0]) > 1 or len(c[1]) > 1 for c in charpoly(g).coeffs):
             return None
     x = g
     for i in range(1, ORDER_CAP + 1):

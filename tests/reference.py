@@ -1,12 +1,23 @@
-"""Fraction reference kernels for Q[x] and number fields.
+"""Reference implementations the package's faster paths are checked against.
 
-These are the plain Fraction loops that the integer kernels of
-nilmat.fields replace; like `schoolbook` for `Field.matmul`, they define
-the values the kernels must return, value for value and repr for repr.
-Polynomials are ascending coefficient tuples with a nonzero last entry.
+The Fraction kernels for Q[x] and number fields are the plain loops that
+the integer kernels of nilmat.fields replace; like `schoolbook` for
+`Field.matmul`, they define the values the kernels must return, value for
+value and repr for repr.  Polynomials are ascending coefficient tuples with
+a nonzero last entry.
+
+`minimal_polynomial` is the Krylov minimal polynomial over any Field, and
+`jordan` and `finite_order` are the Jordan split and element order built
+on it and on Yun's squarefree part: the references for the
+characteristic-polynomial route of nilmat.linalg and nilmat.splitting.
 """
 
+import math
 from fractions import Fraction
+
+from nilmat.fields import FiniteField, FunctionField, NumberField
+from nilmat.linalg import Matrix, Span, inverse
+from nilmat.poly import Poly, cyclotomic_finite_order, gcd, squarefree_decomposition
 
 
 def trim(cs):
@@ -58,12 +69,6 @@ def poly_gcd(a, b):
     return monic(a)
 
 
-def poly_lcm(a, b):
-    if not a or not b:
-        return ()
-    return monic(poly_divmod(poly_mul(a, b), poly_gcd(a, b))[0])
-
-
 def derivative(a):
     return trim(c * i for i, c in enumerate(a) if i)
 
@@ -97,3 +102,79 @@ def nf_inv(K, a):
         s0, s1 = s1, poly_sub(s0, poly_mul(q, s1))
     inv = [c / r0[-1] for c in s0]
     return tuple(inv + [Fraction(0)] * (K.degree - len(inv)))
+
+
+def minimal_polynomial(a: Matrix) -> Poly:
+    """Least monic annihilator: the lcm over the standard basis vectors of
+    their Krylov annihilators, each read off a `Span` of a, a v, a^2 v, ..."""
+    F = a.field
+    n = a.n
+    overall = Poly.one_(F)
+    for j in range(n):
+        if overall.degree == n:
+            break
+        span = Span(F, n)
+        cur = tuple(F.one if i == j else F.zero for i in range(n))
+        while span.insert(cur):
+            cur = a.apply(cur)
+        coeffs = span.coords(cur)
+        ann = Poly.make(F, [F.neg(c) for c in coeffs] + [F.one])
+        overall = (overall * ann) // gcd(overall, ann)
+    return overall.monic()
+
+
+def yun_squarefree_part(f: Poly) -> Poly:
+    """Monic product of the factors of Yun's squarefree decomposition."""
+    out = Poly.one_(f.field)
+    for g, _ in squarefree_decomposition(f)[1]:
+        out = out * g
+    return out.monic()
+
+
+def poly_at_matrix(f: Poly, a: Matrix) -> Matrix:
+    """Horner's rule with a scaled identity per coefficient."""
+    ident = Matrix.identity(a.field, a.n)
+    out = Matrix.zero(a.field, a.n)
+    for c in reversed(f.coeffs):
+        out = out * a + ident * c
+    return out
+
+
+def jordan(g: Matrix):
+    """(s, u, minimal polynomial of s): Newton's iteration on the squarefree
+    part f* of the Krylov minimal polynomial f, skipped when f = f*."""
+    F, n = g.field, g.n
+    ident = Matrix.identity(F, n)
+    f = minimal_polynomial(g)
+    fstar = yun_squarefree_part(f)
+    if fstar.degree == f.degree:
+        return g, ident, fstar
+    x = g
+    for _ in range(max(1, math.ceil(math.log2(n)) + 1)):
+        fx = poly_at_matrix(fstar, x)
+        if fx == Matrix.zero(F, n):
+            break
+        x = x - fx * inverse(poly_at_matrix(fstar.derivative(), x))
+    return x, inverse(x) * g, fstar
+
+
+def finite_order(g: Matrix):
+    """Multiplicative order of g, or None when infinite: over finite fields
+    by powering, in characteristic 0 from the cyclotomic factors of the
+    Krylov minimal polynomial, which must be squarefree (and, over Q(X),
+    have constant coefficients)."""
+    F, n = g.field, g.n
+    if isinstance(F, FiniteField):
+        x, k = g, 1
+        while not x.is_identity():
+            x, k = x * g, k + 1
+        return k
+    f = minimal_polynomial(g)
+    if yun_squarefree_part(f) != f:
+        return None
+    degree = n * F.degree if isinstance(F, NumberField) else n
+    if isinstance(F, FunctionField):
+        if any(len(num) > 1 or den != (F.base.one,) for num, den in f.coeffs):
+            return None
+        f = Poly.make(F.base, [num[0] if num else F.base.zero for num, _ in f.coeffs])
+    return cyclotomic_finite_order(f, degree)

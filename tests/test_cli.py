@@ -136,6 +136,31 @@ def test_verify_witness_subcommand(tmp_path, capsys):
     assert main(["verify-witness", str(rep_path)]) == 1
 
 
+def test_verify_witness_reparses_with_the_report_seed(tmp_path, capsys):
+    """A GF(9) field given without a modulus takes its modulus from the
+    seed, so verify-witness must re-read the group file with the seed the
+    report ran with: the Borel group's witness verifies at every seed."""
+    borel9 = write(
+        tmp_path,
+        "borel9.json",
+        {
+            "field": {"kind": "GF", "p": 3, "l": 2},
+            "generators": [
+                [[["0", "1"], ["0"]], [["0"], ["1"]]],
+                [[["1"], ["1"]], [["0"], ["1"]]],
+            ],
+        },
+    )
+    for seed in range(4):
+        assert main(["is-nilpotent", str(borel9), "--seed", str(seed), "--json"]) == 0
+        out = capsys.readouterr().out
+        assert json.loads(out)["verdict"]["nilpotent"] is False
+        rep_path = tmp_path / f"rep{seed}.json"
+        rep_path.write_text(out)
+        assert main(["verify-witness", str(rep_path)]) == 0, seed
+        assert capsys.readouterr().out.startswith("VERIFIED")
+
+
 def test_gen_and_oracle_commands(tmp_path, capsys):
     out = tmp_path / "g32.json"
     assert main(["gen", "max-irr", "2", "5", "--out", str(out)]) == 0

@@ -54,7 +54,7 @@ def test_select_modulus_rational():
     assert cd.checks["minpoly_squarefree_mod_p"]
     # re-verify the checks independently: resultants nonzero mod p
     for g in (d31, swap):
-        from nilmat.linalg import minimal_polynomial
+        from reference import minimal_polynomial
 
         h = minimal_polynomial(g)
         target = FiniteField(cd.p)

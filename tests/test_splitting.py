@@ -12,8 +12,8 @@ from nilmat.errors import (
 )
 from nilmat.fields import QQ, FiniteField, FunctionField, NumberField
 from nilmat.groups import GroupSpec
-from nilmat.linalg import Matrix, inverse, minimal_polynomial
-from nilmat.poly import gcd as poly_gcd
+from nilmat.linalg import Matrix, charpoly, inverse, poly_at_matrix, semisimple_minpoly
+from nilmat.poly import gcd as poly_gcd, squarefree_part
 from nilmat.splitting import (
     finite_order,
     is_unipotent_group,
@@ -21,6 +21,7 @@ from nilmat.splitting import (
     jordan,
     reduction_split,
 )
+from reference import minimal_polynomial
 
 JORDAN_FIELDS = [QQ, FiniteField(5), FiniteField(3, 2), NumberField((-2, 0, 1)), FunctionField(QQ)]
 
@@ -107,6 +108,77 @@ def test_jordan_random_conjugates(field):
         assert jp2.u == t2 * jp.u * inverse(t2)
 
 
+CHARPOLY_FIELDS = [
+    QQ,
+    NumberField((-2, 0, 1)),
+    NumberField((1, 0, 1)),
+    FunctionField(QQ),
+    FiniteField(7),
+    FiniteField(3, 2),
+]
+
+
+def _charpoly_stock(F, rng):
+    """Scalars, repeated eigenvalues, nontrivial Jordan blocks, unipotent
+    and finite-order matrices and random ones, each with a random
+    conjugate."""
+    cands = [F.from_int(2), F.neg(F.one), F.one]
+    if isinstance(F, NumberField):
+        cands.insert(0, F.gen())
+    if isinstance(F, FunctionField):
+        cands.insert(0, F.x())
+    if isinstance(F, FiniteField) and F.l > 1:
+        cands.insert(0, F.from_coeffs([0, 1]))
+    a = next(c for c in cands if not F.is_zero(c))
+    b = next(c for c in cands if not F.is_zero(c) and c != a)
+    o, z = F.one, F.zero
+
+    def m(rows):
+        return Matrix.make(F, rows)
+
+    base = [
+        Matrix.diagonal(F, (a, a, a)),
+        Matrix.diagonal(F, (a, a, b)),
+        m([[a, o, z], [z, a, z], [z, z, b]]),
+        m([[a, o, z], [z, a, o], [z, z, a]]),
+        m([[b, o], [z, b]]),
+        Matrix.from_ints(F, [[1, 1], [0, 1]]),
+        Matrix.from_ints(F, [[0, -1], [1, 0]]),
+        Matrix.from_ints(F, [[0, -1], [1, -1]]),
+        Matrix.from_ints(F, [[0, 0, 1], [1, 0, 0], [0, 1, 0]]),
+        Matrix.from_ints(F, [[0, 1, 0], [1, 0, 0], [0, 0, 1]]),
+        random_invertible(F, 3, rng),
+        random_invertible(F, 2, rng),
+    ]
+    out = []
+    for g in base:
+        t = random_invertible(F, g.n, rng)
+        out += [g, t * g * inverse(t)]
+    return out
+
+
+@pytest.mark.parametrize("field", CHARPOLY_FIELDS, ids=lambda f: f.name())
+def test_charpoly_route_matches_krylov_reference(field):
+    """charpoly is monic of degree n and annihilates its matrix, its
+    squarefree part is that of the Krylov minimal polynomial, and jordan,
+    semisimple_minpoly and finite_order equal the references built on the
+    Krylov minimal polynomial."""
+    import reference as ref
+
+    rng = random.Random(43)
+    for g in _charpoly_stock(field, rng):
+        chi = charpoly(g)
+        assert chi.degree == g.n and field.is_one(chi.lc())
+        assert poly_at_matrix(chi, g) == Matrix.zero(field, g.n)
+        f = ref.minimal_polynomial(g)
+        fstar = ref.yun_squarefree_part(f)
+        assert squarefree_part(chi) == fstar
+        assert semisimple_minpoly(g) == (f if f == fstar else None)
+        jp = jordan(g)
+        assert (jp.s, jp.u, jp.minpoly_s) == ref.jordan(g)
+        assert finite_order(g) == ref.finite_order(g)
+
+
 def test_jordan_rejects_imperfect_fields():
     ff = FunctionField(FiniteField(5))
     x = ff.x()
@@ -164,10 +236,13 @@ def test_reduction_split_examples():
 
 
 def test_identity_unipotent_parts_cost_no_field_work(monkeypatch):
-    """When every unipotent part is 1, reduction_split forms no matrix
-    product and no inverse (the flag is (V, 0)), and
-    is_nilpotent reduces and lifts G itself instead of a copy of its
-    diagonalizable parts; one nontrivial part still gets its products."""
+    """When every generator's characteristic polynomial is squarefree,
+    reduction_split forms no matrix product and no inverse: each generator
+    is its own diagonalizable part and the flag is (V, 0).  A
+    diagonalizable generator with a repeated eigenvalue is its own part
+    too, found by one evaluation of f* with no inverse.  is_nilpotent
+    reduces and lifts G itself instead of a copy of its diagonalizable
+    parts; one nontrivial unipotent part still gets its products."""
     from nilmat import nilpotency, splitting
 
     counted = []
@@ -192,6 +267,14 @@ def test_identity_unipotent_parts_cost_no_field_work(monkeypatch):
         assert (not counted) == free
         if free:
             assert [w.dim for w in sr.cert_u.flag] == [2, 0]
+    # eigenvalues 1, 1, -1: f* = t^2 - 1 has degree 2 < 3 and f*(g) = 0
+    swap = Matrix.from_ints(QQ, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+    counted.clear()
+    with monkeypatch.context() as m:
+        m.setattr(splitting, "inverse", counting_inverse)
+        jp = jordan(swap)
+    assert not counted
+    assert jp.s is swap and jp.u.is_identity()
     lifted = []
     kernel = nilpotency.congruence_kernel
 
