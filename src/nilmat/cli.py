@@ -17,16 +17,17 @@ import time
 from pathlib import Path
 
 from .config import DEFAULT, Config
-from .congruence import apply_congruence, select_modulus
+from .congruence import apply_congruence_group, select_modulus
 from .errors import (
     CapExceeded,
+    ImperfectField,
     NilmatError,
     NoPrimeInRange,
     ParseError,
     SingularGenerator,
     VerdictUnavailable,
 )
-from .fields import field_from_json
+from .fields import FunctionField, field_from_json
 from .groups import GroupSpec
 from .linalg import Matrix
 from .nilpotency import is_nilpotent
@@ -164,9 +165,6 @@ def run_command(cmd: str, G: GroupSpec, config: Config = DEFAULT, group_file=Non
             report["image_order"] = v.artifacts["image_order"]
     elif cmd in ("is-finite", "order", "sylow", "primary", "is-completely-reducible", "cr-series"):
         if cmd in ("is-completely-reducible", "cr-series"):
-            from .errors import ImperfectField
-            from .fields import FunctionField
-
             if isinstance(G.field, FunctionField) and G.field.characteristic() > 0:
                 raise ImperfectField("complete reducibility testing needs a perfect field")
         rep = analyze(G, config)
@@ -189,7 +187,7 @@ def run_command(cmd: str, G: GroupSpec, config: Config = DEFAULT, group_file=Non
             report["cr_series_dims"] = rep.cr_series_dims
     elif cmd == "reduce":
         cd = select_modulus(G, config)
-        image = GroupSpec(cd.target, [apply_congruence(g, cd) for g in G.gens])
+        image = apply_congruence_group(G, cd)
         report["congruence"] = cd.to_json()
         report["image"] = group_to_json(image)
         report["verdict"] = {"reduced": True, "p": cd.p}

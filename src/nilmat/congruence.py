@@ -186,11 +186,6 @@ def _first_valid_prime(G, minpolys, try_prime):
     raise NoPrimeInRange(message)
 
 
-def _select_modulus_rational(G, minpolys):
-    pi = denominator_set(G)
-    return _first_valid_prime(G, minpolys, lambda p: _try_prime_rational(G, pi, minpolys, p))
-
-
 def _frobenius_roots(target: FiniteField, factor_poly: Poly):
     """All roots of an irreducible factor inside GF(p^l), lexicographically sorted
     by coefficient vector."""
@@ -249,12 +244,29 @@ def _try_prime_numberfield(G, pi, minpolys, disc_num, p):
     )
 
 
-def _select_modulus_numberfield(G, minpolys):
+def _prime_trial(G, minpolys):
+    """try_prime(p): the CongruenceData of the prime p for G over Q or a
+    number field, or None when p fails a check.  The denominator primes,
+    and a number field's discriminant, are computed once for all p."""
     F = G.field
     pi = denominator_set(G)
-    fq = Poly.from_ints(QQ, F.minpoly)
-    disc_num = abs(resultant(fq, fq.derivative()).numerator)
-    return _first_valid_prime(G, minpolys, lambda p: _try_prime_numberfield(G, pi, minpolys, disc_num, p))
+    if isinstance(F, NumberField):
+        fq = Poly.from_ints(QQ, F.minpoly)
+        disc_num = abs(resultant(fq, fq.derivative()).numerator)
+        return lambda p: _try_prime_numberfield(G, pi, minpolys, disc_num, p)
+    return lambda p: _try_prime_rational(G, pi, minpolys, p)
+
+
+def _select_prime(G, minpolys, prime_override):
+    """The user's prime when it passes every check, else the least valid
+    one; NoPrimeInRange when there is none."""
+    try_prime = _prime_trial(G, minpolys)
+    if prime_override is None:
+        return _first_valid_prime(G, minpolys, try_prime)
+    cd = try_prime(prime_override)
+    if cd is None:
+        raise NoPrimeInRange(f"prime {prime_override} fails the validity checks")
+    return cd
 
 
 def _ff_candidate_points(base, seed=0):
@@ -330,10 +342,7 @@ def _select_modulus_functionfield(G, config):
             Geval = GroupSpec(QQ, evaluated)
             minpolys = [semisimple_minpoly(g) for g in evaluated]
             try:
-                if config.prime_override is not None:
-                    inner = _validate_prime(Geval, config.prime_override, minpolys)
-                else:
-                    inner = _select_modulus_rational(Geval, minpolys)
+                inner = _select_prime(Geval, minpolys, config.prime_override)
             except NoPrimeInRange:
                 continue
             return CongruenceData(
@@ -398,30 +407,7 @@ def select_modulus(G: GroupSpec, config: Config = DEFAULT, minpolys=None) -> Con
         return _select_modulus_functionfield(G, config)
     if minpolys is None:
         minpolys = [semisimple_minpoly(g) for g in G.gens]
-    if config.prime_override is not None:
-        return _validate_prime(G, config.prime_override, minpolys)
-    if isinstance(F, RationalField):
-        return _select_modulus_rational(G, minpolys)
-    if isinstance(F, NumberField):
-        return _select_modulus_numberfield(G, minpolys)
-    raise UnsupportedField(f"no reduction strategy for {F.name()}")
-
-
-def _validate_prime(G, p, minpolys):
-    """Run the full check battery for a user-supplied prime."""
-    F = G.field
-    pi = denominator_set(G)
-    if isinstance(F, RationalField):
-        cd = _try_prime_rational(G, pi, minpolys, p)
-    elif isinstance(F, NumberField):
-        fq = Poly.from_ints(QQ, F.minpoly)
-        disc_num = abs(resultant(fq, fq.derivative()).numerator)
-        cd = _try_prime_numberfield(G, pi, minpolys, disc_num, p)
-    else:
-        raise UnsupportedField("prime override applies to Q and number fields")
-    if cd is None:
-        raise NoPrimeInRange(f"prime {p} fails the validity checks")
-    return cd
+    return _select_prime(G, minpolys, config.prime_override)
 
 
 def apply_congruence(m: Matrix, cd: CongruenceData) -> Matrix:

@@ -4,6 +4,8 @@ the one Cayley enumeration engine the pipeline uses.  The engine works on
 interned row ids, so a Cayley edge is a few lookups and the field's work is
 one batched product per generator over the rows not yet acted on; the
 transversal of a lift to a source group runs on the source's row ids alike.
+A complete enumeration's table also gives its central vertices and a
+generating set of the center, with no matrix products.
 
 A Word is a tuple of (generator index, +1 | -1) pairs; the empty word is
 the identity.  Pipeline elements travel as Elt pairs (matrix, word) so a
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import Singular, SingularGenerator
 from .linalg import Matrix, inverse
@@ -87,19 +90,14 @@ class Enumeration:
     def __len__(self):
         return len(self.vertices)
 
-    def center(self) -> list:
-        """Indices of vertices generating the center of a complete
-        enumeration, read off the Cayley table with no matrix products.
+    @cached_property
+    def central(self) -> bytearray:
+        """Flags of the central vertices of a complete enumeration, read off
+        the Cayley table with no matrix products; their count is |Z|.
 
         Left multiplication by g_i follows the tree: g_i v is g_i parent(v)
         times v's last letter, one table lookup per vertex, and v is
-        central iff g_i v = v g_i for every i.  A central vertex outside
-        the span of those already chosen is chosen, in breadth-first order;
-        each choice multiplies the span's order by at least the smallest
-        prime dividing |Z|, so a p-group gets at most log_p |Z| generators.
-        The span grows coset by coset, walking the chosen vertex's tree
-        word through the table.
-        """
+        central iff g_i v = v g_i for every i."""
         n, k, table, parents = len(self.vertices), self.ngens, self.table, self.parents
         letters = [0] + [w[-1][0] for w in self.words[1:]]
         central = bytearray(b"\x01") * n
@@ -109,6 +107,19 @@ class Enumeration:
                 lv = left[v] = table[left[parents[v]] * k + letters[v]]
                 if lv != table[v * k + i]:
                     central[v] = 0
+        return central
+
+    def center(self) -> list:
+        """Indices of vertices generating the center of a complete
+        enumeration.
+
+        A central vertex outside the span of those already chosen is
+        chosen, in breadth-first order; each choice multiplies the span's
+        order by at least the smallest prime dividing |Z|, so a p-group
+        gets at most log_p |Z| generators.  The span grows coset by coset,
+        walking the chosen vertex's tree word through the table.
+        """
+        n, k, table, central = len(self.vertices), self.ngens, self.table, self.central
         span = bytearray(n)
         span[0] = 1
         members = [0]

@@ -227,68 +227,6 @@ def nullspace(field, rows, ncols):
     return out
 
 
-class Span:
-    """Incremental row span with reduction coefficients over inserted rows."""
-
-    def __init__(self, field, ncols):
-        self.field = field
-        self.ncols = ncols
-        self.rows = []  # (vector, pivot, coeffs over inserted originals)
-        self.count = 0
-
-    @property
-    def dim(self):
-        return len(self.rows)
-
-    def reduce(self, vec):
-        """(residual, coeffs) with vec = residual + sum coeffs_i * original_i."""
-        F = self.field
-        v = list(vec)
-        coeffs = [F.zero] * self.count
-        for row, p, rc in self.rows:
-            c = v[p]
-            if F.is_zero(c):
-                continue
-            for j in range(self.ncols):
-                v[j] = F.sub(v[j], F.mul(c, row[j]))
-            for j, x in enumerate(rc):
-                coeffs[j] = F.add(coeffs[j], F.mul(c, x))
-        return tuple(v), coeffs
-
-    def insert(self, vec):
-        """Add vec if independent; returns True when the span grew."""
-        F = self.field
-        residual, coeffs = self.reduce(vec)
-        pivot = None
-        for j, c in enumerate(residual):
-            if not F.is_zero(c):
-                pivot = j
-                break
-        self.count += 1
-        for row in self.rows:
-            row[2].append(F.zero)
-        if pivot is None:
-            self.count -= 1
-            for row in self.rows:
-                row[2].pop()
-            return False
-        inv = F.inv(residual[pivot])
-        norm = tuple(F.mul(inv, c) for c in residual)
-        rc = [F.neg(F.mul(inv, c)) for c in coeffs] + [inv]
-        rc = rc[: self.count]
-        rc += [F.zero] * (self.count - len(rc))
-        self.rows.append([norm, pivot, rc])
-        return True
-
-    def coords(self, vec):
-        """Coefficients over the inserted independent rows, or None."""
-        F = self.field
-        residual, coeffs = self.reduce(vec)
-        if any(not F.is_zero(c) for c in residual):
-            return None
-        return coeffs
-
-
 @dataclass(frozen=True)
 class Subspace:
     field: Field
@@ -470,52 +408,6 @@ def semisimple_minpoly(a: Matrix):
     if fstar.degree == a.n or poly_at_matrix(fstar, a).is_zero():
         return fstar
     return None
-
-
-class AlgebraBasis:
-    """Basis of the enveloping algebra with producing words over the
-    generators; words are index tuples, the empty word is the identity."""
-
-    def __init__(self, field, n, mats, words, span):
-        self.field = field
-        self.n = n
-        self.mats = list(mats)
-        self.words = list(words)
-        self._span = span
-
-    @property
-    def dim(self):
-        return len(self.mats)
-
-    def coords(self, x: Matrix):
-        flat = tuple(c for row in x.rows for c in row)
-        return self._span.coords(flat)
-
-
-def spin_basis(gens) -> AlgebraBasis:
-    """Breadth-first closure of {1, generators} under right multiplication,
-    keeping matrices independent of the current span."""
-    if not gens:
-        raise ValueError("no generators")
-    F = gens[0].field
-    n = gens[0].n
-    span = Span(F, n * n)
-    ident = Matrix.identity(F, n)
-    basis_mats = []
-    basis_words = []
-    queue = [(ident, ())]
-    qi = 0
-    while qi < len(queue):
-        mat, word = queue[qi]
-        qi += 1
-        flat = tuple(c for row in mat.rows for c in row)
-        if not span.insert(flat):
-            continue
-        basis_mats.append(mat)
-        basis_words.append(word)
-        for i, g in enumerate(gens):
-            queue.append((mat * g, word + (i,)))
-    return AlgebraBasis(F, n, basis_mats, basis_words, span)
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:

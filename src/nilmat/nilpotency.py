@@ -11,9 +11,9 @@ group is split into diagonalizable and unipotent parts, the diagonalizable
 part is reduced through a validated congruence, and the verdict combines
 the finite image verdict with centrality of the congruence kernel.
 
-`adjoint_sylow` is no verdict: it decomposes the adjoint image of the
-diagonalizable part of a group already found nilpotent, for the primary
-decomposition of an infinite group (structure.analyze).
+The verdict's Sylow systems, with the Cayley tables of their components,
+are also what structure.analyze reads the center and the primary
+decomposition off, for infinite groups through the congruence image.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .congruence import apply_congruence, congruence_kernel, kernel_is_central, 
 from .errors import CapExceeded, NotNilpotentSignal, VerdictUnavailable
 from .fields import FiniteField, FunctionField
 from .groups import Elt, GroupSpec, dedup_elts, enumerate_group, word_mul
-from .linalg import AlgebraBasis, Matrix, inverse, spin_basis
+from .linalg import Matrix, inverse
 from .numth import factorint
 from .splitting import finite_order, is_unipotent_matrix, reduction_split, s_part_group
 from .witness import WItem, Witness
@@ -62,16 +62,6 @@ class SylowSystem:
                 word = word_mul(*(parts[i].word for i, _ in enum.words[v]))
                 out.append(Elt(enum.vertices[v], word))
         return out
-
-
-@dataclass
-class AdjointData:
-    basis: AlgebraBasis
-    adj_gens: list
-
-    @property
-    def dim(self):
-        return self.basis.dim
 
 
 @dataclass
@@ -195,46 +185,6 @@ def is_finite_nilpotent(G: GroupSpec, config: Config = DEFAULT) -> Verdict:
         return _sylow_test(G.elts(), config)
     except NotNilpotentSignal as s:
         return Verdict(False, s.witness)
-
-
-# ---------------------------------------------------------------------------
-# adjoint representation
-
-def adjoint_rep(G: GroupSpec) -> AdjointData:
-    """Conjugation action of the generators on a spin basis of the
-    enveloping algebra."""
-    if not G.gens:
-        basis = spin_basis([G.identity])
-        return AdjointData(basis, [])
-    basis = spin_basis(list(G.gens))
-    adj = []
-    for g, ginv in zip(G.gens, G.invs):
-        cols = []
-        for b in basis.mats:
-            x = g * b * ginv
-            coords = basis.coords(x)
-            if coords is None:
-                raise ArithmeticError("enveloping algebra is not conjugation closed")
-            cols.append(coords)
-        m = basis.dim
-        adj.append(Matrix(G.field, tuple(tuple(cols[j][i] for j in range(m)) for i in range(m))))
-    return AdjointData(basis, adj)
-
-
-def adjoint_sylow(G: GroupSpec, config: Config = DEFAULT) -> tuple[SylowSystem, AdjointData]:
-    """(Sylow system, adjoint representation) of the adjoint image of a
-    nontrivial nilpotent group with diagonalizable generators.  Each
-    Ad(g) is then diagonalizable on the matrix algebra and stays so on the
-    invariant enveloping algebra, so the Sylow test alone decides the
-    image; it is nilpotent with G, and a negative test raises ValueError."""
-    ad = adjoint_rep(G)
-    try:
-        v = _sylow_test([Elt(x, ((i, 1),)) for i, x in enumerate(ad.adj_gens)], config)
-    except NotNilpotentSignal:
-        v = Verdict(False)
-    if not v.nilpotent:
-        raise ValueError("adjoint decomposition failed on a nilpotent input")
-    return v.artifacts["sylow"], ad
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ import random
 from dataclasses import dataclass
 
 from . import fields
-from .errors import UnsupportedField
+from .errors import ImperfectField, UnsupportedField
 from .fields import QQ, FiniteField, Field, pt_trim
 
 
@@ -147,16 +147,28 @@ def ext_gcd(a: Poly, b: Poly):
 
 
 def _pth_root(f: Poly) -> Poly:
-    """Inverse of the Frobenius on polynomials with zero derivative, char p."""
+    """Inverse of the Frobenius on polynomials with zero derivative, char p.
+
+    Over GF(q) each kept coefficient has a p-th root in the field.  Over
+    GF(q)(X) the p-th root of a(X^p) / b(X^p), a fraction in lowest terms,
+    is a'(X) / b'(X), where a' and b' take the p-th roots of the kept
+    coefficients; a coefficient outside GF(q)(X^p) has no p-th root, so f
+    has an inseparable factor and ImperfectField is raised."""
     F = f.field
     p = F.characteristic()
-    out = []
-    for i in range(0, len(f.coeffs), p):
-        c = f.coeffs[i]
-        if isinstance(F, FiniteField) and F.l > 1:
-            c = F.pow(c, F.q // p)  # c^(p^(l-1)) is the p-th root
-        out.append(c)
-    return Poly.make(F, out)
+    base = F.base if isinstance(F, fields.FunctionField) else F
+
+    def root(c):
+        return base.pow(c, base.q // p) if base.l > 1 else c  # c^(p^(l-1)) is the p-th root
+
+    def root_poly(cs):
+        if any(not base.is_zero(c) for i, c in enumerate(cs) if i % p):
+            raise ImperfectField("a coefficient has no p-th root in GF(q)(X)")
+        return tuple(root(c) for c in cs[::p])
+
+    if base is F:
+        return Poly.make(F, [root(c) for c in f.coeffs[::p]])
+    return Poly.make(F, [F.make(root_poly(num), root_poly(den)) for num, den in f.coeffs[::p]])
 
 
 def squarefree_decomposition(f: Poly):

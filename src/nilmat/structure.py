@@ -7,23 +7,29 @@ one verdict's artifacts: the Jordan split, the congruence or evaluation
 image with its Sylow system, and the image's kernel.  No step reruns the
 verdict or recomputes what it carries.
 
-A finite group's center is read off the Cayley tables that its Sylow
-certificate enumerated (Z(G) is the product of the Sylow subgroups'
-centers), with no matrix products; over an infinite field the tables are
-the congruence image's, which is faithful for a finite group.  Only an
-infinite completely reducible group takes its center from the kernel of
-the adjoint representation."""
+The center is read off the Cayley tables that the Sylow certificate
+enumerated (Z(G) is the product of the Sylow subgroups' centers), with no
+matrix products.  Over an infinite field the tables are the congruence
+image H's, and they serve an infinite group too: the congruence kernel K
+of the diagonalizable part G_s is central (the verdict checked it) and
+torsion-free, so Z(G_s) is the preimage of Z(H).  For g mapping into
+Z(H), x -> [g, x] is a homomorphism G_s -> K; with e = exp(H), x^e lies
+in K, so [g, x]^e = [g, x^e] = 1, and [g, x] = 1.  Hence Z(G_s) is
+generated by the pulled-back generators of Z(H) with the kernel's, and
+G_s/Z(G_s) = H/Z(H): the primary components of an infinite group are
+those of H modulo its center, one per prime p whose Sylow subgroup Q_p of
+H is nonabelian.  In characteristic 0 no enumeration runs beyond the
+verdict's."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
 
 from .config import DEFAULT, Config
-from .congruence import congruence_kernel
 from .errors import CapExceeded, VerdictUnavailable
 from .fields import FiniteField, FunctionField
 from .groups import Elt, GroupSpec, dedup_elts, enumerate_group
-from .nilpotency import AdjointData, SylowSystem, adjoint_sylow, is_nilpotent
+from .nilpotency import SylowSystem, is_nilpotent
 from .splitting import finite_order, reduction_split, s_part_group
 from .witness import WItem, Witness
 
@@ -62,7 +68,7 @@ def analyze(G: GroupSpec, config: Config = DEFAULT) -> StructureReport:
         report.completely_reducible = all(u.is_identity() for u in split.gens_u)
         report.cr_series_dims = [s.dim for s in split.cert_u.flag]
     try:
-        report.primary, report.primary_is_extension = _primary(G, a, fin, char_p, config)
+        report.primary, report.primary_is_extension = _primary(G, a, fin, char_p)
     except VerdictUnavailable as e:
         report.notes.append(str(e))
     if report.primary_is_extension:
@@ -74,7 +80,7 @@ def analyze(G: GroupSpec, config: Config = DEFAULT) -> StructureReport:
         # every unipotent part is 1, so an infinite group's diagonalizable
         # parts are its generators, and the primary decomposition's center
         # of them is the center of G
-        report.center_gens = _finite_center(G, a) if fin else list(report.primary.central_part)
+        report.center_gens = list(report.primary.central_part) if report.primary_is_extension else _center(G, a)
     return report
 
 
@@ -143,7 +149,7 @@ def _order(G: GroupSpec, a: dict, char_p: bool, config: Config) -> int:
     return a["image_order"]
 
 
-def _primary(G: GroupSpec, a: dict, fin: bool, char_p: bool, config: Config):
+def _primary(G: GroupSpec, a: dict, fin: bool, char_p: bool):
     """(Sylow/primary system, extension?): the exact Sylow decomposition of
     a finite group, and for an infinite group the components of the
     diagonalizable part modulo its center (an extension of the finite
@@ -167,36 +173,35 @@ def _primary(G: GroupSpec, a: dict, fin: bool, char_p: bool, config: Config):
             for p, elts in image_sylow.components.items()
         }
         return SylowSystem(comps, dict(image_sylow.orders)), False
-    # infinite: decompose the adjoint image of the diagonalizable part
+    # infinite: G_s/Z(G_s) = H/Z(H), so the component for p is the image's
+    # Q_p modulo its center, generated by the p-parts outside it
     split = a["split"]
     if all(s.is_identity() for s in split.gens_s):
         return SylowSystem({}, {}, central_part=()), True
     Gs = s_part_group(G, split)
-    adj_sylow, ad = adjoint_sylow(Gs, config)
-    comps = {p: [Elt(Gs.evaluate(e.word), e.word) for e in elts] for p, elts in adj_sylow.components.items()}
-    central = _center_generators(Gs, config, ad)
-    return SylowSystem(comps, dict(adj_sylow.orders), central_part=tuple(central)), True
+    image_sylow = a["image_sylow"]
+    comps, orders = {}, {}
+    for p, enum in image_sylow.enums.items():
+        central = enum.central
+        if sum(central) < len(enum):
+            orders[p] = len(enum) // sum(central)
+            # part i is the vertex the identity's edge i reaches
+            parts = zip(image_sylow.components[p], enum.table)
+            comps[p] = [Elt(Gs.evaluate(e.word), e.word) for e, v in parts if not central[v]]
+    return SylowSystem(comps, orders, central_part=tuple(_center(Gs, a))), True
 
 
-def _finite_center(G: GroupSpec, a: dict):
-    """Generators of the center of a finite nilpotent group, read off the
-    Cayley tables of its verdict's Sylow certificate (SylowSystem.center).
-    Over an infinite field the certificate is the image's; the image map
-    is injective when every kernel generator is trivial, so each word is
-    evaluated over G."""
+def _center(G: GroupSpec, a: dict):
+    """Generators of the center of the nilpotent group G, which for an
+    infinite group must be its diagonalizable part: the Sylow
+    certificate's center over GF(q), else the image certificate's pulled
+    back over G by its words, with the distinct nontrivial kernel
+    generators (see the module docstring); the identity when trivial."""
     if a.get("trivial"):
         zs = []
     elif "sylow" in a:
         zs = a["sylow"].center()
     else:
         zs = [Elt(G.evaluate(z.word), z.word) for z in a["image_sylow"].center()]
+        zs += dedup_elts(a["kernel_gens"])
     return zs or [Elt(G.identity, ())]
-
-
-def _center_generators(G: GroupSpec, config: Config, ad: AdjointData):
-    """Generators of the center of a nontrivial completely reducible
-    nilpotent group with adjoint representation ad: the kernel of the
-    adjoint representation, generated by the Schreier generators of the
-    adjoint image lifted to the group, each distinct nontrivial one once."""
-    _, kernel = congruence_kernel(G, ad.adj_gens, config.cayley_cap)
-    return list(dedup_elts(kernel)) or [Elt(G.identity, ())]

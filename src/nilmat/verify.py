@@ -66,8 +66,13 @@ def verify_witness(witness: Witness, group: GroupSpec | None = None):
         ctx_gens = list(group.gens)
 
     def word_consistent(item):
-        if item.word is None or ctx_gens is None or item.mat is None:
+        if item.word is None or item.mat is None:
             return True
+        if ctx_gens is None:
+            # an input word indexes the group's generators: with neither
+            # the group nor context generators there is nothing to replay it
+            # over, so the claim fails closed
+            return witness.context != "input"
         return _replays(item.word, ctx_gens, item.mat)
 
     kind = witness.kind

@@ -10,13 +10,16 @@ a nonzero last entry.
 `jordan` and `finite_order` are the Jordan split and element order built
 on it and on Yun's squarefree part: the references for the
 characteristic-polynomial route of nilmat.linalg and nilmat.splitting.
+`Span` is the incremental row reduction they read Krylov annihilators
+off, and `spin_dim` the enveloping-algebra dimension the corpus tests
+read irreducibility off.
 """
 
 import math
 from fractions import Fraction
 
 from nilmat.fields import FiniteField, FunctionField, NumberField
-from nilmat.linalg import Matrix, Span, inverse
+from nilmat.linalg import Matrix, inverse
 from nilmat.poly import Poly, cyclotomic_finite_order, gcd, squarefree_decomposition
 
 
@@ -102,6 +105,82 @@ def nf_inv(K, a):
         s0, s1 = s1, poly_sub(s0, poly_mul(q, s1))
     inv = [c / r0[-1] for c in s0]
     return tuple(inv + [Fraction(0)] * (K.degree - len(inv)))
+
+
+class Span:
+    """Incremental row span with reduction coefficients over inserted rows."""
+
+    def __init__(self, field, ncols):
+        self.field = field
+        self.ncols = ncols
+        self.rows = []  # (vector, pivot, coeffs over inserted originals)
+        self.count = 0
+
+    @property
+    def dim(self):
+        return len(self.rows)
+
+    def reduce(self, vec):
+        """(residual, coeffs) with vec = residual + sum coeffs_i * original_i."""
+        F = self.field
+        v = list(vec)
+        coeffs = [F.zero] * self.count
+        for row, p, rc in self.rows:
+            c = v[p]
+            if F.is_zero(c):
+                continue
+            for j in range(self.ncols):
+                v[j] = F.sub(v[j], F.mul(c, row[j]))
+            for j, x in enumerate(rc):
+                coeffs[j] = F.add(coeffs[j], F.mul(c, x))
+        return tuple(v), coeffs
+
+    def insert(self, vec):
+        """Add vec if independent; returns True when the span grew."""
+        F = self.field
+        residual, coeffs = self.reduce(vec)
+        pivot = None
+        for j, c in enumerate(residual):
+            if not F.is_zero(c):
+                pivot = j
+                break
+        self.count += 1
+        for row in self.rows:
+            row[2].append(F.zero)
+        if pivot is None:
+            self.count -= 1
+            for row in self.rows:
+                row[2].pop()
+            return False
+        inv = F.inv(residual[pivot])
+        norm = tuple(F.mul(inv, c) for c in residual)
+        rc = [F.neg(F.mul(inv, c)) for c in coeffs] + [inv]
+        rc = rc[: self.count]
+        rc += [F.zero] * (self.count - len(rc))
+        self.rows.append([norm, pivot, rc])
+        return True
+
+    def coords(self, vec):
+        """Coefficients over the inserted independent rows, or None."""
+        F = self.field
+        residual, coeffs = self.reduce(vec)
+        if any(not F.is_zero(c) for c in residual):
+            return None
+        return coeffs
+
+
+def spin_dim(gens) -> int:
+    """Dimension of the enveloping algebra of gens: the breadth-first
+    closure of {1} under right multiplication by the generators, keeping
+    the matrices independent of the span so far.  An absolutely
+    irreducible group of degree n has dimension n^2 (Burnside)."""
+    F, n = gens[0].field, gens[0].n
+    span = Span(F, n * n)
+    queue = [Matrix.identity(F, n)]
+    for mat in queue:
+        if span.insert(tuple(c for row in mat.rows for c in row)):
+            queue.extend(mat * g for g in gens)
+    return span.dim
 
 
 def minimal_polynomial(a: Matrix) -> Poly:

@@ -87,6 +87,33 @@ def test_select_modulus_numberfield():
     assert cd5.target.mul(a, a) == cd5.target.from_int(2)
 
 
+def test_search_and_override_share_one_prime_trial(monkeypatch):
+    """Over Q(sqrt3) the search and --prime run the same checks, with the
+    denominators and the discriminant computed once per selection: the
+    override of the found prime gives the same data, and the ramified 3 and
+    the denominator prime 5 fail with the override message."""
+    from nilmat import congruence
+
+    K = NumberField((-3, 0, 1))
+    G = GroupSpec(K, [Matrix.diagonal(K, (K.gen(), K.inv(K.from_int(5))))])
+    counts = {"denominator_set": 0, "resultant": 0}
+    for name in counts:
+        original = getattr(congruence, name)
+
+        def counting(*args, name=name, original=original):
+            counts[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(congruence, name, counting)
+    cd = select_modulus(G)
+    assert counts == {"denominator_set": 1, "resultant": 1}
+    assert select_modulus(G, DEFAULT.with_(prime_override=cd.p)) == cd
+    assert counts == {"denominator_set": 2, "resultant": 2}
+    for bad in (3, 5):
+        with pytest.raises(NoPrimeInRange, match=f"^prime {bad} fails the validity checks$"):
+            select_modulus(G, DEFAULT.with_(prime_override=bad))
+
+
 @pytest.mark.parametrize("kind", ["Q", "NF"])
 def test_select_modulus_fails_fast_on_repeated_minpoly_factor(kind, monkeypatch):
     """A unipotent generator's minimal polynomial (X - 1)^2 stays square mod

@@ -11,7 +11,7 @@ from nilmat.congruence import apply_congruence_group, select_modulus
 from nilmat.fields import QQ, FiniteField, FunctionField, NumberField
 from nilmat.groups import Elt, Enumeration, GroupSpec, dedup_elts, enumerate_group, word_inverse, word_mul
 from nilmat.linalg import Matrix, inverse
-from nilmat.nilpotency import _prime_parts, adjoint_rep, is_nilpotent
+from nilmat.nilpotency import _prime_parts, is_nilpotent
 from nilmat.testkit import gen_max_abs_irr_nilpotent
 
 
@@ -169,18 +169,31 @@ def _nontrivial_kernel_groups():
 
 def test_engine_matches_reference_on_nontrivial_kernels():
     """Lifted enumerations whose Schreier generators are not all trivial:
-    congruence and evaluation kernels over Q, Q(sqrt2), Q(x) and GF(5)(x),
-    and the adjoint lift of _center_generators over Q(sqrt2), where the
-    adjoint image of diag(sqrt2,1)+swap is infinite and overflows."""
+    congruence and evaluation kernels over Q, Q(sqrt2), Q(x) and GF(5)(x);
+    and infinite groups over Q(sqrt2) lifted to themselves, whose lifted
+    enumerations overflow at the cap."""
     groups = _nontrivial_kernel_groups()
     for name, G in groups:
         image = apply_congruence_group(G, select_modulus(G))
         got = _assert_same(list(image.gens), 10**4, lift=G.elts())
         assert not got.overflowed, name
         assert any(not z.is_identity() for z in got.schreier), name
-    adjoint_cases = (((7, True), (10**4, False)), ((7, True), (20, True)))
-    for (name, G), caps in zip(groups, adjoint_cases):
-        for cap, overflowed in caps:
-            got = _assert_same(adjoint_rep(G).adj_gens, cap, lift=G.elts())
-            assert got.overflowed == overflowed, name
-        assert any(not z.is_identity() for z in got.schreier), name
+    for name, G in groups[:2]:
+        for cap in (7, 20):
+            got = _assert_same(list(G.gens), cap, lift=G.elts())
+            assert got.overflowed and len(got) == cap, name
+
+
+def test_central_flags_match_commuting_vertices():
+    """The central-vertex flags read off the Cayley table are exactly the
+    vertices that commute with every generator, over the finite-field
+    corpus; their count is the oracle's |Z|."""
+    from nilmat.testkit import closure, oracle_invariants
+
+    for entry in finite_field_corpus():
+        gens = list(entry.group.gens)
+        enum = enumerate_group(gens, 10**4)
+        want = [all(v * g == g * v for g in gens) for v in enum.vertices]
+        assert [bool(c) for c in enum.central] == want, entry.name
+        if entry.nilpotent:
+            assert sum(enum.central) == oracle_invariants(closure(gens, 10**4))["center"], entry.name

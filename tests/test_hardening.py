@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from corpus import q8_power_with_diagonal, rational_corpus, semidihedral
 
-from nilmat.cli import group_to_json
+from nilmat.cli import group_to_json, run_command
 from nilmat.errors import CapExceeded, Singular
 from nilmat.fields import QQ, FiniteField, NumberField
 from nilmat.groups import GroupSpec
@@ -273,6 +273,23 @@ def test_forged_non_p_element_is_not_confirmed():
         assert not ok, checks
 
 
+def test_input_words_need_the_group():
+    """An input-context witness replays its words over the group's
+    generators, so without the group it fails closed: a real non_p_element
+    report for S3 over GF(5), generated by two transpositions, is not
+    confirmed alone and verified with its group."""
+    F5 = FiniteField(5)
+    t12 = Matrix.from_ints(F5, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+    t23 = Matrix.from_ints(F5, [[1, 0, 0], [0, 0, 1], [0, 1, 0]])
+    G = GroupSpec(F5, [t12, t23])
+    rep = run_command("is-nilpotent", G)
+    assert rep["witness"]["kind"] == "non_p_element" and rep["witness"]["context"] == "input"
+    ok, checks = verify_report(rep)
+    assert not ok and ("part_0 word consistent", False, "") in checks
+    ok, checks = verify_report(rep, G)
+    assert ok, checks
+
+
 def test_forged_adjoint_context_is_not_confirmed():
     """No path emits the retired adjoint context, whose items carry no
     generators to replay against: on D8 over Q a cross-prime pair of rot90
@@ -308,19 +325,6 @@ def test_non_semisimple_claims_replay_only_where_decided():
         w = Witness(kind="non_semisimple_element", context="input", items=(WItem("x", x),))
         ok, _ = verify_report({"witness": serialize_witness(w)})
         assert ok == confirmed, x
-
-
-def test_adjoint_route_over_finite_fields():
-    from nilmat.nilpotency import adjoint_sylow
-
-    F13 = FiniteField(13)
-    d = Matrix.diagonal(F13, (2, 1))
-    swap = Matrix.from_ints(F13, [[0, 1], [1, 0]])
-    with pytest.raises(ValueError):
-        adjoint_sylow(GroupSpec(F13, [d, swap]))  # dihedral of order 24
-    d8 = GroupSpec(F13, [Matrix.diagonal(F13, (5, 8)), swap])  # 5 has order 4 mod 13
-    sylow, _ = adjoint_sylow(d8)
-    assert set(sylow.orders) == {2}
 
 
 def test_random_groups_differential_against_oracle():

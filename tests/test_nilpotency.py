@@ -1,4 +1,4 @@
-"""The decision core: the Sylow test, the adjoint route, verdicts."""
+"""The decision core: the Sylow test and verdicts."""
 
 import pytest
 
@@ -6,7 +6,7 @@ from nilmat.errors import VerdictUnavailable
 from nilmat.fields import QQ, FiniteField, FunctionField, NumberField
 from nilmat.groups import GroupSpec
 from nilmat.linalg import Matrix
-from nilmat.nilpotency import adjoint_rep, adjoint_sylow, is_finite_nilpotent, is_nilpotent
+from nilmat.nilpotency import is_finite_nilpotent, is_nilpotent
 
 
 def _m(field, rows):
@@ -62,51 +62,6 @@ def test_sylow_system_invariants():
 
         assert set(factorint(len(c))) <= {p}
     assert sylow.order == v.artifacts["order"]
-
-
-def test_adjoint_rep_examples():
-    G = GroupSpec(QQ, [_m(QQ, [[2, 0], [0, 2]])])
-    ad = adjoint_rep(G)
-    assert ad.dim == 1 and ad.adj_gens[0].is_identity()
-    d8 = d8_group()
-    ad8 = adjoint_rep(d8)
-    assert ad8.dim == 4
-    from nilmat.groups import enumerate_group
-
-    enum = enumerate_group(ad8.adj_gens, 10**4)
-    assert len(enum) == 4 and not enum.overflowed
-    Gd = GroupSpec(QQ, [Matrix.diagonal(QQ, (QQ.from_int(1), QQ.from_int(2)))])
-    add = adjoint_rep(Gd)
-    assert add.dim == 2 and all(m.is_identity() for m in add.adj_gens)
-
-
-def test_adjoint_is_homomorphism():
-    d8 = d8_group()
-    ad = adjoint_rep(d8)
-    basis = ad.basis
-    g01 = d8.gens[0] * d8.gens[1]
-    from nilmat.linalg import inverse
-
-    cols = []
-    for b in basis.mats:
-        coords = basis.coords(g01 * b * inverse(g01))
-        cols.append(coords)
-    m = len(basis.mats)
-    adj_prod = Matrix(QQ, tuple(tuple(cols[j][i] for j in range(m)) for i in range(m)))
-    assert ad.adj_gens[0] * ad.adj_gens[1] == adj_prod
-
-
-def test_adjoint_sylow_examples():
-    """The adjoint image of D8 is D8/Z(D8), of order 4; a scalar group has
-    a trivial one; a group that is not nilpotent raises ValueError."""
-    sylow, ad = adjoint_sylow(d8_group())
-    assert sylow.orders == {2: 4} and ad.dim == 4
-    scal = GroupSpec(QQ, [_m(QQ, [[2, 0], [0, 2]])])
-    sylow2, _ = adjoint_sylow(scal)
-    assert sylow2.orders == {} and sylow2.order == 1
-    d31swap = GroupSpec(QQ, [_m(QQ, [[3, 0], [0, 1]]), _m(QQ, [[0, 1], [1, 0]])])
-    with pytest.raises(ValueError):
-        adjoint_sylow(d31swap)
 
 
 def test_is_nilpotent_examples():
@@ -258,8 +213,8 @@ def test_sylow_witness_path_returns_non_p_element():
 
 
 def test_positive_verdicts_never_run_the_chain(monkeypatch, ff_corpus):
-    """The Sylow test decides every positive finite verdict and adjoint
-    decomposition with no class bound: every nilpotent group of the benchmark stocks
+    """The Sylow test decides every positive finite verdict with no class
+    bound: every nilpotent group of the benchmark stocks
     (seed 1) and of the finite-field corpus keeps its verdict, and its
     analyze report wherever the stock runs analyze."""
     from pathlib import Path
@@ -334,16 +289,11 @@ def test_no_minimal_polynomial_computed_twice_in_one_call(q_corpus, monkeypatch)
     """Within one is_nilpotent or analyze call no matrix's characteristic
     polynomial, the source of every minimal polynomial, is computed twice:
     the Jordan split's f* serves modulus selection, analyze answers every
-    query from one verdict, and a repeated kernel matrix is tried once.
-
-    Only a matrix met in two roles may recur: a diagonalizable part that is
-    also a generator of its group's adjoint image (Ad(s) = s happens when
-    the enveloping algebra has s's shape)."""
+    query from one verdict, and a repeated kernel matrix is tried once."""
     import sys
     from collections import Counter
 
     from nilmat import linalg
-    from nilmat.splitting import s_part_group
     from nilmat.structure import analyze
 
     original = linalg.charpoly
@@ -359,14 +309,10 @@ def test_no_minimal_polynomial_computed_twice_in_one_call(q_corpus, monkeypatch)
     groups = [(e.name, e.group) for e in q_corpus] + _minpoly_stock()
     recorded = 0
     for name, G in groups:
-        split = is_nilpotent(G).artifacts.get("split")
-        two_roles = set()
-        if split is not None and not all(s.is_identity() for s in split.gens_s):
-            two_roles = set(split.gens_s) & set(adjoint_rep(s_part_group(G, split)).adj_gens)
         for call in (is_nilpotent, analyze):
             seen.clear()
             call(G)
             recorded += len(seen)
             repeated = {m: c for m, c in Counter(seen).items() if c > 1}
-            assert all(m in two_roles and c == 2 for m, c in repeated.items()), (name, call.__name__)
+            assert not repeated, (name, call.__name__)
     assert recorded

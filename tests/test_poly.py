@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from nilmat.errors import UnsupportedField
+from nilmat.errors import ImperfectField, UnsupportedField
 from nilmat.fields import QQ, FiniteField, FunctionField, NumberField
 from nilmat.poly import (
     Poly,
@@ -50,6 +50,31 @@ def test_squarefree_part_divides_and_is_coprime_with_derivative():
             s = squarefree_part(f)
             assert (f % s).is_zero()
             assert gcd(s, s.derivative()).degree == 0
+
+
+def test_squarefree_part_over_char_p_function_fields():
+    """Yun's p-th root over GF(q)(X) maps X^(kp) to X^k and inverts the
+    Frobenius on the base: t^5 - X^5 = (t - X)^5 over GF(5)(X), and
+    (t - aX)^3 and (t - a/X)^3 over GF(9)(X) with a outside GF(3);
+    t^5 - X is inseparable and raises, and X * I_5 is semisimple with
+    minimal polynomial t - X."""
+    from nilmat.linalg import Matrix, semisimple_minpoly
+
+    F5 = FunctionField(FiniteField(5))
+    X = F5.x()
+    t = Poly.x(F5)
+    lin = t - Poly.make(F5, [X])
+    assert squarefree_part(expand(F5.one, [(lin, 5)], F5)) == lin
+    with pytest.raises(ImperfectField):
+        squarefree_part(expand(F5.one, [(t, 5)], F5) - Poly.make(F5, [X]))
+    assert semisimple_minpoly(Matrix.diagonal(F5, (X,) * 5)) == lin
+    F9 = FunctionField(FiniteField(3, 2))
+    a = F9.make((F9.base.from_coeffs([0, 1]),), (F9.base.one,))
+    aX = F9.mul(a, F9.x())
+    lin9 = Poly.x(F9) - Poly.make(F9, [aX])
+    assert squarefree_part(expand(F9.one, [(lin9, 3)], F9)) == lin9
+    a_over_x = Poly.x(F9) - Poly.make(F9, [F9.mul(a, F9.inv(F9.x()))])
+    assert squarefree_part(expand(F9.one, [(a_over_x, 3)], F9)) == a_over_x
 
 
 def test_factor_examples():

@@ -1,14 +1,13 @@
 """Structural reports for nilpotent groups, all through analyze."""
 
-import pytest
+import sys
 
-from nilmat.config import DEFAULT
 from nilmat.fields import QQ, FiniteField, FunctionField
 from nilmat.groups import GroupSpec
 from nilmat.linalg import Matrix
-from nilmat.nilpotency import adjoint_rep
+from nilmat.nilpotency import is_nilpotent
 from nilmat.numth import factorint
-from nilmat.structure import _center_generators, analyze
+from nilmat.structure import analyze
 from nilmat.testkit import closure, gen_max_abs_irr_nilpotent, oracle_invariants
 
 
@@ -221,18 +220,13 @@ def test_known_finite_centers():
         _check_center(G, rep.center_gens, size, name)
 
 
-def test_finite_analyze_builds_no_adjoint_representation(monkeypatch):
+def test_finite_analyze_builds_no_adjoint_representation():
     """A finite group's center comes from the Sylow tables, over GF(q), Q,
-    Q(sqrt2) and Q(i) alike, with no adjoint representation."""
+    Q(sqrt2) and Q(i) alike."""
     from fractions import Fraction
 
-    from nilmat import nilpotency
     from nilmat.fields import NumberField
 
-    def refuse(G):
-        raise AssertionError("adjoint representation built for a finite group")
-
-    monkeypatch.setattr(nilpotency, "adjoint_rep", refuse)
     K = NumberField((-2, 0, 1))
     h = (Fraction(0), Fraction(1, 2))
     d16 = GroupSpec(K, [Matrix.make(K, [[h, K.neg(h)], [h, h]]), _m(K, [[1, 0], [0, -1]])])
@@ -253,9 +247,8 @@ def test_finite_analyze_builds_no_adjoint_representation(monkeypatch):
 
 def test_center_generators_rejects_non_semisimple_generators():
     """Over Q a non-diagonalizable generator gets no center at once,
-    instead of an enumeration of the infinite adjoint image; completely
-    reducible groups keep their center, which the Sylow tables and the
-    adjoint kernel generate alike; the kernel lists no identity."""
+    instead of an enumeration of an infinite group; completely reducible
+    groups keep their center, which lists no identity."""
     import time
 
     e13 = _m(QQ, [[1, 0, 1], [0, 1, 0], [0, 0, 1]])
@@ -268,59 +261,108 @@ def test_center_generators_rejects_non_semisimple_generators():
     qj = _m(QQ, [[0, 0, -1, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0]])
     for G in (d8(), GroupSpec(QQ, [qi, qj])):
         zs = analyze(G).center_gens
-        kernel = _center_generators(G, DEFAULT, adjoint_rep(G))
-        assert not any(z.is_identity() for z in kernel)
-        adjoint = closure([z.mat for z in kernel], 10)
-        assert set(closure([z.mat for z in zs], 10).elements) == set(adjoint.elements)
+        assert not any(z.is_identity() for z in zs)
         minus_one = Matrix.identity(QQ, G.degree) * QQ.from_int(-1)
         assert minus_one in {z.mat for z in zs}
         assert len(closure([z.mat for z in zs], 10)) == 2
 
 
-def test_analyze_builds_one_adjoint_representation(monkeypatch):
-    """On an infinite completely reducible group analyze builds the adjoint
-    representation once and reuses the primary decomposition's center, which
-    equals the adjoint kernel of G, matrices and words."""
-    from fractions import Fraction
-
-    from nilmat import nilpotency
-    from nilmat.fields import NumberField
-
-    ff = FunctionField(QQ)
-    x = ff.x()
-    d8_xI = GroupSpec(ff, [_m(ff, [[0, -1], [1, 0]]), _m(ff, [[1, 0], [0, -1]]), Matrix.diagonal(ff, (x, x))])
-    K = NumberField((-2, 0, 1))
-    h, s2 = (Fraction(0), Fraction(1, 2)), (Fraction(0), Fraction(1))
-    d16_s2I = GroupSpec(
-        K,
-        [Matrix.make(K, [[h, K.neg(h)], [h, h]]), _m(K, [[1, 0], [0, -1]]), Matrix.diagonal(K, (s2, s2))],
-    )
-    built = []
-    adjoint_rep = nilpotency.adjoint_rep
-
-    def counting(G):
-        built.append(G)
-        return adjoint_rep(G)
-
-    for G in (d8_xI, d16_s2I):
-        built.clear()
-        with monkeypatch.context() as m:
-            m.setattr(nilpotency, "adjoint_rep", counting)
-            rep = analyze(G)
-        assert rep.finite is False and rep.completely_reducible and rep.primary_is_extension
-        assert len(built) == 1
-        kernel = _center_generators(G, DEFAULT, adjoint_rep(G))
-        assert rep.center_gens == kernel
-        assert [z.word for z in rep.center_gens] == [z.word for z in kernel]
+def test_infinite_primary_components_modulo_center():
+    """An infinite group's components are those of its diagonalizable part
+    modulo the center: D8 x <2I> gives D8/Z(D8), of order 4, and a scalar
+    group gives none; a group that is not nilpotent gets no decomposition."""
+    two = _m(QQ, [[2, 0], [0, 2]])
+    rep = analyze(GroupSpec(QQ, list(d8().gens) + [two]))
+    assert rep.finite is False and rep.primary_is_extension and rep.primary.orders == {2: 4}
+    assert two in {z.mat for z in rep.primary.central_part}
+    scal = analyze(GroupSpec(QQ, [two]))
+    assert scal.primary.orders == {} and scal.primary.order == 1
+    assert two in {z.mat for z in scal.primary.central_part}
+    d31swap = analyze(GroupSpec(QQ, [_m(QQ, [[3, 0], [0, 1]]), _m(QQ, [[0, 1], [1, 0]])]))
+    assert not d31swap.nilpotent and d31swap.primary is None
 
 
-def test_center_generators_cap_is_typed():
-    from nilmat.errors import CapExceeded
+def _char0_groups():
+    """(name, group) for the rational corpus and the char0 and cli stocks
+    (seeds 1 and 101), characteristic 0 only."""
+    from pathlib import Path
+    from random import Random
 
-    with pytest.raises(CapExceeded):
-        _center_generators(d8(), DEFAULT.with_(cayley_cap=2), adjoint_rep(d8()))
+    from corpus import rational_corpus
+
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+    try:
+        import stock
+    finally:
+        sys.path.pop(0)
+    groups = [(e.name, e.group) for e in rational_corpus()]
+    for seed in (1, 101):
+        for build in (stock.char0_stock, stock.cli_stock):
+            groups += [(f"{e.label}@{seed}", e.group) for e in build(Random(seed))]
+    return [(name, G) for name, G in groups if G.field.characteristic() == 0]
 
 
+def test_analyze_enumerates_only_what_the_verdict_does(monkeypatch):
+    """One analyze call makes exactly the Cayley enumerations of its
+    is_nilpotent call: every structural answer is read off the verdict."""
+    from nilmat import groups as groups_module
+
+    original = groups_module.enumerate_group
+    calls = []
+
+    def recording(gens, cap, lift=None):
+        enum = original(gens, cap, lift)
+        calls.append((tuple(gens), cap, lift is not None, len(enum)))
+        return enum
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("nilmat") and getattr(module, "enumerate_group", None) is original:
+            monkeypatch.setattr(module, "enumerate_group", recording)
+    cases = _char0_groups()
+    assert len(cases) > 60
+    for name, G in cases:
+        calls.clear()
+        is_nilpotent(G)
+        verdict_calls = list(calls)
+        calls.clear()
+        analyze(G)
+        assert calls == verdict_calls, name
+
+
+def test_infinite_center_and_primary_read_off_the_image():
+    """On every infinite nilpotent group in characteristic 0 with a
+    congruence image H of its diagonalizable part G_s, the primary
+    decomposition's central part (and a completely reducible group's
+    center) replays over G_s, is central there, holds every nontrivial
+    kernel generator and maps onto Z(H); the components' orders multiply
+    to |H| / |Z(H)|."""
+    from nilmat.congruence import apply_congruence
+    from nilmat.splitting import s_part_group
+
+    checked = 0
+    for name, G in _char0_groups():
+        v = is_nilpotent(G)
+        a = v.artifacts
+        if not v.nilpotent or "image_sylow" not in a:
+            continue
+        rep = analyze(G)
+        if rep.finite:
+            continue
+        Gs = s_part_group(G, a["split"])
+        H = closure(list(a["image_gens"]), 10**4)
+        center = oracle_invariants(H)["center"]
+        zsets = [rep.primary.central_part] + ([rep.center_gens] if rep.completely_reducible else [])
+        for zs in zsets:
+            for z in zs:
+                assert Gs.evaluate(z.word) == z.mat, name
+                assert all(z.mat * g == g * z.mat for g in Gs.gens), name
+            mats = {z.mat for z in zs}
+            assert all(k.mat in mats for k in a["kernel_gens"] if not k.is_identity()), name
+            images = [apply_congruence(z.mat, a["congruence"]) for z in zs]
+            assert len(closure(images, 10**4)) == center, name
+        assert rep.primary.order == len(H) // center == a["image_order"] // center, name
+        checked += 1
+    assert checked >= 15
 def test_analyze_full_reports():
     rep = analyze(d8())
     assert rep.nilpotent and rep.finite and rep.order == 8
