@@ -2,12 +2,13 @@
 
 A validated modulus reduces GL(n, D_pi) onto GL(n, GF(p^l)) with a kernel
 that is torsion-free in characteristic zero, so a finite group maps
-injectively.  The kernel is normally generated by the Schreier generators of
-the image's Cayley graph, lifted along the transversal to the source group
-(congruence_kernel).  The checks bundled in CongruenceData are exactly the
-ones that buy that guarantee: p odd, coprime to the denominators, unramified
-for number fields, and keeping the generators' minimal polynomials
-squarefree so the image stays semisimple.
+injectively.  The kernel's normal generators come from the image's Sylow
+test lifted to the source group (nilpotency._sylow_test), which enumerates
+each Sylow subgroup of the image once and never the whole image;
+kernel_is_central tests them.  The checks bundled in CongruenceData are
+exactly the ones that buy that guarantee: p odd, coprime to the
+denominators, unramified for number fields, and keeping the generators'
+minimal polynomials squarefree so the image stays semisimple.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field as dfield
 from fractions import Fraction
 
 from .config import DEFAULT, Config
-from .errors import CapExceeded, DenominatorDivisible, NoPrimeInRange, UnsupportedField
+from .errors import DenominatorDivisible, NoPrimeInRange, UnsupportedField
 from .fields import (
     QQ,
     FiniteField,
@@ -26,7 +27,7 @@ from .fields import (
     pt_eval,
     reduce_mod,
 )
-from .groups import GroupSpec, dedup_elts, enumerate_group
+from .groups import GroupSpec, dedup_elts
 from .linalg import Matrix, semisimple_minpoly
 from .numth import factorint, odd_primes
 from .poly import Poly, factor, gcd as poly_gcd, resultant
@@ -434,34 +435,16 @@ def apply_congruence_group(G: GroupSpec, cd: CongruenceData) -> GroupSpec:
 # ---------------------------------------------------------------------------
 # the congruence kernel
 
-def congruence_kernel(G: GroupSpec, image_gens, cap):
-    """(image order, normal generators of the congruence kernel).
-
-    The kernel of G.gens[i] -> image_gens[i] is normally generated by the
-    Schreier generators of the image's Cayley graph lifted to G: one per
-    non-tree edge, in discovery order, trivial ones included.  Each word
-    is the relator of its edge over the generators of G.  The lift runs on
-    G's row ids (groups.enumerate_group), so only a nontrivial generator
-    costs a product over G's field: a finite G, whose kernel is trivial in
-    characteristic 0, forms none.
-    """
-    enum = enumerate_group(list(image_gens), cap, lift=G.elts())
-    if enum.overflowed:
-        raise CapExceeded(cap, "Cayley closure")
-    return len(enum), enum.schreier
-
-
 def kernel_is_central(G: GroupSpec, kernel_elts):
     """(True, None) when every kernel normal generator commutes with every
     generator; otherwise (False, (z, i)) for the first offending pair in
     kernel order.
 
-    Each distinct nontrivial kernel matrix is tested once.  The identity
-    commutes with everything, and a repeated matrix passed at its first
-    occurrence (had it failed, that occurrence would have been returned), so
-    skipping either cannot change the answer.
-    In characteristic 0 the kernel is torsion-free, so a finite group meets
-    it only in the identity and no product is formed at all.
+    Each distinct kernel matrix is tested once: a repeated matrix passed
+    at its first occurrence (had it failed, that occurrence would have been
+    returned), so skipping it cannot change the answer.  The normal
+    generators are never the identity, and in characteristic 0 a finite
+    group has a trivial kernel, so there are none and no product is formed.
     """
     for z in dedup_elts(kernel_elts):
         for i, g in enumerate(G.gens):

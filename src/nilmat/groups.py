@@ -64,11 +64,10 @@ class Elt:
 
 
 def dedup_elts(elts):
-    """The non-identity elements, each distinct matrix once at its first
-    occurrence, lazily; the identity is skipped before any hashing."""
+    """Each distinct matrix of elts once, at its first occurrence, lazily."""
     seen = set()
     for e in elts:
-        if not e.is_identity() and e.mat not in seen:
+        if e.mat not in seen:
             seen.add(e.mat)
             yield e
 
@@ -82,7 +81,7 @@ class Enumeration:
     vertices: list     # matrices in breadth-first order, identity first
     words: list        # tree word of each vertex over the generator indices
     overflowed: bool
-    schreier: list     # with a lift: one Elt per non-tree edge, in discovery order
+    schreier: list     # with a lift: one Elt per nontrivial Schreier generator, in discovery order
     parents: array     # tree parent of each vertex; the identity's is -1
     table: array       # table[v * ngens + i] is the index of vertices[v] * gens[i]
     ngens: int
@@ -212,15 +211,16 @@ def enumerate_group(gens, cap: int, lift=None) -> Enumeration:
 
     With `lift` (one source Elt per generator, the source group mapping
     homomorphically onto the enumerated one by lift[i] -> gens[i]), every
-    non-tree edge (v, i, w) yields the Schreier generator
-    T(v) lift[i] T(w)^-1 with its word, T being the source transversal
-    along the tree; by Schreier's lemma these generate the kernel of the
-    map.  The transversal runs on source row ids the same way, so a tree
-    edge maps T(v)'s ids and costs no product.  When the mapped key of
-    T(v) lift[i] equals T(w)'s the generator is the identity, again with
-    no product; otherwise that key's matrix is multiplied once by T(w)^-1,
-    which is built along the tree from the lift's inverses on first need
-    and kept for the call.
+    non-tree edge (v, i, w) gives the Schreier generator T(v) lift[i] T(w)^-1,
+    T being the source transversal along the tree; by Schreier's lemma
+    these generate the kernel of the map, and the identities among them
+    can be left out.  The transversal runs on source row ids the same way,
+    so a tree edge maps T(v)'s ids and costs no product.  When the mapped
+    key of T(v) lift[i] equals T(w)'s the generator is the identity and
+    nothing is recorded; otherwise that key's matrix is multiplied once by
+    T(w)^-1, which is built along the tree from the lift's inverses on
+    first need and kept for the call, and its word is T(v)'s and T(w)'s
+    tree words mapped through the lift's words.
     """
     if not gens:
         raise ValueError("cannot enumerate a group without generators")
@@ -236,9 +236,11 @@ def enumerate_group(gens, cap: int, lift=None) -> Enumeration:
     if lift is not None:
         src = _SourceAction([s.mat for s in lift])
         simages = src.images
-        source_ident = Matrix.identity(src.field, lift[0].mat.n)
-        tkeys, twords = [tuple(range(lift[0].mat.n))], [()]
-        tinvs, lift_invs = {0: source_ident}, [None] * k
+        tkeys = [tuple(range(lift[0].mat.n))]
+        tinvs, lift_invs = {0: Matrix.identity(src.field, lift[0].mat.n)}, [None] * k
+
+        def tword(v):
+            return word_mul(*(lift[i].word for i, _ in words[v]))
 
         def tinv(v):
             path = []
@@ -280,11 +282,11 @@ def enumerate_group(gens, cap: int, lift=None) -> Enumeration:
                 if lift is not None:
                     tkeys.append(tuple(map(simages[i].__getitem__, t)))
                     src.pending.update(r for r in tkeys[-1] if r not in simages[0])
-                    twords.append(word_mul(twords[qi], lift[i].word))
             elif lift is not None:
                 tw = tuple(map(simages[i].__getitem__, t))
-                mat = source_ident if tw == tkeys[j] else src.matrix(tw) * tinv(j)
-                schreier.append(Elt(mat, word_mul(twords[qi], lift[i].word, word_inverse(twords[j]))))
+                if tw != tkeys[j]:
+                    word = word_mul(tword(qi), lift[i].word, word_inverse(tword(j)))
+                    schreier.append(Elt(src.matrix(tw) * tinv(j), word))
             table.append(j)
         qi += 1
     return result(False)

@@ -119,14 +119,14 @@ class Matrix:
     def __pow__(self, e):
         if e < 0:
             return inverse(self) ** (-e)
-        out = Matrix.identity(self.field, self.n)
-        base = self
+        out, base = None, self
         while e:
             if e & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             e >>= 1
-        return out
+            if e:
+                base = base * base
+        return Matrix.identity(self.field, self.n) if out is None else out
 
     def apply(self, vec):
         """Matrix times column vector."""

@@ -11,6 +11,30 @@ group is split into diagonalizable and unipotent parts, the diagonalizable
 part is reduced through a validated congruence, and the verdict combines
 the finite image verdict with centrality of the congruence kernel.
 
+The image's Sylow test also yields the kernel, with no second
+enumeration.  Let phi: G_s -> H send the diagonalizable parts s_i to the
+image generators h_i, and let H be nilpotent, so H = prod Q_p with Q_p
+generated by the kept p-parts x of the h_i.  Each x = h_i^t has the source
+part y = s_i^t, with phi(y) = x.  H is presented on the x and the s_i by
+(Holt, Eick & O'Brien, Handbook of Computational Group Theory, 2005,
+ch. 5):
+  - each Q_p's Schreier relators on its parts;
+  - the commutators [x, x'] of parts for distinct primes, which present
+    the direct product;
+  - one Tietze relator per s_i, equating it with the product of its parts
+    (a part dropped as a duplicate is written through the kept one, and
+    an s_i with h_i = 1 has none).
+Let F be free on symbols for the s_i and the y, mapped by psi onto G_s.
+Then phi psi: F -> H is onto, so ker phi = psi(ker phi psi), which is the
+normal closure in G_s of the relators evaluated at the s_i and the y: the
+Schreier generators of each Q_p's enumeration lifted by its source parts,
+the s_i (prod y)^-1, and the commutators of source parts for distinct
+primes.  Each Q_p is enumerated once, so the work is sum |Q_p|, where
+the image has prod |Q_p| elements.  The consumers need only that these
+normally generate the kernel: a central normal generator is its own
+normal closure, so once every one commutes with the s_i they generate the
+kernel as a subgroup.
+
 The verdict's Sylow systems, with the Cayley tables of their components,
 are also what structure.analyze reads the center and the primary
 decomposition off, for infinite groups through the congruence image.
@@ -21,10 +45,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dfield
 
 from .config import DEFAULT, Config
-from .congruence import apply_congruence, congruence_kernel, kernel_is_central, select_modulus
+from .congruence import apply_congruence, kernel_is_central, select_modulus
 from .errors import CapExceeded, NotNilpotentSignal, VerdictUnavailable
 from .fields import FiniteField, FunctionField
-from .groups import Elt, GroupSpec, dedup_elts, enumerate_group, word_mul
+from .groups import Elt, GroupSpec, dedup_elts, enumerate_group, word_inverse, word_mul
 from .linalg import Matrix, inverse
 from .numth import factorint
 from .splitting import finite_order, is_unipotent_matrix, reduction_split, s_part_group
@@ -89,39 +113,84 @@ def _element_order(mat: Matrix, word=None):
 
 
 def _prime_parts(seq):
-    """The distinct nontrivial prime-power parts of the elements of seq, per
-    prime, in order of first appearance; an element of infinite order
-    raises the signal."""
+    """(parts, covers): the distinct prime-power parts of the elements of
+    seq, per prime, in order of first appearance; and per element its
+    cover, one (p, j, t) for each prime p dividing its order, its p-part
+    being x^t = parts[p][j].  The identity's cover is empty, and a
+    repeated element has its first occurrence's.  An element of infinite
+    order raises the signal."""
     parts: dict = {}
-    seen: dict = {}
+    index: dict = {}
+    memo: dict = {}
+    covers = []
     for x in seq:
-        m = _element_order(x.mat, x.word)
-        for p, e in factorint(m).items():
-            mp = m // p**e
-            c = pow(mp, -1, p**e)
-            t = mp * c % m
-            xp = Elt(x.mat**t, x.word * t)
-            if xp.is_identity() or xp.mat in seen.setdefault(p, set()):
-                continue
-            seen[p].add(xp.mat)
-            parts.setdefault(p, []).append(xp)
-    return parts
+        cover = memo.get(x.mat)
+        if cover is None:
+            cover = memo[x.mat] = []
+            if not x.is_identity():
+                m = _element_order(x.mat, x.word)
+                for p, e in factorint(m).items():
+                    mp = m // p**e
+                    t = mp * pow(mp, -1, p**e) % m
+                    xp = x.mat**t
+                    j = index.setdefault((p, xp), len(parts.setdefault(p, [])))
+                    if j == len(parts[p]):
+                        parts[p].append(Elt(xp, x.word * t))
+                    cover.append((p, j, t))
+        covers.append(cover)
+    return parts, covers
 
 
-def _cross_prime_pair(parts):
-    """The first (p, q, x, y) with x, y parts for distinct primes p < q that
-    fail to commute, or None."""
+def _cross_prime_pairs(parts):
+    """Each (p, q, x, y) with x, y parts for distinct primes p < q, lazily."""
     primes = sorted(parts)
     for i, p in enumerate(primes):
         for q in primes[i + 1 :]:
             for x in parts[p]:
                 for y in parts[q]:
-                    if not (x.mat * y.mat == y.mat * x.mat):
-                        return p, q, x, y
-    return None
+                    yield p, q, x, y
 
 
-def _sylow_test(elts, config: Config) -> Verdict:
+def _source_parts(lift, covers):
+    """Per prime, the source part of each kept part: lift[i]^t for the
+    first element i whose cover holds it, with exponent t."""
+    out: dict = {}
+    for s, cover in zip(lift, covers):
+        for p, j, t in cover:
+            if j == len(out.setdefault(p, [])):
+                out[p].append(Elt(s.mat**t, s.word * t))
+    return out
+
+
+def _tietze_relators(lift, covers, sources):
+    """The nontrivial s y^-1, one per source generator s, with y the
+    product of the source parts of s's parts, each written through the
+    kept part; an s whose image is the identity has no parts and gives
+    itself."""
+    for s, cover in zip(lift, covers):
+        ys = [sources[p][j] for p, j, _ in cover]
+        if not ys:
+            if not s.is_identity():
+                yield s
+            continue
+        y = ys[0]
+        for x in ys[1:]:
+            y = y * x
+        if not (y.mat == s.mat):
+            yield Elt(s.mat * inverse(y.mat), word_mul(s.word, word_inverse(y.word)))
+
+
+def _cross_prime_commutators(sources):
+    """The nontrivial commutators x^-1 y^-1 x y of source parts x, y for
+    distinct primes."""
+    for _, _, x, y in _cross_prime_pairs(sources):
+        xy, yx = x.mat * y.mat, y.mat * x.mat
+        if not (xy == yx):
+            word = word_mul(word_inverse(x.word), word_inverse(y.word), x.word, y.word)
+            yield Elt(inverse(yx) * xy, word)
+
+
+def _sylow_test(elts, config: Config, lift=None) -> Verdict:
     """Nilpotency of the finite group <elts>, decided both ways by its
     Sylow system in one pass over the inputs' prime parts.
 
@@ -136,30 +205,43 @@ def _sylow_test(elts, config: Config) -> Verdict:
     the p-parts' closure whose order is not a power of p, is the witness.
     An input of infinite order raises the signal, and a component past
     the cap raises CapExceeded.
+
+    With `lift` (one source Elt per input, a source group mapping onto G
+    by lift[i] -> elts[i]), each Q_p is enumerated lifted by its parts'
+    source parts, and a nilpotent verdict also carries normal generators
+    of the kernel of that map (artifact "kernel_gens"), none of them the
+    identity: the Q_p's Schreier generators, then the Tietze relators,
+    then the cross-prime commutators (see the module docstring).
     """
-    parts = _prime_parts(dedup_elts(elts))
-    pair = _cross_prime_pair(parts)
-    if pair is not None:
-        p, q, x, y = pair
-        return Verdict(
-            False,
-            Witness(
-                kind="non_commuting_pair",
-                context="input",
-                items=(WItem("x", x.mat, x.word, {"prime": p}), WItem("y", y.mat, y.word, {"prime": q})),
-                note=f"prime parts for {p} and {q} fail to commute",
-            ),
-        )
-    orders, enums = {}, {}
+    parts, covers = _prime_parts(elts)
+    for p, q, x, y in _cross_prime_pairs(parts):
+        if not (x.mat * y.mat == y.mat * x.mat):
+            return Verdict(
+                False,
+                Witness(
+                    kind="non_commuting_pair",
+                    context="input",
+                    items=(WItem("x", x.mat, x.word, {"prime": p}), WItem("y", y.mat, y.word, {"prime": q})),
+                    note=f"prime parts for {p} and {q} fail to commute",
+                ),
+            )
+    sources = _source_parts(lift, covers) if lift is not None else {}
+    orders, enums, kernel = {}, {}, []
     for p in sorted(parts):
-        enum = enumerate_group([x.mat for x in parts[p]], config.closure_cap)
+        enum = enumerate_group([x.mat for x in parts[p]], config.closure_cap, sources.get(p))
         if enum.overflowed:
             raise CapExceeded(config.closure_cap, "subgroup closure")
         if set(factorint(len(enum))) - {p}:
             return Verdict(False, _non_p_witness(p, parts[p], enum))
         orders[p], enums[p] = len(enum), enum
+        kernel += enum.schreier
     sylow = SylowSystem(parts, orders, enums=enums)
-    return Verdict(True, artifacts={"sylow": sylow, "order": sylow.order})
+    artifacts = {"sylow": sylow, "order": sylow.order}
+    if lift is not None:
+        kernel += _tietze_relators(lift, covers, sources)
+        kernel += _cross_prime_commutators(sources)
+        artifacts["kernel_gens"] = kernel
+    return Verdict(True, artifacts=artifacts)
 
 
 def _non_p_witness(p, parts, enum) -> Witness:
@@ -201,7 +283,9 @@ def is_nilpotent(G: GroupSpec, config: Config = DEFAULT) -> Verdict:
     """Nilpotency of a finitely generated matrix group over any supported field.
 
     Over an infinite field the group is reduced onto a finite image, whose
-    verdict comes first; the congruence kernel must then be central.  In
+    verdict comes first; the congruence kernel must then be central.  One
+    Sylow test on the image, lifted to the reduced group, gives both the
+    image verdict and the kernel's normal generators (module docstring).  In
     characteristic zero only the diagonalizable parts are reduced, and
     modulus selection takes their minimal polynomials from the split; char-p
     function fields are imperfect, so the generators are reduced as given.
@@ -229,15 +313,15 @@ def is_nilpotent(G: GroupSpec, config: Config = DEFAULT) -> Verdict:
     artifacts["congruence"] = cd
     image_gens = [apply_congruence(g, cd) for g in Gs.gens]
     artifacts["image_gens"] = image_gens
-    v_img = is_finite_nilpotent(GroupSpec(cd.target, image_gens), config)
+    image = [Elt(h, ((i, 1),)) for i, h in enumerate(image_gens)]
+    v_img = _sylow_test(image, config, lift=Gs.elts())
     if not v_img.nilpotent:
         w = v_img.witness
         where = "evaluation" if char_p else "congruence"
         w = Witness(w.kind, "image", w.items, w.note + f" (found in the {where} image)")
         return Verdict(False, _attach_context_gens(w, image_gens), artifacts)
-    artifacts["image_sylow"] = v_img.artifacts.get("sylow")
-    artifacts["image_order"], kernel = congruence_kernel(Gs, image_gens, config.cayley_cap)
-    artifacts["kernel_gens"] = kernel
+    artifacts["image_sylow"], artifacts["image_order"] = v_img.artifacts["sylow"], v_img.artifacts["order"]
+    kernel = artifacts["kernel_gens"] = v_img.artifacts["kernel_gens"]
     ok, bad = kernel_is_central(Gs, kernel)
     if ok:
         return Verdict(True, artifacts=artifacts)
@@ -266,9 +350,9 @@ def _refute_char_p(G: GroupSpec, kernel, artifacts) -> Verdict:
     # In a nilpotent group the semisimple parts form a homomorphic image in
     # which the evaluation kernel lands centrally, so every commutator of a
     # kernel generator against a generator must be unipotent.  A
-    # non-unipotent one refutes nilpotency outright.  The identity's
-    # commutators are trivial and a repeated matrix gives the commutators of
-    # its first occurrence, so each distinct nontrivial one is tried once.
+    # non-unipotent one refutes nilpotency outright.  A repeated matrix
+    # gives the commutators of its first occurrence, so each distinct one
+    # is tried once.
     for z in dedup_elts(kernel):
         zinv = inverse(z.mat)
         for i, (g, ginv) in enumerate(zip(G.gens, G.invs)):

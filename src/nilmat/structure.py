@@ -4,8 +4,15 @@
 the paper asks of a nilpotent group (finiteness, order, complete
 reducibility, the primary/Sylow decomposition and the center) from that
 one verdict's artifacts: the Jordan split, the congruence or evaluation
-image with its Sylow system, and the image's kernel.  No step reruns the
-verdict or recomputes what it carries.
+image with its Sylow system, and the kernel's normal generators.  No step
+reruns the verdict or recomputes what it carries.
+
+The normal generators come from the image's Sylow test, lifted one Sylow
+subgroup at a time (nilpotency), and none is the identity.  A nilpotent
+verdict has found each of them central, and a central normal generator
+is its own normal closure, so together they generate the kernel as a
+subgroup: the kernel is trivial exactly when there are none, and over
+char-p function fields its order is their closure's.
 
 The center is read off the Cayley tables that the Sylow certificate
 enumerated (Z(G) is the product of the Sylow subgroups' centers), with no
@@ -92,8 +99,7 @@ def _finiteness(G: GroupSpec, a: dict, char_p: bool):
         return True, "trivial", None
     if char_p:
         # a repeated kernel matrix has the order of its first occurrence,
-        # and the identity has order 1, so the first infinite-order
-        # witness is the same
+        # so the first infinite-order witness is the same
         for z in dedup_elts(a["kernel_gens"]):
             if finite_order(z.mat) is None:
                 return False, "evaluation-kernel", Witness(
@@ -118,17 +124,17 @@ def _finiteness(G: GroupSpec, a: dict, char_p: bool):
                 ),
                 note="a generator has a nontrivial unipotent part, which has infinite order in characteristic zero",
             )
-    for z in a["kernel_gens"]:
-        if not z.is_identity():
-            items = (WItem("z", z.mat, z.word),) + tuple(
-                WItem(f"context_gen_{i}", g) for i, g in enumerate(split.gens_s)
-            )
-            return False, "congruence-kernel", Witness(
-                kind="nontrivial_kernel_element",
-                context="s_parts",
-                items=items,
-                note="a congruence kernel generator is nontrivial, and the kernel is torsion-free",
-            )
+    if a["kernel_gens"]:
+        z = a["kernel_gens"][0]
+        items = (WItem("z", z.mat, z.word),) + tuple(
+            WItem(f"context_gen_{i}", g) for i, g in enumerate(split.gens_s)
+        )
+        return False, "congruence-kernel", Witness(
+            kind="nontrivial_kernel_element",
+            context="s_parts",
+            items=items,
+            note="a congruence kernel generator is nontrivial, and the kernel is torsion-free",
+        )
     return True, "congruence-kernel", None
 
 
@@ -138,7 +144,7 @@ def _order(G: GroupSpec, a: dict, char_p: bool, config: Config) -> int:
         # the product of the verified Sylow component orders, or 1
         return a["order"]
     if char_p:
-        kernel = [z.mat for z in a["kernel_gens"] if not z.is_identity()]
+        kernel = [z.mat for z in a["kernel_gens"]]
         if not kernel:
             return a["image_order"]
         enum = enumerate_group(kernel, config.closure_cap)
@@ -163,7 +169,7 @@ def _primary(G: GroupSpec, a: dict, fin: bool, char_p: bool):
             raise VerdictUnavailable(
                 "primary decomposition over char-p function fields is provided for finite groups only"
             )
-        if any(not z.is_identity() for z in a["kernel_gens"]):
+        if a["kernel_gens"]:
             raise VerdictUnavailable("primary decomposition needs a faithful evaluation image here")
     if fin:
         # a faithful congruence or evaluation image: pull its Sylow system back by words
@@ -195,8 +201,8 @@ def _center(G: GroupSpec, a: dict):
     """Generators of the center of the nilpotent group G, which for an
     infinite group must be its diagonalizable part: the Sylow
     certificate's center over GF(q), else the image certificate's pulled
-    back over G by its words, with the distinct nontrivial kernel
-    generators (see the module docstring); the identity when trivial."""
+    back over G by its words, with the distinct kernel generators (see
+    the module docstring); the identity when trivial."""
     if a.get("trivial"):
         zs = []
     elif "sylow" in a:

@@ -6,7 +6,10 @@ oracle; labels here record what the construction guarantees.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
+from pathlib import Path
+from random import Random
 
 from nilmat.fields import QQ, FiniteField
 from nilmat.groups import GroupSpec
@@ -312,3 +315,36 @@ def semidihedral(q):
     a, b = E.neg(E.add(z, zq)), E.mul(z, zq)  # both lie in GF(q)
     F = FiniteField(q)
     return GroupSpec(F, [Matrix.from_ints(F, [[0, -b], [1, -a]]), Matrix.from_ints(F, [[1, -a], [0, -1]])])
+
+
+def char0_groups():
+    """(name, group) for the rational corpus and the char0 and cli stocks
+    (seeds 1 and 101), characteristic 0 only."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+    try:
+        import stock
+    finally:
+        sys.path.pop(0)
+    groups = [(e.name, e.group) for e in rational_corpus()]
+    for seed in (1, 101):
+        for build in (stock.char0_stock, stock.cli_stock):
+            groups += [(f"{e.label}@{seed}", e.group) for e in build(Random(seed))]
+    return [(name, G) for name, G in groups if G.field.characteristic() == 0]
+
+
+def prime_part_groups():
+    """(name, group) over Q whose congruence images split the generators'
+    prime parts unevenly:
+      - <2, 7> (1 x 1): mod 3 the image of 7 is the identity; mod 5 it is
+        the image of 2, so its part is dropped as a duplicate;
+      - <diag(3, 1) + C3, swap + I2>, C3 the companion matrix of
+        t^2 + t + 1: mod 5 the image is C4 wr C2 x C3, which is nilpotent,
+        but the source part for 3 of the first generator fails to commute
+        with the swap, so a cross-prime commutator is a kernel generator.
+        The group is not nilpotent."""
+    g = _m(QQ, [[3, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, -1], [0, 0, 1, -1]])
+    swap = _m(QQ, [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    return [
+        ("<2,7>", GroupSpec(QQ, [_m(QQ, [[2]]), _m(QQ, [[7]])])),
+        ("diag(3,1)+C3,swap", GroupSpec(QQ, [g, swap])),
+    ]

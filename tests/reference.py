@@ -13,12 +13,20 @@ characteristic-polynomial route of nilmat.linalg and nilmat.splitting.
 `Span` is the incremental row reduction they read Krylov annihilators
 off, and `spin_dim` the enveloping-algebra dimension the corpus tests
 read irreducibility off.
+
+`enumeration` is the Cayley enumeration engine's contract as a plain
+breadth-first search keyed by whole matrices, and `congruence_kernel` the
+whole-image lifted kernel built on it: the references for the engine and
+for the per-prime kernel of the verdict path.
 """
 
 import math
+from array import array
 from fractions import Fraction
 
+from nilmat.errors import CapExceeded
 from nilmat.fields import FiniteField, FunctionField, NumberField
+from nilmat.groups import Elt, Enumeration, word_inverse, word_mul
 from nilmat.linalg import Matrix, inverse
 from nilmat.poly import Poly, cyclotomic_finite_order, gcd, squarefree_decomposition
 
@@ -257,3 +265,59 @@ def finite_order(g: Matrix):
             return None
         f = Poly.make(F.base, [num[0] if num else F.base.zero for num, _ in f.coeffs])
     return cyclotomic_finite_order(f, degree)
+
+
+def enumeration(gens, cap, lift=None):
+    """The engine's contract as a plain breadth-first search keyed by whole
+    matrices: one full product per edge, and with a lift one source
+    product per edge, a Schreier generator being recorded when it is not
+    the identity."""
+    ident = Matrix.identity(gens[0].field, gens[0].n)
+    index = {ident: 0}
+    vertices = [ident]
+    words = [()]
+    schreier = []
+    k = len(gens)
+    parents = array("i", [-1])
+    table = array("i")
+    if lift is not None:
+        lift_mats = [s.mat for s in lift]
+        lift_invs = [inverse(m) for m in lift_mats]
+        source_ident = Matrix.identity(lift_mats[0].field, lift_mats[0].n)
+        tmats, twords, tinvs = [source_ident], [()], [source_ident]
+    qi = 0
+    while qi < len(vertices):
+        v = vertices[qi]
+        for i, g in enumerate(gens):
+            w = v * g
+            j = index.get(w)
+            if j is None:
+                if len(vertices) >= cap:
+                    del table[qi * k :]
+                    return Enumeration(vertices, words, True, schreier, parents, table, k)
+                j = index[w] = len(vertices)
+                vertices.append(w)
+                words.append(words[qi] + ((i, 1),))
+                parents.append(qi)
+                if lift is not None:
+                    tmats.append(tmats[qi] * lift_mats[i])
+                    twords.append(word_mul(twords[qi], lift[i].word))
+                    tinvs.append(lift_invs[i] * tinvs[qi])
+            elif lift is not None:
+                prod = tmats[qi] * lift_mats[i]
+                if not (prod == tmats[j]):
+                    word = word_mul(twords[qi], lift[i].word, word_inverse(twords[j]))
+                    schreier.append(Elt(prod * tinvs[j], word))
+            table.append(j)
+        qi += 1
+    return Enumeration(vertices, words, False, schreier, parents, table, k)
+
+
+def congruence_kernel(G, image_gens, cap):
+    """(image order, normal generators of the kernel of G.gens[i] ->
+    image_gens[i]): the Schreier generators of the whole image's Cayley
+    graph lifted to G, by Schreier's lemma."""
+    enum = enumeration(list(image_gens), cap, lift=G.elts())
+    if enum.overflowed:
+        raise CapExceeded(cap, "Cayley closure")
+    return len(enum), enum.schreier

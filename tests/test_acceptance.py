@@ -18,12 +18,7 @@ from corpus import finite_field_corpus, rational_corpus, rational_finite_corpus
 
 from nilmat.cli import group_to_json, parse_group_file, run_command
 from nilmat.config import DEFAULT
-from nilmat.congruence import (
-    apply_congruence,
-    apply_congruence_group,
-    congruence_kernel,
-    select_modulus,
-)
+from nilmat.congruence import apply_congruence, apply_congruence_group, select_modulus
 from nilmat.errors import NoPrimeInRange, NonexistenceError
 from nilmat.fields import QQ, FiniteField, FunctionField, NumberField
 from nilmat.groups import GroupSpec
@@ -35,7 +30,7 @@ from nilmat.splitting import is_unipotent_matrix, jordan
 from nilmat.structure import analyze
 from nilmat.testkit import closure, gen_max_abs_irr_nilpotent, gen_reducible_nilpotent, oracle_invariants
 from nilmat.verify import verify_report
-from reference import minimal_polynomial, spin_dim
+from reference import congruence_kernel, minimal_polynomial, spin_dim
 
 
 def report_pass(num, text):

@@ -5,13 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from corpus import rational_finite_corpus
+from corpus import char0_groups, prime_part_groups, rational_finite_corpus
+from reference import congruence_kernel
 
 from nilmat.config import DEFAULT
 from nilmat.congruence import (
     apply_congruence,
     apply_congruence_group,
-    congruence_kernel,
     denominator_set,
     kernel_is_central,
     select_modulus,
@@ -197,28 +197,35 @@ def test_apply_congruence_is_homomorphism():
 
 
 def test_finite_image_presentation_examples():
-    """Lifting an image to itself leaves only trivial Schreier generators,
-    whose words are the relators of the image's Cayley graph."""
+    """A lifted enumeration records only the nontrivial Schreier
+    generators: lifting an image to itself records none, and lifting it
+    from a source with a kernel records relators of the image, each
+    evaluating to its matrix over the source."""
     F5 = FiniteField(5)
     c4 = GroupSpec(F5, [Matrix.from_ints(F5, [[2]])])
-    order, relators = congruence_kernel(c4, c4.gens, 10**6)
-    assert order == 4
-    assert tuple(z.word for z in relators) == (((0, 1),) * 4,)
+    enum = enumerate_group(c4.gens, 10**6, lift=c4.elts())
+    assert len(enum) == 4 and enum.schreier == []
     trivial = GroupSpec(F5, [Matrix.identity(F5, 1)])
-    assert congruence_kernel(trivial, trivial.gens, 10**6)[0] == 1
-    # every relator evaluates to the identity in the image
+    assert len(enumerate_group(trivial.gens, 10**6, lift=trivial.elts())) == 1
+    two = GroupSpec(QQ, [Matrix.from_ints(QQ, [[2]])])
+    enum = enumerate_group(c4.gens, 10**6, lift=two.elts())
+    assert [(z.mat, z.word) for z in enum.schreier] == [(Matrix.from_ints(QQ, [[16]]), ((0, 1),) * 4)]
     rot = Matrix.from_ints(F5, [[0, 4], [1, 0]])
     refl = Matrix.from_ints(F5, [[1, 0], [0, 4]])
     img = GroupSpec(F5, [rot, refl])
-    order8, relators8 = congruence_kernel(img, img.gens, 10**6)
-    assert order8 == 8
-    assert len(relators8) >= 2
-    for z in relators8:
-        assert img.evaluate(z.word).is_identity() and z.mat.is_identity()
-    enum8 = enumerate_group(img.gens, 10**6)
+    enum8 = enumerate_group(img.gens, 10**6, lift=img.elts())
+    assert len(enum8) == 8 and enum8.schreier == []
     assert len(set(enum8.vertices)) == len(enum8.words) == 8
     for mat, word in zip(enum8.vertices, enum8.words):
         assert img.evaluate(word) == mat
+    # C4 wr C2 = <diag(3,1), swap> mod 5, lifted from the infinite group over Q
+    G = GroupSpec(QQ, [Matrix.from_ints(QQ, [[3, 0], [0, 1]]), Matrix.from_ints(QQ, [[0, 1], [1, 0]])])
+    image = apply_congruence_group(G, select_modulus(G))
+    enum = enumerate_group(image.gens, 10**6, lift=G.elts())
+    assert len(enum) == 32 and enum.schreier
+    for z in enum.schreier:
+        assert image.evaluate(z.word).is_identity(), z.word
+        assert G.evaluate(z.word) == z.mat and not z.mat.is_identity()
 
 
 def test_finite_image_presentation_cap():
@@ -250,14 +257,28 @@ def test_kernel_normal_generators_examples():
 
 def test_lifted_kernel_generators_replay(q_corpus, monkeypatch):
     """On the rational corpus every kernel generator the verdict path lifts
-    replays from its word over the diagonalizable parts.  The source
-    transversal runs on row ids: only the distinct rows of transversal
-    elements go to the field, once per generator (the rows of nontrivial
-    Schreier generators are never acted on), and a source Matrix product is
-    formed only for a nontrivial generator or a tree vertex whose
-    transversal inverse that generator needs, so a finite group forms none."""
+    is nontrivial and replays from its word over the diagonalizable parts;
+    the Schreier generators of the image's Sylow subgroups, lifted by their
+    source parts, come first.  The source transversal runs on row ids: only
+    the distinct rows of transversal elements go to the field, once per
+    generator (the rows of nontrivial Schreier generators are never acted
+    on), and a source Matrix product is formed only for a nontrivial
+    generator or a tree vertex whose transversal inverse that generator
+    needs, so a finite group forms none."""
+    from nilmat import nilpotency
+
+    enumerate_lifted = nilpotency.enumerate_group
+    calls = []
+
+    def recording(gens, cap, lift=None):
+        enum = enumerate_lifted(gens, cap, lift)
+        calls.append((gens, cap, lift, enum))
+        return enum
+
+    monkeypatch.setattr(nilpotency, "enumerate_group", recording)
     reached = 0
     for entry in q_corpus:
+        calls.clear()
         v = is_nilpotent(entry.group)
         if "kernel_gens" not in v.artifacts:
             continue
@@ -265,59 +286,71 @@ def test_lifted_kernel_generators_replay(q_corpus, monkeypatch):
         Gs = GroupSpec(QQ, v.artifacts["split"].gens_s)
         kernel = v.artifacts["kernel_gens"]
         for z in kernel:
-            assert Gs.evaluate(z.word) == z.mat, entry.name
-        formed, depth, sent, batched, met = [0], [0], [], [], set(Gs.identity.rows)
-        product, matmul = Matrix.__mul__, QQ.matmul
-
-        def counting_product(a, b):
-            if a.field is not QQ:
-                return product(a, b)
-            formed[0] += 1
-            depth[0] += 1
-            try:
-                return product(a, b)
-            finally:
-                depth[0] -= 1
-
-        def counting_matmul(rows, cols):
-            out = matmul(rows, cols)
-            sent.append(len(rows))
-            if not depth[0]:
-                # a batch of the row engine, not the rows of a Matrix product
-                batched.append(len(rows))
-                met.update(rows, out)
-            return out
-
-        with monkeypatch.context() as m:
-            m.setattr(Matrix, "__mul__", counting_product)
-            m.setattr(QQ, "matmul", counting_matmul)
-            order, again = congruence_kernel(Gs, v.artifacts["image_gens"], 10**6)
-        assert again == kernel and order == v.artifacts["image_order"], entry.name
-        # the non-tree edges in discovery order, and the tree vertices on
-        # the paths to the targets of the nontrivial ones
-        enum = enumerate_group(v.artifacts["image_gens"], 10**6)
-        k = enum.ngens
-        targets = [
-            enum.table[u * k + i]
-            for u in range(order)
-            for i in range(k)
-            if enum.words[enum.table[u * k + i]] != enum.words[u] + ((i, 1),)
-        ]
-        assert len(targets) == len(kernel), entry.name
-        inverted = set()
-        for j, z in zip(targets, kernel):
-            while j and not z.is_identity():
-                inverted.add(j)
-                j = enum.parents[j]
-        nontrivial = sum(not z.is_identity() for z in kernel)
-        assert formed[0] <= nontrivial + len(inverted), entry.name
-        transversal_rows = {r for w in enum.words for r in Gs.evaluate(w).rows}
-        assert sum(batched) <= k * len(transversal_rows), entry.name
-        assert sum(sent) <= k * len(transversal_rows) + Gs.degree * formed[0], entry.name
-        if entry.finite:
-            assert formed[0] == 0 and sum(sent) <= k * len(met), entry.name
-            assert met == transversal_rows, entry.name
+            assert Gs.evaluate(z.word) == z.mat and not z.is_identity(), entry.name
+        schreier = [z for *_, enum in calls for z in enum.schreier]
+        assert kernel[: len(schreier)] == schreier, entry.name
+        for gens, cap, lift, enum in calls:
+            assert lift is not None, entry.name
+            _check_lifted_work(monkeypatch, gens, cap, lift, enum, entry)
     assert reached >= 20
+
+
+def _check_lifted_work(monkeypatch, gens, cap, lift, enum, entry):
+    """Reruns one lifted enumeration counting the source field's work."""
+    formed, depth, sent, batched, met = [0], [0], [], [], set(Matrix.identity(QQ, lift[0].mat.n).rows)
+    product, matmul = Matrix.__mul__, QQ.matmul
+
+    def counting_product(a, b):
+        if a.field is not QQ:
+            return product(a, b)
+        formed[0] += 1
+        depth[0] += 1
+        try:
+            return product(a, b)
+        finally:
+            depth[0] -= 1
+
+    def counting_matmul(rows, cols):
+        out = matmul(rows, cols)
+        sent.append(len(rows))
+        if not depth[0]:
+            # a batch of the row engine, not the rows of a Matrix product
+            batched.append(len(rows))
+            met.update(rows, out)
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(Matrix, "__mul__", counting_product)
+        m.setattr(QQ, "matmul", counting_matmul)
+        again = enumerate_group(gens, cap, lift)
+    assert again.schreier == enum.schreier and not again.overflowed, entry.name
+    # the source transversal along the tree, the non-tree edges whose
+    # lifted generator is nontrivial, and the tree vertices on the paths
+    # to their targets
+    lmats, k = [s.mat for s in lift], enum.ngens
+    T = [Matrix.identity(QQ, lmats[0].n)]
+    for v in range(1, len(enum)):
+        T.append(T[enum.parents[v]] * lmats[enum.words[v][-1][0]])
+    targets = [
+        j
+        for u in range(len(enum))
+        for i in range(k)
+        for j in [enum.table[u * k + i]]
+        if enum.words[j] != enum.words[u] + ((i, 1),) and not (T[u] * lmats[i] == T[j])
+    ]
+    assert len(targets) == len(enum.schreier), entry.name
+    inverted = set()
+    for j in targets:
+        while j:
+            inverted.add(j)
+            j = enum.parents[j]
+    assert formed[0] <= len(targets) + len(inverted), entry.name
+    transversal_rows = {r for t in T for r in t.rows}
+    assert sum(batched) <= k * len(transversal_rows), entry.name
+    assert sum(sent) <= k * len(transversal_rows) + lmats[0].n * formed[0], entry.name
+    if entry.finite:
+        assert formed[0] == 0 and sum(sent) <= k * len(met), entry.name
+        assert met == transversal_rows, entry.name
 
 
 def test_kernel_is_central_examples():
@@ -370,8 +403,9 @@ def _plain_centrality(G, kernel):
 
 def test_kernel_is_central_tests_each_distinct_nontrivial_generator_once(q_corpus, monkeypatch):
     """kernel_is_central forms two products per generator for each distinct
-    nontrivial kernel matrix and none for the identity, and returns the same
-    pair as the plain loop over every kernel generator."""
+    kernel matrix, and returns the same pair as the plain loop over every
+    kernel generator.  The verdict's kernel generators are never the
+    identity: a finite group has none."""
     counted = []
     product = Matrix.__mul__
 
@@ -388,13 +422,13 @@ def test_kernel_is_central_tests_each_distinct_nontrivial_generator_once(q_corpu
 
     q8 = next(e.group for e in q_corpus if e.name == "Q8")
     Gs, kernel = _reduced_kernel(q8)
-    assert kernel and all(z.is_identity() for z in kernel)
+    assert kernel == []
     assert central_counted(Gs, kernel) == ((True, None), 0)
 
     Gs, kernel = _reduced_kernel(_d8_times_xI(QQ))
-    distinct = {z.mat for z in kernel if not z.is_identity()}
-    assert distinct and len(distinct) < sum(not z.is_identity() for z in kernel)
-    out, products = central_counted(Gs, kernel)
+    distinct = {z.mat for z in kernel}
+    assert distinct
+    out, products = central_counted(Gs, kernel + kernel[::-1])
     assert out == (True, None)
     assert products == 2 * len(Gs.gens) * len(distinct)
 
@@ -406,6 +440,7 @@ def test_kernel_is_central_tests_each_distinct_nontrivial_generator_once(q_corpu
     refuted = 0
     for reduced in filter(None, map(_reduced_kernel, groups)):
         Gs, kernel = reduced
+        assert not any(z.is_identity() for z in kernel)
         got, want = kernel_is_central(Gs, kernel), _plain_centrality(Gs, kernel)
         assert got == want
         if not want[0]:
@@ -452,3 +487,117 @@ def test_rational_corpus_labels_match_image_orders():
         img = apply_congruence_group(entry.group, cd)
         image_order, _ = congruence_kernel(entry.group, img.gens, 10**6)
         assert image_order == entry.order, entry.name
+
+
+def _with_kernels(groups, config=DEFAULT):
+    """(name, G_s, verdict) for each group whose verdict reaches the kernel."""
+    from nilmat.splitting import s_part_group
+
+    for name, G in groups:
+        v = is_nilpotent(G, config)
+        if "kernel_gens" in v.artifacts:
+            yield name, s_part_group(G, v.artifacts["split"]), v
+
+
+def test_per_prime_kernel_matches_whole_image_reference():
+    """The kernel generators of the lifted Sylow test and the whole image's
+    lifted Schreier generators (reference.congruence_kernel) agree on the
+    verdict, on centrality and on whether they are all trivial, on the
+    rational corpus, the char0 and cli stocks and the uneven prime-part
+    groups; every generator maps to the identity under the verdict's
+    congruence and replays from its word."""
+    runs = _with_kernels(char0_groups() + prime_part_groups())
+    runs = [*runs, *_with_kernels(prime_part_groups(), DEFAULT.with_(prime_override=5))]
+    reached = multi = 0
+    for name, Gs, v in runs:
+        a = v.artifacts
+        kernel = a["kernel_gens"]
+        order, ref = congruence_kernel(Gs, a["image_gens"], 10**6)
+        assert order == a["image_order"], name
+        assert kernel_is_central(Gs, kernel)[0] == kernel_is_central(Gs, ref)[0] == v.nilpotent, name
+        assert (not kernel) == all(z.is_identity() for z in ref), name
+        for z in kernel:
+            assert apply_congruence(z.mat, a["congruence"]).is_identity(), name
+            assert Gs.evaluate(z.word) == z.mat and not z.is_identity(), name
+        reached += 1
+        multi += len(a["image_sylow"].orders) > 1
+    assert reached >= 50 and multi >= 4
+
+
+def test_verdict_path_enumerates_each_sylow_subgroup_once_lifted(monkeypatch):
+    """On the characteristic-0 verdict path enumerate_group runs once per
+    prime of the image H, lifted, on that prime's Sylow subgroup, and never
+    on the whole image."""
+    from nilmat import nilpotency
+
+    enumerate_lifted = nilpotency.enumerate_group
+    calls = []
+
+    def recording(gens, cap, lift=None):
+        enum = enumerate_lifted(gens, cap, lift)
+        calls.append((lift is not None, len(enum)))
+        return enum
+
+    monkeypatch.setattr(nilpotency, "enumerate_group", recording)
+    multi = 0
+    for name, G in char0_groups() + prime_part_groups():
+        calls.clear()
+        v = is_nilpotent(G)
+        if "image_sylow" not in v.artifacts:
+            assert all(lifted for lifted, _ in calls), name
+            continue
+        orders = v.artifacts["image_sylow"].orders
+        assert calls == [(True, orders[p]) for p in sorted(orders)], name
+        if len(orders) > 1:
+            assert v.artifacts["image_order"] not in [size for _, size in calls], name
+            multi += 1
+    assert multi >= 4
+
+
+def test_signed_permutation_sylow_kernel_costs_nothing(monkeypatch):
+    """The signed-permutation Sylow 2-subgroup of GL(4, Q), of order 128:
+    its lifted enumeration records no Schreier generator, and the
+    centrality test forms no product."""
+    from nilmat import nilpotency
+
+    def perm(images):
+        return Matrix.from_ints(QQ, [[int(images[j] == i) for j in range(4)] for i in range(4)])
+
+    sign = Matrix.diagonal(QQ, (QQ.from_int(-1), QQ.one, QQ.one, QQ.one))
+    G = GroupSpec(QQ, [sign, perm([1, 0, 2, 3]), perm([2, 3, 0, 1])])
+    enumerate_lifted, enums, formed = nilpotency.enumerate_group, [], []
+    product = Matrix.__mul__
+
+    def recording(gens, cap, lift=None):
+        enums.append(enumerate_lifted(gens, cap, lift))
+        return enums[-1]
+
+    def counting(a, b):
+        formed.append(1)
+        return product(a, b)
+
+    def central_counted(Gs, kernel):
+        with monkeypatch.context() as m:
+            m.setattr(Matrix, "__mul__", counting)
+            return kernel_is_central(Gs, kernel)
+
+    monkeypatch.setattr(nilpotency, "enumerate_group", recording)
+    monkeypatch.setattr(nilpotency, "kernel_is_central", central_counted)
+    v = is_nilpotent(G)
+    assert v.nilpotent and v.artifacts["image_order"] == 128
+    assert [len(e) for e in enums] == [128] and enums[0].schreier == []
+    assert v.artifacts["kernel_gens"] == [] and formed == []
+
+
+def test_congruence_image_may_exceed_the_cayley_cap():
+    """Only each Sylow subgroup of the congruence image is enumerated, so an
+    image of order 6 gets its verdict and order under a Cayley cap of 5,
+    while a closure cap of 2 stops at its Sylow 3-subgroup."""
+    from nilmat.structure import analyze
+
+    G = next(e.group for e in rational_finite_corpus() if e.name == "C6-companion")
+    v = is_nilpotent(G, DEFAULT.with_(cayley_cap=5))
+    assert v.nilpotent and v.artifacts["image_sylow"].orders == {2: 2, 3: 3}
+    assert analyze(G, DEFAULT.with_(cayley_cap=5)).order == 6
+    with pytest.raises(CapExceeded, match="subgroup closure"):
+        is_nilpotent(G, DEFAULT.with_(closure_cap=2))

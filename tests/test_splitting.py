@@ -276,15 +276,15 @@ def test_identity_unipotent_parts_cost_no_field_work(monkeypatch):
     assert not counted
     assert jp.s is swap and jp.u.is_identity()
     lifted = []
-    kernel = nilpotency.congruence_kernel
+    sylow_test = nilpotency._sylow_test
 
-    def recording(Gs, image_gens, cap):
-        lifted.append(Gs)
-        return kernel(Gs, image_gens, cap)
+    def recording(elts, config, lift=None):
+        lifted.append(lift)
+        return sylow_test(elts, config, lift)
 
-    monkeypatch.setattr(nilpotency, "congruence_kernel", recording)
+    monkeypatch.setattr(nilpotency, "_sylow_test", recording)
     assert nilpotency.is_nilpotent(d8).nilpotent
-    assert len(lifted) == 1 and lifted[0] is d8
+    assert len(lifted) == 1 and all(s.mat is g for s, g in zip(lifted[0], d8.gens, strict=True))
 
 
 def test_reduction_split_never_rejects_oracle_nilpotent_groups(ff_corpus, ff_oracle):

@@ -2,6 +2,8 @@
 
 import sys
 
+from corpus import char0_groups, prime_part_groups
+
 from nilmat.fields import QQ, FiniteField, FunctionField
 from nilmat.groups import GroupSpec
 from nilmat.linalg import Matrix
@@ -282,26 +284,6 @@ def test_infinite_primary_components_modulo_center():
     assert not d31swap.nilpotent and d31swap.primary is None
 
 
-def _char0_groups():
-    """(name, group) for the rational corpus and the char0 and cli stocks
-    (seeds 1 and 101), characteristic 0 only."""
-    from pathlib import Path
-    from random import Random
-
-    from corpus import rational_corpus
-
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
-    try:
-        import stock
-    finally:
-        sys.path.pop(0)
-    groups = [(e.name, e.group) for e in rational_corpus()]
-    for seed in (1, 101):
-        for build in (stock.char0_stock, stock.cli_stock):
-            groups += [(f"{e.label}@{seed}", e.group) for e in build(Random(seed))]
-    return [(name, G) for name, G in groups if G.field.characteristic() == 0]
-
-
 def test_analyze_enumerates_only_what_the_verdict_does(monkeypatch):
     """One analyze call makes exactly the Cayley enumerations of its
     is_nilpotent call: every structural answer is read off the verdict."""
@@ -318,7 +300,7 @@ def test_analyze_enumerates_only_what_the_verdict_does(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("nilmat") and getattr(module, "enumerate_group", None) is original:
             monkeypatch.setattr(module, "enumerate_group", recording)
-    cases = _char0_groups()
+    cases = char0_groups()
     assert len(cases) > 60
     for name, G in cases:
         calls.clear()
@@ -340,7 +322,7 @@ def test_infinite_center_and_primary_read_off_the_image():
     from nilmat.splitting import s_part_group
 
     checked = 0
-    for name, G in _char0_groups():
+    for name, G in char0_groups():
         v = is_nilpotent(G)
         a = v.artifacts
         if not v.nilpotent or "image_sylow" not in a:
@@ -380,3 +362,57 @@ def test_analyze_full_reports():
     )
     rep3 = analyze(s3)
     assert not rep3.nilpotent and rep3.witness is not None
+
+
+def test_verdicts_do_not_depend_on_the_prime(monkeypatch):
+    """Every characteristic-0 corpus and stock group, and the uneven
+    prime-part groups, under the first three valid --prime values:
+    nilpotency, finiteness, order and the component orders never differ,
+    and every negative report's witness verifies with its group.  The runs
+    meet a nontrivial cross-prime commutator and a dropped part."""
+    from nilmat import nilpotency
+    from nilmat.cli import run_command
+    from nilmat.config import DEFAULT
+    from nilmat.errors import NoPrimeInRange
+    from nilmat.numth import odd_primes
+    from nilmat.verify import verify_report
+
+    met = {"commutator": 0, "dropped": 0}
+    prime_parts, commutators = nilpotency._prime_parts, nilpotency._cross_prime_commutators
+
+    def parts_recording(seq):
+        parts, covers = prime_parts(seq)
+        # an element's part is dropped when it repeats a kept one or the element is 1
+        met["dropped"] += sum(map(len, covers)) > sum(map(len, parts.values())) or [] in covers
+        return parts, covers
+
+    def commutators_recording(sources):
+        out = list(commutators(sources))
+        met["commutator"] += bool(out)
+        return out
+
+    monkeypatch.setattr(nilpotency, "_prime_parts", parts_recording)
+    monkeypatch.setattr(nilpotency, "_cross_prime_commutators", commutators_recording)
+    negatives = 0
+    for name, G in char0_groups() + prime_part_groups():
+        want, primes = None, []
+        for p in odd_primes(3):
+            if len(primes) == 3 or p > 100:
+                break
+            try:
+                rep = run_command("primary", G, DEFAULT.with_(prime_override=p))
+            except NoPrimeInRange:
+                continue
+            primes.append(p)
+            v, sylow = rep["verdict"], rep.get("sylow") or {"components": {}}
+            orders = {q: c["order"] for q, c in sylow["components"].items()}
+            got = (v["nilpotent"], v.get("finite"), v.get("order"), orders)
+            assert want is None or got == want, (name, primes)
+            want = got
+            if rep["witness"]:
+                ok, checks = verify_report(rep, G)
+                assert ok, (name, p, checks)
+                negatives += 1
+        assert len(primes) == 3, name
+    assert met["commutator"] and met["dropped"]
+    assert negatives >= 100
