@@ -6,11 +6,17 @@ given the same file and flags they are byte-identical across runs except
 for the wall_ms timing field.  Exit codes: 0 analysis completed (the
 verdict, positive or negative, is in the report), 1 typed budget or
 capability error, 2 usage or parse error.
+
+The fixed costs of a call are paid once per process: the argument parser
+is built on first use, field descriptors are memoized by
+`fields.field_from_json`, and the oracle and corpus generators are imported
+only by the commands that run them.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -31,8 +37,8 @@ from .fields import FunctionField, field_from_json
 from .groups import GroupSpec
 from .linalg import Matrix
 from .nilpotency import is_nilpotent
+from .numth import is_prime
 from .structure import analyze
-from .testkit import closure, gen_max_abs_irr_nilpotent, gen_reducible_nilpotent, oracle_invariants
 from .verify import verify_report
 from .witness import serialize_matrix, serialize_witness
 
@@ -120,9 +126,9 @@ def _serialize_sylow(sylow, extension=False):
 def _config_from_args(args) -> Config:
     cfg = DEFAULT
     updates = {}
-    if getattr(args, "prime", None):
+    if getattr(args, "prime", None) is not None:
         updates["prime_override"] = args.prime
-    if getattr(args, "cap", None):
+    if getattr(args, "cap", None) is not None:
         updates["closure_cap"] = args.cap
         updates["cayley_cap"] = args.cap
     if getattr(args, "seed", None) is not None:
@@ -192,6 +198,8 @@ def run_command(cmd: str, G: GroupSpec, config: Config = DEFAULT, group_file=Non
         report["image"] = group_to_json(image)
         report["verdict"] = {"reduced": True, "p": cd.p}
     elif cmd == "oracle":
+        from .testkit import closure, oracle_invariants
+
         c = closure(list(G.gens) or [G.identity], config.closure_cap)
         if c.overflowed:
             report["verdict"] = {"overflowed": True, "cap": config.closure_cap}
@@ -222,14 +230,34 @@ def _emit(report, as_json):
     print("\n".join(lines))
 
 
+def _int_arg(valid, what):
+    """An argparse type: an integer for which valid holds, else a usage error."""
+
+    def parse(text):
+        try:
+            n = int(text)
+            if valid(n):
+                return n
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+
+    return parse
+
+
 def _add_common(p):
     p.add_argument("--json", action="store_true", help="emit the JSON report")
-    p.add_argument("--prime", type=int, default=None, help="override the reduction prime")
-    p.add_argument("--cap", type=int, default=None, help="closure and Cayley caps")
+    p.add_argument("--prime", type=_int_arg(is_prime, "a prime"), help="override the reduction prime")
+    p.add_argument(
+        "--cap", type=_int_arg(lambda n: n > 0, "a positive integer"), help="element cap of each Sylow closure"
+    )
     p.add_argument("--seed", type=int, default=0, help="seed for the modulus search")
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser():
+    """The argument parser, built once per process: parse_args keeps no
+    state in it, and building it costs more than most analyses."""
     parser = argparse.ArgumentParser(
         prog="nilmat",
         description="Exact nilpotency testing and structure analysis for matrix groups",
@@ -258,8 +286,11 @@ def main(argv=None) -> int:
     pv.add_argument("report", help="report file produced with --json")
     pv.add_argument("--group", default=None, help="group file for word evaluation")
     pv.add_argument("--json", action="store_true")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         if args.cmd == "gen":
@@ -314,6 +345,8 @@ def _cmd_batch(args, config) -> int:
 
 
 def _cmd_gen(args) -> int:
+    from .testkit import gen_max_abs_irr_nilpotent, gen_reducible_nilpotent
+
     try:
         if args.gen_kind == "max-irr":
             G = gen_max_abs_irr_nilpotent(args.n, args.p, args.l, seed=args.seed)
@@ -337,12 +370,15 @@ def _cmd_verify(args) -> int:
     except (OSError, json.JSONDecodeError) as e:
         print(f"error: cannot read report: {e}", file=sys.stderr)
         return 2
+    if not isinstance(report, dict):
+        print("error: cannot read report: not a JSON object", file=sys.stderr)
+        return 2
     group = None
     gf = args.group or report.get("group_file")
     # a GF(p^l) field without a modulus is built from the seed the report ran with
     flags = report.get("flags")
     seed = flags.get("seed") if isinstance(flags, dict) else None
-    if gf and Path(gf).exists():
+    if isinstance(gf, str) and Path(gf).exists():
         try:
             group = parse_group_file(gf, seed=seed if isinstance(seed, int) else 0)
         except (ParseError, SingularGenerator):

@@ -29,7 +29,7 @@ from .fields import (
 )
 from .groups import GroupSpec, dedup_elts
 from .linalg import Matrix, semisimple_minpoly
-from .numth import factorint, odd_primes
+from .numth import factorint, is_prime, odd_primes
 from .poly import Poly, factor, gcd as poly_gcd, resultant
 
 PRIME_CAP = 2**20    # largest reduction prime tried
@@ -264,6 +264,8 @@ def _select_prime(G, minpolys, prime_override):
     try_prime = _prime_trial(G, minpolys)
     if prime_override is None:
         return _first_valid_prime(G, minpolys, try_prime)
+    if not is_prime(prime_override):
+        raise NoPrimeInRange(f"prime {prime_override} is not prime")
     cd = try_prime(prime_override)
     if cd is None:
         raise NoPrimeInRange(f"prime {prime_override} fails the validity checks")

@@ -33,6 +33,7 @@ the primitive remainder sequence.
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 from itertools import chain
@@ -985,7 +986,29 @@ class FunctionField(Field):
             return self.one
 
 
+# built fields by (canonical descriptor text, seed), and by the field itself,
+# so that spellings of one field ("p": 5 and "p": "5") share one object
+_FIELDS = {}
+
+
 def field_from_json(d, seed=0):
+    """The field a JSON descriptor names; ParseError when it names none.
+
+    Fields are immutable, so each is built once per process: its
+    irreducibility test and multiplication tables are paid on first use.
+    A descriptor that JSON cannot encode is built each time."""
+    try:
+        key = (json.dumps(d, sort_keys=True), seed)
+    except (TypeError, ValueError):
+        return _build_field(d, seed)
+    field = _FIELDS.get(key)
+    if field is None:
+        built = _build_field(d, seed)
+        field = _FIELDS[key] = _FIELDS.setdefault(built, built)
+    return field
+
+
+def _build_field(d, seed):
     if not isinstance(d, dict) or "kind" not in d:
         raise ParseError("field descriptor must be an object with a 'kind'")
     kind = d["kind"]
@@ -995,11 +1018,11 @@ def field_from_json(d, seed=0):
         try:
             p = int(d["p"])
             l = int(d.get("l", 1))
+            modulus = d.get("modulus")
+            if modulus is not None:
+                modulus = tuple(int(c) for c in modulus)
         except (KeyError, ValueError, TypeError):
             raise ParseError(f"bad GF descriptor {d!r}") from None
-        modulus = d.get("modulus")
-        if modulus is not None:
-            modulus = tuple(int(c) for c in modulus)
         try:
             return FiniteField(p, l, modulus, seed=seed)
         except ValueError as e:

@@ -18,7 +18,6 @@ decomposition and in characteristic p.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import random
 from dataclasses import dataclass
@@ -233,6 +232,9 @@ def squarefree_part(f: Poly) -> Poly:
 
 
 def _stable_rng(tag, *data):
+    # imported on first use: hashlib loads OpenSSL, which no cold start should pay for
+    import hashlib
+
     h = hashlib.sha256(repr((tag,) + data).encode()).hexdigest()
     return random.Random(int(h, 16))
 

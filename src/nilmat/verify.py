@@ -8,6 +8,7 @@ rerunning the pipeline that produced it.
 
 from __future__ import annotations
 
+from .errors import ParseError
 from .fields import FunctionField
 from .groups import GroupSpec, evaluate_word
 from .linalg import Matrix, inverse, nullspace, semisimple_minpoly
@@ -48,6 +49,17 @@ def _is_p_element(mat: Matrix, p: int) -> bool:
     """mat has finite order, a power of the prime p."""
     m = finite_order(mat)
     return m is not None and not set(factorint(m)) - {p}
+
+
+def _malformed(witness: Witness):
+    """Why a deserialized witness is not one the checks below can read, or
+    None: arithmetic on ragged or mismatched matrices proves nothing."""
+    if not all(isinstance(it.label, str) and isinstance(it.data, dict) for it in witness.items):
+        return "item labels must be strings and item data objects"
+    mats = [it.mat for it in witness.items if it.mat is not None]
+    if any(m.field != mats[0].field or m.n != mats[0].n or any(len(r) != m.n for r in m.rows) for m in mats):
+        return "item matrices must be square, over one field and of one size"
+    return None
 
 
 def verify_witness(witness: Witness, group: GroupSpec | None = None):
@@ -181,5 +193,11 @@ def verify_report(report: dict, group: GroupSpec | None = None):
     wdata = report.get("witness")
     if not wdata:
         return True, [("no witness to verify", True, "")]
-    witness = deserialize_witness(wdata)
+    try:
+        witness = deserialize_witness(wdata)
+    except (AttributeError, KeyError, TypeError, ValueError, ParseError) as e:
+        return False, [("well-formed witness", False, f"{type(e).__name__}: {e}")]
+    problem = _malformed(witness)
+    if problem is not None:
+        return False, [("well-formed witness", False, problem)]
     return verify_witness(witness, group)

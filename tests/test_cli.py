@@ -1,6 +1,8 @@
 """Command line front end: parsing, reports, determinism, verification."""
 
 import json
+import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +11,8 @@ import pytest
 
 from nilmat.cli import group_to_json, main, parse_group_file, parse_group_json, run_command
 from nilmat.config import DEFAULT
-from nilmat.errors import ParseError, SingularGenerator
+from nilmat.congruence import select_modulus
+from nilmat.errors import NoPrimeInRange, ParseError, SingularGenerator
 
 HEIS = {
     "field": {"kind": "Q"},
@@ -33,6 +36,23 @@ S3 = {
 }
 
 DIAG2 = {"field": {"kind": "Q"}, "generators": [[["2"]]]}
+
+D8 = {
+    "field": {"kind": "Q"},
+    "generators": [[["0", "-1"], ["1", "0"]], [["1", "0"], ["0", "-1"]]],
+}
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_python(*args):
+    """A fresh Python process with this checkout's package on the path."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=120, env=env)
+
+
+def run_fresh(argv):
+    return run_python("-m", "nilmat.cli", *argv)
 
 
 def write(tmp_path, name, payload):
@@ -89,16 +109,129 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["is-nilpotent", str(missing)]) == 2
     capsys.readouterr()
     # budget errors exit 1: a closure cap of 2 cannot host the D8 image order
-    d8 = write(
-        tmp_path,
-        "d8.json",
-        {
-            "field": {"kind": "Q"},
-            "generators": [[["0", "-1"], ["1", "0"]], [["1", "0"], ["0", "-1"]]],
-        },
-    )
+    d8 = write(tmp_path, "d8.json", D8)
     assert main(["is-finite", str(d8), "--cap", "2"]) == 1
     capsys.readouterr()
+
+
+def test_prime_and_cap_flags_are_validated(tmp_path, capsys):
+    """--prime must be a prime and --cap a positive integer, else a usage
+    error (exit 2); a prime that fails the reduction's checks is a budget
+    error (exit 1)."""
+    d8 = write(tmp_path, "d8.json", D8)
+    bad = [("--prime", v, "is not a prime") for v in ("9", "-7", "0", "x")]
+    bad += [("--cap", v, "is not a positive integer") for v in ("0", "-5", "x")]
+    for flag, value, message in bad:
+        with pytest.raises(SystemExit) as exc:
+            main(["is-nilpotent", str(d8), flag, value])
+        assert exc.value.code == 2, (flag, value)
+        assert message in capsys.readouterr().err
+    assert main(["is-nilpotent", str(d8), "--prime", "2"]) == 1
+    assert "NoPrimeInRange: prime 2 fails the validity checks" in capsys.readouterr().err
+    assert main(["is-nilpotent", str(d8), "--prime", "5", "--cap", "8", "--json"]) == 0
+    flags = json.loads(capsys.readouterr().out)["flags"]
+    assert flags["prime"] == 5 and flags["closure_cap"] == 8 and flags["cayley_cap"] == 8
+    # library callers get a typed error for a prime override that is not prime
+    G = parse_group_json(D8)
+    for p in (9, -7, 0):
+        with pytest.raises(NoPrimeInRange, match=f"prime {p} is not prime"):
+            select_modulus(G, DEFAULT.with_(prime_override=p))
+
+
+def test_verify_witness_fails_closed_on_malformed_reports(tmp_path, capsys):
+    """A report that is not a JSON object is unreadable (exit 2); a witness
+    that cannot be read back, or whose matrices are ragged or mismatched, is
+    NOT CONFIRMED (exit 1), never a traceback."""
+    rot = {"field": {"kind": "Q"}, "rows": [["0", "-1"], ["1", "0"]]}
+    swap3 = {"field": {"kind": "Q"}, "rows": [["0", "1", "0"], ["1", "0", "0"], ["0", "0", "1"]]}
+
+    def pair(x, y, **item):
+        items = [{"label": "x", "matrix": x, **item}, {"label": "y", "matrix": y}]
+        return {"witness": {"kind": "non_commuting_pair", "context": "jordan_parts", "items": items}}
+
+    cases = [
+        ([], 2),
+        ("not a report", 2),
+        ({"witness": 5}, 1),
+        ({"witness": [1]}, 1),
+        ({"witness": {"kind": "non_commuting_pair", "items": 5}}, 1),
+        ({"witness": {"kind": "non_commuting_pair", "items": [{"matrix": rot}]}}, 1),
+        (pair({"field": {"kind": "GF", "p": 9}, "rows": [["1"]]}, rot), 1),
+        (pair({"field": {"kind": "Q"}, "rows": [["0", "1"], ["1"]]}, rot), 1),
+        (pair(rot, swap3), 1),
+        (pair(rot, dict(rot, field={"kind": "GF", "p": 5})), 1),
+        (pair(rot, swap3, label=5), 1),
+        (pair(rot, swap3, data=[]), 1),
+        (dict(pair(rot, swap3), group_file=5), 1),
+    ]
+    for payload, code in cases:
+        path = write(tmp_path, "rep.json", payload)
+        assert main(["verify-witness", str(path)]) == code, payload
+        captured = capsys.readouterr()
+        if code == 1:
+            assert captured.out.startswith("NOT CONFIRMED (1 checks)"), payload
+            assert "[FAIL] well-formed witness" in captured.out
+        else:
+            assert "error: cannot read report" in captured.err
+    for payload, code in cases[:5]:
+        proc = run_fresh(["verify-witness", str(write(tmp_path, "rep.json", payload))])
+        assert proc.returncode == code and "Traceback" not in proc.stderr, proc.stderr
+
+
+def test_one_process_serves_many_calls(tmp_path, monkeypatch, capsys):
+    """main reuses one parser: a mix of commands, a usage error and --help in
+    one process print exactly what fresh processes print for the same
+    arguments, wall_ms aside."""
+    monkeypatch.setenv("COLUMNS", "80")
+    d31 = write(tmp_path, "d31.json", D31SWAP)
+    s3 = write(tmp_path, "s3.json", S3)
+    report = tmp_path / "s3-report.json"
+    assert main(["is-nilpotent", str(s3), "--json"]) == 0
+    report.write_text(capsys.readouterr().out)
+    calls = [
+        ["is-nilpotent", str(d31), "--json"],
+        ["order", str(d31), "--json", "--cap", "50"],
+        ["sylow", str(s3), "--json"],
+        ["reduce", str(d31), "--json", "--prime", "7"],
+        ["verify-witness", str(report), "--json"],
+        ["gen", "max-irr", "2", "3", "--seed", "2"],
+        ["oracle", str(s3), "--json"],
+        ["is-nilpotent", str(d31), "--prime", "9"],
+        ["order", "--help"],
+        ["is-nilpotent", str(d31), "--json"],
+    ]
+
+    def mask(text):
+        return re.sub(r'"wall_ms": \d+', '"wall_ms": 0', text)
+
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+        here = capsys.readouterr()
+        fresh = run_fresh(argv)
+        assert code == fresh.returncode, argv
+        assert mask(here.out) == mask(fresh.stdout), argv
+        assert here.err == fresh.stderr, argv
+        if "--help" in argv:
+            assert "element cap of each Sylow closure" in here.out and "Cayley" not in here.out
+
+
+def test_cli_import_is_lean():
+    """Importing the CLI loads neither the test oracle nor hashlib (which
+    loads OpenSSL) beyond what the standard modules it needs load."""
+    code = (
+        "import sys, random, fractions, json, argparse\n"
+        "before = set(sys.modules)\n"
+        "import nilmat.cli\n"
+        "print(sorted(set(sys.modules) - before))\n"
+    )
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    added = proc.stdout
+    assert "'nilmat.cli'" in added
+    assert "'nilmat.testkit'" not in added and "'hashlib'" not in added, added
 
 
 def test_report_determinism(tmp_path):

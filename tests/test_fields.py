@@ -140,6 +140,34 @@ def test_entry_parse_errors():
         field_from_json({"kind": "wat"})
 
 
+def test_descriptors_of_one_field_share_one_object():
+    """field_from_json builds each field once per process: spellings of one
+    descriptor give the same object, a GF(p^l) modulus drawn from the seed
+    keeps seeds apart, and a descriptor that names no field raises on every
+    call."""
+    gf25 = {"kind": "GF", "p": 5, "l": 2, "modulus": [2, 1, 1]}
+    F = field_from_json(gf25)
+    assert F == FiniteField(5, 2, (2, 1, 1))
+    assert field_from_json({"modulus": [2, 1, 1], "l": 2, "p": 5, "kind": "GF"}) is F
+    assert field_from_json(dict(gf25, p="5")) is F
+    assert field_from_json({"kind": "GF", "p": "5"}) is field_from_json({"kind": "GF", "p": 5, "l": 1})
+    ff = field_from_json({"kind": "FF", "base": {"kind": "GF", "p": 7}})
+    assert ff.base is field_from_json({"kind": "GF", "p": 7})
+    assert field_from_json({"base": {"p": 7, "kind": "GF"}, "kind": "FF"}) is ff
+    # seeds 1 and 3 draw the modulus X^2 + X + 2, seed 0 draws X^2 + 1
+    gf9 = {"kind": "GF", "p": 3, "l": 2}
+    at0, at1 = field_from_json(gf9), field_from_json(gf9, seed=1)
+    assert at0.modulus == (1, 0, 1) and at1.modulus == (2, 1, 1)
+    assert field_from_json(gf9, seed=0) is at0 and field_from_json(gf9, seed=3) is at1
+    for bad in ({"kind": "wat"}, {"kind": "NF", "minpoly": ["-1", "0", "1"]},
+                {"kind": "GF", "p": 3, "l": 2, "modulus": "ab"}):
+        for _ in range(2):
+            with pytest.raises(ParseError):
+                field_from_json(bad)
+    # JSON cannot encode a set, so this descriptor is built on each call
+    assert field_from_json({"kind": "GF", "p": 5, "note": {1}}) == FiniteField(5)
+
+
 def test_entry_format_round_trip():
     import random
 
