@@ -2,10 +2,12 @@
 words over the generators used for witnesses and Schreier bookkeeping, and
 the one Cayley enumeration engine the pipeline uses.  The engine works on
 interned row ids, so a Cayley edge is a few lookups and the field's work is
-one batched product per generator over the rows not yet acted on; the
-transversal of a lift to a source group runs on the source's row ids alike.
-A complete enumeration's table also gives its central vertices and a
-generating set of the center, with no matrix products.
+one product per batch of rows not yet acted on, against all the
+generators' columns at once; the transversal of a lift to a source group
+runs on the source's row ids alike.  A vertex is kept as its row ids, tree
+parent and last letter, and its matrix and tree word are built only when
+read.  A complete enumeration's table also gives its central vertices and
+a generating set of the center, with no matrix products.
 
 A Word is a tuple of (generator index, +1 | -1) pairs; the empty word is
 the identity.  Pipeline elements travel as Elt pairs (matrix, word) so a
@@ -16,7 +18,7 @@ generators by plain multiplication.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dfield
 from functools import cached_property
 
 from .errors import Singular, SingularGenerator
@@ -72,22 +74,49 @@ def dedup_elts(elts):
             yield e
 
 
-@dataclass
+@dataclass(eq=False)
 class Enumeration:
     """A breadth-first Cayley enumeration; see enumerate_group.  Its
-    table was filled by row-id lookups, and its vertices share the row
-    tuples of the distinct rows the field multiplied once per generator."""
+    table was filled by row-id lookups, and a vertex is the tuple of its
+    rows' ids in `rows`.  A vertex's matrix and tree word are built only
+    when read: `vertex(v)` and `word(v)` build one, and `vertices` and
+    `words` the whole list on first read."""
 
-    vertices: list     # matrices in breadth-first order, identity first
-    words: list        # tree word of each vertex over the generator indices
-    overflowed: bool
-    schreier: list     # with a lift: one Elt per nontrivial Schreier generator, in discovery order
+    rows: _RowAction   # the interned rows and the generators' action on them
+    keys: list         # row ids of each vertex in breadth-first order, identity first
     parents: array     # tree parent of each vertex; the identity's is -1
-    table: array       # table[v * ngens + i] is the index of vertices[v] * gens[i]
+    letters: array     # last letter of each vertex's tree word; the identity's is -1
+    table: array       # table[v * ngens + i] is the index of vertex v times gens[i]
     ngens: int
+    overflowed: bool = False
+    schreier: list = dfield(default_factory=list)  # with a lift: one Elt per nontrivial Schreier generator, in discovery order
 
     def __len__(self):
-        return len(self.vertices)
+        return len(self.keys)
+
+    def vertex(self, v) -> Matrix:
+        """The matrix of vertex v, sharing the interned row tuples."""
+        return self.rows.matrix(self.keys[v])
+
+    def word(self, v) -> Word:
+        """The tree word of vertex v over the generator indices, read up
+        its parents."""
+        out = []
+        while v > 0:
+            out.append((self.letters[v], 1))
+            v = self.parents[v]
+        return tuple(reversed(out))
+
+    @cached_property
+    def vertices(self) -> list:
+        return [self.vertex(v) for v in range(len(self))]
+
+    @cached_property
+    def words(self) -> list:
+        out = [()]
+        for v in range(1, len(self)):
+            out.append(out[self.parents[v]] + ((self.letters[v], 1),))
+        return out
 
     @cached_property
     def central(self) -> bytearray:
@@ -97,8 +126,7 @@ class Enumeration:
         Left multiplication by g_i follows the tree: g_i v is g_i parent(v)
         times v's last letter, one table lookup per vertex, and v is
         central iff g_i v = v g_i for every i."""
-        n, k, table, parents = len(self.vertices), self.ngens, self.table, self.parents
-        letters = [0] + [w[-1][0] for w in self.words[1:]]
+        n, k, table, parents, letters = len(self), self.ngens, self.table, self.parents, self.letters
         central = bytearray(b"\x01") * n
         for i in range(k):
             left = [table[i]] * n
@@ -118,7 +146,7 @@ class Enumeration:
         gets at most log_p |Z| generators.  The span grows coset by coset,
         walking the chosen vertex's tree word through the table.
         """
-        n, k, table, central = len(self.vertices), self.ngens, self.table, self.central
+        n, k, table, central = len(self), self.ngens, self.table, self.central
         span = bytearray(n)
         span[0] = 1
         members = [0]
@@ -127,7 +155,7 @@ class Enumeration:
             if not central[v] or span[v]:
                 continue
             out.append(v)
-            path = [i for i, _ in self.words[v]]
+            path = [i for i, _ in self.word(v)]
             coset = list(members)
             while True:
                 for a in path:
@@ -144,23 +172,29 @@ class _RowAction:
     """Interned row vectors of one field and degree, acted on by fixed
     matrices through lookups: every distinct row met gets one id, the
     identity's rows being 0..n-1, and `images[i][r]` is the id of row r
-    times mats[i].  `extend` multiplies every row not yet acted on by each
-    matrix in one batched `Field.matmul`."""
+    times mats[i].  `extend` multiplies every row not yet acted on by all
+    the matrices in one batched `Field.matmul`."""
 
     def __init__(self, mats):
         self.field = mats[0].field
-        self.points = list(Matrix.identity(self.field, mats[0].n).rows)
+        self.n = mats[0].n
+        self.points = list(Matrix.identity(self.field, self.n).rows)
         self.index = {r: j for j, r in enumerate(self.points)}
-        self.cols = [tuple(zip(*m.rows)) for m in mats]
+        # every matrix's columns side by side: a product row holds one
+        # n-slice per matrix
+        self.cols = tuple(c for m in mats for c in zip(*m.rows))
         self.images = [[] for _ in mats]
         self.done = 0
 
     def _act(self, batch):
-        """Per matrix, the ids of the rows of batch times that matrix."""
-        points, index = self.points, self.index
-        for c in self.cols:
+        """Per matrix, the ids of the rows of batch times that matrix, cut
+        from one product of batch with all the matrices' columns."""
+        points, index, n = self.points, self.index, self.n
+        prods = self.field.matmul(batch, self.cols)
+        for s in range(0, len(self.cols), n):
             img = []
-            for r in self.field.matmul(batch, c):
+            for prod in prods:
+                r = prod[s : s + n]
                 j = index.setdefault(r, len(points))
                 if j == len(points):
                     points.append(r)
@@ -200,9 +234,9 @@ def enumerate_group(gens, cap: int, lift=None) -> Enumeration:
     rows' ids, which is exact since a matrix is its rows, and an edge is n
     list lookups and one dict lookup.  The field works only on new rows:
     when the vertex at the head of the queue holds a row not yet acted on,
-    every such row is multiplied by each generator in one batched
-    `Field.matmul`.  The vertex matrices are built at the end, sharing the
-    row tuples.
+    every such row is multiplied by all the generators in one batched
+    `Field.matmul`.  A vertex keeps only its row ids, its tree parent and
+    its last letter; its matrix and word are built when read.
 
     Stops with `overflowed` set instead of adding a vertex beyond `cap`.
     Every edge looked up is recorded in the Cayley table, and every new
@@ -226,13 +260,11 @@ def enumerate_group(gens, cap: int, lift=None) -> Enumeration:
         raise ValueError("cannot enumerate a group without generators")
     rows = _RowAction(gens)
     images = rows.images
-    keys = [tuple(range(len(rows.points)))]
-    index = {keys[0]: 0}
-    words = [()]
-    schreier = []
     k = len(gens)
-    parents = array("i", [-1])
-    table = array("i")
+    ident = tuple(range(rows.n))
+    enum = Enumeration(rows, [ident], array("i", [-1]), array("i", [-1]), array("i"), k)
+    keys, parents, letters, table, schreier = enum.keys, enum.parents, enum.letters, enum.table, enum.schreier
+    index = {ident: 0}
     if lift is not None:
         src = _SourceAction([s.mat for s in lift])
         simages = src.images
@@ -240,7 +272,7 @@ def enumerate_group(gens, cap: int, lift=None) -> Enumeration:
         tinvs, lift_invs = {0: Matrix.identity(src.field, lift[0].mat.n)}, [None] * k
 
         def tword(v):
-            return word_mul(*(lift[i].word for i, _ in words[v]))
+            return word_mul(*(lift[i].word for i, _ in enum.word(v)))
 
         def tinv(v):
             path = []
@@ -249,15 +281,11 @@ def enumerate_group(gens, cap: int, lift=None) -> Enumeration:
                 v = parents[v]
             out = tinvs[v]
             for u in reversed(path):
-                i = words[u][-1][0]
+                i = letters[u]
                 if lift_invs[i] is None:
                     lift_invs[i] = inverse(lift[i].mat)
                 out = tinvs[u] = lift_invs[i] * out
             return out
-
-    def result(overflowed):
-        vertices = [rows.matrix(w) for w in keys]
-        return Enumeration(vertices, words, overflowed, schreier, parents, table, k)
 
     qi = 0
     while qi < len(keys):
@@ -274,11 +302,12 @@ def enumerate_group(gens, cap: int, lift=None) -> Enumeration:
             if j is None:
                 if len(keys) >= cap:
                     del table[qi * k :]
-                    return result(True)
+                    enum.overflowed = True
+                    return enum
                 j = index[w] = len(keys)
                 keys.append(w)
-                words.append(words[qi] + ((i, 1),))
                 parents.append(qi)
+                letters.append(i)
                 if lift is not None:
                     tkeys.append(tuple(map(simages[i].__getitem__, t)))
                     src.pending.update(r for r in tkeys[-1] if r not in simages[0])
@@ -289,7 +318,7 @@ def enumerate_group(gens, cap: int, lift=None) -> Enumeration:
                     schreier.append(Elt(src.matrix(tw) * tinv(j), word))
             table.append(j)
         qi += 1
-    return result(False)
+    return enum
 
 
 class GroupSpec:

@@ -83,8 +83,8 @@ class SylowSystem:
         for p in sorted(self.enums):
             enum, parts = self.enums[p], self.components[p]
             for v in enum.center():
-                word = word_mul(*(parts[i].word for i, _ in enum.words[v]))
-                out.append(Elt(enum.vertices[v], word))
+                word = word_mul(*(parts[i].word for i, _ in enum.word(v)))
+                out.append(Elt(enum.vertex(v), word))
         return out
 
 
@@ -204,7 +204,9 @@ def _sylow_test(elts, config: Config, lift=None) -> Verdict:
     subgroup: a cross-prime pair that fails to commute, or an element of
     the p-parts' closure whose order is not a power of p, is the witness.
     An input of infinite order raises the signal, and a component past
-    the cap raises CapExceeded.
+    the cap raises CapExceeded.  A nilpotent verdict keeps each input's
+    cover (artifact "covers", see _prime_parts), from which analyze reads
+    the unipotent parts over GF(q).
 
     With `lift` (one source Elt per input, a source group mapping onto G
     by lift[i] -> elts[i]), each Q_p is enumerated lifted by its parts'
@@ -236,7 +238,7 @@ def _sylow_test(elts, config: Config, lift=None) -> Verdict:
         orders[p], enums[p] = len(enum), enum
         kernel += enum.schreier
     sylow = SylowSystem(parts, orders, enums=enums)
-    artifacts = {"sylow": sylow, "order": sylow.order}
+    artifacts = {"sylow": sylow, "order": sylow.order, "covers": covers}
     if lift is not None:
         kernel += _tietze_relators(lift, covers, sources)
         kernel += _cross_prime_commutators(sources)
@@ -250,9 +252,11 @@ def _non_p_witness(p, parts, enum) -> Witness:
     p, with its tree word over the parts (data["parts_word"]) and over
     those generators."""
     items = tuple(WItem(f"part_{i}", x.mat, x.word, {"prime": p}) for i, x in enumerate(parts))
-    for y, tree_word in zip(enum.vertices, enum.words):
+    for v in range(len(enum)):
+        y = enum.vertex(v)
         m = finite_order(y)
         if set(factorint(m)) - {p}:
+            tree_word = enum.word(v)
             word = word_mul(*(parts[i].word for i, _ in tree_word))
             data = {"order": m, "prime": p, "parts_word": [[i, e] for i, e in tree_word]}
             items += (WItem("y", y, word, data),)

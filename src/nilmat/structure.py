@@ -5,7 +5,9 @@ the paper asks of a nilpotent group (finiteness, order, complete
 reducibility, the primary/Sylow decomposition and the center) from that
 one verdict's artifacts: the Jordan split, the congruence or evaluation
 image with its Sylow system, and the kernel's normal generators.  No step
-reruns the verdict or recomputes what it carries.
+reruns the verdict or recomputes what it carries.  Over GF(q) nothing is
+split at all: a generator's unipotent part is its Sylow part for the
+characteristic, which the verdict already holds.
 
 The normal generators come from the image's Sylow test, lifted one Sylow
 subgroup at a time (nilpotency), and none is the identity.  A nilpotent
@@ -37,7 +39,7 @@ from .errors import CapExceeded, VerdictUnavailable
 from .fields import FiniteField, FunctionField
 from .groups import Elt, GroupSpec, dedup_elts, enumerate_group
 from .nilpotency import SylowSystem, is_nilpotent
-from .splitting import finite_order, reduction_split, s_part_group
+from .splitting import finite_order, is_unipotent_group, s_part_group
 from .witness import WItem, Witness
 
 
@@ -70,10 +72,12 @@ def analyze(G: GroupSpec, config: Config = DEFAULT) -> StructureReport:
     if fin:
         report.order = _order(G, a, char_p, config)
     if not char_p:
-        # over GF(q) and for the trivial group the verdict splits nothing
-        split = a.get("split") or reduction_split(G)
-        report.completely_reducible = all(u.is_identity() for u in split.gens_u)
-        report.cr_series_dims = [s.dim for s in split.cert_u.flag]
+        if a.get("trivial"):
+            report.completely_reducible, report.cr_series_dims = True, [G.degree, 0]
+        else:
+            us, flag = _unipotent_parts(G, a)
+            report.completely_reducible = all(u.is_identity() for u in us)
+            report.cr_series_dims = [s.dim for s in flag]
     try:
         report.primary, report.primary_is_extension = _primary(G, a, fin, char_p)
     except VerdictUnavailable as e:
@@ -89,6 +93,22 @@ def analyze(G: GroupSpec, config: Config = DEFAULT) -> StructureReport:
         # of them is the center of G
         report.center_gens = list(report.primary.central_part) if report.primary_is_extension else _center(G, a)
     return report
+
+
+def _unipotent_parts(G: GroupSpec, a: dict):
+    """(the generators' unipotent parts, the flag certifying the group they
+    generate unipotent) of a nontrivial nilpotent group over a perfect
+    field.  In characteristic 0 the verdict's split holds both.  Over GF(q)
+    of characteristic p the verdict split nothing, and need not: a
+    semisimple element of GL(n, q) has order prime to p and a unipotent one
+    a power of p, so g = s u is g's split into its p'-part and its p-part,
+    both powers of g, and u is the Sylow part for p in g's cover, or 1."""
+    if "split" in a:
+        return a["split"].gens_u, a["split"].cert_u.flag
+    p = G.field.characteristic()
+    parts, ident = a["sylow"].components.get(p, []), G.identity
+    us = [next((parts[j].mat for q, j, _ in cover if q == p), ident) for cover in a["covers"]]
+    return us, is_unipotent_group(us).flag
 
 
 def _finiteness(G: GroupSpec, a: dict, char_p: bool):

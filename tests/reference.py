@@ -22,11 +22,12 @@ for the per-prime kernel of the verdict path.
 
 import math
 from array import array
+from dataclasses import dataclass
 from fractions import Fraction
 
 from nilmat.errors import CapExceeded
 from nilmat.fields import FiniteField, FunctionField, NumberField
-from nilmat.groups import Elt, Enumeration, word_inverse, word_mul
+from nilmat.groups import Elt, word_inverse, word_mul
 from nilmat.linalg import Matrix, inverse
 from nilmat.poly import Poly, cyclotomic_finite_order, gcd, squarefree_decomposition
 
@@ -267,6 +268,22 @@ def finite_order(g: Matrix):
     return cyclotomic_finite_order(f, degree)
 
 
+@dataclass
+class ReferenceEnumeration:
+    """What the reference enumeration records, each list built eagerly."""
+
+    vertices: list
+    words: list
+    overflowed: bool
+    schreier: list
+    parents: array
+    table: array
+    ngens: int
+
+    def __len__(self):
+        return len(self.vertices)
+
+
 def enumeration(gens, cap, lift=None):
     """The engine's contract as a plain breadth-first search keyed by whole
     matrices: one full product per edge, and with a lift one source
@@ -294,7 +311,7 @@ def enumeration(gens, cap, lift=None):
             if j is None:
                 if len(vertices) >= cap:
                     del table[qi * k :]
-                    return Enumeration(vertices, words, True, schreier, parents, table, k)
+                    return ReferenceEnumeration(vertices, words, True, schreier, parents, table, k)
                 j = index[w] = len(vertices)
                 vertices.append(w)
                 words.append(words[qi] + ((i, 1),))
@@ -310,7 +327,7 @@ def enumeration(gens, cap, lift=None):
                     schreier.append(Elt(prod * tinvs[j], word))
             table.append(j)
         qi += 1
-    return Enumeration(vertices, words, False, schreier, parents, table, k)
+    return ReferenceEnumeration(vertices, words, False, schreier, parents, table, k)
 
 
 def congruence_kernel(G, image_gens, cap):

@@ -260,9 +260,10 @@ def test_lifted_kernel_generators_replay(q_corpus, monkeypatch):
     is nontrivial and replays from its word over the diagonalizable parts;
     the Schreier generators of the image's Sylow subgroups, lifted by their
     source parts, come first.  The source transversal runs on row ids: only
-    the distinct rows of transversal elements go to the field, once per
-    generator (the rows of nontrivial Schreier generators are never acted
-    on), and a source Matrix product is formed only for a nontrivial
+    the distinct rows of transversal elements go to the field, each once,
+    against all the generators' columns side by side (the rows of
+    nontrivial Schreier generators are never acted on), and a source
+    Matrix product is formed only for a nontrivial
     generator or a tree vertex whose transversal inverse that generator
     needs, so a finite group forms none."""
     from nilmat import nilpotency
@@ -314,9 +315,11 @@ def _check_lifted_work(monkeypatch, gens, cap, lift, enum, entry):
         out = matmul(rows, cols)
         sent.append(len(rows))
         if not depth[0]:
-            # a batch of the row engine, not the rows of a Matrix product
+            # a batch of the row engine, not the rows of a Matrix product:
+            # each product row holds one n-slice per generator
+            n = len(rows[0])
             batched.append(len(rows))
-            met.update(rows, out)
+            met.update(rows, (r[s : s + n] for r in out for s in range(0, len(r), n)))
         return out
 
     with monkeypatch.context() as m:
@@ -346,10 +349,10 @@ def _check_lifted_work(monkeypatch, gens, cap, lift, enum, entry):
             j = enum.parents[j]
     assert formed[0] <= len(targets) + len(inverted), entry.name
     transversal_rows = {r for t in T for r in t.rows}
-    assert sum(batched) <= k * len(transversal_rows), entry.name
-    assert sum(sent) <= k * len(transversal_rows) + lmats[0].n * formed[0], entry.name
+    assert sum(batched) <= len(transversal_rows), entry.name
+    assert sum(sent) <= len(transversal_rows) + lmats[0].n * formed[0], entry.name
     if entry.finite:
-        assert formed[0] == 0 and sum(sent) <= k * len(met), entry.name
+        assert formed[0] == 0 and sum(sent) <= len(met), entry.name
         assert met == transversal_rows, entry.name
 
 

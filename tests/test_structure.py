@@ -311,6 +311,88 @@ def test_analyze_enumerates_only_what_the_verdict_does(monkeypatch):
         assert calls == verdict_calls, name
 
 
+def _gf_nilpotent_groups(ff_corpus):
+    """(name, G, trivial?) for the nilpotent groups of the finite-field
+    corpus and of the finite stock at seeds 1 and 101 that the stock
+    analyzes, with UT3(5) and trivial groups over GF(5) and Q."""
+    from pathlib import Path
+    from random import Random
+
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+    try:
+        import stock
+    finally:
+        sys.path.pop(0)
+    F5 = FiniteField(5)
+    ut3 = [_m(F5, [[1, 1, 0], [0, 1, 0], [0, 0, 1]]), _m(F5, [[1, 0, 1], [0, 1, 0], [0, 0, 1]]), _m(F5, [[1, 0, 0], [0, 1, 1], [0, 0, 1]])]
+    out = [(c.name, c.group, False) for c in ff_corpus if c.nilpotent]
+    for seed in (1, 101):
+        out += [(f"{e.label}@{seed}", e.group, False) for e in stock.finite_stock(Random(seed)) if e.nilpotent and e.analyze]
+    out += [("UT3(5)", GroupSpec(F5, ut3), False)]
+    out += [("1(GF(5))", GroupSpec(F5, [Matrix.identity(F5, 3)]), True), ("1(Q)", GroupSpec(QQ, [Matrix.identity(QQ, 2)]), True)]
+    return out
+
+
+def test_complete_reducibility_over_gf_matches_the_jordan_split(ff_corpus):
+    """Over GF(q) analyze splits nothing: each generator's unipotent part is
+    read off the verdict's Sylow part for the characteristic, and equals the
+    Jordan split's, and complete reducibility and the flag dimensions are
+    those of reduction_split, on groups with nontrivial unipotent parts
+    too."""
+    from nilmat.splitting import jordan, reduction_split
+    from nilmat.structure import _unipotent_parts
+
+    reducible = set()
+    for name, G, trivial in _gf_nilpotent_groups(ff_corpus):
+        if not trivial:
+            us, _ = _unipotent_parts(G, is_nilpotent(G).artifacts)
+            assert list(us) == [jordan(g).u for g in G.gens], name
+        split = reduction_split(G)
+        rep = analyze(G)
+        assert rep.completely_reducible == all(u.is_identity() for u in split.gens_u), name
+        assert rep.cr_series_dims == [s.dim for s in split.cert_u.flag], name
+        if not rep.completely_reducible:
+            reducible.add(name.split("@")[0])
+    assert {"reducible(D8,GF(5))", "reducible(max-irr(2,GF(9)))", "UT3(5)"} <= reducible
+
+
+def test_gf_analyze_never_splits(monkeypatch, ff_corpus):
+    """No Jordan split runs in analyze over GF(q), nor for a trivial group."""
+    from nilmat import splitting
+
+    def refuse(*_):
+        raise AssertionError("split")
+
+    originals = {attr: getattr(splitting, attr) for attr in ("jordan", "reduction_split")}
+    for name, module in list(sys.modules.items()):
+        for attr, fn in originals.items():
+            if name.startswith("nilmat") and getattr(module, attr, None) is fn:
+                monkeypatch.setattr(module, attr, refuse)
+    for name, G, _ in _gf_nilpotent_groups(ff_corpus):
+        assert analyze(G).cr_series_dims, name
+
+
+def test_finite_core_builds_vertex_matrices_only_when_read(monkeypatch):
+    """On Q8^3 over GF(3) the verdict builds no vertex matrix, and analyze
+    builds only its center generators'."""
+    from corpus import q8_power_with_diagonal
+
+    from nilmat import groups as groups_module
+
+    matrix = groups_module._RowAction.matrix
+    built = []
+
+    def counting(self, key):
+        built.append(key)
+        return matrix(self, key)
+
+    monkeypatch.setattr(groups_module._RowAction, "matrix", counting)
+    G = q8_power_with_diagonal(3)
+    assert is_nilpotent(G).nilpotent and not built
+    rep = analyze(G)
+    assert rep.order == 8**3 and len(built) == len(rep.center_gens) == 3
+
+
 def test_infinite_center_and_primary_read_off_the_image():
     """On every infinite nilpotent group in characteristic 0 with a
     congruence image H of its diagonalizable part G_s, the primary
