@@ -22,6 +22,14 @@ per row and column over Q and number fields, and polynomial numerators over
 one monic common denominator per row and column over function fields, with
 one reduction per entry.
 
+`Field.row_kernel` multiplies rows by fixed matrices, for the Cayley
+engine: by default one `matmul` against all their columns on value tuples.
+GF(q) with q <= 64 and n(p - 1) < 256 keeps rows as `bytes` of values and
+a product row as one integer sum of packed table entries T_j[c] = c * row j,
+one GF(p) digit per byte, reduced by one bytewise translate and, over
+GF(p^l), folded from digits to values by l - 1 masked shifts.  Its
+multiplication and inverse tables come from one discrete-log pass.
+
 Over Q and number fields, element and polynomial arithmetic clears
 denominators once and runs on integers, again returning exactly the
 canonical Fractions of the plain Fraction loops: a Q(a) product is one
@@ -38,7 +46,7 @@ import random
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
-from operator import mul
+from operator import getitem, mul
 
 from .errors import DenominatorDivisible, ParseError
 from .numth import is_prime
@@ -272,6 +280,18 @@ class Field:
             out.append(tuple(orow))
         return tuple(out)
 
+    def row_kernel(self, mats):
+        """(identity rows, act) for rows acted on by the fixed square
+        matrices `mats` from the right: act(batch) gives, for each row of
+        batch, its products with all of mats side by side, n entries per
+        matrix.  Here rows are value tuples and act is one `matmul`
+        against all the matrices' columns; a field may return rows of
+        another sequence type, whose `tuple(row)` is the row's values."""
+        n = len(mats[0].rows)
+        ident = tuple(tuple(self.one if i == j else self.zero for j in range(n)) for i in range(n))
+        cols = tuple(c for m in mats for c in zip(*m.rows))
+        return ident, lambda batch: self.matmul(batch, cols)
+
     def __eq__(self, other):
         if self is other:
             return True
@@ -411,10 +431,8 @@ class FiniteField(Field):
                     cur = [(cur[i] + carry * red[0][i]) % p for i in range(l)]
                 red.append(tuple(cur))
             self._xpow = red
-        # x -> x mod p on single bytes, for the byte-packed GF(p) product
-        self._byte_mod = None
-        if l == 1 and (p - 1) ** 2 < 256:
-            self._byte_mod = bytes(v % p for v in range(256))
+        # x -> x mod p on single bytes, for the byte-packed products
+        self._byte_mod = (bytes(range(p)) * (255 // p + 1))[:256] if p <= _TABLE_MAX else None
         self._mul_table = None
         self._inv_table = None
         if self.q <= _TABLE_MAX:
@@ -422,18 +440,31 @@ class FiniteField(Field):
         super().__init__()
 
     def _build_tables(self):
+        """Multiplication and inverse tables from one discrete-log pass:
+        the powers of the least primitive element g, q - 2 slow products
+        for g itself, give exp and log, and a*b = exp[log a + log b]."""
         q = self.q
-        mul = [[0] * q for _ in range(q)]
-        for a in range(q):
-            for b in range(a, q):
-                v = self._mul_slow(a, b)
-                mul[a][b] = v
-                mul[b][a] = v
-        self._mul_table = mul
-        inv = [0] * q
-        for a in range(1, q):
-            inv[a] = self._pow_slow(a, q - 2)
-        self._inv_table = inv
+        for g in range(1, q):
+            exp = [1]
+            while len(exp) < q - 1:
+                x = self._mul_slow(exp[-1], g)
+                if x == 1:
+                    break
+                exp.append(x)
+            else:
+                break
+        log = [0] * q
+        for i, x in enumerate(exp):
+            log[x] = i
+        exp2 = exp + exp
+        logs = log[1:]
+        self._mul_table = [[0] * q] + [[0, *map(exp2[log[a] :].__getitem__, logs)] for a in range(1, q)]
+        self._inv_table = [0, *(exp[-i] for i in logs)]
+        # for the row kernel: multiplication by each c as a bytes.translate
+        # table, and each element's digits as bytes
+        pad = bytes(256 - q)
+        self._scale_bytes = [bytes(row) + pad for row in self._mul_table]
+        self._digit_bytes = [bytes(self.digits(a)) for a in range(q)]
 
     # digit codecs
     def digits(self, a):
@@ -544,6 +575,43 @@ class FiniteField(Field):
             for pr in (tuple(map(packed, r)) for r in rows)
         )
 
+    def row_kernel(self, mats):
+        """Rows as `bytes` of element values when the field has tables and
+        n(p - 1) < 256, else the base class's tuple rows.
+
+        G = (g_1 | ... | g_k) is packed one GF(p) digit per byte, an
+        element's l digits in l consecutive bytes, and T_j[c] is the packed
+        row j of c*G, so a product row r*G is the one integer sum of
+        T_j[r_j] over j, whose bytes are at most n(p - 1) and carry
+        nothing.  One bytewise translate reduces its digits mod p; over
+        GF(p^l), l - 1 masked shifts then fold each element's digits into
+        its first byte and `[::l]` picks those out.  T_j[c] is built on
+        first use by one translate of row j of G through the
+        multiplication table, so a small group pays only for the entries
+        its rows meet."""
+        n, p, l = len(mats[0].rows), self.p, self.l
+        if self._mul_table is None or n * (p - 1) >= 256:
+            return super().row_kernel(mats)
+        rows = [bytes(chain(*r)) for r in zip(*(m.rows for m in mats))]
+        width, red = len(rows[0]) * l, self._byte_mod
+        ident = tuple(bytes(j) + b"\x01" + bytes(n - 1 - j) for j in range(n))
+        tables = [_ScaledRow(r, self) for r in rows]
+        low = int.from_bytes((b"\xff" + bytes(l - 1)) * (width // l), "little")
+        folds = [(8 * d, p**d) for d in range(1, l)]
+
+        def fold(prod):
+            x = int.from_bytes(prod, "little")
+            y = x & low
+            for shift, w in folds:
+                y += (x >> shift & low) * w
+            return y.to_bytes(width, "little")[::l]
+
+        def act(batch):
+            prods = [sum(map(getitem, tables, r)).to_bytes(width, "little").translate(red) for r in batch]
+            return list(map(fold, prods)) if folds else prods
+
+        return ident, act
+
     def _pow_slow(self, a, e):
         out = self.one
         while e:
@@ -637,6 +705,24 @@ class FiniteField(Field):
 
     def random_element(self, rng, size=None):
         return rng.randrange(self.q)
+
+
+class _ScaledRow(dict):
+    """T[c]: c times a row of GF(q) values, packed one GF(p) digit per byte
+    as a little-endian integer, built on first use."""
+
+    __slots__ = ("row", "scale", "digits")
+
+    def __init__(self, row, field):
+        self.row, self.scale = row, field._scale_bytes
+        self.digits = field._digit_bytes.__getitem__ if field.l > 1 else None
+
+    def __missing__(self, c):
+        scaled = self.row.translate(self.scale[c])
+        if self.digits is not None:
+            scaled = b"".join(map(self.digits, scaled))
+        out = self[c] = int.from_bytes(scaled, "little")
+        return out
 
 
 def _gfp_is_irreducible(p, coeffs):

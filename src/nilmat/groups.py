@@ -2,12 +2,14 @@
 words over the generators used for witnesses and Schreier bookkeeping, and
 the one Cayley enumeration engine the pipeline uses.  The engine works on
 interned row ids, so a Cayley edge is a few lookups and the field's work is
-one product per batch of rows not yet acted on, against all the
-generators' columns at once; the transversal of a lift to a source group
-runs on the source's row ids alike.  A vertex is kept as its row ids, tree
-parent and last letter, and its matrix and tree word are built only when
-read.  A complete enumeration's table also gives its central vertices and
-a generating set of the center, with no matrix products.
+one call of its row kernel per batch of rows not yet acted on, against all
+the generators at once (over GF(q), q <= 64, with n(p - 1) < 256, the rows
+are `bytes` and a product is a sum of table entries); the transversal of a
+lift to a source group runs on the source's row ids alike.  A vertex is
+kept as its row ids, tree parent and last letter, and its matrix and tree
+word are built only when read.  A complete enumeration's table also gives
+its central vertices and a generating set of the center, with no matrix
+products.
 
 A Word is a tuple of (generator index, +1 | -1) pairs; the empty word is
 the identity.  Pipeline elements travel as Elt pairs (matrix, word) so a
@@ -20,6 +22,8 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field as dfield
 from functools import cached_property
+from itertools import count
+from operator import itemgetter
 
 from .errors import Singular, SingularGenerator
 from .linalg import Matrix, inverse
@@ -95,7 +99,7 @@ class Enumeration:
         return len(self.keys)
 
     def vertex(self, v) -> Matrix:
-        """The matrix of vertex v, sharing the interned row tuples."""
+        """The matrix of vertex v, read from its interned rows."""
         return self.rows.matrix(self.keys[v])
 
     def word(self, v) -> Word:
@@ -168,38 +172,46 @@ class Enumeration:
         return out
 
 
+class _Ids(dict):
+    """Row -> id, a row met for the first time getting the next id and
+    being listed in `rows`: one hash per row looked up that is known."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows):
+        super().__init__(zip(rows, count()))
+        self.rows = list(rows)
+
+    def __missing__(self, row):
+        j = self[row] = len(self.rows)
+        self.rows.append(row)
+        return j
+
+
 class _RowAction:
     """Interned row vectors of one field and degree, acted on by fixed
     matrices through lookups: every distinct row met gets one id, the
     identity's rows being 0..n-1, and `images[i][r]` is the id of row r
-    times mats[i].  `extend` multiplies every row not yet acted on by all
-    the matrices in one batched `Field.matmul`."""
+    times mats[i].  The rows and their product come from the field's
+    `row_kernel`: `bytes` of element values over a small GF(q), value
+    tuples elsewhere.  `extend` multiplies every row not yet acted on by
+    all the matrices in one call of the kernel."""
 
     def __init__(self, mats):
         self.field = mats[0].field
         self.n = mats[0].n
-        self.points = list(Matrix.identity(self.field, self.n).rows)
-        self.index = {r: j for j, r in enumerate(self.points)}
-        # every matrix's columns side by side: a product row holds one
-        # n-slice per matrix
-        self.cols = tuple(c for m in mats for c in zip(*m.rows))
+        ident, self.act = self.field.row_kernel(mats)
+        self.index = _Ids(ident)
+        self.points = self.index.rows
         self.images = [[] for _ in mats]
         self.done = 0
 
     def _act(self, batch):
         """Per matrix, the ids of the rows of batch times that matrix, cut
-        from one product of batch with all the matrices' columns."""
-        points, index, n = self.points, self.index, self.n
-        prods = self.field.matmul(batch, self.cols)
-        for s in range(0, len(self.cols), n):
-            img = []
-            for prod in prods:
-                r = prod[s : s + n]
-                j = index.setdefault(r, len(points))
-                if j == len(points):
-                    points.append(r)
-                img.append(j)
-            yield img
+        from one product of batch with all the matrices side by side; new
+        rows get ids in (matrix, row) order."""
+        n, prods, ids = self.n, self.act(batch), self.index.__getitem__
+        return [list(map(ids, map(itemgetter(slice(s, s + n)), prods))) for s in range(0, len(self.images) * n, n)]
 
     def extend(self):
         batch, self.done = self.points[self.done :], len(self.points)
@@ -207,7 +219,7 @@ class _RowAction:
             img.extend(new)
 
     def matrix(self, key):
-        return Matrix(self.field, tuple(map(self.points.__getitem__, key)))
+        return Matrix(self.field, tuple(map(tuple, map(self.points.__getitem__, key))))
 
 
 class _SourceAction(_RowAction):
@@ -234,9 +246,9 @@ def enumerate_group(gens, cap: int, lift=None) -> Enumeration:
     rows' ids, which is exact since a matrix is its rows, and an edge is n
     list lookups and one dict lookup.  The field works only on new rows:
     when the vertex at the head of the queue holds a row not yet acted on,
-    every such row is multiplied by all the generators in one batched
-    `Field.matmul`.  A vertex keeps only its row ids, its tree parent and
-    its last letter; its matrix and word are built when read.
+    every such row is multiplied by all the generators in one call of the
+    field's row kernel.  A vertex keeps only its row ids, its tree parent
+    and its last letter; its matrix and word are built when read.
 
     Stops with `overflowed` set instead of adding a vertex beyond `cap`.
     Every edge looked up is recorded in the Cayley table, and every new

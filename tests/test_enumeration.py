@@ -3,6 +3,9 @@ field work it does."""
 
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from corpus import finite_field_corpus, q8_power_with_diagonal, rational_corpus, rational_finite_corpus
 
 from reference import enumeration
@@ -75,45 +78,124 @@ def test_engine_matches_reference_when_overflowing_mid_row():
         _assert_same(d8, cap, lift=lift)
 
 
-def _rows_multiplied(monkeypatch, gens):
-    """(rows the field multiplied, distinct rows, order) of the group of
-    `gens`, counted while enumerating it.  Each `Field.matmul` is one row
-    batch against all the generators' columns side by side, one per
-    `_RowAction.extend`."""
-    field = gens[0].field
-    matmul, extend = field.matmul, groups._RowAction.extend
-    rows, batches = [], []
+def test_engine_matches_reference_over_gf64_and_fallback_rows():
+    """Byte rows over GF(64), the largest table field, and the tuple rows of
+    the fallback over GF(3^4) and over GF(61) in degree 5, whole and
+    overflowing, plain and lifted from block-diagonal sources diag(g_i, s_i)
+    whose shears s_i break the generators' relations."""
+    F64, F81, F61 = FiniteField(2, 6), FiniteField(3, 4), FiniteField(61)
+    z = F64.multiplicative_generator()
+    borel64 = [Matrix.diagonal(F64, (F64.pow(z, 9), F64.one)), Matrix.from_ints(F64, [[1, 1], [0, 1]])]
+    q8_81 = [Matrix.from_ints(F81, g.rows) for g in q8_power_with_diagonal(1).gens]
+    cycle = Matrix.from_ints(F61, [[int(c == (r + 1) % 5) for c in range(5)] for r in range(5)])
+    sign = Matrix.diagonal(F61, (F61.from_int(-1),) + (F61.one,) * 4)
+    for gens, order in ((borel64, 56), (q8_81, 8), ([cycle, sign], 160)):
+        assert len(_assert_same(gens, 10**4)) == order
+        shears = [Matrix.from_ints(g.field, [[1, 1], [0, 1]] if i % 2 else [[1, 0], [1, 1]]) for i, g in enumerate(gens)]
+        lift = [Elt(_block_diagonal(g, s), ((i, 1),)) for i, (g, s) in enumerate(zip(gens, shears))]
+        assert _assert_same(gens, 10**4, lift=lift).schreier
+        for cap in (order // 3, order - 1):
+            assert _assert_same(gens, cap, lift=lift).overflowed
 
-    def counting(a, b):
-        assert len(b) == len(gens) * len(a[0])
-        rows.append(len(a))
-        return matmul(a, b)
+
+def _block_diagonal(a, b):
+    F, n, m = a.field, a.n, b.n
+    return Matrix.make(F, [list(r) + [F.zero] * m for r in a.rows] + [[F.zero] * n + list(r) for r in b.rows])
+
+
+# small GF(q): q = 2, 3, 13 and 64 look up tables, 9, 16 and 27 also fold
+# digits, and 81 takes the tuple-row fallback
+_SMALL_FIELDS = [FiniteField(p, l) for p, l in ((2, 1), (3, 1), (13, 1), (3, 2), (2, 4), (3, 3), (2, 6), (3, 4))]
+
+
+@st.composite
+def _invertible(draw, F, n):
+    """P L U with L unit lower and U upper triangular with a nonzero diagonal."""
+    entry, unit = st.integers(0, F.q - 1), st.integers(1, F.q - 1)
+    perm = draw(st.permutations(range(n)))
+    low = [[1 if i == j else draw(entry) if j < i else 0 for j in range(n)] for i in range(n)]
+    up = [[draw(unit) if i == j else draw(entry) if j > i else 0 for j in range(n)] for i in range(n)]
+    P = Matrix.make(F, [[int(perm[i] == j) for j in range(n)] for i in range(n)])
+    return P * Matrix.make(F, low) * Matrix.make(F, up)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_engine_matches_reference_on_random_small_gf_groups(data):
+    """Random generator sets of degree 1-3 over small GF(q), with random
+    caps that often overflow in the middle of a layer, plain and lifted
+    from block-diagonal sources diag(g_i, h_i): vertices, words, parents,
+    table, overflow and Schreier generators agree with the reference."""
+    F = data.draw(st.sampled_from(_SMALL_FIELDS), label="field")
+    n = data.draw(st.integers(1, 3), label="n")
+    k = data.draw(st.integers(1, 3), label="k")
+    gens = [data.draw(_invertible(F, n), label="g") for _ in range(k)]
+    cap = data.draw(st.integers(1, 300), label="cap")
+    m = data.draw(st.integers(1, 2), label="m")
+    lift = [Elt(_block_diagonal(g, data.draw(_invertible(F, m), label="h")), ((i, 1),)) for i, g in enumerate(gens)]
+    _assert_same(gens, cap)
+    _assert_same(gens, cap, lift)
+
+
+def _rows_multiplied(monkeypatch, gens):
+    """(rows the row kernel multiplied, distinct rows, order, row type) of
+    the group of `gens`, counted while enumerating it.  Each call of the
+    field's row kernel is one row batch against all the generators side by
+    side, one per `_RowAction.extend`."""
+    field = gens[0].field
+    row_kernel, extend = field.row_kernel, groups._RowAction.extend
+    rows, batches, kinds = [], [], set()
+
+    def counting_kernel(mats):
+        ident, act = row_kernel(mats)
+
+        def counting(batch):
+            rows.append(len(batch))
+            kinds.update(map(type, batch))
+            out = act(batch)
+            assert all(len(r) == len(mats) * len(ident) for r in out)
+            return out
+
+        return ident, counting
 
     def counting_extend(self):
         batches.append(len(self.points) - self.done)
         extend(self)
 
-    monkeypatch.setattr(field, "matmul", counting)
+    monkeypatch.setattr(field, "row_kernel", counting_kernel)
     monkeypatch.setattr(groups._RowAction, "extend", counting_extend)
     enum = enumerate_group(gens, 10**5)
     monkeypatch.undo()
     assert not enum.overflowed
     assert rows == batches
-    return sum(rows), len({r for m in enum.vertices for r in m.rows}), len(enum)
+    (kind,) = kinds
+    return sum(rows), len({r for m in enum.vertices for r in m.rows}), len(enum), kind
 
 
 def test_engine_field_work_follows_distinct_rows(monkeypatch):
-    """Each distinct row is sent to the field at most once, in one product
-    per row batch for all the generators, against |P| k n rows for one
-    full product per edge."""
+    """Each distinct row is sent to the row kernel at most once, in one
+    product per row batch for all the generators, against |P| k n rows for
+    one full product per edge: on byte rows over GF(5) and GF(3), and on
+    the tuple rows of the fallback over GF(3^4), past the tables, and over
+    GF(61) in degree 5, past n(p - 1) < 256."""
     G = gen_max_abs_irr_nilpotent(4, 5, 1)
     part = [x.mat for x in _prime_parts(G.elts())[0][2]]
     t = Matrix.from_ints(G.field, [[1, 0, 1, 0], [0, 1, 0, 0], [0, 0, 1, 1], [0, 0, 0, 1]])
     tinv = inverse(t)
-    cases = [(part, 2048), ([t * g * tinv for g in part], 2048), (list(q8_power_with_diagonal(3).gens), 512)]
-    for gens, order in cases:
-        multiplied, distinct, size = _rows_multiplied(monkeypatch, gens)
-        assert size == order
+    F81, F61 = FiniteField(3, 4), FiniteField(61)
+    q8sq = [Matrix.from_ints(F81, g.rows) for g in q8_power_with_diagonal(2).gens]
+    cycle = Matrix.from_ints(F61, [[int(c == (r + 1) % 5) for c in range(5)] for r in range(5)])
+    sign = Matrix.diagonal(F61, (F61.from_int(-1),) + (F61.one,) * 4)
+    cases = [
+        (part, 2048, bytes),
+        ([t * g * tinv for g in part], 2048, bytes),
+        (list(q8_power_with_diagonal(3).gens), 512, bytes),
+        (q8sq, 64, tuple),
+        ([cycle, sign], 160, tuple),
+    ]
+    for gens, order, kind in cases:
+        multiplied, distinct, size, got_kind = _rows_multiplied(monkeypatch, gens)
+        assert size == order and got_kind is kind
         assert multiplied <= distinct, (multiplied, distinct, size)
 
 

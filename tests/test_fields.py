@@ -73,10 +73,17 @@ def test_reduce_mod_is_a_ring_homomorphism(x, y):
 
 
 def test_finite_field_tables_match_slow_path():
-    F = FiniteField(5, 2)
-    for a in range(F.q):
-        for b in range(F.q):
-            assert F.mul(a, b) == F._mul_slow(a, b)
+    """For every q <= 64 the tables built from one discrete-log pass hold
+    every product and inverse of the slow digit arithmetic."""
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61):
+        for l in range(1, 7):
+            if p**l > 64:
+                break
+            F = FiniteField(p, l)
+            q = F.q
+            assert F._mul_table == [[F._mul_slow(a, b) for b in range(q)] for a in range(q)], F
+            assert F._inv_table[1:] == [F._pow_slow(a, q - 2) for a in range(1, q)], F
+            assert all(F.mul(a, b) == F._mul_slow(a, b) for a in range(q) for b in range(q))
 
 
 def test_finite_field_extension_modulus_is_recorded_and_irreducible():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilmat.errors import NotInvariant, Singular
-from nilmat.fields import QQ, FiniteField, FunctionField, NumberField
+from nilmat.fields import QQ, Field, FiniteField, FunctionField, NumberField
 from nilmat.linalg import (
     Matrix,
     Subspace,
@@ -298,3 +298,42 @@ def test_matmul_byte_packing_bound(p, inner):
         got = F.matmul(rows, cols)
         want = schoolbook(F, rows, cols)
         assert got == want and repr(got) == repr(want)
+
+
+@pytest.mark.parametrize(
+    "p, l, n, kind",
+    [
+        (2, 1, 255, bytes), (2, 1, 256, tuple), (17, 1, 15, bytes), (17, 1, 16, tuple),
+        (5, 2, 63, bytes), (5, 2, 64, tuple), (3, 1, 63, bytes), (3, 1, 64, bytes),
+        (13, 1, 4, bytes), (61, 1, 4, bytes), (61, 1, 5, tuple),
+        (2, 2, 3, bytes), (2, 3, 4, bytes), (2, 4, 3, bytes), (2, 5, 3, bytes), (2, 6, 5, bytes),
+        (3, 2, 4, bytes), (3, 3, 3, bytes), (7, 2, 3, bytes),
+        (3, 4, 3, tuple), (2, 7, 3, tuple),
+    ],
+)
+def test_row_kernel_matches_schoolbook(p, l, n, kind):
+    """The row kernel gives the base class's add/mul loop's products with
+    all the matrices side by side, on both sides of n(p - 1) < 256, for
+    q = 64 against the fallbacks at 81 and 128 and for l = 1..6: on
+    random rows and on the worst cases for
+    carries, rows of q - 1 against all-ones matrices, whose products have
+    every digit p - 1, and against matrices of q - 1, whose unreduced
+    products over GF(p) are (p - 1)^2."""
+    F = FiniteField(p, l)
+    rng = random.Random(n * 1000 + F.q)
+    cases = []
+    for k in (1, 3) if n < 60 else (1,):
+        mats = [Matrix.make(F, [[F.random_element(rng) for _ in range(n)] for _ in range(n)]) for _ in range(k)]
+        rows = [tuple(F.random_element(rng) for _ in range(n)) for _ in range(3)]
+        cases.append((mats, rows))
+    for c in (F.one, F.q - 1):
+        full = Matrix.make(F, [[c] * n for _ in range(n)])
+        cases.append(([full, full], [(F.q - 1,) * n]))
+    for mats, rows in cases:
+        ident, act = F.row_kernel(mats)
+        assert all(type(r) is kind for r in ident)
+        assert [tuple(r) for r in ident] == list(Matrix.identity(F, n).rows)
+        cols = tuple(c for m in mats for c in zip(*m.rows))
+        batch = [kind(r) for r in rows] + [ident[0], ident[-1]]
+        got = [tuple(r) for r in act(batch)]
+        assert got == list(Field.matmul(F, [tuple(r) for r in batch], cols))
