@@ -20,7 +20,6 @@ import functools
 import json
 import sys
 import time
-from pathlib import Path
 
 from .config import DEFAULT, Config
 from .congruence import apply_congruence_group, select_modulus
@@ -84,7 +83,8 @@ def parse_group_json(data, seed=0) -> GroupSpec:
 
 def parse_group_file(path, seed=0) -> GroupSpec:
     try:
-        text = Path(path).read_text()
+        with open(path) as f:
+            text = f.read()
     except OSError as e:
         raise ParseError(f"cannot read {path}: {e}") from None
     try:
@@ -272,9 +272,10 @@ def _parser():
     pg = sub.add_parser("gen", help="emit corpus group files")
     gsub = pg.add_subparsers(dest="gen_kind", required=True)
     pmax = gsub.add_parser("max-irr")
-    pmax.add_argument("n", type=int)
-    pmax.add_argument("p", type=int)
-    pmax.add_argument("l", type=int, nargs="?", default=1)
+    positive = _int_arg(lambda n: n > 0, "a positive integer")
+    pmax.add_argument("n", type=positive)
+    pmax.add_argument("p", type=_int_arg(is_prime, "a prime"))
+    pmax.add_argument("l", type=positive, nargs="?", default=1)
     pmax.add_argument("--out", default=None)
     pmax.add_argument("--seed", type=int, default=0)
     pred = gsub.add_parser("reducible")
@@ -320,6 +321,8 @@ def main(argv=None) -> int:
 
 
 def _cmd_batch(args, config) -> int:
+    from pathlib import Path
+
     files = sorted(Path(args.dir).glob("*.json"))
     if not files:
         print("error: no .json group files found", file=sys.stderr)
@@ -358,7 +361,8 @@ def _cmd_gen(args) -> int:
         return 1
     payload = json.dumps(group_to_json(G), indent=2)
     if args.out:
-        Path(args.out).write_text(payload + "\n")
+        with open(args.out, "w") as f:
+            f.write(payload + "\n")
     else:
         print(payload)
     return 0
@@ -366,7 +370,8 @@ def _cmd_gen(args) -> int:
 
 def _cmd_verify(args) -> int:
     try:
-        report = json.loads(Path(args.report).read_text())
+        with open(args.report) as f:
+            report = json.load(f)
     except (OSError, json.JSONDecodeError) as e:
         print(f"error: cannot read report: {e}", file=sys.stderr)
         return 2
@@ -378,8 +383,8 @@ def _cmd_verify(args) -> int:
     # a GF(p^l) field without a modulus is built from the seed the report ran with
     flags = report.get("flags")
     seed = flags.get("seed") if isinstance(flags, dict) else None
-    if isinstance(gf, str) and Path(gf).exists():
-        try:
+    if isinstance(gf, str):
+        try:  # a missing file is a ParseError too
             group = parse_group_file(gf, seed=seed if isinstance(seed, int) else 0)
         except (ParseError, SingularGenerator):
             group = None

@@ -13,7 +13,6 @@ minimal polynomials squarefree so the image stays semisimple.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dfield
 from fractions import Fraction
 
 from .config import DEFAULT, Config
@@ -31,22 +30,25 @@ from .groups import GroupSpec, dedup_elts
 from .linalg import Matrix, semisimple_minpoly
 from .numth import factorint, is_prime, odd_primes
 from .poly import Poly, factor, gcd as poly_gcd, resultant
+from .record import Frozen
 
 PRIME_CAP = 2**20    # largest reduction prime tried
 EVAL_CAP = 200       # evaluation points tried for function fields
 
 
-@dataclass(frozen=True)
-class CongruenceData:
-    source: object                 # Field
-    pi: tuple                      # denominator data (primes, or irreducible polys)
-    p: int                         # reduction prime (char of the target)
-    target: object                 # finite Field
-    alpha_image: object = None     # root of the defining polynomial in the target
-    eval_point: object = None      # function-field substitution point
-    pi_after_eval: tuple = ()      # second-stage denominators for P(X), P = Q
-    eval_target: object = None     # base field hosting the evaluation point
-    checks: dict = dfield(default_factory=dict)
+class CongruenceData(Frozen):
+    __slots__ = (
+        "source",           # Field
+        "pi",               # denominator data (primes, or irreducible polys)
+        "p",                # reduction prime (char of the target)
+        "target",           # finite Field
+        "alpha_image",      # root of the defining polynomial in the target
+        "eval_point",       # function-field substitution point
+        "pi_after_eval",    # second-stage denominators for P(X), P = Q
+        "eval_target",      # base field hosting the evaluation point
+        "checks",
+    )
+    _defaults = {"alpha_image": None, "eval_point": None, "pi_after_eval": (), "eval_target": None, "checks": dict}
 
     def to_json(self):
         out = {

@@ -20,13 +20,13 @@ generators by plain multiplication.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field as dfield
 from functools import cached_property
 from itertools import count
 from operator import itemgetter
 
 from .errors import Singular, SingularGenerator
 from .linalg import Matrix, inverse
+from .record import Frozen, Record
 
 Word = tuple
 
@@ -55,12 +55,15 @@ def evaluate_word(w: Word, gens, invs) -> Matrix:
     return out
 
 
-@dataclass(frozen=True)
-class Elt:
+class Elt(Frozen):
     """A group element with a word expressing it over the reference generators."""
 
-    mat: Matrix
-    word: Word
+    __slots__ = ("mat", "word")
+
+    def __init__(self, mat: Matrix, word: Word):
+        set_mat, set_word = self._setters
+        set_mat(self, mat)
+        set_word(self, word)
 
     def __mul__(self, other):
         return Elt(self.mat * other.mat, word_mul(self.word, other.word))
@@ -78,22 +81,29 @@ def dedup_elts(elts):
             yield e
 
 
-@dataclass(eq=False)
-class Enumeration:
+class Enumeration(Record):
     """A breadth-first Cayley enumeration; see enumerate_group.  Its
     table was filled by row-id lookups, and a vertex is the tuple of its
     rows' ids in `rows`.  A vertex's matrix and tree word are built only
     when read: `vertex(v)` and `word(v)` build one, and `vertices` and
     `words` the whole list on first read."""
 
-    rows: _RowAction   # the interned rows and the generators' action on them
-    keys: list         # row ids of each vertex in breadth-first order, identity first
-    parents: array     # tree parent of each vertex; the identity's is -1
-    letters: array     # last letter of each vertex's tree word; the identity's is -1
-    table: array       # table[v * ngens + i] is the index of vertex v times gens[i]
-    ngens: int
-    overflowed: bool = False
-    schreier: list = dfield(default_factory=list)  # with a lift: one Elt per nontrivial Schreier generator, in discovery order
+    __slots__ = (
+        "rows",        # _RowAction: the interned rows and the generators' action on them
+        "keys",        # row ids of each vertex in breadth-first order, identity first
+        "parents",     # array: tree parent of each vertex; the identity's is -1
+        "letters",     # array: last letter of each vertex's tree word; the identity's is -1
+        "table",       # array: table[v * ngens + i] is the index of vertex v times gens[i]
+        "ngens",
+        "overflowed",
+        "schreier",    # with a lift: one Elt per nontrivial Schreier generator, in discovery order
+        "__dict__",    # the cached properties
+    )
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, rows, keys, parents, letters, table, ngens, overflowed=False, schreier=None):
+        self.rows, self.keys, self.parents, self.letters, self.table = rows, keys, parents, letters, table
+        self.ngens, self.overflowed, self.schreier = ngens, overflowed, [] if schreier is None else schreier
 
     def __len__(self):
         return len(self.keys)

@@ -17,19 +17,28 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from functools import partial, reduce
 from fractions import Fraction
 
 from .errors import NotInvariant, Singular
 from .fields import Field, FunctionField, RationalField, primitive_ints, pt_add, pt_mul, pt_neg
 from .poly import Poly, squarefree_part
+from .record import Frozen
 
 
-@dataclass(frozen=True)
-class Matrix:
-    field: Field
-    rows: tuple
+class Matrix(Frozen):
+    __slots__ = ("field", "rows")
+
+    def __init__(self, field: Field, rows: tuple):
+        set_field, set_rows = self._setters
+        set_field(self, field)
+        set_rows(self, rows)
+
+    def __eq__(self, other):
+        return (self.field, self.rows) == (other.field, other.rows) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash((self.field, self.rows))
 
     @property
     def n_rows(self):
@@ -227,12 +236,8 @@ def nullspace(field, rows, ncols):
     return out
 
 
-@dataclass(frozen=True)
-class Subspace:
-    field: Field
-    ambient: int
-    basis: tuple  # RREF rows
-    pivots: tuple
+class Subspace(Frozen):
+    __slots__ = ("field", "ambient", "basis", "pivots")  # basis: RREF rows
 
     @staticmethod
     def from_vectors(field, ambient, vectors):

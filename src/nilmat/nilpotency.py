@@ -42,8 +42,6 @@ decomposition off, for infinite groups through the congruence image.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dfield
-
 from .config import DEFAULT, Config
 from .congruence import apply_congruence, kernel_is_central, select_modulus
 from .errors import CapExceeded, NotNilpotentSignal, VerdictUnavailable
@@ -51,6 +49,7 @@ from .fields import FiniteField, FunctionField
 from .groups import Elt, GroupSpec, dedup_elts, enumerate_group, word_inverse, word_mul
 from .linalg import Matrix, inverse
 from .numth import factorint
+from .record import Record
 from .splitting import finite_order, is_unipotent_matrix, reduction_split, s_part_group
 from .witness import WItem, Witness
 
@@ -58,13 +57,18 @@ from .witness import WItem, Witness
 # ---------------------------------------------------------------------------
 # data carried by verdicts
 
-@dataclass
-class SylowSystem:
-    components: dict       # prime -> list of Elt
-    orders: dict           # prime -> verified component order
-    central_part: tuple = ()
-    # prime -> the Sylow test's Enumeration of the component, over its elements
-    enums: dict = dfield(default_factory=dict, compare=False, repr=False)
+class SylowSystem(Record):
+    __slots__ = (
+        "components",       # prime -> list of Elt
+        "orders",           # prime -> verified component order
+        "central_part",
+        "enums",            # prime -> the Sylow test's Enumeration of the component, over its elements
+    )
+    _compared = ("components", "orders", "central_part")
+
+    def __init__(self, components, orders, central_part=(), enums=None):
+        self.components, self.orders, self.central_part = components, orders, central_part
+        self.enums = {} if enums is None else enums
 
     @property
     def order(self):
@@ -88,11 +92,11 @@ class SylowSystem:
         return out
 
 
-@dataclass
-class Verdict:
-    nilpotent: bool
-    witness: Witness | None = None
-    artifacts: dict = dfield(default_factory=dict)
+class Verdict(Record):
+    __slots__ = ("nilpotent", "witness", "artifacts")
+
+    def __init__(self, nilpotent, witness=None, artifacts=None):
+        self.nilpotent, self.witness, self.artifacts = nilpotent, witness, {} if artifacts is None else artifacts
 
 
 # ---------------------------------------------------------------------------

@@ -20,17 +20,26 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 
 from . import fields
 from .errors import ImperfectField, UnsupportedField
 from .fields import QQ, FiniteField, Field, pt_trim
+from .record import Frozen
 
 
-@dataclass(frozen=True)
-class Poly:
-    field: Field
-    coeffs: tuple  # ascending, highest index nonzero; () is the zero polynomial
+class Poly(Frozen):
+    __slots__ = ("field", "coeffs")  # coeffs ascending, highest index nonzero; () is the zero polynomial
+
+    def __init__(self, field: Field, coeffs: tuple):
+        set_field, set_coeffs = self._setters
+        set_field(self, field)
+        set_coeffs(self, coeffs)
+
+    def __eq__(self, other):
+        return (self.field, self.coeffs) == (other.field, other.coeffs) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash((self.field, self.coeffs))
 
     @staticmethod
     def make(field, coeffs):

@@ -12,7 +12,6 @@ the top-level pipeline reduces those by evaluation first.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import (
     CapExceeded,
@@ -34,31 +33,23 @@ from .linalg import (
     semisimple_minpoly,
 )
 from .poly import Poly, cyclotomic_finite_order, squarefree_part
+from .record import Frozen
 from .witness import WItem, Witness
 
 ORDER_CAP = 10**6    # power iteration budget for element orders
 
 
-@dataclass(frozen=True)
-class JordanPair:
-    s: Matrix
-    u: Matrix
-    minpoly_s: Poly      # minimal polynomial of s: the squarefree part of g's
+class JordanPair(Frozen):
+    __slots__ = ("s", "u", "minpoly_s")   # minpoly_s: minimal polynomial of s, the squarefree part of g's
 
 
-@dataclass(frozen=True)
-class UnipotentCert:
-    # descending subspaces V = V_0 > V_1 > ... > V_l = 0 with
-    # (g - 1) V_i <= V_(i+1) for every generator g
-    flag: tuple
+class UnipotentCert(Frozen):
+    __slots__ = ("flag",)   # descending subspaces V = V_0 > ... > V_l = 0, (g - 1) V_i <= V_(i+1) for every generator g
 
 
-@dataclass(frozen=True)
-class SplitResult:
-    gens_s: tuple
-    gens_u: tuple
-    cert_u: UnipotentCert
-    minpolys_s: tuple = ()   # minimal polynomial of each diagonalizable part
+class SplitResult(Frozen):
+    __slots__ = ("gens_s", "gens_u", "cert_u", "minpolys_s")   # minpolys_s: of each diagonalizable part
+    _defaults = {"minpolys_s": ()}
 
 
 def _check_perfect(field):

@@ -32,30 +32,25 @@ verdict's."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dfield
-
 from .config import DEFAULT, Config
 from .errors import CapExceeded, VerdictUnavailable
 from .fields import FiniteField, FunctionField
 from .groups import Elt, GroupSpec, dedup_elts, enumerate_group
 from .nilpotency import SylowSystem, is_nilpotent
+from .record import Record
 from .splitting import finite_order, is_unipotent_group, s_part_group
 from .witness import WItem, Witness
 
 
-@dataclass
-class StructureReport:
-    nilpotent: bool
-    finite: bool | None = None
-    order: int | None = None
-    completely_reducible: bool | None = None
-    cr_series_dims: list | None = None
-    primary: SylowSystem | None = None
-    primary_is_extension: bool = False
-    center_gens: list | None = None
-    witness: Witness | None = None
-    route: str = ""
-    notes: list = dfield(default_factory=list)
+class StructureReport(Record):
+    __slots__ = (
+        "nilpotent", "finite", "order", "completely_reducible", "cr_series_dims", "primary",
+        "primary_is_extension", "center_gens", "witness", "route", "notes",
+    )
+    _defaults = {
+        "finite": None, "order": None, "completely_reducible": None, "cr_series_dims": None, "primary": None,
+        "primary_is_extension": False, "center_gens": None, "witness": None, "route": "", "notes": list,
+    }
 
 
 def analyze(G: GroupSpec, config: Config = DEFAULT) -> StructureReport:

@@ -19,21 +19,16 @@ degree-doubled reducible but not completely reducible variants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import NonexistenceError, UnsupportedTwoCase
 from .fields import FiniteField
 from .groups import GroupSpec
 from .linalg import Matrix, kron
 from .numth import factorint
+from .record import Record
 
 
-@dataclass
-class Closure:
-    elements: list
-    overflowed: bool
-    cap: int
-    gens: list
+class Closure(Record):
+    __slots__ = ("elements", "overflowed", "cap", "gens")
 
     def __len__(self):
         return len(self.elements)

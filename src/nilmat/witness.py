@@ -11,25 +11,19 @@ identities.  The verifier rejects a context the pipeline does not emit
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dfield
-
 from .linalg import Matrix
+from .record import Frozen
 
 
-@dataclass(frozen=True)
-class WItem:
-    label: str
-    mat: Matrix | None = None
-    word: tuple | None = None
-    data: dict = dfield(default_factory=dict)
+class WItem(Frozen):
+    __slots__ = ("label", "mat", "word", "data")   # mat: a Matrix or None
+    _defaults = {"mat": None, "word": None, "data": dict}
 
 
-@dataclass(frozen=True)
-class Witness:
-    kind: str
-    context: str            # which generators the words index: input | jordan_parts | u_parts | s_parts | image
-    items: tuple            # WItem sequence
-    note: str = ""
+class Witness(Frozen):
+    # context: the generators the words index (input | jordan_parts | u_parts | s_parts | image); items: WItems
+    __slots__ = ("kind", "context", "items", "note")
+    _defaults = {"note": ""}
 
     def find(self, label):
         for it in self.items:

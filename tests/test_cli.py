@@ -218,20 +218,46 @@ def test_one_process_serves_many_calls(tmp_path, monkeypatch, capsys):
             assert "element cap of each Sylow closure" in here.out and "Cayley" not in here.out
 
 
+# modules a CLI run does without: the test oracle, hashlib (which loads
+# OpenSSL), and dataclasses, inspect and pathlib, each tens of modules deep
+NOT_LOADED = ("nilmat.testkit", "hashlib", "dataclasses", "inspect", "pathlib")
+
+
 def test_cli_import_is_lean():
-    """Importing the CLI loads neither the test oracle nor hashlib (which
-    loads OpenSSL) beyond what the standard modules it needs load."""
+    """Importing the CLI loads none of NOT_LOADED beyond what the standard
+    modules it needs load.  -S keeps site hooks from loading them first."""
     code = (
         "import sys, random, fractions, json, argparse\n"
         "before = set(sys.modules)\n"
         "import nilmat.cli\n"
         "print(sorted(set(sys.modules) - before))\n"
     )
-    proc = run_python("-c", code)
+    proc = run_python("-S", "-c", code)
     assert proc.returncode == 0, proc.stderr
     added = proc.stdout
     assert "'nilmat.cli'" in added
-    assert "'nilmat.testkit'" not in added and "'hashlib'" not in added, added
+    assert not [m for m in NOT_LOADED if repr(m) in added], added
+
+
+def imported_modules(*args):
+    """The modules a fresh `python -S -X importtime ARGS` process imports,
+    lazy ones included, and its stdout."""
+    proc = run_python("-S", "-X", "importtime", *args)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stderr.splitlines()
+    return {line.rsplit("|", 1)[1].strip() for line in lines if line.startswith("import time:")}, proc.stdout
+
+
+def test_cold_run_is_lean(tmp_path):
+    """A whole fresh `is-nilpotent` run, the command as well as the import,
+    loads none of NOT_LOADED beyond what the standard modules it needs load."""
+    stdlib, _ = imported_modules("-c", "import random, fractions, json, argparse")
+    for name, payload in (("d8.json", D8), ("s3.json", S3)):
+        path = write(tmp_path, name, payload)
+        loaded, out = imported_modules("-m", "nilmat.cli", "is-nilpotent", str(path), "--json")
+        assert "nilmat.linalg" in loaded and '"schema": "nilmat/1"' in out
+        extra = (loaded - stdlib).intersection(NOT_LOADED)
+        assert not extra, sorted(extra)
 
 
 def test_report_determinism(tmp_path):
@@ -302,6 +328,15 @@ def test_gen_and_oracle_commands(tmp_path, capsys):
     rep = json.loads(capsys.readouterr().out)
     assert rep["verdict"] == {"order": 32, "nilpotent": True, "class": 3, "center": 4, "overflowed": False}
     assert main(["gen", "max-irr", "3", "5"]) == 1
+    # N and L must be positive integers and P a prime, else a usage error
+    for argv, message in (
+        (["2", "4"], "'4' is not a prime"),
+        (["0", "5"], "'0' is not a positive integer"),
+        (["2", "5", "0"], "'0' is not a positive integer"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "max-irr", *argv])
+        assert exc.value.code == 2 and message in capsys.readouterr().err, argv
     capsys.readouterr()
     red = tmp_path / "red.json"
     base = write(tmp_path, "c2.json", {"field": {"kind": "Q"}, "generators": [[["-1"]]]})
