@@ -2,6 +2,7 @@
 """A digest of the CLI reports on the benchmark stocks and the test corpora.
 
     python3 scripts/report_digest.py --seed N > digest.txt
+    python3 scripts/report_digest.py --seed N --hashes > tests/data/report-hashes-N.txt
 
 Every group of the `finite`, `char0` and `cli` stocks (bench/stock.py,
 drawn at seed N) and of the tests/corpus.py corpora is written to a group
@@ -11,7 +12,9 @@ line: the group's label, the command, the exit code, and the report as
 compact JSON without its `wall_ms` timing (for a nonzero exit, the error
 line instead).  Reports are deterministic apart from `wall_ms`, so two
 checkouts give identical digests exactly when every report is unchanged,
-and `diff` of two digests shows every change.
+and `diff` of two digests shows every change.  With `--hashes` each line
+ends in the sha256 of that text instead; tests/test_report_hashes.py
+holds the reports to the hash files committed for seeds 1 and 101.
 
 Exits 1 when a command exits 2 (a group file the CLI could not read);
 budget and capability errors (exit 1) are outputs like any other.
@@ -20,6 +23,7 @@ budget and capability errors (exit 1) are outputs like any other.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import io
 import json
 import os
@@ -71,6 +75,7 @@ def run(cmd, path):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=1, help="seed of the stocks' conjugators")
+    parser.add_argument("--hashes", action="store_true", help="print each report's sha256 instead of the report")
     args = parser.parse_args(argv)
     unreadable = 0
     cwd = os.getcwd()
@@ -84,6 +89,8 @@ def main(argv=None):
                 for cmd in COMMANDS:
                     code, text = run(cmd, path)
                     unreadable += code == 2
+                    if args.hashes:
+                        text = hashlib.sha256(text.encode()).hexdigest()
                     print(f"{label}\t{cmd}\t{code}\t{text}", flush=True)
         finally:
             os.chdir(cwd)

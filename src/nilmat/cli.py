@@ -130,7 +130,6 @@ def _config_from_args(args) -> Config:
         updates["prime_override"] = args.prime
     if getattr(args, "cap", None) is not None:
         updates["closure_cap"] = args.cap
-        updates["cayley_cap"] = args.cap
     if getattr(args, "seed", None) is not None:
         updates["seed"] = args.seed
     return cfg.with_(**updates) if updates else cfg
@@ -149,7 +148,6 @@ def run_command(cmd: str, G: GroupSpec, config: Config = DEFAULT, group_file=Non
         "flags": {
             "prime": config.prime_override,
             "closure_cap": config.closure_cap,
-            "cayley_cap": config.cayley_cap,
             "seed": config.seed,
         },
         "budgets_hit": [],

@@ -2,13 +2,14 @@
 
 A validated modulus reduces GL(n, D_pi) onto GL(n, GF(p^l)) with a kernel
 that is torsion-free in characteristic zero, so a finite group maps
-injectively.  The kernel's normal generators come from the image's Sylow
-test lifted to the source group (nilpotency._sylow_test), which enumerates
-each Sylow subgroup of the image once and never the whole image;
-kernel_is_central tests them.  The checks bundled in CongruenceData are
-exactly the ones that buy that guarantee: p odd, coprime to the
-denominators, unramified for number fields, and keeping the generators'
-minimal polynomials squarefree so the image stays semisimple.
+injectively.  The kernel's normal generators come from the Cayley tables
+of a nilpotent image's Sylow subgroups, each enumerated once by the
+image's Sylow test and walked once more lifted to the source group
+(nilpotency._kernel_gens), never from the whole image; kernel_is_central
+tests them.  The checks bundled in CongruenceData are exactly the ones
+that buy that guarantee: p odd, coprime to the denominators, unramified
+for number fields, and keeping the generators' minimal polynomials
+squarefree so the image stays semisimple.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .fields import (
     pt_eval,
     reduce_mod,
 )
-from .groups import GroupSpec, dedup_elts
+from .groups import GroupSpec
 from .linalg import Matrix, semisimple_minpoly
 from .numth import factorint, is_prime, odd_primes
 from .poly import Poly, factor, gcd as poly_gcd, resultant
@@ -165,18 +166,7 @@ def _try_prime_rational(G, pi, minpolys, p):
 
 def _first_valid_prime(G, minpolys, try_prime):
     """Least odd prime p <= PRIME_CAP with try_prime(p) not None, preferring
-    p > n.
-
-    A generator that is not semisimple (minpolys holds None for it) has a
-    minimal polynomial h with a repeated factor g^2, which fails at every
-    prime, so it raises before any is tried.  At a p the other checks
-    admit, g may be taken monic with p-integral coefficients (the
-    p-integral ring is integrally closed when p does not divide the
-    discriminant), so g-bar^2 divides h-bar; whenever deg h-bar = deg h,
-    also deg g-bar = deg g >= 1, and the squarefree check rejects p."""
-    message = f"no valid odd prime below {PRIME_CAP}"
-    if any(h is None for h in minpolys):
-        raise NoPrimeInRange(message)
+    p > n."""
     for require_gt_n in (True, False):
         for p in odd_primes(3):
             if p > PRIME_CAP:
@@ -186,7 +176,7 @@ def _first_valid_prime(G, minpolys, try_prime):
             cd = try_prime(p)
             if cd is not None:
                 return cd
-    raise NoPrimeInRange(message)
+    raise NoPrimeInRange(f"no valid odd prime below {PRIME_CAP}")
 
 
 def _frobenius_roots(target: FiniteField, factor_poly: Poly):
@@ -262,7 +252,18 @@ def _prime_trial(G, minpolys):
 
 def _select_prime(G, minpolys, prime_override):
     """The user's prime when it passes every check, else the least valid
-    one; NoPrimeInRange when there is none."""
+    one; NoPrimeInRange when there is none.
+
+    A generator that is not semisimple (minpolys holds None for it) has a
+    minimal polynomial h with a repeated factor g^2, which fails at every
+    prime, so it raises before any is tried.  At a p the other checks
+    admit, g may be taken monic with p-integral coefficients (the
+    p-integral ring is integrally closed when p does not divide the
+    discriminant), so g-bar^2 divides h-bar; whenever deg h-bar = deg h,
+    also deg g-bar = deg g >= 1, and the squarefree check rejects p."""
+    for i, h in enumerate(minpolys):
+        if h is None:
+            raise NoPrimeInRange(f"generator {i} is not semisimple, so no prime keeps its minimal polynomial squarefree")
     try_prime = _prime_trial(G, minpolys)
     if prime_override is None:
         return _first_valid_prime(G, minpolys, try_prime)
@@ -444,13 +445,12 @@ def kernel_is_central(G: GroupSpec, kernel_elts):
     generator; otherwise (False, (z, i)) for the first offending pair in
     kernel order.
 
-    Each distinct kernel matrix is tested once: a repeated matrix passed
-    at its first occurrence (had it failed, that occurrence would have been
-    returned), so skipping it cannot change the answer.  The normal
-    generators are never the identity, and in characteristic 0 a finite
-    group has a trivial kernel, so there are none and no product is formed.
+    The verdict's normal generators are distinct and never the identity
+    (nilpotency._kernel_gens), so each pair is two products; in
+    characteristic 0 a finite group has a trivial kernel, so there are none
+    and no product is formed.
     """
-    for z in dedup_elts(kernel_elts):
+    for z in kernel_elts:
         for i, g in enumerate(G.gens):
             if not (z.mat * g == g * z.mat):
                 return False, (z, i)

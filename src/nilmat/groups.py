@@ -4,12 +4,13 @@ the one Cayley enumeration engine the pipeline uses.  The engine works on
 interned row ids, so a Cayley edge is a few lookups and the field's work is
 one call of its row kernel per batch of rows not yet acted on, against all
 the generators at once (over GF(q), q <= 64, with n(p - 1) < 256, the rows
-are `bytes` and a product is a sum of table entries); the transversal of a
-lift to a source group runs on the source's row ids alike.  A vertex is
-kept as its row ids, tree parent and last letter, and its matrix and tree
-word are built only when read.  A complete enumeration's table also gives
-its central vertices and a generating set of the center, with no matrix
-products.
+are `bytes` and a product is a sum of table entries).  A vertex is kept
+as its row ids, tree parent and last letter, and its matrix and tree word
+are built only when read.  A complete enumeration's table also gives its
+central vertices and a generating set of the center, with no matrix
+products, and, lifted to a source group, the Schreier generators of the
+kernel in one more pass (schreier_generators), whose transversal runs on
+the source's row ids as the engine does.
 
 A Word is a tuple of (generator index, +1 | -1) pairs; the empty word is
 the identity.  Pipeline elements travel as Elt pairs (matrix, word) so a
@@ -72,21 +73,11 @@ class Elt(Frozen):
         return self.mat.is_identity()
 
 
-def dedup_elts(elts):
-    """Each distinct matrix of elts once, at its first occurrence, lazily."""
-    seen = set()
-    for e in elts:
-        if e.mat not in seen:
-            seen.add(e.mat)
-            yield e
-
-
 class Enumeration(Record):
     """A breadth-first Cayley enumeration; see enumerate_group.  Its
     table was filled by row-id lookups, and a vertex is the tuple of its
     rows' ids in `rows`.  A vertex's matrix and tree word are built only
-    when read: `vertex(v)` and `word(v)` build one, and `vertices` and
-    `words` the whole list on first read."""
+    when read, by `vertex(v)` and `word(v)`."""
 
     __slots__ = (
         "rows",        # _RowAction: the interned rows and the generators' action on them
@@ -96,14 +87,13 @@ class Enumeration(Record):
         "table",       # array: table[v * ngens + i] is the index of vertex v times gens[i]
         "ngens",
         "overflowed",
-        "schreier",    # with a lift: one Elt per nontrivial Schreier generator, in discovery order
         "__dict__",    # the cached properties
     )
     __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __init__(self, rows, keys, parents, letters, table, ngens, overflowed=False, schreier=None):
+    def __init__(self, rows, keys, parents, letters, table, ngens, overflowed=False):
         self.rows, self.keys, self.parents, self.letters, self.table = rows, keys, parents, letters, table
-        self.ngens, self.overflowed, self.schreier = ngens, overflowed, [] if schreier is None else schreier
+        self.ngens, self.overflowed = ngens, overflowed
 
     def __len__(self):
         return len(self.keys)
@@ -120,17 +110,6 @@ class Enumeration(Record):
             out.append((self.letters[v], 1))
             v = self.parents[v]
         return tuple(reversed(out))
-
-    @cached_property
-    def vertices(self) -> list:
-        return [self.vertex(v) for v in range(len(self))]
-
-    @cached_property
-    def words(self) -> list:
-        out = [()]
-        for v in range(1, len(self)):
-            out.append(out[self.parents[v]] + ((self.letters[v], 1),))
-        return out
 
     @cached_property
     def central(self) -> bytearray:
@@ -233,9 +212,10 @@ class _RowAction:
 
 
 class _SourceAction(_RowAction):
-    """A lift's source side: only rows of transversal keys are acted on, as
-    the rows of nontrivial Schreier keys are only read back by `matrix`;
-    `images[i]` maps acted row ids, `extend` acts on the ids in `pending`."""
+    """The source side of schreier_generators: only rows of transversal
+    keys are acted on, as the rows of nontrivial Schreier keys are only
+    read back by `matrix`; `images[i]` maps acted row ids, `extend` acts
+    on the ids in `pending`."""
 
     def __init__(self, mats):
         super().__init__(mats)
@@ -248,7 +228,7 @@ class _SourceAction(_RowAction):
             img.update(zip(ids, new))
 
 
-def enumerate_group(gens, cap: int, lift=None) -> Enumeration:
+def enumerate_group(gens, cap: int) -> Enumeration:
     """Breadth-first Cayley enumeration of the group the matrices `gens`
     generate, with a spanning tree of positive-letter words.
 
@@ -264,19 +244,6 @@ def enumerate_group(gens, cap: int, lift=None) -> Enumeration:
     Every edge looked up is recorded in the Cayley table, and every new
     vertex's tree parent with it; an overflowed enumeration keeps the rows
     it completed.
-
-    With `lift` (one source Elt per generator, the source group mapping
-    homomorphically onto the enumerated one by lift[i] -> gens[i]), every
-    non-tree edge (v, i, w) gives the Schreier generator T(v) lift[i] T(w)^-1,
-    T being the source transversal along the tree; by Schreier's lemma
-    these generate the kernel of the map, and the identities among them
-    can be left out.  The transversal runs on source row ids the same way,
-    so a tree edge maps T(v)'s ids and costs no product.  When the mapped
-    key of T(v) lift[i] equals T(w)'s the generator is the identity and
-    nothing is recorded; otherwise that key's matrix is multiplied once by
-    T(w)^-1, which is built along the tree from the lift's inverses on
-    first need and kept for the call, and its word is T(v)'s and T(w)'s
-    tree words mapped through the lift's words.
     """
     if not gens:
         raise ValueError("cannot enumerate a group without generators")
@@ -285,39 +252,13 @@ def enumerate_group(gens, cap: int, lift=None) -> Enumeration:
     k = len(gens)
     ident = tuple(range(rows.n))
     enum = Enumeration(rows, [ident], array("i", [-1]), array("i", [-1]), array("i"), k)
-    keys, parents, letters, table, schreier = enum.keys, enum.parents, enum.letters, enum.table, enum.schreier
+    keys, parents, letters, table = enum.keys, enum.parents, enum.letters, enum.table
     index = {ident: 0}
-    if lift is not None:
-        src = _SourceAction([s.mat for s in lift])
-        simages = src.images
-        tkeys = [tuple(range(lift[0].mat.n))]
-        tinvs, lift_invs = {0: Matrix.identity(src.field, lift[0].mat.n)}, [None] * k
-
-        def tword(v):
-            return word_mul(*(lift[i].word for i, _ in enum.word(v)))
-
-        def tinv(v):
-            path = []
-            while v not in tinvs:
-                path.append(v)
-                v = parents[v]
-            out = tinvs[v]
-            for u in reversed(path):
-                i = letters[u]
-                if lift_invs[i] is None:
-                    lift_invs[i] = inverse(lift[i].mat)
-                out = tinvs[u] = lift_invs[i] * out
-            return out
-
     qi = 0
     while qi < len(keys):
         v = keys[qi]
         if max(v) >= rows.done:
             rows.extend()
-        if lift is not None:
-            t = tkeys[qi]
-            if not src.pending.isdisjoint(t):
-                src.extend()
         for i, img in enumerate(images):
             w = tuple(map(img.__getitem__, v))
             j = index.get(w)
@@ -330,17 +271,67 @@ def enumerate_group(gens, cap: int, lift=None) -> Enumeration:
                 keys.append(w)
                 parents.append(qi)
                 letters.append(i)
-                if lift is not None:
-                    tkeys.append(tuple(map(simages[i].__getitem__, t)))
-                    src.pending.update(r for r in tkeys[-1] if r not in simages[0])
-            elif lift is not None:
-                tw = tuple(map(simages[i].__getitem__, t))
-                if tw != tkeys[j]:
-                    word = word_mul(tword(qi), lift[i].word, word_inverse(tword(j)))
-                    schreier.append(Elt(src.matrix(tw) * tinv(j), word))
             table.append(j)
         qi += 1
     return enum
+
+
+def schreier_generators(enum: Enumeration, lift) -> list:
+    """The nontrivial Schreier generators of a complete enumeration lifted
+    to a source group, one Elt each, in table order.
+
+    `lift` holds one source Elt per generator, the source group mapping
+    homomorphically onto the enumerated one by lift[i] -> gens[i].  Every
+    non-tree edge (v, i, w) gives the Schreier generator T(v) lift[i] T(w)^-1,
+    T being the source transversal along the tree; by Schreier's lemma
+    these generate the kernel of the map, and the identities among them
+    can be left out.  One breadth-first pass over the table builds T on
+    source row ids as the engine builds its vertices (_SourceAction), so a
+    tree edge maps T(v)'s ids and costs no product; the first edge met
+    into vertex w is its tree edge.  When the mapped key of T(v) lift[i]
+    equals T(w)'s the generator is the identity and nothing is recorded;
+    otherwise that key's matrix is multiplied once by T(w)^-1, which is
+    built along the tree from the lift's inverses on first need, and its
+    word is T(v)'s and T(w)'s tree words mapped through the lift's words.
+    """
+    if enum.overflowed:
+        raise ValueError("Schreier generators need a complete enumeration")
+    k, table, parents, letters = enum.ngens, enum.table, enum.parents, enum.letters
+    src = _SourceAction([s.mat for s in lift])
+    simages = src.images
+    tkeys = [tuple(range(src.n))]
+    tinvs, lift_invs = {0: Matrix.identity(src.field, src.n)}, [None] * k
+
+    def tword(v):
+        return word_mul(*(lift[i].word for i, _ in enum.word(v)))
+
+    def tinv(v):
+        path = []
+        while v not in tinvs:
+            path.append(v)
+            v = parents[v]
+        out = tinvs[v]
+        for u in reversed(path):
+            i = letters[u]
+            if lift_invs[i] is None:
+                lift_invs[i] = inverse(lift[i].mat)
+            out = tinvs[u] = lift_invs[i] * out
+        return out
+
+    out = []
+    for v in range(len(enum)):
+        t = tkeys[v]
+        if not src.pending.isdisjoint(t):
+            src.extend()
+        for i in range(k):
+            w, tw = table[v * k + i], tuple(map(simages[i].__getitem__, t))
+            if w == len(tkeys):
+                tkeys.append(tw)
+                src.pending.update(r for r in tw if r not in simages[0])
+            elif tw != tkeys[w]:
+                word = word_mul(tword(v), lift[i].word, word_inverse(tword(w)))
+                out.append(Elt(src.matrix(tw) * tinv(w), word))
+    return out
 
 
 class GroupSpec:

@@ -11,11 +11,12 @@ group is split into diagonalizable and unipotent parts, the diagonalizable
 part is reduced through a validated congruence, and the verdict combines
 the finite image verdict with centrality of the congruence kernel.
 
-The image's Sylow test also yields the kernel, with no second
-enumeration.  Let phi: G_s -> H send the diagonalizable parts s_i to the
-image generators h_i, and let H be nilpotent, so H = prod Q_p with Q_p
-generated by the kept p-parts x of the h_i.  Each x = h_i^t has the source
-part y = s_i^t, with phi(y) = x.  H is presented on the x and the s_i by
+Once the image's Sylow test has found it nilpotent, its Cayley tables
+also yield the kernel, with no second enumeration (_kernel_gens).  Let
+phi: G_s -> H send the diagonalizable parts s_i to the image generators
+h_i, and let H be nilpotent, so H = prod Q_p with Q_p generated by the
+kept p-parts x of the h_i.  Each x = h_i^t has the source part y = s_i^t,
+with phi(y) = x.  H is presented on the x and the s_i by
 (Holt, Eick & O'Brien, Handbook of Computational Group Theory, 2005,
 ch. 5):
   - each Q_p's Schreier relators on its parts;
@@ -27,13 +28,15 @@ ch. 5):
 Let F be free on symbols for the s_i and the y, mapped by psi onto G_s.
 Then phi psi: F -> H is onto, so ker phi = psi(ker phi psi), which is the
 normal closure in G_s of the relators evaluated at the s_i and the y: the
-Schreier generators of each Q_p's enumeration lifted by its source parts,
-the s_i (prod y)^-1, and the commutators of source parts for distinct
-primes.  Each Q_p is enumerated once, so the work is sum |Q_p|, where
-the image has prod |Q_p| elements.  The consumers need only that these
-normally generate the kernel: a central normal generator is its own
-normal closure, so once every one commutes with the s_i they generate the
-kernel as a subgroup.
+Schreier generators of each Q_p's finished table lifted by its source
+parts (groups.schreier_generators), the s_i (prod y)^-1, and the
+commutators of source parts for distinct primes.  Each Q_p is enumerated
+once and walked once more, so the work is sum |Q_p|, where the image has
+prod |Q_p| elements, and a negative image verdict lifts nothing.  The
+list keeps each distinct matrix once, so its consumers never deduplicate
+it.  They need only that these normally generate the kernel: a central
+normal generator is its own normal closure, so once every one commutes
+with the s_i they generate the kernel as a subgroup.
 
 The verdict's Sylow systems, with the Cayley tables of their components,
 are also what structure.analyze reads the center and the primary
@@ -46,7 +49,7 @@ from .config import DEFAULT, Config
 from .congruence import apply_congruence, kernel_is_central, select_modulus
 from .errors import CapExceeded, NotNilpotentSignal, VerdictUnavailable
 from .fields import FiniteField, FunctionField
-from .groups import Elt, GroupSpec, dedup_elts, enumerate_group, word_inverse, word_mul
+from .groups import Elt, GroupSpec, enumerate_group, schreier_generators, word_inverse, word_mul
 from .linalg import Matrix, inverse
 from .numth import factorint
 from .record import Record
@@ -194,7 +197,23 @@ def _cross_prime_commutators(sources):
             yield Elt(inverse(yx) * xy, word)
 
 
-def _sylow_test(elts, config: Config, lift=None) -> Verdict:
+def _kernel_gens(lift, covers, sylow) -> list:
+    """Normal generators of the kernel of the map lift[i] -> image input i
+    onto a nilpotent image with Sylow system `sylow` and input covers
+    `covers`, each distinct matrix once, none the identity: the Q_p's
+    Schreier generators, then the Tietze relators, then the cross-prime
+    commutators (see the module docstring)."""
+    sources = _source_parts(lift, covers)
+    kernel = [z for p, enum in sylow.enums.items() for z in schreier_generators(enum, sources[p])]
+    kernel += _tietze_relators(lift, covers, sources)
+    kernel += _cross_prime_commutators(sources)
+    distinct = {}
+    for z in kernel:
+        distinct.setdefault(z.mat, z)
+    return list(distinct.values())
+
+
+def _sylow_test(elts, config: Config) -> Verdict:
     """Nilpotency of the finite group <elts>, decided both ways by its
     Sylow system in one pass over the inputs' prime parts.
 
@@ -210,14 +229,7 @@ def _sylow_test(elts, config: Config, lift=None) -> Verdict:
     An input of infinite order raises the signal, and a component past
     the cap raises CapExceeded.  A nilpotent verdict keeps each input's
     cover (artifact "covers", see _prime_parts), from which analyze reads
-    the unipotent parts over GF(q).
-
-    With `lift` (one source Elt per input, a source group mapping onto G
-    by lift[i] -> elts[i]), each Q_p is enumerated lifted by its parts'
-    source parts, and a nilpotent verdict also carries normal generators
-    of the kernel of that map (artifact "kernel_gens"), none of them the
-    identity: the Q_p's Schreier generators, then the Tietze relators,
-    then the cross-prime commutators (see the module docstring).
+    the unipotent parts over GF(q) and _kernel_gens the source parts.
     """
     parts, covers = _prime_parts(elts)
     for p, q, x, y in _cross_prime_pairs(parts):
@@ -231,23 +243,16 @@ def _sylow_test(elts, config: Config, lift=None) -> Verdict:
                     note=f"prime parts for {p} and {q} fail to commute",
                 ),
             )
-    sources = _source_parts(lift, covers) if lift is not None else {}
-    orders, enums, kernel = {}, {}, []
+    orders, enums = {}, {}
     for p in sorted(parts):
-        enum = enumerate_group([x.mat for x in parts[p]], config.closure_cap, sources.get(p))
+        enum = enumerate_group([x.mat for x in parts[p]], config.closure_cap)
         if enum.overflowed:
             raise CapExceeded(config.closure_cap, "subgroup closure")
         if set(factorint(len(enum))) - {p}:
             return Verdict(False, _non_p_witness(p, parts[p], enum))
         orders[p], enums[p] = len(enum), enum
-        kernel += enum.schreier
     sylow = SylowSystem(parts, orders, enums=enums)
-    artifacts = {"sylow": sylow, "order": sylow.order, "covers": covers}
-    if lift is not None:
-        kernel += _tietze_relators(lift, covers, sources)
-        kernel += _cross_prime_commutators(sources)
-        artifacts["kernel_gens"] = kernel
-    return Verdict(True, artifacts=artifacts)
+    return Verdict(True, artifacts={"sylow": sylow, "order": sylow.order, "covers": covers})
 
 
 def _non_p_witness(p, parts, enum) -> Witness:
@@ -292,11 +297,12 @@ def is_nilpotent(G: GroupSpec, config: Config = DEFAULT) -> Verdict:
 
     Over an infinite field the group is reduced onto a finite image, whose
     verdict comes first; the congruence kernel must then be central.  One
-    Sylow test on the image, lifted to the reduced group, gives both the
-    image verdict and the kernel's normal generators (module docstring).  In
-    characteristic zero only the diagonalizable parts are reduced, and
-    modulus selection takes their minimal polynomials from the split; char-p
-    function fields are imperfect, so the generators are reduced as given.
+    Sylow test on the image gives its verdict, and only a nilpotent image's
+    tables are walked again for the kernel's normal generators (module
+    docstring).  In characteristic zero only the diagonalizable parts are
+    reduced, and modulus selection takes their minimal polynomials from the
+    split; char-p function fields are imperfect, so the generators are
+    reduced as given.
     """
     if not G.gens or G.is_trivial():
         return Verdict(True, artifacts={"order": 1, "trivial": True})
@@ -322,14 +328,15 @@ def is_nilpotent(G: GroupSpec, config: Config = DEFAULT) -> Verdict:
     image_gens = [apply_congruence(g, cd) for g in Gs.gens]
     artifacts["image_gens"] = image_gens
     image = [Elt(h, ((i, 1),)) for i, h in enumerate(image_gens)]
-    v_img = _sylow_test(image, config, lift=Gs.elts())
+    v_img = _sylow_test(image, config)
     if not v_img.nilpotent:
         w = v_img.witness
         where = "evaluation" if char_p else "congruence"
         w = Witness(w.kind, "image", w.items, w.note + f" (found in the {where} image)")
         return Verdict(False, _attach_context_gens(w, image_gens), artifacts)
-    artifacts["image_sylow"], artifacts["image_order"] = v_img.artifacts["sylow"], v_img.artifacts["order"]
-    kernel = artifacts["kernel_gens"] = v_img.artifacts["kernel_gens"]
+    sylow = artifacts["image_sylow"] = v_img.artifacts["sylow"]
+    artifacts["image_order"] = v_img.artifacts["order"]
+    kernel = artifacts["kernel_gens"] = _kernel_gens(Gs.elts(), v_img.artifacts["covers"], sylow)
     ok, bad = kernel_is_central(Gs, kernel)
     if ok:
         return Verdict(True, artifacts=artifacts)
@@ -358,10 +365,8 @@ def _refute_char_p(G: GroupSpec, kernel, artifacts) -> Verdict:
     # In a nilpotent group the semisimple parts form a homomorphic image in
     # which the evaluation kernel lands centrally, so every commutator of a
     # kernel generator against a generator must be unipotent.  A
-    # non-unipotent one refutes nilpotency outright.  A repeated matrix
-    # gives the commutators of its first occurrence, so each distinct one
-    # is tried once.
-    for z in dedup_elts(kernel):
+    # non-unipotent one refutes nilpotency outright.
+    for z in kernel:
         zinv = inverse(z.mat)
         for i, (g, ginv) in enumerate(zip(G.gens, G.invs)):
             c = zinv * ginv * z.mat * g

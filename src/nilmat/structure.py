@@ -9,12 +9,14 @@ reruns the verdict or recomputes what it carries.  Over GF(q) nothing is
 split at all: a generator's unipotent part is its Sylow part for the
 characteristic, which the verdict already holds.
 
-The normal generators come from the image's Sylow test, lifted one Sylow
-subgroup at a time (nilpotency), and none is the identity.  A nilpotent
-verdict has found each of them central, and a central normal generator
-is its own normal closure, so together they generate the kernel as a
-subgroup: the kernel is trivial exactly when there are none, and over
-char-p function fields its order is their closure's.
+The normal generators come from one pass over each Sylow subgroup's
+finished Cayley table, lifted to the source after the image was found
+nilpotent (nilpotency._kernel_gens); they are distinct matrices, and none
+is the identity.  A nilpotent verdict has found each of them central,
+and a central normal generator is its own normal closure, so together
+they generate the kernel as a subgroup: the kernel is trivial exactly
+when there are none, and over char-p function fields its order is their
+closure's.
 
 The center is read off the Cayley tables that the Sylow certificate
 enumerated (Z(G) is the product of the Sylow subgroups' centers), with no
@@ -35,7 +37,7 @@ from __future__ import annotations
 from .config import DEFAULT, Config
 from .errors import CapExceeded, VerdictUnavailable
 from .fields import FiniteField, FunctionField
-from .groups import Elt, GroupSpec, dedup_elts, enumerate_group
+from .groups import Elt, GroupSpec, enumerate_group
 from .nilpotency import SylowSystem, is_nilpotent
 from .record import Record
 from .splitting import finite_order, is_unipotent_group, s_part_group
@@ -113,9 +115,7 @@ def _finiteness(G: GroupSpec, a: dict, char_p: bool):
     if a.get("trivial"):
         return True, "trivial", None
     if char_p:
-        # a repeated kernel matrix has the order of its first occurrence,
-        # so the first infinite-order witness is the same
-        for z in dedup_elts(a["kernel_gens"]):
+        for z in a["kernel_gens"]:
             if finite_order(z.mat) is None:
                 return False, "evaluation-kernel", Witness(
                     kind="infinite_order_element",
@@ -216,13 +216,13 @@ def _center(G: GroupSpec, a: dict):
     """Generators of the center of the nilpotent group G, which for an
     infinite group must be its diagonalizable part: the Sylow
     certificate's center over GF(q), else the image certificate's pulled
-    back over G by its words, with the distinct kernel generators (see
-    the module docstring); the identity when trivial."""
+    back over G by its words, with the kernel generators (see the module
+    docstring); the identity when trivial."""
     if a.get("trivial"):
         zs = []
     elif "sylow" in a:
         zs = a["sylow"].center()
     else:
         zs = [Elt(G.evaluate(z.word), z.word) for z in a["image_sylow"].center()]
-        zs += dedup_elts(a["kernel_gens"])
+        zs += a["kernel_gens"]
     return zs or [Elt(G.identity, ())]

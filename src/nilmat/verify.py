@@ -40,7 +40,7 @@ def _is_prime(v) -> bool:
 def _semisimplicity_decided(mat: Matrix) -> bool:
     """Whether semisimple_minpoly decides mat's semisimplicity: over a
     char-p function field the p-th roots that Yun's loop takes of the
-    coefficients need not exist, so a claim either way fails closed."""
+    coefficients need not exist, so the claim fails closed."""
     F = mat.field
     return not (isinstance(F, FunctionField) and F.characteristic() > 0)
 
@@ -169,11 +169,6 @@ def verify_witness(witness: Witness, group: GroupSpec | None = None):
                 fac = factorint(m)
                 add("order exact", all(not (y.mat ** (m // t)).is_identity() for t in fac))
                 add("order not a p power", bool(set(fac) - {p}))
-    elif kind == "non_semisimple_element":
-        x = witness.find("x")
-        add("present", x is not None)
-        if x:
-            add("minpoly not squarefree", _semisimplicity_decided(x.mat) and semisimple_minpoly(x.mat) is None)
     elif kind == "non_unipotent_commutator":
         z, g, c = witness.find("z"), witness.find("g"), witness.find("c")
         add("all present", all(v is not None for v in (z, g, c)))

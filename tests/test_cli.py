@@ -130,7 +130,7 @@ def test_prime_and_cap_flags_are_validated(tmp_path, capsys):
     assert "NoPrimeInRange: prime 2 fails the validity checks" in capsys.readouterr().err
     assert main(["is-nilpotent", str(d8), "--prime", "5", "--cap", "8", "--json"]) == 0
     flags = json.loads(capsys.readouterr().out)["flags"]
-    assert flags["prime"] == 5 and flags["closure_cap"] == 8 and flags["cayley_cap"] == 8
+    assert flags == {"prime": 5, "closure_cap": 8, "seed": 0}
     # library callers get a typed error for a prime override that is not prime
     G = parse_group_json(D8)
     for p in (9, -7, 0):
@@ -356,6 +356,17 @@ def test_reduce_command_round_trip(tmp_path, capsys):
     assert main(["reduce", str(d31), "--json", "--prime", "5"]) == 0
     rep2 = json.loads(capsys.readouterr().out)
     assert rep2["image"] == rep["image"]
+
+
+def test_reduce_names_a_generator_that_is_not_semisimple(tmp_path, capsys):
+    """No prime keeps a unipotent generator's minimal polynomial (X - 1)^2
+    squarefree: reduce exits 1 naming the generator, for the prime search
+    and for a prime the user gives alike."""
+    heis = write(tmp_path, "heis.json", HEIS)
+    for extra in ([], ["--prime", "7"]):
+        assert main(["reduce", str(heis)] + extra) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("budget: NoPrimeInRange: generator 0 is not semisimple"), err
 
 
 def test_batch_mode(tmp_path, capsys):

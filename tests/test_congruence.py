@@ -18,7 +18,7 @@ from nilmat.congruence import (
 )
 from nilmat.errors import CapExceeded, NoPrimeInRange, UnsupportedField
 from nilmat.fields import QQ, FiniteField, FunctionField, NumberField, reduce_mod
-from nilmat.groups import GroupSpec, enumerate_group
+from nilmat.groups import GroupSpec, enumerate_group, schreier_generators
 from nilmat.linalg import Matrix
 from nilmat.nilpotency import is_nilpotent
 from nilmat.poly import Poly, resultant
@@ -117,7 +117,8 @@ def test_search_and_override_share_one_prime_trial(monkeypatch):
 @pytest.mark.parametrize("kind", ["Q", "NF"])
 def test_select_modulus_fails_fast_on_repeated_minpoly_factor(kind, monkeypatch):
     """A unipotent generator's minimal polynomial (X - 1)^2 stays square mod
-    every prime, so selection raises at once without trying any prime."""
+    every prime, so selection raises at once, naming that generator,
+    without trying any prime, also for a prime the user gives."""
     from nilmat import congruence
 
     F = QQ if kind == "Q" else NumberField((-2, 0, 1))
@@ -128,8 +129,9 @@ def test_select_modulus_fails_fast_on_repeated_minpoly_factor(kind, monkeypatch)
 
     monkeypatch.setattr(congruence, "_try_prime_rational", never)
     monkeypatch.setattr(congruence, "_try_prime_numberfield", never)
-    with pytest.raises(NoPrimeInRange, match=f"^no valid odd prime below {congruence.PRIME_CAP}$"):
-        select_modulus(G)
+    for config in (DEFAULT, DEFAULT.with_(prime_override=7)):
+        with pytest.raises(NoPrimeInRange, match="^generator 0 is not semisimple"):
+            select_modulus(G, config)
 
 
 def test_select_modulus_function_field_rational_base():
@@ -197,33 +199,36 @@ def test_apply_congruence_is_homomorphism():
 
 
 def test_finite_image_presentation_examples():
-    """A lifted enumeration records only the nontrivial Schreier
-    generators: lifting an image to itself records none, and lifting it
-    from a source with a kernel records relators of the image, each
-    evaluating to its matrix over the source."""
+    """A lifted pass over an enumeration records only the nontrivial
+    Schreier generators: lifting an image to itself records none, and
+    lifting it from a source with a kernel records relators of the image,
+    each evaluating to its matrix over the source."""
     F5 = FiniteField(5)
     c4 = GroupSpec(F5, [Matrix.from_ints(F5, [[2]])])
-    enum = enumerate_group(c4.gens, 10**6, lift=c4.elts())
-    assert len(enum) == 4 and enum.schreier == []
+    enum = enumerate_group(c4.gens, 10**6)
+    assert len(enum) == 4 and schreier_generators(enum, c4.elts()) == []
     trivial = GroupSpec(F5, [Matrix.identity(F5, 1)])
-    assert len(enumerate_group(trivial.gens, 10**6, lift=trivial.elts())) == 1
+    enum1 = enumerate_group(trivial.gens, 10**6)
+    assert len(enum1) == 1 and schreier_generators(enum1, trivial.elts()) == []
     two = GroupSpec(QQ, [Matrix.from_ints(QQ, [[2]])])
-    enum = enumerate_group(c4.gens, 10**6, lift=two.elts())
-    assert [(z.mat, z.word) for z in enum.schreier] == [(Matrix.from_ints(QQ, [[16]]), ((0, 1),) * 4)]
+    kernel = schreier_generators(enum, two.elts())
+    assert [(z.mat, z.word) for z in kernel] == [(Matrix.from_ints(QQ, [[16]]), ((0, 1),) * 4)]
     rot = Matrix.from_ints(F5, [[0, 4], [1, 0]])
     refl = Matrix.from_ints(F5, [[1, 0], [0, 4]])
     img = GroupSpec(F5, [rot, refl])
-    enum8 = enumerate_group(img.gens, 10**6, lift=img.elts())
-    assert len(enum8) == 8 and enum8.schreier == []
-    assert len(set(enum8.vertices)) == len(enum8.words) == 8
-    for mat, word in zip(enum8.vertices, enum8.words):
-        assert img.evaluate(word) == mat
+    enum8 = enumerate_group(img.gens, 10**6)
+    assert len(enum8) == 8 and schreier_generators(enum8, img.elts()) == []
+    vertices = [enum8.vertex(v) for v in range(8)]
+    assert len(set(vertices)) == 8
+    for v, mat in enumerate(vertices):
+        assert img.evaluate(enum8.word(v)) == mat
     # C4 wr C2 = <diag(3,1), swap> mod 5, lifted from the infinite group over Q
     G = GroupSpec(QQ, [Matrix.from_ints(QQ, [[3, 0], [0, 1]]), Matrix.from_ints(QQ, [[0, 1], [1, 0]])])
     image = apply_congruence_group(G, select_modulus(G))
-    enum = enumerate_group(image.gens, 10**6, lift=G.elts())
-    assert len(enum) == 32 and enum.schreier
-    for z in enum.schreier:
+    enum = enumerate_group(image.gens, 10**6)
+    kernel = schreier_generators(enum, G.elts())
+    assert len(enum) == 32 and kernel
+    for z in kernel:
         assert image.evaluate(z.word).is_identity(), z.word
         assert G.evaluate(z.word) == z.mat and not z.mat.is_identity()
 
@@ -259,7 +264,9 @@ def test_lifted_kernel_generators_replay(q_corpus, monkeypatch):
     """On the rational corpus every kernel generator the verdict path lifts
     is nontrivial and replays from its word over the diagonalizable parts;
     the Schreier generators of the image's Sylow subgroups, lifted by their
-    source parts, come first.  The source transversal runs on row ids: only
+    source parts, come first (each distinct matrix once), one pass over
+    each Sylow subgroup's table.
+    The source transversal runs on row ids: only
     the distinct rows of transversal elements go to the field, each once,
     against all the generators' columns side by side (the rows of
     nontrivial Schreier generators are never acted on), and a source
@@ -268,15 +275,15 @@ def test_lifted_kernel_generators_replay(q_corpus, monkeypatch):
     needs, so a finite group forms none."""
     from nilmat import nilpotency
 
-    enumerate_lifted = nilpotency.enumerate_group
+    lifted_pass = nilpotency.schreier_generators
     calls = []
 
-    def recording(gens, cap, lift=None):
-        enum = enumerate_lifted(gens, cap, lift)
-        calls.append((gens, cap, lift, enum))
-        return enum
+    def recording(enum, lift):
+        out = lifted_pass(enum, lift)
+        calls.append((enum, lift, out))
+        return out
 
-    monkeypatch.setattr(nilpotency, "enumerate_group", recording)
+    monkeypatch.setattr(nilpotency, "schreier_generators", recording)
     reached = 0
     for entry in q_corpus:
         calls.clear()
@@ -288,16 +295,19 @@ def test_lifted_kernel_generators_replay(q_corpus, monkeypatch):
         kernel = v.artifacts["kernel_gens"]
         for z in kernel:
             assert Gs.evaluate(z.word) == z.mat and not z.is_identity(), entry.name
-        schreier = [z for *_, enum in calls for z in enum.schreier]
-        assert kernel[: len(schreier)] == schreier, entry.name
-        for gens, cap, lift, enum in calls:
-            assert lift is not None, entry.name
-            _check_lifted_work(monkeypatch, gens, cap, lift, enum, entry)
+        schreier = {}
+        for *_, out in calls:
+            for z in out:
+                schreier.setdefault(z.mat, z)
+        assert kernel[: len(schreier)] == list(schreier.values()), entry.name
+        assert [enum for enum, *_ in calls] == list(v.artifacts["image_sylow"].enums.values()), entry.name
+        for enum, lift, out in calls:
+            _check_lifted_work(monkeypatch, enum, lift, out, entry)
     assert reached >= 20
 
 
-def _check_lifted_work(monkeypatch, gens, cap, lift, enum, entry):
-    """Reruns one lifted enumeration counting the source field's work."""
+def _check_lifted_work(monkeypatch, enum, lift, schreier, entry):
+    """Reruns one lifted pass counting the source field's work."""
     formed, depth, sent, batched, met = [0], [0], [], [], set(Matrix.identity(QQ, lift[0].mat.n).rows)
     product, matmul = Matrix.__mul__, QQ.matmul
 
@@ -325,23 +335,23 @@ def _check_lifted_work(monkeypatch, gens, cap, lift, enum, entry):
     with monkeypatch.context() as m:
         m.setattr(Matrix, "__mul__", counting_product)
         m.setattr(QQ, "matmul", counting_matmul)
-        again = enumerate_group(gens, cap, lift)
-    assert again.schreier == enum.schreier and not again.overflowed, entry.name
+        again = schreier_generators(enum, lift)
+    assert again == schreier, entry.name
     # the source transversal along the tree, the non-tree edges whose
     # lifted generator is nontrivial, and the tree vertices on the paths
     # to their targets
     lmats, k = [s.mat for s in lift], enum.ngens
     T = [Matrix.identity(QQ, lmats[0].n)]
     for v in range(1, len(enum)):
-        T.append(T[enum.parents[v]] * lmats[enum.words[v][-1][0]])
+        T.append(T[enum.parents[v]] * lmats[enum.letters[v]])
     targets = [
         j
         for u in range(len(enum))
         for i in range(k)
         for j in [enum.table[u * k + i]]
-        if enum.words[j] != enum.words[u] + ((i, 1),) and not (T[u] * lmats[i] == T[j])
+        if enum.word(j) != enum.word(u) + ((i, 1),) and not (T[u] * lmats[i] == T[j])
     ]
-    assert len(targets) == len(enum.schreier), entry.name
+    assert len(targets) == len(schreier), entry.name
     inverted = set()
     for j in targets:
         while j:
@@ -405,10 +415,10 @@ def _plain_centrality(G, kernel):
 
 
 def test_kernel_is_central_tests_each_distinct_nontrivial_generator_once(q_corpus, monkeypatch):
-    """kernel_is_central forms two products per generator for each distinct
-    kernel matrix, and returns the same pair as the plain loop over every
-    kernel generator.  The verdict's kernel generators are never the
-    identity: a finite group has none."""
+    """The verdict's kernel generators are distinct matrices, and
+    kernel_is_central forms two products per generator for each of them,
+    returning the same pair as the plain loop over every kernel generator.
+    They are never the identity: a finite group has none."""
     counted = []
     product = Matrix.__mul__
 
@@ -429,11 +439,10 @@ def test_kernel_is_central_tests_each_distinct_nontrivial_generator_once(q_corpu
     assert central_counted(Gs, kernel) == ((True, None), 0)
 
     Gs, kernel = _reduced_kernel(_d8_times_xI(QQ))
-    distinct = {z.mat for z in kernel}
-    assert distinct
-    out, products = central_counted(Gs, kernel + kernel[::-1])
+    assert kernel and len({z.mat for z in kernel}) == len(kernel)
+    out, products = central_counted(Gs, kernel)
     assert out == (True, None)
-    assert products == 2 * len(Gs.gens) * len(distinct)
+    assert products == 2 * len(Gs.gens) * len(kernel)
 
     diag_x_swap = [
         GroupSpec(ff, [Matrix.diagonal(ff, (ff.x(), ff.one)), Matrix.from_ints(ff, [[0, 1], [1, 0]])])
@@ -444,6 +453,7 @@ def test_kernel_is_central_tests_each_distinct_nontrivial_generator_once(q_corpu
     for reduced in filter(None, map(_reduced_kernel, groups)):
         Gs, kernel = reduced
         assert not any(z.is_identity() for z in kernel)
+        assert len({z.mat for z in kernel}) == len(kernel)
         got, want = kernel_is_central(Gs, kernel), _plain_centrality(Gs, kernel)
         assert got == want
         if not want[0]:
@@ -529,37 +539,64 @@ def test_per_prime_kernel_matches_whole_image_reference():
 
 def test_verdict_path_enumerates_each_sylow_subgroup_once_lifted(monkeypatch):
     """On the characteristic-0 verdict path enumerate_group runs once per
-    prime of the image H, lifted, on that prime's Sylow subgroup, and never
-    on the whole image."""
+    prime of the image H, on that prime's Sylow subgroup, and never on the
+    whole image; a nilpotent image's tables are then each lifted once, and
+    a negative image verdict lifts none."""
     from nilmat import nilpotency
 
-    enumerate_lifted = nilpotency.enumerate_group
-    calls = []
+    enumerate_plain, lifted_pass = nilpotency.enumerate_group, nilpotency.schreier_generators
+    calls, lifted = [], []
 
-    def recording(gens, cap, lift=None):
-        enum = enumerate_lifted(gens, cap, lift)
-        calls.append((lift is not None, len(enum)))
+    def recording(gens, cap):
+        enum = enumerate_plain(gens, cap)
+        calls.append(enum)
         return enum
 
+    def recording_lift(enum, lift):
+        lifted.append(enum)
+        return lifted_pass(enum, lift)
+
     monkeypatch.setattr(nilpotency, "enumerate_group", recording)
+    monkeypatch.setattr(nilpotency, "schreier_generators", recording_lift)
     multi = 0
     for name, G in char0_groups() + prime_part_groups():
         calls.clear()
+        lifted.clear()
         v = is_nilpotent(G)
         if "image_sylow" not in v.artifacts:
-            assert all(lifted for lifted, _ in calls), name
+            assert lifted == [], name
             continue
         orders = v.artifacts["image_sylow"].orders
-        assert calls == [(True, orders[p]) for p in sorted(orders)], name
+        assert [len(e) for e in calls] == [orders[p] for p in sorted(orders)], name
+        assert lifted == calls, name
         if len(orders) > 1:
-            assert v.artifacts["image_order"] not in [size for _, size in calls], name
+            assert v.artifacts["image_order"] not in [len(e) for e in calls], name
             multi += 1
     assert multi >= 4
 
 
+def test_negative_image_verdict_lifts_nothing(q_corpus, monkeypatch):
+    """S4 and A4 as permutation matrices in GL(4, Q) have non-nilpotent
+    congruence images, so the verdict is negative and no Sylow table is
+    lifted to the source group."""
+    from nilmat import nilpotency
+
+    def never(enum, lift):
+        raise AssertionError("a negative image verdict was lifted")
+
+    monkeypatch.setattr(nilpotency, "schreier_generators", never)
+    groups = {e.name: e.group for e in q_corpus}
+    for name in ("S4", "A4"):
+        G = groups[name]
+        assert G.degree == 4
+        v = is_nilpotent(G)
+        assert not v.nilpotent and v.witness.context == "image", name
+        assert "kernel_gens" not in v.artifacts, name
+
+
 def test_signed_permutation_sylow_kernel_costs_nothing(monkeypatch):
     """The signed-permutation Sylow 2-subgroup of GL(4, Q), of order 128:
-    its lifted enumeration records no Schreier generator, and the
+    the lifted pass over its table records no Schreier generator, and the
     centrality test forms no product."""
     from nilmat import nilpotency
 
@@ -568,12 +605,12 @@ def test_signed_permutation_sylow_kernel_costs_nothing(monkeypatch):
 
     sign = Matrix.diagonal(QQ, (QQ.from_int(-1), QQ.one, QQ.one, QQ.one))
     G = GroupSpec(QQ, [sign, perm([1, 0, 2, 3]), perm([2, 3, 0, 1])])
-    enumerate_lifted, enums, formed = nilpotency.enumerate_group, [], []
+    lifted_pass, passes, formed = nilpotency.schreier_generators, [], []
     product = Matrix.__mul__
 
-    def recording(gens, cap, lift=None):
-        enums.append(enumerate_lifted(gens, cap, lift))
-        return enums[-1]
+    def recording(enum, lift):
+        passes.append((len(enum), lifted_pass(enum, lift)))
+        return passes[-1][1]
 
     def counting(a, b):
         formed.append(1)
@@ -584,23 +621,24 @@ def test_signed_permutation_sylow_kernel_costs_nothing(monkeypatch):
             m.setattr(Matrix, "__mul__", counting)
             return kernel_is_central(Gs, kernel)
 
-    monkeypatch.setattr(nilpotency, "enumerate_group", recording)
+    monkeypatch.setattr(nilpotency, "schreier_generators", recording)
     monkeypatch.setattr(nilpotency, "kernel_is_central", central_counted)
     v = is_nilpotent(G)
     assert v.nilpotent and v.artifacts["image_order"] == 128
-    assert [len(e) for e in enums] == [128] and enums[0].schreier == []
+    assert passes == [(128, [])]
     assert v.artifacts["kernel_gens"] == [] and formed == []
 
 
-def test_congruence_image_may_exceed_the_cayley_cap():
+def test_congruence_image_may_exceed_the_closure_cap():
     """Only each Sylow subgroup of the congruence image is enumerated, so an
-    image of order 6 gets its verdict and order under a Cayley cap of 5,
-    while a closure cap of 2 stops at its Sylow 3-subgroup."""
+    image of order 6 gets its verdict and order under a closure cap of 5,
+    which bounds its Sylow subgroups of orders 2 and 3 only, while a
+    closure cap of 2 stops at its Sylow 3-subgroup."""
     from nilmat.structure import analyze
 
     G = next(e.group for e in rational_finite_corpus() if e.name == "C6-companion")
-    v = is_nilpotent(G, DEFAULT.with_(cayley_cap=5))
+    v = is_nilpotent(G, DEFAULT.with_(closure_cap=5))
     assert v.nilpotent and v.artifacts["image_sylow"].orders == {2: 2, 3: 3}
-    assert analyze(G, DEFAULT.with_(cayley_cap=5)).order == 6
+    assert analyze(G, DEFAULT.with_(closure_cap=5)).order == 6
     with pytest.raises(CapExceeded, match="subgroup closure"):
         is_nilpotent(G, DEFAULT.with_(closure_cap=2))

@@ -3,6 +3,7 @@ field work it does."""
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,28 +14,40 @@ from reference import enumeration
 from nilmat import groups, nilpotency, structure
 from nilmat.congruence import apply_congruence_group, select_modulus
 from nilmat.fields import QQ, FiniteField, FunctionField, NumberField
-from nilmat.groups import Elt, GroupSpec, enumerate_group
+from nilmat.groups import Elt, GroupSpec, enumerate_group, schreier_generators
 from nilmat.linalg import Matrix, inverse
 from nilmat.nilpotency import _prime_parts, is_nilpotent
 from nilmat.testkit import gen_max_abs_irr_nilpotent
 
 
-def _assert_same(gens, cap, lift=None):
+def _assert_same(gens, cap):
     """The engine's enumeration against the reference's, each vertex's
-    matrix and word read on demand first, then the whole lists."""
-    got = enumerate_group(gens, cap, lift)
-    ref = enumeration(gens, cap, lift)
+    matrix and word read on demand."""
+    got = enumerate_group(gens, cap)
+    ref = enumeration(gens, cap)
     assert len(got) == len(ref)
     for v in range(len(ref)):
         assert got.vertex(v) == ref.vertices[v] and got.word(v) == ref.words[v], v
-    assert got.vertices == ref.vertices
-    assert got.words == ref.words
     assert got.parents == ref.parents
     assert got.table == ref.table
     assert got.overflowed == ref.overflowed
     assert got.ngens == ref.ngens
-    assert got.schreier == ref.schreier
     return got
+
+
+def _assert_same_lifted(gens, cap, lift):
+    """(enumeration, Schreier generators): _assert_same, then the lifted
+    pass over the engine's table against the reference's lifted
+    enumeration, matrices, words and order alike.  An overflowed
+    enumeration has no kernel, and the pass refuses it (None)."""
+    got = _assert_same(gens, cap)
+    if got.overflowed:
+        with pytest.raises(ValueError, match="complete enumeration"):
+            schreier_generators(got, lift)
+        return got, None
+    kernel = schreier_generators(got, lift)
+    assert kernel == enumeration(gens, cap, lift).schreier
+    return got, kernel
 
 
 def test_engine_matches_reference_on_finite_field_corpus():
@@ -46,24 +59,31 @@ def test_engine_matches_reference_on_finite_field_corpus():
 def test_engine_matches_reference_on_congruence_images(monkeypatch):
     """Plain and lifted enumerations of the finite rational groups'
     congruence images, then every enumeration the verdict makes on the
-    rational corpus, lifted ones (the image's Sylow subgroups lifted by
-    their source parts) included."""
+    rational corpus, and every lifted pass over one (the image's Sylow
+    subgroups lifted by their source parts)."""
     for entry in rational_finite_corpus():
         G = entry.group
         image = apply_congruence_group(G, select_modulus(G))
         assert not _assert_same(list(image.gens), 10**4).overflowed, entry.name
-        _assert_same(list(image.gens), 10**4, lift=G.elts())
-    lifted = []
+        _assert_same_lifted(list(image.gens), 10**4, G.elts())
+    made, lifted = {}, []
 
-    def checked(gens, cap, lift=None):
-        lifted.append(lift is not None)
-        return _assert_same(gens, cap, lift)
+    def checked(gens, cap):
+        enum = _assert_same(gens, cap)
+        made[enum] = gens, cap
+        return enum
+
+    def checked_lift(enum, lift):
+        gens, cap = made[enum]
+        lifted.append(enum)
+        return _assert_same_lifted(gens, cap, lift)[1]
 
     for module in (nilpotency, structure):
         monkeypatch.setattr(module, "enumerate_group", checked)
+    monkeypatch.setattr(nilpotency, "schreier_generators", checked_lift)
     for entry in rational_corpus():
         assert is_nilpotent(entry.group).nilpotent == entry.nilpotent, entry.name
-    assert sum(lifted) >= len(rational_corpus()) // 2
+    assert len(lifted) >= len(rational_corpus()) // 2
 
 
 def test_engine_matches_reference_when_overflowing_mid_row():
@@ -75,7 +95,7 @@ def test_engine_matches_reference_when_overflowing_mid_row():
     for gens, cap, overflowed in cases:
         assert _assert_same(gens, cap).overflowed == overflowed, (len(gens), cap)
     for cap in (3, 7, 8):
-        _assert_same(d8, cap, lift=lift)
+        _assert_same_lifted(d8, cap, lift)
 
 
 def test_engine_matches_reference_over_gf64_and_fallback_rows():
@@ -93,9 +113,9 @@ def test_engine_matches_reference_over_gf64_and_fallback_rows():
         assert len(_assert_same(gens, 10**4)) == order
         shears = [Matrix.from_ints(g.field, [[1, 1], [0, 1]] if i % 2 else [[1, 0], [1, 1]]) for i, g in enumerate(gens)]
         lift = [Elt(_block_diagonal(g, s), ((i, 1),)) for i, (g, s) in enumerate(zip(gens, shears))]
-        assert _assert_same(gens, 10**4, lift=lift).schreier
+        assert _assert_same_lifted(gens, 10**4, lift)[1]
         for cap in (order // 3, order - 1):
-            assert _assert_same(gens, cap, lift=lift).overflowed
+            assert _assert_same_lifted(gens, cap, lift)[0].overflowed
 
 
 def _block_diagonal(a, b):
@@ -125,7 +145,8 @@ def test_engine_matches_reference_on_random_small_gf_groups(data):
     """Random generator sets of degree 1-3 over small GF(q), with random
     caps that often overflow in the middle of a layer, plain and lifted
     from block-diagonal sources diag(g_i, h_i): vertices, words, parents,
-    table, overflow and Schreier generators agree with the reference."""
+    table and overflow agree with the reference, and so do the Schreier
+    generators of a complete enumeration's lifted pass."""
     F = data.draw(st.sampled_from(_SMALL_FIELDS), label="field")
     n = data.draw(st.integers(1, 3), label="n")
     k = data.draw(st.integers(1, 3), label="k")
@@ -134,7 +155,7 @@ def test_engine_matches_reference_on_random_small_gf_groups(data):
     m = data.draw(st.integers(1, 2), label="m")
     lift = [Elt(_block_diagonal(g, data.draw(_invertible(F, m), label="h")), ((i, 1),)) for i, g in enumerate(gens)]
     _assert_same(gens, cap)
-    _assert_same(gens, cap, lift)
+    _assert_same_lifted(gens, cap, lift)
 
 
 def _rows_multiplied(monkeypatch, gens):
@@ -169,7 +190,7 @@ def _rows_multiplied(monkeypatch, gens):
     assert not enum.overflowed
     assert rows == batches
     (kind,) = kinds
-    return sum(rows), len({r for m in enum.vertices for r in m.rows}), len(enum), kind
+    return sum(rows), len({r for v in range(len(enum)) for r in enum.vertex(v).rows}), len(enum), kind
 
 
 def test_engine_field_work_follows_distinct_rows(monkeypatch):
@@ -223,21 +244,20 @@ def _nontrivial_kernel_groups():
 
 
 def test_engine_matches_reference_on_nontrivial_kernels():
-    """Lifted enumerations with nontrivial Schreier generators, and only
-    those: whole congruence and evaluation images over Q, Q(sqrt2), Q(x)
-    and GF(5)(x);
-    and infinite groups over Q(sqrt2) lifted to themselves, whose lifted
-    enumerations overflow at the cap."""
+    """Lifted passes with nontrivial Schreier generators, and only those:
+    whole congruence and evaluation images over Q, Q(sqrt2), Q(x) and
+    GF(5)(x); and infinite groups over Q(sqrt2) lifted to themselves, whose
+    enumerations overflow at the cap, so the pass refuses them."""
     groups = _nontrivial_kernel_groups()
     for name, G in groups:
         image = apply_congruence_group(G, select_modulus(G))
-        got = _assert_same(list(image.gens), 10**4, lift=G.elts())
+        got, kernel = _assert_same_lifted(list(image.gens), 10**4, G.elts())
         assert not got.overflowed, name
-        assert got.schreier and not any(z.is_identity() for z in got.schreier), name
+        assert kernel and not any(z.is_identity() for z in kernel), name
     for name, G in groups[:2]:
         for cap in (7, 20):
-            got = _assert_same(list(G.gens), cap, lift=G.elts())
-            assert got.overflowed and len(got) == cap, name
+            got, kernel = _assert_same_lifted(list(G.gens), cap, G.elts())
+            assert got.overflowed and len(got) == cap and kernel is None, name
 
 
 def test_central_flags_match_commuting_vertices():
@@ -249,7 +269,7 @@ def test_central_flags_match_commuting_vertices():
     for entry in finite_field_corpus():
         gens = list(entry.group.gens)
         enum = enumerate_group(gens, 10**4)
-        want = [all(v * g == g * v for g in gens) for v in enum.vertices]
+        want = [all(enum.vertex(v) * g == g * enum.vertex(v) for g in gens) for v in range(len(enum))]
         assert [bool(c) for c in enum.central] == want, entry.name
         if entry.nilpotent:
             assert sum(enum.central) == oracle_invariants(closure(gens, 10**4))["center"], entry.name

@@ -86,7 +86,6 @@ def test_mutable_defaults_are_per_instance():
         "artifacts": lambda: Verdict(True),
         "enums": lambda: SylowSystem({}, {}),
         "notes": lambda: StructureReport(nilpotent=True),
-        "schreier": lambda: Enumeration(None, [0], array("i"), array("i"), array("i"), 1),
     }
     for name, make in makers.items():
         a, b = make(), make()
@@ -97,10 +96,10 @@ def test_mutable_defaults_are_per_instance():
 
 
 def test_keyword_construction_and_defaults():
-    d = {"cayley_cap": 7, "closure_cap": 9, "seed": 2, "prime_override": 11}
+    d = {"closure_cap": 9, "seed": 2, "prime_override": 11}
     cfg = Config(**d)
-    assert (cfg.cayley_cap, cfg.closure_cap, cfg.seed, cfg.prime_override) == (7, 9, 2, 11)
-    assert cfg.with_(seed=5) == Config(7, 9, 5, 11) and cfg.seed == 2
+    assert (cfg.closure_cap, cfg.seed, cfg.prime_override) == (9, 2, 11)
+    assert cfg.with_(seed=5) == Config(9, 5, 11) and cfg.seed == 2
     assert DEFAULT.with_() == DEFAULT == Config() and DEFAULT.with_(prime_override=3).prime_override == 3
     with pytest.raises(TypeError):
         DEFAULT.with_(no_such_field=1)
@@ -108,11 +107,11 @@ def test_keyword_construction_and_defaults():
     assert (rep.nilpotent, rep.finite, rep.primary_is_extension, rep.route, rep.notes) == (False, None, False, "r", [])
     rep.order = 8    # a mutable record takes assignment
     assert rep.order == 8
-    bad = (lambda: Config(1, 2, 3, 4, 5), lambda: Config(1, cayley_cap=1), lambda: Verdict(), lambda: WItem(lbl="x"))
+    bad = (lambda: Config(1, 2, 3, 4), lambda: Config(1, closure_cap=1), lambda: Verdict(), lambda: WItem(lbl="x"))
     for make in bad:
         with pytest.raises(TypeError):
             make()
-    assert repr(Config()) == "Config(cayley_cap=1000000, closure_cap=100000, seed=0, prime_override=None)"
+    assert repr(Config()) == "Config(closure_cap=100000, seed=0, prime_override=None)"
 
 
 def test_mutable_records_equality():

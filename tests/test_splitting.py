@@ -276,13 +276,13 @@ def test_identity_unipotent_parts_cost_no_field_work(monkeypatch):
     assert not counted
     assert jp.s is swap and jp.u.is_identity()
     lifted = []
-    sylow_test = nilpotency._sylow_test
+    kernel_gens = nilpotency._kernel_gens
 
-    def recording(elts, config, lift=None):
+    def recording(lift, covers, sylow):
         lifted.append(lift)
-        return sylow_test(elts, config, lift)
+        return kernel_gens(lift, covers, sylow)
 
-    monkeypatch.setattr(nilpotency, "_sylow_test", recording)
+    monkeypatch.setattr(nilpotency, "_kernel_gens", recording)
     assert nilpotency.is_nilpotent(d8).nilpotent
     assert len(lifted) == 1 and all(s.mat is g for s, g in zip(lifted[0], d8.gens, strict=True))
 

@@ -285,21 +285,29 @@ def test_infinite_primary_components_modulo_center():
 
 
 def test_analyze_enumerates_only_what_the_verdict_does(monkeypatch):
-    """One analyze call makes exactly the Cayley enumerations of its
-    is_nilpotent call: every structural answer is read off the verdict."""
+    """One analyze call makes exactly the Cayley enumerations, and the
+    lifted passes over them, of its is_nilpotent call: every structural
+    answer is read off the verdict."""
     from nilmat import groups as groups_module
 
-    original = groups_module.enumerate_group
+    original, lifted_pass = groups_module.enumerate_group, groups_module.schreier_generators
     calls = []
 
-    def recording(gens, cap, lift=None):
-        enum = original(gens, cap, lift)
-        calls.append((tuple(gens), cap, lift is not None, len(enum)))
+    def recording(gens, cap):
+        enum = original(gens, cap)
+        calls.append((tuple(gens), cap, len(enum)))
         return enum
+
+    def recording_lift(enum, lift):
+        out = lifted_pass(enum, lift)
+        calls.append((tuple(s.mat for s in lift), len(enum), tuple(z.mat for z in out)))
+        return out
 
     for name, module in list(sys.modules.items()):
         if name.startswith("nilmat") and getattr(module, "enumerate_group", None) is original:
             monkeypatch.setattr(module, "enumerate_group", recording)
+        if name.startswith("nilmat") and getattr(module, "schreier_generators", None) is lifted_pass:
+            monkeypatch.setattr(module, "schreier_generators", recording_lift)
     cases = char0_groups()
     assert len(cases) > 60
     for name, G in cases:

@@ -54,9 +54,9 @@ def test_closure_elts_tracks_words():
     d8 = GroupSpec(QQ, [_m(QQ, [[0, -1], [1, 0]]), _m(QQ, [[1, 0], [0, -1]])])
     enum = enumerate_group(d8.gens, 100)
     assert len(enum) == 8 and not enum.overflowed
-    assert set(enum.vertices) == set(closure(list(d8.gens), 100).elements)
-    for mat, word in zip(enum.vertices, enum.words):
-        assert d8.evaluate(word) == mat
+    assert {enum.vertex(v) for v in range(8)} == set(closure(list(d8.gens), 100).elements)
+    for v in range(8):
+        assert d8.evaluate(enum.word(v)) == enum.vertex(v)
     assert enumerate_group([_m(QQ, [[2]])], 10).overflowed
 
 
@@ -64,16 +64,18 @@ def _check_cayley_rows(enum, gens, rows):
     """The first `rows` rows of the table hold the products' indices, and
     every vertex's word is its parent's word plus one letter."""
     k = len(gens)
-    index = {m: v for v, m in enumerate(enum.vertices)}
+    vertices = [enum.vertex(v) for v in range(len(enum))]
+    words = [enum.word(v) for v in range(len(enum))]
+    index = {m: v for v, m in enumerate(vertices)}
     assert enum.ngens == k and enum.parents[0] == -1
     for v in range(rows):
         for i, g in enumerate(gens):
-            assert enum.table[v * k + i] == index[enum.vertices[v] * g], (v, i)
+            assert enum.table[v * k + i] == index[vertices[v] * g], (v, i)
     for v in range(1, len(enum)):
         u = enum.parents[v]
-        i = enum.words[v][-1][0]
-        assert u < v and enum.words[v] == enum.words[u] + ((i, 1),)
-        assert enum.vertices[v] == enum.vertices[u] * gens[i]
+        i = words[v][-1][0]
+        assert u < v and words[v] == words[u] + ((i, 1),)
+        assert vertices[v] == vertices[u] * gens[i]
 
 
 def test_enumeration_records_cayley_table():
