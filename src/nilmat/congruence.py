@@ -130,9 +130,8 @@ def denominator_set(G: GroupSpec):
 
 def _minpoly_stays_squarefree(h: Poly, reduce_coeff, target):
     """Whether the coefficient-wise reduction of the squarefree h stays
-    squarefree; h None (a generator that is not semisimple) never does."""
-    if h is None:
-        return False
+    squarefree (_select_prime has refused a generator that is not
+    semisimple before any prime is tried)."""
     try:
         hbar = Poly.make(target, [reduce_coeff(c) for c in h.coeffs])
     except DenominatorDivisible:
@@ -179,16 +178,13 @@ def _first_valid_prime(G, minpolys, try_prime):
     raise NoPrimeInRange(f"no valid odd prime below {PRIME_CAP}")
 
 
-def _frobenius_roots(target: FiniteField, factor_poly: Poly):
-    """All roots of an irreducible factor inside GF(p^l), lexicographically sorted
-    by coefficient vector."""
-    l = target.l
-    if l == 1:
-        return [target.neg(factor_poly.coeffs[0])]
-    root = target.from_coeffs([0, 1])
+def _frobenius_roots(target: FiniteField):
+    """All roots of target's modulus, an irreducible polynomial of degree
+    l > 1 over GF(p), inside target = GF(p^l), lexicographically sorted by
+    coefficient vector."""
     roots = []
-    cur = root
-    for _ in range(l):
+    cur = target.from_coeffs([0, 1])
+    for _ in range(target.l):
         roots.append(cur)
         cur = target.frobenius(cur)
     roots.sort(key=lambda a: tuple(target.digits(a)))
@@ -217,7 +213,7 @@ def _try_prime_numberfield(G, pi, minpolys, disc_num, p):
     else:
         chosen = facs[0]
         target = FiniteField(p, l, tuple(int(c) for c in chosen.coeffs))
-        aimg = _frobenius_roots(target, chosen)[0]
+        aimg = _frobenius_roots(target)[0]
     red = _nf_reduction_map(target, aimg, p)
     if not all(_minpoly_stays_squarefree(h, red, target) for h in minpolys):
         return None

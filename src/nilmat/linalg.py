@@ -284,8 +284,6 @@ def fixed_space(gens) -> Subspace:
     ident = Matrix.identity(F, n)
     for g in gens:
         stacked.extend(list(r) for r in (g - ident).rows)
-    if not stacked:
-        return Subspace.full(F, n)
     vecs = nullspace(F, stacked, n)
     return Subspace.from_vectors(F, n, vecs)
 

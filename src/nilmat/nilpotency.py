@@ -2,9 +2,10 @@
 
 A finite group is nilpotent exactly when it is the direct product of its
 Sylow subgroups, and one Sylow test decides every finite verdict both
-ways: the input generators are split into prime-power parts, parts for
-distinct primes must commute, and the parts for each prime must close into
-a p-group.  A failure of either is the negative verdict, and its witness
+ways: the input generators are split into prime-power parts by their
+orders over GF(q) (the group's own field, or its finite image's), parts
+for distinct primes must commute, and the parts for each prime must close
+into a p-group.  A failure of either is the negative verdict, and its witness
 replays; a closure past its cap is a budget error, never a verdict.  No
 verdict rests on a bound on the nilpotency class.  Over infinite fields the
 group is split into diagonalizable and unipotent parts, the diagonalizable
@@ -50,7 +51,7 @@ from .congruence import apply_congruence, kernel_is_central, select_modulus
 from .errors import CapExceeded, NotNilpotentSignal, VerdictUnavailable
 from .fields import FiniteField, FunctionField
 from .groups import Elt, GroupSpec, enumerate_group, schreier_generators, word_inverse, word_mul
-from .linalg import Matrix, inverse
+from .linalg import inverse
 from .numth import factorint
 from .record import Record
 from .splitting import finite_order, is_unipotent_matrix, reduction_split, s_part_group
@@ -105,27 +106,13 @@ class Verdict(Record):
 # ---------------------------------------------------------------------------
 # the finite core
 
-def _element_order(mat: Matrix, word=None):
-    m = finite_order(mat)
-    if m is None:
-        raise NotNilpotentSignal(
-            Witness(
-                kind="infinite_order_element",
-                context="input",
-                items=(WItem("x", mat, word),),
-                note="an input element has infinite order, so the group has no finite completely reducible quotient",
-            )
-        )
-    return m
-
-
 def _prime_parts(seq):
     """(parts, covers): the distinct prime-power parts of the elements of
     seq, per prime, in order of first appearance; and per element its
     cover, one (p, j, t) for each prime p dividing its order, its p-part
     being x^t = parts[p][j].  The identity's cover is empty, and a
-    repeated element has its first occurrence's.  An element of infinite
-    order raises the signal."""
+    repeated element has its first occurrence's.  The elements lie over
+    GF(q), where finite_order gives their orders."""
     parts: dict = {}
     index: dict = {}
     memo: dict = {}
@@ -135,7 +122,7 @@ def _prime_parts(seq):
         if cover is None:
             cover = memo[x.mat] = []
             if not x.is_identity():
-                m = _element_order(x.mat, x.word)
+                m = finite_order(x.mat)
                 for p, e in factorint(m).items():
                     mp = m // p**e
                     t = mp * pow(mp, -1, p**e) % m
@@ -226,10 +213,11 @@ def _sylow_test(elts, config: Config) -> Verdict:
     group elements of coprime orders commute and the p-elements form a
     subgroup: a cross-prime pair that fails to commute, or an element of
     the p-parts' closure whose order is not a power of p, is the witness.
-    An input of infinite order raises the signal, and a component past
-    the cap raises CapExceeded.  A nilpotent verdict keeps each input's
-    cover (artifact "covers", see _prime_parts), from which analyze reads
-    the unipotent parts over GF(q) and _kernel_gens the source parts.
+    A component past the cap raises CapExceeded.  The elements lie over
+    GF(q): the input group itself, or a congruence or evaluation image.
+    A nilpotent verdict keeps each input's cover (artifact "covers", see
+    _prime_parts), from which analyze reads the unipotent parts over GF(q)
+    and _kernel_gens the source parts.
     """
     parts, covers = _prime_parts(elts)
     for p, q, x, y in _cross_prime_pairs(parts):
@@ -276,10 +264,7 @@ def _non_p_witness(p, parts, enum) -> Witness:
 
 def is_finite_nilpotent(G: GroupSpec, config: Config = DEFAULT) -> Verdict:
     """Nilpotency with Sylow decomposition for groups over finite fields."""
-    try:
-        return _sylow_test(G.elts(), config)
-    except NotNilpotentSignal as s:
-        return Verdict(False, s.witness)
+    return _sylow_test(G.elts(), config)
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,21 @@
-"""Elementary integer number theory: primality, factoring, totients.
+"""Elementary integer number theory: primality and factoring.
 
-Deterministic throughout; Miller-Rabin uses a fixed base set that is exact
-for every integer below 3.3e24, far beyond anything this package meets.
+Deterministic throughout; Miller-Rabin uses the first thirteen primes as
+bases, which is exact for every integer below 3.3e24 (the least strong
+pseudoprime to all of them, psi_13, exceeds that bound), far beyond
+anything this package meets.  The same primes serve as trial divisors
+first, so each base is prime to n when the strong test runs.
 """
 
 from math import gcd
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -91,11 +94,3 @@ def factorint(n: int) -> dict:
         stack.append(d)
         stack.append(m // d)
     return dict(sorted(out.items()))
-
-
-def euler_phi(n: int) -> int:
-    result = n
-    for p in factorint(n):
-        result = result // p * (p - 1)
-    return result
-

@@ -332,9 +332,10 @@ def _sym(a, m):
 def _hensel_lift(g_ints, facs_modp, p, k):
     """Lift monic factors of (g/lc mod p) to a monic factorization mod p^k.
 
-    g_ints: integer coefficients; facs_modp: monic int-coefficient factor
-    lists over GF(p) whose product is g/lc mod p.  Returns monic integer
-    factor lists mod p^k whose product is g/lc mod p^k.
+    g_ints: integer coefficients; facs_modp: at least two monic
+    int-coefficient factor lists over GF(p) whose product is g/lc mod p.
+    Returns monic integer factor lists mod p^k whose product is g/lc mod
+    p^k.
     """
     Fp = FiniteField(p)
 
@@ -361,10 +362,6 @@ def _hensel_lift(g_ints, facs_modp, p, k):
         return q, [x % m for x in a]
 
     r = len(facs_modp)
-    if r == 1:
-        lc = g_ints[-1]
-        inv_lc = pow(lc, -1, p**k)
-        return [[c * inv_lc % p**k for c in g_ints]]
     # bezout basis over GF(p): sigma_i with sum sigma_i * prod_{j != i} f_j = 1
     polys = [Poly.from_ints(Fp, f) for f in facs_modp]
     sigmas = []
@@ -420,17 +417,15 @@ def _factor_rational_squarefree(ints):
     if n <= 1:
         return [ints]
     lc = ints[-1]
-    # choose a prime keeping the reduction squarefree of full degree
+    # choose a prime keeping the reduction squarefree; a prime not dividing
+    # lc keeps its full degree
     from .numth import odd_primes
 
     p = None
     for cand in odd_primes(3):
         if lc % cand == 0:
             continue
-        Fp = FiniteField(cand)
-        fbar = Poly.from_ints(Fp, ints)
-        if fbar.degree != n:
-            continue
+        fbar = Poly.from_ints(FiniteField(cand), ints)
         if gcd(fbar, fbar.derivative()).degree == 0:
             p = cand
             break
@@ -539,48 +534,3 @@ def resultant(f: Poly, g: Poly):
         return F.zero
     scale = F.pow(g.lc(), f.degree - r.degree)
     return F.mul(sign, F.mul(scale, resultant(g, r)))
-
-
-_cyclo_cache: dict = {}
-
-
-def cyclotomic_ints(k: int):
-    """Integer coefficients of the k-th cyclotomic polynomial."""
-    if k in _cyclo_cache:
-        return _cyclo_cache[k]
-    f = Poly.from_ints(QQ, [-1] + [0] * (k - 1) + [1])
-    for d in range(1, k):
-        if k % d == 0:
-            f = f // Poly.from_ints(QQ, cyclotomic_ints(d))
-    out = tuple(int(c) for c in f.coeffs)
-    _cyclo_cache[k] = out
-    return out
-
-
-def cyclotomic_finite_order(f: Poly, degree_bound: int):
-    """If every irreducible factor of f divides some cyclotomic polynomial
-    with totient <= degree_bound, return the lcm of their orders, else None.
-
-    Works by stripping gcds with the finitely many candidate cyclotomics, so
-    no factorization over the coefficient field is needed.
-    """
-    from .numth import euler_phi
-
-    F = f.field
-    f = squarefree_part(f)
-    orders = []
-    # totients are not monotone, so scan all k below the safe horizon
-    horizon = 2 * (degree_bound + 1) ** 2 + 1
-    for k in range(1, horizon + 1):
-        if f.degree == 0:
-            break
-        if euler_phi(k) > degree_bound:
-            continue
-        phi_k = Poly.from_ints(F, cyclotomic_ints(k))
-        g = gcd(f, phi_k)
-        if g.degree > 0:
-            orders.append(k)
-            f = f // g
-    if f.degree > 0:
-        return None
-    return math.lcm(*orders) if orders else 1

@@ -4,9 +4,15 @@ The multiplicative decomposition g = s u (s diagonalizable, u unipotent,
 commuting) is computed by the classical Newton iteration on f*, the
 squarefree part of the characteristic polynomial (that of the minimal
 polynomial too); over the perfect fields supported here the components
-stay over the ground field.  f* also decides semisimplicity and, in
-characteristic 0, element orders.  Char-p function fields are refused,
-the top-level pipeline reduces those by evaluation first.
+stay over the ground field.  f* also decides semisimplicity.  Char-p
+function fields are refused, the top-level pipeline reduces those by
+evaluation first.
+
+Element orders are computed over GF(q) only, by powering: over an
+infinite field the pipeline asks orders of its finite images.  Over
+GF(q)(X) the one question it asks, whether a kernel generator has
+infinite order, is answered from the characteristic polynomial
+(has_infinite_order).
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from .errors import (
     NotUnipotent,
     NotUnipotentGenerator,
 )
-from .fields import FiniteField, FunctionField, NumberField
+from .fields import FiniteField, FunctionField
 from .groups import GroupSpec
 from .linalg import (
     Matrix,
@@ -30,9 +36,8 @@ from .linalg import (
     inverse,
     poly_at_matrix,
     quotient_action,
-    semisimple_minpoly,
 )
-from .poly import Poly, cyclotomic_finite_order, squarefree_part
+from .poly import squarefree_part
 from .record import Frozen
 from .witness import WItem, Witness
 
@@ -195,42 +200,33 @@ def s_part_group(G: GroupSpec, split: SplitResult) -> GroupSpec:
     return GroupSpec(G.field, split.gens_s)
 
 
-def _field_degree_over_prime(field, n):
-    """Degree bound for eigenvalue root-of-unity orders."""
-    if isinstance(field, NumberField):
-        return n * field.degree
-    if isinstance(field, FunctionField):
-        return _field_degree_over_prime(field.base, n)
-    return n
-
-
-def finite_order(g: Matrix):
-    """Multiplicative order of g, or None when infinite."""
+def finite_order(g: Matrix) -> int:
+    """Multiplicative order of g over GF(q), by powering."""
     F = g.field
-    n = g.n
-    ident = Matrix.identity(F, n)
-    if g == ident:
-        return 1
-    char = F.characteristic()
-    if char == 0:
-        fstar = semisimple_minpoly(g)
-        if fstar is None:
-            return None
-        if isinstance(F, FunctionField):
-            # finite order needs constant eigenvalue data
-            if any(len(c[0]) > 1 or len(c[1]) > 1 for c in fstar.coeffs):
-                return None
-            fstar = Poly.make(F.base, [F.base.div(c[0][0] if c[0] else F.base.zero, c[1][0]) for c in fstar.coeffs])
-        return cyclotomic_finite_order(fstar, _field_degree_over_prime(F, n))
     if not isinstance(F, FiniteField):
-        # char-p function field: an element of finite order has roots of
-        # unity as eigenvalues, which are constants, so its characteristic
-        # polynomial has constant coefficients
-        if any(len(c[0]) > 1 or len(c[1]) > 1 for c in charpoly(g).coeffs):
-            return None
+        raise ValueError(f"element orders are computed over finite fields only, not over {F.name()}")
+    ident = Matrix.identity(F, g.n)
     x = g
     for i in range(1, ORDER_CAP + 1):
         if x == ident:
             return i
         x = x * g
     raise CapExceeded(ORDER_CAP, "element order iteration")
+
+
+def has_infinite_order(g: Matrix) -> bool:
+    """Whether g over a char-p function field GF(q)(X) has infinite order:
+    exactly when a coefficient of its characteristic polynomial is not
+    constant.
+
+    If g has finite order, its eigenvalues are roots of unity, hence
+    algebraic over GF(q); GF(q) is algebraically closed in GF(q)(X), so
+    the coefficients of chi(g), symmetric functions of the eigenvalues,
+    lie in GF(q).  Conversely, if chi(g) has constant coefficients, then
+    chi(g)(g) = 0 puts every power of g in the finite algebra GF(q)[g],
+    which is spanned by 1, g, ..., g^(n-1) over GF(q); so the powers
+    repeat, and g, being invertible, has finite order."""
+    F = g.field
+    if not (isinstance(F, FunctionField) and F.characteristic() > 0):
+        raise ValueError(f"infinite order is decided over char-p function fields only, not over {F.name()}")
+    return any(len(num) > 1 or len(den) > 1 for num, den in charpoly(g).coeffs)

@@ -40,7 +40,7 @@ from .fields import FiniteField, FunctionField
 from .groups import Elt, GroupSpec, enumerate_group
 from .nilpotency import SylowSystem, is_nilpotent
 from .record import Record
-from .splitting import finite_order, is_unipotent_group, s_part_group
+from .splitting import has_infinite_order, is_unipotent_group, s_part_group
 from .witness import WItem, Witness
 
 
@@ -116,7 +116,7 @@ def _finiteness(G: GroupSpec, a: dict, char_p: bool):
         return True, "trivial", None
     if char_p:
         for z in a["kernel_gens"]:
-            if finite_order(z.mat) is None:
+            if has_infinite_order(z.mat):
                 return False, "evaluation-kernel", Witness(
                     kind="infinite_order_element",
                     context="input",

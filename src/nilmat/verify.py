@@ -3,17 +3,20 @@
 Every check here is plain matrix arithmetic on the matrices recorded in
 the report (plus characteristic polynomial work where a claim is about
 semisimplicity or element order), so a verdict can be audited without
-rerunning the pipeline that produced it.
+rerunning the pipeline that produced it.  Element orders are replayed
+where the pipeline computes them: a p-element claim over GF(q) only, and
+an infinite-order claim over a char-p function field only; anywhere else
+such a claim is not confirmed.
 """
 
 from __future__ import annotations
 
 from .errors import ParseError
-from .fields import FunctionField
+from .fields import FiniteField, FunctionField
 from .groups import GroupSpec, evaluate_word
 from .linalg import Matrix, inverse, nullspace, semisimple_minpoly
 from .numth import factorint, is_prime
-from .splitting import finite_order, is_unipotent_matrix
+from .splitting import finite_order, has_infinite_order, is_unipotent_matrix
 from .witness import Witness, deserialize_witness, deserialize_word
 
 # the generator sets that witness words index, as the pipeline emits them
@@ -37,18 +40,22 @@ def _is_prime(v) -> bool:
     return isinstance(v, int) and is_prime(v)
 
 
+def _char_p_function_field(F) -> bool:
+    return isinstance(F, FunctionField) and F.characteristic() > 0
+
+
 def _semisimplicity_decided(mat: Matrix) -> bool:
     """Whether semisimple_minpoly decides mat's semisimplicity: over a
     char-p function field the p-th roots that Yun's loop takes of the
     coefficients need not exist, so the claim fails closed."""
-    F = mat.field
-    return not (isinstance(F, FunctionField) and F.characteristic() > 0)
+    return not _char_p_function_field(mat.field)
 
 
 def _is_p_element(mat: Matrix, p: int) -> bool:
-    """mat has finite order, a power of the prime p."""
-    m = finite_order(mat)
-    return m is not None and not set(factorint(m)) - {p}
+    """mat lies over GF(q) and has order a power of the prime p.  The
+    pipeline labels items with primes only over GF(q), so a claim over
+    any other field fails closed."""
+    return isinstance(mat.field, FiniteField) and not set(factorint(finite_order(mat))) - {p}
 
 
 def _malformed(witness: Witness):
@@ -142,7 +149,9 @@ def verify_witness(witness: Witness, group: GroupSpec | None = None):
         x = witness.find("x") or witness.find("z")
         add("present", x is not None)
         if x:
-            add("infinite order", finite_order(x.mat) is None)
+            # the pipeline makes this claim over char-p function fields
+            # only; elsewhere it fails closed
+            add("infinite order", _char_p_function_field(x.mat.field) and has_infinite_order(x.mat))
             add("word consistent", word_consistent(x))
     elif kind == "non_p_element":
         # the p-elements of a nilpotent group form a subgroup, so a product

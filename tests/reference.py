@@ -7,9 +7,9 @@ value and repr for repr.  Polynomials are ascending coefficient tuples with
 a nonzero last entry.
 
 `minimal_polynomial` is the Krylov minimal polynomial over any Field, and
-`jordan` and `finite_order` are the Jordan split and element order built
-on it and on Yun's squarefree part: the references for the
-characteristic-polynomial route of nilmat.linalg and nilmat.splitting.
+`jordan` the Jordan split built on it and on Yun's squarefree part: the
+references for the characteristic-polynomial route of nilmat.linalg and
+nilmat.splitting, with `finite_order` the element order over GF(q).
 `Span` is the incremental row reduction they read Krylov annihilators
 off, and `spin_dim` the enveloping-algebra dimension the corpus tests
 read irreducibility off.
@@ -26,10 +26,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from nilmat.errors import CapExceeded
-from nilmat.fields import FiniteField, FunctionField, NumberField
 from nilmat.groups import Elt, word_inverse, word_mul
 from nilmat.linalg import Matrix, inverse
-from nilmat.poly import Poly, cyclotomic_finite_order, gcd, squarefree_decomposition
+from nilmat.poly import Poly, gcd, squarefree_decomposition
 
 
 def trim(cs):
@@ -247,25 +246,11 @@ def jordan(g: Matrix):
 
 
 def finite_order(g: Matrix):
-    """Multiplicative order of g, or None when infinite: over finite fields
-    by powering, in characteristic 0 from the cyclotomic factors of the
-    Krylov minimal polynomial, which must be squarefree (and, over Q(X),
-    have constant coefficients)."""
-    F, n = g.field, g.n
-    if isinstance(F, FiniteField):
-        x, k = g, 1
-        while not x.is_identity():
-            x, k = x * g, k + 1
-        return k
-    f = minimal_polynomial(g)
-    if yun_squarefree_part(f) != f:
-        return None
-    degree = n * F.degree if isinstance(F, NumberField) else n
-    if isinstance(F, FunctionField):
-        if any(len(num) > 1 or den != (F.base.one,) for num, den in f.coeffs):
-            return None
-        f = Poly.make(F.base, [num[0] if num else F.base.zero for num, _ in f.coeffs])
-    return cyclotomic_finite_order(f, degree)
+    """Multiplicative order of g over a finite field, by powering."""
+    x, k = g, 1
+    while not x.is_identity():
+        x, k = x * g, k + 1
+    return k
 
 
 @dataclass

@@ -386,6 +386,45 @@ def test_batch_mode_collects_errors(tmp_path, capsys):
     assert "error" in reports[1]
 
 
+def test_batch_mode_exits_one_on_a_budget_error(tmp_path, capsys):
+    """Under --cap 2 the unipotent Heisenberg group needs no closure, but D8
+    over GF(5) overflows its Sylow 2-closure: that entry records the budget
+    error and the batch exits 1."""
+    write(tmp_path, "a_heis.json", HEIS)
+    write(tmp_path, "b_d8.json", dict(D8, field={"kind": "GF", "p": 5, "l": 1}))
+    assert main(["is-nilpotent", "--dir", str(tmp_path), "--cap", "2"]) == 1
+    reports = json.loads(capsys.readouterr().out)
+    assert reports[0]["verdict"]["nilpotent"] is True
+    assert reports[1]["error"].startswith("CapExceeded: ")
+
+
+def test_budgets_hit_flags_the_reduction(tmp_path, capsys):
+    """A reduction prime not above the degree, and an evaluation image that
+    is not semisimple, are recorded in budgets_hit: Q8 <= GL(4, Q) reduced
+    at the forced prime 3, and <[[1, 1], [0, 1]], X I> over GF(5)(X)."""
+    from corpus import rational_corpus
+
+    q8 = next(e.group for e in rational_corpus() if e.name == "Q8")
+    assert q8.degree == 4
+    path = write(tmp_path, "q8.json", group_to_json(q8))
+    assert main(["is-nilpotent", str(path), "--json", "--prime", "3"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["verdict"]["nilpotent"] is True
+    assert rep["congruence"]["p"] == 3 and rep["congruence"]["checks"]["p_gt_n"] is False
+    assert rep["budgets_hit"] == ["prime_not_above_degree"]
+    one, zero, x = {"num": ["1"], "den": ["1"]}, {"num": [], "den": ["1"]}, {"num": ["0", "1"], "den": ["1"]}
+    ffp = {
+        "field": {"kind": "FF", "base": {"kind": "GF", "p": 5, "l": 1}},
+        "generators": [[[one, one], [zero, one]], [[x, zero], [zero, x]]],
+    }
+    path = write(tmp_path, "ffp.json", ffp)
+    assert main(["is-nilpotent", str(path), "--json"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["verdict"]["nilpotent"] is True
+    assert rep["congruence"]["checks"]["image_semisimple"] is False
+    assert rep["budgets_hit"] == ["evaluation_image_not_semisimple"]
+
+
 def test_imperfect_field_commands_exit_one(tmp_path, capsys):
     path = write(
         tmp_path,

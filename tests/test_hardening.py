@@ -292,20 +292,65 @@ def test_input_words_need_the_group():
 
 def test_forged_adjoint_context_is_not_confirmed():
     """No path emits the retired adjoint context, whose items carry no
-    generators to replay against: on D8 over Q a cross-prime pair of rot90
-    and an order-3 matrix foreign to the group is rejected by its context."""
-    G = GroupSpec(QQ, [Matrix.from_ints(QQ, [[0, -1], [1, 0]]), Matrix.from_ints(QQ, [[1, 0], [0, -1]])])
+    generators to replay against: on D8 over GF(7) a cross-prime pair of
+    rot90 and an order-3 element of GL(2, 7) foreign to the group is
+    rejected by its context alone."""
+    F7 = FiniteField(7)
+    G = GroupSpec(F7, [Matrix.from_ints(F7, [[0, -1], [1, 0]]), Matrix.from_ints(F7, [[1, 0], [0, -1]])])
     pair = Witness(
         kind="non_commuting_pair",
         context="adjoint",
         items=(
             WItem("x", G.gens[0], ((0, 1),), {"prime": 2}),
-            WItem("y", Matrix.from_ints(QQ, [[0, -1], [1, -1]]), ((1, 1),), {"prime": 3}),
+            WItem("y", Matrix.from_ints(F7, [[0, -1], [1, -1]]), ((1, 1),), {"prime": 3}),
         ),
     )
     ok, checks = verify_report({"witness": serialize_witness(pair)}, G)
     assert not ok and ("known context (adjoint)", False, "") in checks
     assert all(passed for name, passed, _ in checks if name != "known context (adjoint)"), checks
+
+
+def test_order_claims_replay_only_over_finite_and_char_p_fields():
+    """The pipeline computes element orders over GF(q) and decides infinite
+    order over GF(q)(X) only, and the verifier replays order claims only
+    there: on D8 over Q, forged infinite-order and cross-prime claims are
+    not confirmed, while the genuine infinite-order witness of D8 x <X I>
+    over GF(5)(X) is."""
+    from nilmat.fields import FunctionField
+
+    ROT, REFL, D21, C3 = [[0, -1], [1, 0]], [[1, 0], [0, -1]], [[2, 0], [0, 1]], [[0, -1], [1, -1]]
+    rot, refl, d21, c3 = (Matrix.from_ints(QQ, rows) for rows in (ROT, REFL, D21, C3))
+    swap = Matrix.from_ints(QQ, [[0, 1], [1, 0]])
+    G = GroupSpec(QQ, [rot, refl])
+
+    def ctx(*gens):
+        return tuple(WItem(f"context_gen_{i}", g) for i, g in enumerate(gens))
+
+    forgeries = (
+        (Witness("infinite_order_element", "s_parts", (WItem("x", d21, ((0, 1),)),) + ctx(d21, refl)), "infinite order"),
+        (Witness("infinite_order_element", "input", (WItem("x", d21),)), "infinite order"),
+        (
+            Witness("non_commuting_pair", "input", (WItem("x", swap, None, {"prime": 2}), WItem("y", c3, None, {"prime": 3}))),
+            "y is a 3-element",
+        ),
+        (
+            Witness(
+                "non_commuting_pair",
+                "image",
+                (WItem("x", rot, ((0, 1),), {"prime": 2}), WItem("y", c3, ((1, 1),), {"prime": 3})) + ctx(rot, c3),
+            ),
+            "y is a 3-element",
+        ),
+    )
+    for forged, failing in forgeries:
+        ok, checks = verify_report({"witness": serialize_witness(forged)}, G)
+        assert not ok and (failing, False, "") in checks, (forged.kind, forged.context, checks)
+    F = FunctionField(FiniteField(5))
+    H = GroupSpec(F, [Matrix.from_ints(F, ROT), Matrix.from_ints(F, REFL), Matrix.diagonal(F, (F.x(), F.x()))])
+    rep = run_command("order", H)
+    assert rep["verdict"]["finite"] is False and rep["witness"]["kind"] == "infinite_order_element"
+    ok, checks = verify_report(rep, H)
+    assert ok, checks
 
 
 def test_non_semisimple_claims_replay_only_where_decided():

@@ -100,10 +100,6 @@ def test_is_nilpotent_cubic_number_field():
     rot = _m(nf, [[0, -1], [1, 0]])
     v2 = is_nilpotent(GroupSpec(nf, [rot]))
     assert v2.nilpotent
-    from nilmat.splitting import finite_order
-
-    assert finite_order(g) is None
-    assert finite_order(rot) == 4
 
 
 def test_is_nilpotent_function_field_char_zero():

@@ -8,8 +8,6 @@ from nilmat.errors import ImperfectField, UnsupportedField
 from nilmat.fields import QQ, FiniteField, FunctionField, NumberField
 from nilmat.poly import (
     Poly,
-    cyclotomic_finite_order,
-    cyclotomic_ints,
     factor,
     gcd,
     is_irreducible_over_Q,
@@ -146,22 +144,6 @@ def test_is_irreducible_over_Q():
     assert is_irreducible_over_Q(Poly.from_ints(QQ, [-2, 0, 1]))
     assert not is_irreducible_over_Q(Poly.from_ints(QQ, [-1, 0, 1]))
     assert is_irreducible_over_Q(Poly.from_ints(QQ, [1, 1, 1, 1, 1]))  # 5th cyclotomic
-
-
-def test_cyclotomic_polynomials():
-    assert cyclotomic_ints(1) == (-1, 1)
-    assert cyclotomic_ints(4) == (1, 0, 1)
-    assert cyclotomic_ints(6) == (1, -1, 1)
-    assert cyclotomic_ints(12) == (1, 0, -1, 0, 1)
-
-
-def test_cyclotomic_finite_order_examples():
-    assert cyclotomic_finite_order(Poly.from_ints(QQ, [-1, 1]), 3) == 1
-    assert cyclotomic_finite_order(Poly.from_ints(QQ, [1, 0, 1]), 2) == 4
-    assert cyclotomic_finite_order(Poly.from_ints(QQ, [-2, 1]), 4) is None
-    # (X-1)(X^2+X+1): orders 1 and 3
-    f = Poly.from_ints(QQ, [-1, 1]) * Poly.from_ints(QQ, [1, 1, 1])
-    assert cyclotomic_finite_order(f, 2) == 3
 
 
 def test_resultant_and_discriminant():
