@@ -5,9 +5,11 @@
     python3 scripts/report_digest.py --seed N --hashes > tests/data/report-hashes-N.txt
 
 Every group of the `finite`, `char0` and `cli` stocks (bench/stock.py,
-drawn at seed N) and of the tests/corpus.py corpora is written to a group
-file and run through `nilmat.cli` with `--json`, once for each of
-is-nilpotent, order, sylow, primary and cr-series.  Each report gives one
+drawn at seed N) and of the tests/corpus.py corpora, plus each finite
+rational group conjugated by an integer matrix of determinant 3 (so that
+its entries have denominators), is written to a group file and run
+through `nilmat.cli` with `--json`, once for each of is-nilpotent, order,
+sylow, primary and cr-series.  Each report gives one
 line: the group's label, the command, the exit code, and the report as
 compact JSON without its `wall_ms` timing (for a nonzero exit, the error
 line instead).  Reports are deterministic apart from `wall_ms`, so two
@@ -58,6 +60,9 @@ def groups(seed):
     for k in (2, 3):
         yield f"corpus-gf/Q8^{k}-diag", corpus.q8_power_with_diagonal(k)
     yield "corpus-gf/semidihedral(127)", corpus.semidihedral(127)
+    # last: each report names its group file, whose number is the group's place here
+    for c in (corpus.denominator_conjugate(e) for e in base if e.finite):
+        yield f"corpus-q/{c.name}", c.group
 
 
 def run(cmd, path):

@@ -10,11 +10,20 @@ tests them.  The checks bundled in CongruenceData are exactly the ones
 that buy that guarantee: p odd, coprime to the denominators, unramified
 for number fields, and keeping the generators' minimal polynomials
 squarefree so the image stays semisimple.
+
+Two rules pick the map.  Over Q and number fields the prime is the least
+valid odd one, preferring p > n, from one trial (_try_prime) in which Q
+is the degree-1 case.  Over a function field the evaluation point is the
+first admissible one in a fixed candidate order, for either base: no
+denominator factor vanishes there, and over Q(X) the evaluated group has
+a valid prime.  Over a finite base checks.image_semisimple records
+whether that point's image is semisimple; no point is passed over for it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count, islice
 
 from .config import DEFAULT, Config
 from .errors import DenominatorDivisible, NoPrimeInRange, UnsupportedField
@@ -70,28 +79,13 @@ class CongruenceData(Frozen):
         return out
 
 
-def _rational_denominator_primes(mats):
-    dens = set()
-    for m in mats:
-        for row in m.rows:
-            for c in row:
-                if c.denominator != 1:
-                    dens.add(c.denominator)
-    out = set()
-    for d in dens:
-        out.update(factorint(d))
-    return tuple(sorted(out))
-
-
-def _numberfield_denominator_primes(field, mats):
-    out = set()
-    for m in mats:
-        for row in m.rows:
-            for c in row:
-                z = field.denominator_clearing(c)
-                if z > 1:
-                    out.update(factorint(z))
-    return tuple(sorted(out))
+def _denominator_primes(field, mats):
+    """Primes dividing the least integer that clears some entry: over Q the
+    entry's denominator, over a number field that of its power-basis
+    coefficients."""
+    clear = (lambda c: c.denominator) if isinstance(field, RationalField) else field.denominator_clearing
+    dens = {clear(c) for m in mats for row in m.rows for c in row}
+    return tuple(sorted({q for z in dens if z > 1 for q in factorint(z)}))
 
 
 def _functionfield_denominator_factors(field, mats):
@@ -119,10 +113,8 @@ def denominator_set(G: GroupSpec):
     """Denominator data of the generators and their inverses."""
     mats = list(G.gens) + list(G.invs)
     F = G.field
-    if isinstance(F, RationalField):
-        return _rational_denominator_primes(mats)
-    if isinstance(F, NumberField):
-        return _numberfield_denominator_primes(F, mats)
+    if isinstance(F, (RationalField, NumberField)):
+        return _denominator_primes(F, mats)
     if isinstance(F, FunctionField):
         return _functionfield_denominator_factors(F, mats)
     raise UnsupportedField("denominator analysis applies to infinite coefficient fields")
@@ -141,29 +133,7 @@ def _minpoly_stays_squarefree(h: Poly, reduce_coeff, target):
     return poly_gcd(hbar, hbar.derivative()).degree == 0
 
 
-def _try_prime_rational(G, pi, minpolys, p):
-    if p % 2 == 0 or any(p == q for q in pi):
-        return None
-    target = FiniteField(p)
-    if not all(
-        _minpoly_stays_squarefree(h, lambda c: reduce_mod(c, p), target) for h in minpolys
-    ):
-        return None
-    return CongruenceData(
-        source=G.field,
-        pi=pi,
-        p=p,
-        target=target,
-        checks={
-            "odd": True,
-            "coprime_to_denominators": True,
-            "minpoly_squarefree_mod_p": True,
-            "p_gt_n": p > G.degree,
-        },
-    )
-
-
-def _first_valid_prime(G, minpolys, try_prime):
+def _first_valid_prime(G, try_prime):
     """Least odd prime p <= PRIME_CAP with try_prime(p) not None, preferring
     p > n."""
     for require_gt_n in (True, False):
@@ -191,64 +161,46 @@ def _frobenius_roots(target: FiniteField):
     return roots
 
 
-def _nf_reduction_map(target, aimg, p):
-    """Coefficient-tuple reduction Q(a) -> GF(p^l) at the chosen root (an
+def _reduction_map(target, aimg, p):
+    """Coefficient reduction into target: Q -> GF(p) when aimg is None, else
+    Q(a) -> GF(p^l) on coefficient tuples at the chosen root aimg (an
     element of GF(p) is its own digit encoding in GF(p^l))."""
+    if aimg is None:
+        return lambda c: reduce_mod(c, p)
     return lambda c: pt_eval(target, [reduce_mod(x, p) for x in c], aimg)
 
 
-def _try_prime_numberfield(G, pi, minpolys, disc_num, p):
+def _try_prime(G, pi, minpolys, disc_num, p):
+    """The CongruenceData of the prime p for G over Q or a number field, or
+    None when p fails a check.  Q is the degree-1 case: disc_num is 1 and
+    the target is GF(p).  A number field maps its generator to the least
+    root of its defining polynomial in GF(p^l), l the least degree of a
+    factor mod p."""
     F = G.field
-    if p % 2 == 0 or any(p == q for q in pi) or disc_num % p == 0:
+    if p % 2 == 0 or p in pi or disc_num % p == 0:
         return None
-    Fp = FiniteField(p)
-    fbar = Poly.from_ints(Fp, F.minpoly)
-    _, facs = factor(fbar)
-    facs = sorted((g for g, _ in facs), key=lambda g: (g.degree, g.coeffs))
-    l = facs[0].degree
-    if l == 1:
-        # least root among the linear factors
-        target = Fp
-        aimg = min(Fp.neg(g.coeffs[0]) for g in facs if g.degree == 1)
-    else:
-        chosen = facs[0]
-        target = FiniteField(p, l, tuple(int(c) for c in chosen.coeffs))
-        aimg = _frobenius_roots(target)[0]
-    red = _nf_reduction_map(target, aimg, p)
+    target, aimg = FiniteField(p), None
+    checks = {"odd": True, "coprime_to_denominators": True}
+    if isinstance(F, NumberField):
+        _, facs = factor(Poly.from_ints(target, F.minpoly))
+        facs = sorted((g for g, _ in facs), key=lambda g: (g.degree, g.coeffs))
+        if facs[0].degree == 1:
+            aimg = min(target.neg(g.coeffs[0]) for g in facs if g.degree == 1)
+        else:
+            target = FiniteField(p, facs[0].degree, tuple(int(c) for c in facs[0].coeffs))
+            aimg = _frobenius_roots(target)[0]
+        checks["unramified"] = True
+    red = _reduction_map(target, aimg, p)
     if not all(_minpoly_stays_squarefree(h, red, target) for h in minpolys):
         return None
-    return CongruenceData(
-        source=F,
-        pi=pi,
-        p=p,
-        target=target,
-        alpha_image=aimg,
-        checks={
-            "odd": True,
-            "coprime_to_denominators": True,
-            "unramified": True,
-            "minpoly_squarefree_mod_p": True,
-            "p_gt_n": p > G.degree,
-        },
-    )
-
-
-def _prime_trial(G, minpolys):
-    """try_prime(p): the CongruenceData of the prime p for G over Q or a
-    number field, or None when p fails a check.  The denominator primes,
-    and a number field's discriminant, are computed once for all p."""
-    F = G.field
-    pi = denominator_set(G)
-    if isinstance(F, NumberField):
-        fq = Poly.from_ints(QQ, F.minpoly)
-        disc_num = abs(resultant(fq, fq.derivative()).numerator)
-        return lambda p: _try_prime_numberfield(G, pi, minpolys, disc_num, p)
-    return lambda p: _try_prime_rational(G, pi, minpolys, p)
+    checks.update(minpoly_squarefree_mod_p=True, p_gt_n=p > G.degree)
+    return CongruenceData(source=F, pi=pi, p=p, target=target, alpha_image=aimg, checks=checks)
 
 
 def _select_prime(G, minpolys, prime_override):
     """The user's prime when it passes every check, else the least valid
-    one; NoPrimeInRange when there is none.
+    one; NoPrimeInRange when there is none.  The denominator primes and a
+    number field's discriminant are computed once for all primes tried.
 
     A generator that is not semisimple (minpolys holds None for it) has a
     minimal polynomial h with a repeated factor g^2, which fails at every
@@ -260,43 +212,45 @@ def _select_prime(G, minpolys, prime_override):
     for i, h in enumerate(minpolys):
         if h is None:
             raise NoPrimeInRange(f"generator {i} is not semisimple, so no prime keeps its minimal polynomial squarefree")
-    try_prime = _prime_trial(G, minpolys)
+    F = G.field
+    pi = denominator_set(G)
+    disc_num = 1
+    if isinstance(F, NumberField):
+        fq = Poly.from_ints(QQ, F.minpoly)
+        disc_num = abs(resultant(fq, fq.derivative()).numerator)
     if prime_override is None:
-        return _first_valid_prime(G, minpolys, try_prime)
+        return _first_valid_prime(G, lambda p: _try_prime(G, pi, minpolys, disc_num, p))
     if not is_prime(prime_override):
         raise NoPrimeInRange(f"prime {prime_override} is not prime")
-    cd = try_prime(prime_override)
+    cd = _try_prime(G, pi, minpolys, disc_num, prime_override)
     if cd is None:
         raise NoPrimeInRange(f"prime {prime_override} fails the validity checks")
     return cd
 
 
 def _ff_candidate_points(base, seed=0):
-    """Evaluation point candidates in a canonical order; finite bases extend
-    to GF(p^(l*k)) when the base is exhausted."""
+    """Evaluation point candidates in a canonical order: 0, 1, 2, ... over
+    Q; the elements of a finite base, then of GF(p^(l*k)) for k = 2, 3, ..."""
     if isinstance(base, RationalField):
-        k = 0
-        while k <= EVAL_CAP:
-            yield base, Fraction(k)
-            k += 1
+        yield from ((base, Fraction(k)) for k in count())
         return
     for a in base.elements():
         yield base, a
-    k = 2
-    while True:
+    for k in count(2):
         ext = FiniteField(base.p, base.l * k, seed=seed)
         for a in ext.elements():
             yield ext, a
-        k += 1
 
 
-def _embedding(base: FiniteField, ext: FiniteField):
-    """Field embedding GF(p^l) -> GF(p^(l*k)) determined by the least root of
-    the base modulus in the extension."""
+def _embedding(base, ext):
+    """The base field's map into the field ext of an evaluation point: the
+    identity when ext is the base, else the embedding GF(p^l) ->
+    GF(p^(l*k)) determined by the least root of the base modulus in ext."""
+    if ext == base:
+        return lambda a: a
     if base.l == 1:
-        return lambda a, ext=ext: ext.from_coeffs([a])
-    mod_poly = Poly.from_ints(ext, base.modulus)
-    _, facs = factor(mod_poly)
+        return lambda a: ext.from_coeffs([a])
+    _, facs = factor(Poly.from_ints(ext, base.modulus))
     roots = sorted(
         (ext.neg(g.coeffs[0]) for g, _ in facs if g.degree == 1),
         key=lambda a: tuple(ext.digits(a)),
@@ -310,7 +264,7 @@ def _evaluate_ff_matrix(field: FunctionField, m: Matrix, point_field, point):
     """m at X = point over point_field, the base itself or an extension of
     a finite base."""
     B = point_field
-    conv = (lambda v: v) if B == field.base else _embedding(field.base, B)
+    conv = _embedding(field.base, B)
 
     def ev(c):
         num, den = (pt_eval(B, [conv(x) for x in part], point) for part in c)
@@ -322,76 +276,43 @@ def _evaluate_ff_matrix(field: FunctionField, m: Matrix, point_field, point):
 
 
 def _select_modulus_functionfield(G, config):
+    """The first admissible point among the first EVAL_CAP candidates: no
+    denominator factor vanishes there, and over Q(X) the evaluated group
+    has a valid prime.  When a prime override fails at every admissible
+    point, its own failure is raised."""
     F = G.field
     base = F.base
     pi = denominator_set(G)
-    pi_polys = [Poly.make(base, cs) for cs in pi]
-    n = G.degree
-    tried = 0
-    fallback = None
-    for point_field, a in _ff_candidate_points(base, seed=config.seed):
-        tried += 1
-        if tried > EVAL_CAP:
-            break
-        # the point must not be a root of any denominator factor
-        if isinstance(base, RationalField):
-            if any(g.evaluate(a) == 0 for g in pi_polys):
-                continue
-            try:
-                evaluated = [_evaluate_ff_matrix(F, g, QQ, a) for g in G.gens]
-            except ZeroDivisionError:
-                continue
-            Geval = GroupSpec(QQ, evaluated)
-            minpolys = [semisimple_minpoly(g) for g in evaluated]
-            try:
-                inner = _select_prime(Geval, minpolys, config.prime_override)
-            except NoPrimeInRange:
-                continue
-            return CongruenceData(
-                source=F,
-                pi=pi,
-                p=inner.p,
-                target=inner.target,
-                eval_point=a,
-                eval_target=QQ,
-                pi_after_eval=inner.pi,
-                checks=dict(inner.checks, evaluation_point_admissible=True),
-            )
-        else:
-            if point_field is base:
-                vanishes = any(base.is_zero(g.evaluate(a)) for g in pi_polys)
-            else:
-                emb = _embedding(base, point_field)
-                vanishes = any(
-                    point_field.is_zero(
-                        Poly.make(point_field, [emb(c) for c in g.coeffs]).evaluate(a)
-                    )
-                    for g in pi_polys
-                )
-            if vanishes:
-                continue
-            try:
-                evaluated = [_evaluate_ff_matrix(F, g, point_field, a) for g in G.gens]
-            except ZeroDivisionError:
-                continue
-            semisimple = all(semisimple_minpoly(m) is not None for m in evaluated)
-            cd = CongruenceData(
-                source=F,
-                pi=pi,
-                p=base.p,
-                target=point_field,
-                eval_point=a,
-                eval_target=point_field,
-                checks={"evaluation_point_admissible": True, "image_semisimple": semisimple},
-            )
-            # prefer a point keeping the generators semisimple; otherwise the
-            # first admissible point still gives a valid evaluation
-            if semisimple:
-                return cd
-            if fallback is None:
-                fallback = cd
-    if fallback is not None:
-        return fallback
+    rejected = None
+    for B, a in islice(_ff_candidate_points(base, seed=config.seed), EVAL_CAP):
+        conv = _embedding(base, B)
+        if any(B.is_zero(pt_eval(B, [conv(c) for c in g], a)) for g in pi):
+            continue
+        evaluated = [_evaluate_ff_matrix(F, g, B, a) for g in G.gens]
+        minpolys = [semisimple_minpoly(m) for m in evaluated]
+        if not isinstance(base, RationalField):
+            checks = {"evaluation_point_admissible": True, "image_semisimple": None not in minpolys}
+            return CongruenceData(source=F, pi=pi, p=base.p, target=B, eval_point=a, eval_target=B, checks=checks)
+        if None in minpolys:
+            # no prime can pass here, so a kept rejection is about the prime
+            continue
+        try:
+            inner = _select_prime(GroupSpec(QQ, evaluated), minpolys, config.prime_override)
+        except NoPrimeInRange as e:
+            rejected = e
+            continue
+        return CongruenceData(
+            source=F,
+            pi=pi,
+            p=inner.p,
+            target=inner.target,
+            eval_point=a,
+            eval_target=QQ,
+            pi_after_eval=inner.pi,
+            checks=dict(inner.checks, evaluation_point_admissible=True),
+        )
+    if rejected is not None and config.prime_override is not None:
+        raise rejected
     raise NoPrimeInRange(f"no admissible evaluation data within {EVAL_CAP} candidates")
 
 
@@ -416,10 +337,8 @@ def apply_congruence(m: Matrix, cd: CongruenceData) -> Matrix:
     """Entrywise reduction of a matrix through the validated modulus."""
     F = cd.source
     target = cd.target
-    if isinstance(F, RationalField):
-        return Matrix.make(target, [[reduce_mod(c, cd.p) for c in row] for row in m.rows])
-    if isinstance(F, NumberField):
-        red = _nf_reduction_map(target, cd.alpha_image, cd.p)
+    if isinstance(F, (RationalField, NumberField)):
+        red = _reduction_map(target, cd.alpha_image, cd.p)
         return Matrix.make(target, [[red(c) for c in row] for row in m.rows])
     if isinstance(F, FunctionField):
         evaluated = _evaluate_ff_matrix(F, m, cd.eval_target, cd.eval_point)

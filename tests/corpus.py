@@ -57,24 +57,26 @@ _CONJ = {
 }
 
 
+def _conjugate(entry: CorpusGroup, t: Matrix, name: str):
+    tinv = inverse(t)
+    gens = [t * g * tinv for g in entry.group.gens]
+    return CorpusGroup(name, GroupSpec(t.field, gens), entry.nilpotent, entry.finite, entry.order)
+
+
 def conjugated_variants(entry: CorpusGroup, count=2):
-    out = []
     F = entry.group.field
+    rows = _CONJ.get(entry.group.degree, [])[:count]
+    return [_conjugate(entry, Matrix.from_ints(F, r), f"{entry.name}-conj{k}") for k, r in enumerate(rows)]
+
+
+def denominator_conjugate(entry: CorpusGroup):
+    """entry conjugated by diag(3, 1, ..., 1) plus ones on the
+    superdiagonal, an integer matrix of determinant 3, so the generators
+    gain entries with denominator 3 while every invariant stays."""
     n = entry.group.degree
-    for k, rows in enumerate(_CONJ.get(n, [])[:count]):
-        t = Matrix.from_ints(F, rows)
-        tinv = inverse(t)
-        gens = [t * g * tinv for g in entry.group.gens]
-        out.append(
-            CorpusGroup(
-                f"{entry.name}-conj{k}",
-                GroupSpec(F, gens),
-                entry.nilpotent,
-                entry.finite,
-                entry.order,
-            )
-        )
-    return out
+    rows = [[int(i == j) + int(j == i + 1) for j in range(n)] for i in range(n)]
+    rows[0][0] = 3
+    return _conjugate(entry, Matrix.from_ints(entry.group.field, rows), f"{entry.name}-den3")
 
 
 def rational_corpus():

@@ -425,6 +425,20 @@ def test_budgets_hit_flags_the_reduction(tmp_path, capsys):
     assert rep["budgets_hit"] == ["evaluation_image_not_semisimple"]
 
 
+def test_prime_override_over_q_x_names_the_prime(tmp_path, capsys):
+    """--prime 2 fails at every admissible evaluation point of D8 x <X I>
+    over Q(X): the error names the prime, as over Q, not the point search."""
+    one, neg, zero = ({"num": [c], "den": ["1"]} for c in ("1", "-1", "0"))
+    x = {"num": ["0", "1"], "den": ["1"]}
+    d8x = {
+        "field": {"kind": "FF", "base": {"kind": "Q"}},
+        "generators": [[[zero, neg], [one, zero]], [[one, zero], [zero, neg]], [[x, zero], [zero, x]]],
+    }
+    path = write(tmp_path, "d8x.json", d8x)
+    assert main(["is-nilpotent", str(path), "--prime", "2"]) == 1
+    assert capsys.readouterr().err.strip().endswith("NoPrimeInRange: prime 2 fails the validity checks")
+
+
 def test_imperfect_field_commands_exit_one(tmp_path, capsys):
     path = write(
         tmp_path,

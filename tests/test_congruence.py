@@ -8,6 +8,7 @@ import pytest
 from corpus import char0_groups, prime_part_groups, rational_finite_corpus
 from reference import congruence_kernel
 
+from nilmat.cli import run_command
 from nilmat.config import DEFAULT
 from nilmat.congruence import (
     apply_congruence,
@@ -22,6 +23,10 @@ from nilmat.groups import GroupSpec, enumerate_group, schreier_generators
 from nilmat.linalg import Matrix
 from nilmat.nilpotency import is_nilpotent
 from nilmat.poly import Poly, resultant
+from nilmat.structure import analyze
+from nilmat.testkit import closure, oracle_invariants
+from nilmat.verify import verify_report
+from nilmat.witness import serialize_witness
 
 
 def test_denominator_set_examples():
@@ -127,8 +132,7 @@ def test_select_modulus_fails_fast_on_repeated_minpoly_factor(kind, monkeypatch)
     def never(*args):
         raise AssertionError("a prime was tried")
 
-    monkeypatch.setattr(congruence, "_try_prime_rational", never)
-    monkeypatch.setattr(congruence, "_try_prime_numberfield", never)
+    monkeypatch.setattr(congruence, "_try_prime", never)
     for config in (DEFAULT, DEFAULT.with_(prime_override=7)):
         with pytest.raises(NoPrimeInRange, match="^generator 0 is not semisimple"):
             select_modulus(G, config)
@@ -170,6 +174,84 @@ def test_function_field_finite_base_extension_point():
     assert img.field.q == 4
     # evaluation stays a homomorphism into GL(2, 4)
     assert apply_congruence(g * g, cd) == img * img
+
+
+def test_function_field_point_is_the_first_admissible_one(monkeypatch):
+    """Over GF(5)(X) the evaluation point is the first at which no
+    denominator vanishes, semisimple image or not: <u, X I> and <u>, u =
+    [[1, 1], [0, 1]], have their generators evaluated at that one point,
+    and keep their verdict, finiteness and order."""
+    from nilmat import congruence
+
+    ff = FunctionField(FiniteField(5))
+    u = Matrix.from_ints(ff, [[1, 1], [0, 1]])
+    points = []
+    original = congruence._evaluate_ff_matrix
+
+    def counting(field, m, point_field, point):
+        points.append(point)
+        return original(field, m, point_field, point)
+
+    monkeypatch.setattr(congruence, "_evaluate_ff_matrix", counting)
+    for gens, point, order in (([u, Matrix.diagonal(ff, (ff.x(), ff.x()))], 1, None), ([u], 0, 5)):
+        G = GroupSpec(ff, gens)
+        points.clear()
+        cd = select_modulus(G)
+        assert points == [point] * len(gens)
+        assert cd.eval_point == point and cd.checks["image_semisimple"] is False
+        rep = analyze(G)
+        assert (rep.nilpotent, rep.finite, rep.order) == (True, order is not None, order)
+
+
+def test_function_field_first_point_decides_heisenberg_and_witness():
+    """<e12(X + 1), e23(X + 1)> over GF(5)(X) is evaluated at X = 0, where
+    its image is faithful, so it gets the oracle's answer (at X = 4 both
+    generators are 1).  <[[1, X + 1], [0, 1]], swap> is refuted by a pair
+    in its image at X = 0, and the witness replays over the source."""
+    ff = FunctionField(FiniteField(5))
+    c, o, z = ff.add(ff.x(), ff.one), ff.one, ff.zero
+    heis = GroupSpec(ff, [Matrix.make(ff, [[o, c, z], [z, o, z], [z, z, o]]), Matrix.make(ff, [[o, z, z], [z, o, c], [z, z, o]])])
+    truth = oracle_invariants(closure(heis.gens, 10**3))
+    rep = analyze(heis)
+    assert (rep.nilpotent, rep.finite, rep.order) == (truth["nilpotent"], True, truth["order"]) == (True, True, 125)
+    G = GroupSpec(ff, [Matrix.make(ff, [[o, c], [z, o]]), Matrix.from_ints(ff, [[0, 1], [1, 0]])])
+    v = is_nilpotent(G)
+    assert not v.nilpotent and (v.witness.kind, v.witness.context) == ("non_commuting_pair", "image")
+    ok, checks = verify_report({"witness": serialize_witness(v.witness)}, G)
+    assert ok, checks
+
+
+def test_function_field_extension_of_an_extension_base():
+    """Over GF(4)(X) the denominator X^4 + X vanishes at every point of
+    GF(4), so the point moves to GF(16), outside the embedded GF(4); the
+    embedding is a ring map on all of GF(4), and both verdicts replay."""
+    from nilmat import congruence
+
+    base = FiniteField(2, 2)
+    ff = FunctionField(base)
+    x = ff.x()
+    d = ff.add(ff.mul(ff.mul(x, x), ff.mul(x, x)), x)
+    g = Matrix.diagonal(ff, (d, ff.one))
+    G = GroupSpec(ff, [g])
+    cd = select_modulus(G)
+    ext = cd.eval_target
+    assert ext.q == 16
+    emb = congruence._embedding(base, ext)
+    embedded = {emb(a) for a in base.elements()}
+    assert len(embedded) == 4 and cd.eval_point not in embedded
+    for a in base.elements():
+        for b in base.elements():
+            assert emb(base.add(a, b)) == ext.add(emb(a), emb(b))
+            assert emb(base.mul(a, b)) == ext.mul(emb(a), emb(b))
+    rep = run_command("is-finite", G)
+    assert rep["verdict"]["nilpotent"] is True and rep["verdict"]["finite"] is False
+    ok, checks = verify_report(rep, G)
+    assert ok, checks
+    G2 = GroupSpec(ff, [g, Matrix.from_ints(ff, [[0, 1], [1, 0]])])
+    rep2 = run_command("is-nilpotent", G2)
+    assert rep2["verdict"]["nilpotent"] is False
+    ok, checks = verify_report(rep2, G2)
+    assert ok, checks
 
 
 def test_apply_congruence_examples():
