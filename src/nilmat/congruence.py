@@ -23,6 +23,7 @@ whether that point's image is semisimple; no point is passed over for it.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import count, islice
 
 from .config import DEFAULT, Config
@@ -250,6 +251,15 @@ def _embedding(base, ext):
         return lambda a: a
     if base.l == 1:
         return lambda a: ext.from_coeffs([a])
+    root = _modulus_root(base, ext)
+    return lambda a: pt_eval(ext, base.digits(a), root)
+
+
+@cache
+def _modulus_root(base, ext):
+    """The least root in ext of the modulus of base, factored once per
+    (base, ext) pair: every candidate point and every reduced matrix asks
+    for the same embedding."""
     _, facs = factor(Poly.from_ints(ext, base.modulus))
     roots = sorted(
         (ext.neg(g.coeffs[0]) for g, _ in facs if g.degree == 1),
@@ -257,7 +267,7 @@ def _embedding(base, ext):
     )
     if not roots:
         raise ArithmeticError("base modulus has no root in the extension")
-    return lambda a: pt_eval(ext, base.digits(a), roots[0])
+    return roots[0]
 
 
 def _evaluate_ff_matrix(field: FunctionField, m: Matrix, point_field, point):

@@ -246,7 +246,8 @@ class Subspace(Frozen):
 
     @staticmethod
     def full(field, ambient):
-        return Subspace.from_vectors(field, ambient, [Matrix.identity(field, ambient).rows[i] for i in range(ambient)])
+        # the identity rows are their own RREF
+        return Subspace(field, ambient, Matrix.identity(field, ambient).rows, tuple(range(ambient)))
 
     @staticmethod
     def zero(field, ambient):
@@ -271,7 +272,8 @@ class Subspace(Frozen):
         return all(F.is_zero(c) for c in self.reduce_vec(v))
 
     def is_invariant(self, mats):
-        return all(self.contains(m.apply(b)) for b in self.basis for m in mats)
+        F = self.field
+        return all(self.contains(img) for m in mats for img in zip(*F.matmul(m.rows, self.basis)))
 
 
 def fixed_space(gens) -> Subspace:
@@ -303,9 +305,7 @@ def quotient_action(gens, w: Subspace):
     for g in gens:
         cols = []
         for j in qcoords:
-            e = [F.zero] * n
-            e[j] = F.one
-            img = w.reduce_vec(g.apply(tuple(e)))
+            img = w.reduce_vec(tuple(row[j] for row in g.rows))
             cols.append([img[q] for q in qcoords])
         rows = tuple(tuple(cols[j][i] for j in range(len(qcoords))) for i in range(len(qcoords)))
         out.append(Matrix(F, rows))

@@ -8,6 +8,15 @@ stay over the ground field.  f* also decides semisimplicity.  Char-p
 function fields are refused, the top-level pipeline reduces those by
 evaluation first.
 
+A linear f* = t - c needs no iteration: f* is the squarefree part of the
+monic characteristic polynomial of degree n, so that is (t - c)^n, and
+Cayley-Hamilton gives (g - c)^n = 0.  So u = c^-1 g is unipotent, s = c
+commutes with it, and by uniqueness these are the parts.  Every other
+unipotent part the iteration returns is checked unipotent once, in
+`jordan`; `reduction_split` builds the flag of the parts without testing
+them again, and only `is_unipotent_group`, for callers whose matrices
+carry no such proof, tests its generators.
+
 Element orders are computed over GF(q) only, by powering: over an
 infinite field the pipeline asks orders of its finite images.  Over
 GF(q)(X) the one question it asks, whether a kernel generator has
@@ -80,6 +89,13 @@ def jordan(g: Matrix) -> JordanPair:
     fstar = squarefree_part(charpoly(g))
     if fstar.degree == n:
         return JordanPair(g, ident, fstar)
+    if fstar.degree == 1:
+        # chi = (t - c)^n: unipotent by Cayley-Hamilton (module docstring)
+        c = F.neg(fstar.coeffs[0])
+        s = Matrix.diagonal(F, [c] * n)
+        if s == g:
+            return JordanPair(g, ident, fstar)
+        return JordanPair(s, g if F.is_one(c) else g * F.inv(c), fstar)
     x = g
     dstar = fstar.derivative()
     for _ in range(max(1, math.ceil(math.log2(n)) + 1)):
@@ -101,14 +117,15 @@ def is_unipotent_group(gens) -> UnipotentCert:
     NotUnipotent carrying the quotient generators with zero fixed space."""
     if not gens:
         raise ValueError("no generators")
+    if not all(g.is_identity() or is_unipotent_matrix(g) for g in gens):
+        raise NotUnipotentGenerator("input matrix is not unipotent")
+    return _unipotent_flag(gens)
+
+
+def _unipotent_flag(gens) -> UnipotentCert:
+    """is_unipotent_group's flag for nonempty gens already known unipotent."""
     F = gens[0].field
     n = gens[0].n
-    nontrivial = [g for g in gens if not g.is_identity()]
-    if not nontrivial:
-        return UnipotentCert((Subspace.full(F, n), Subspace.zero(F, n)))
-    for g in nontrivial:
-        if not is_unipotent_matrix(g):
-            raise NotUnipotentGenerator("input matrix is not unipotent")
 
     def recurse(cur, embed, level):
         d = len(embed)
@@ -125,7 +142,7 @@ def is_unipotent_group(gens) -> UnipotentCert:
         w_orig = [_combine(F, embed, row) for row in w.basis]
         return [vecs + w_orig for vecs in sub] + [w_orig]
 
-    embed0 = [tuple(Matrix.identity(F, n).rows[i]) for i in range(n)]
+    embed0 = list(Matrix.identity(F, n).rows)
     inner = recurse(list(gens), embed0, 0)
     flag = [Subspace.full(F, n)]
     flag += [Subspace.from_vectors(F, n, vecs) for vecs in inner]
@@ -156,7 +173,7 @@ def reduction_split(G: GroupSpec) -> SplitResult:
     gens_s = tuple(p.s for p in pairs)
     gens_u = tuple(p.u for p in pairs)
     try:
-        cert = is_unipotent_group(list(gens_u))
+        cert = _unipotent_flag(gens_u)
     except NotUnipotent as nu:
         raise NotNilpotentSignal(
             Witness(

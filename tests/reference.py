@@ -6,6 +6,9 @@ the integer kernels of nilmat.fields replace; like `schoolbook` for
 value and repr for repr.  Polynomials are ascending coefficient tuples with
 a nonzero last entry.
 
+`euclid_gcd` is Euclid's monic gcd over any Field, the reference for the
+primitive remainder sequences of `nilmat.fields.pt_gcd` over Q(a) and Q(X).
+
 `minimal_polynomial` is the Krylov minimal polynomial over any Field, and
 `jordan` the Jordan split built on it and on Yun's squarefree part: the
 references for the characteristic-polynomial route of nilmat.linalg and
@@ -26,6 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from nilmat.errors import CapExceeded
+from nilmat.fields import pt_mod, pt_scale
 from nilmat.groups import Elt, word_inverse, word_mul
 from nilmat.linalg import Matrix, inverse
 from nilmat.poly import Poly, gcd, squarefree_decomposition
@@ -87,6 +91,18 @@ def derivative(a):
 def squarefree_part(a):
     """f / gcd(f, f'), monic: the squarefree part in characteristic 0."""
     return monic(poly_divmod(a, poly_gcd(a, derivative(a)))[0])
+
+
+def euclid_gcd(field, a, b):
+    """Monic gcd of coefficient tuples over any Field by Euclid, () when
+    both are zero: one division with remainder per step."""
+    if not a:
+        a, b = b, a
+    if not a:
+        return ()
+    while b:
+        a, b = b, pt_mod(field, a, b)
+    return pt_scale(field, a, field.inv(a[-1]))
 
 
 def nf_mul(K, a, b):

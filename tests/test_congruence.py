@@ -724,3 +724,30 @@ def test_congruence_image_may_exceed_the_closure_cap():
     assert analyze(G, DEFAULT.with_(closure_cap=5)).order == 6
     with pytest.raises(CapExceeded, match="subgroup closure"):
         is_nilpotent(G, DEFAULT.with_(closure_cap=2))
+
+
+def test_embedding_factors_each_modulus_once(monkeypatch):
+    """Over GF(4)(X), X^4 + X vanishes at every point of GF(4), so the
+    evaluation point lies in GF(16): the base modulus is factored over
+    GF(16) once, not once per candidate point and reduced matrix."""
+    from nilmat import congruence
+
+    F = FunctionField(FiniteField(2, 2))
+    x = F.x()
+    g = Matrix.make(F, [[F.add(F.mul(F.mul(x, x), F.mul(x, x)), x), F.zero], [F.zero, F.one]])
+    swap = Matrix.make(F, [[F.zero, F.one], [F.one, F.zero]])
+    factored, factor = [], congruence.factor
+
+    def counting(f):
+        factored.append((f.field, f.coeffs))
+        return factor(f)
+
+    congruence._modulus_root.cache_clear()
+    monkeypatch.setattr(congruence, "factor", counting)
+    for _ in range(3):
+        v = is_nilpotent(GroupSpec(F, [g, swap]))
+    assert not v.nilpotent
+    assert v.artifacts["congruence"].eval_target.q == 16
+    # the denominators X (X + 1) (X^2 + X + 1) are factored over the base itself
+    over_ext = [k for k in factored if k[0] != F.base]
+    assert over_ext == [(FiniteField(2, 4), tuple(F.base.modulus))]

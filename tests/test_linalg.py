@@ -128,6 +128,35 @@ def test_quotient_action_examples():
     assert quotient_action(gens, Subspace.zero(QQ, 2)) == gens
 
 
+@pytest.mark.parametrize(
+    "field",
+    [QQ, FiniteField(3, 2), NumberField((-2, 0, 1)), FunctionField(QQ), FunctionField(FiniteField(5))],
+    ids=lambda f: f.name(),
+)
+def test_full_subspace_and_invariance_match_row_reduction(field):
+    """Subspace.full is the row reduction of the identity rows, value for
+    value; is_invariant, one product per matrix, agrees with testing each
+    image m b of a basis vector b, and quotient_action's columns with the
+    images of the unit vectors."""
+    rng = random.Random(5)
+    for n in range(4):
+        full = Subspace.full(field, n)
+        ref = Subspace.from_vectors(field, n, list(Matrix.identity(field, n).rows))
+        assert full == ref and repr(full) == repr(ref)
+    n = 3
+    mats = [random_invertible(field, n, rng, 2) for _ in range(2)]
+    upper = Matrix.make(field, [[field.one if i == j else field.random_element(rng, 2) if j > i else field.zero for j in range(n)] for i in range(n)])
+    for vecs in ([(field.one, field.zero, field.zero)], [tuple(field.random_element(rng, 2) for _ in range(n))]):
+        w = Subspace.from_vectors(field, n, vecs)
+        for ms in ([upper], mats, [upper] + mats):
+            assert w.is_invariant(ms) == all(w.contains(m.apply(b)) for b in w.basis for m in ms)
+    w = Subspace.from_vectors(field, n, [(field.one, field.zero, field.zero)])
+    (q,) = quotient_action([upper], w)
+    units = [tuple(field.one if i == j else field.zero for i in range(n)) for j in (1, 2)]
+    cols = [w.reduce_vec(upper.apply(e))[1:] for e in units]
+    assert q.rows == tuple(zip(*cols))
+
+
 def test_quotient_action_is_functorial():
     rng = random.Random(9)
     F = FiniteField(7)

@@ -206,3 +206,71 @@ def test_rational_polynomial_kernels_match_fraction_reference():
             f = ref.poly_mul(ref.poly_mul(a, a), b or (Fraction(1),))
             got, want = squarefree_part(Poly(QQ, f)).coeffs, ref.squarefree_part(f)
             assert got == want and repr(got) == repr(want), f
+
+
+PRS_FIELDS = [
+    NumberField((-2, 0, 1)),
+    NumberField((1, 0, 1)),
+    NumberField((-2, -1, 0, 1)),
+    FunctionField(QQ),
+]
+
+
+@pytest.mark.parametrize("field", PRS_FIELDS, ids=lambda f: f.name())
+def test_remainder_sequence_gcd_matches_euclid(field):
+    """Over Q(sqrt2), Q(i), a cubic field and Q(X), pt_gcd's primitive
+    remainder sequence returns exactly the values and reprs of Euclid's
+    monic gcd, on random polynomials with a planted repeated factor, on
+    coprime and equal pairs, constants, zero operands and a divisor of
+    the other operand."""
+    import reference as ref
+    from nilmat.fields import pt_gcd, pt_mul
+
+    rng = random.Random(17)
+
+    def poly(degree):
+        cs = [field.random_element(rng) for _ in range(degree + 1)]
+        while field.is_zero(cs[-1]):
+            cs[-1] = field.random_element(rng)
+        return tuple(cs)
+
+    pairs = []
+    for _ in range(12 if isinstance(field, FunctionField) else 25):
+        g = poly(rng.randint(0, 2))
+        pairs.append((pt_mul(field, pt_mul(field, g, g), poly(rng.randint(0, 2))), pt_mul(field, g, poly(rng.randint(0, 2)))))
+    a, b = poly(3), poly(2)
+    pairs += [(a, b), (a, a), (a, pt_mul(field, a, b)), (a, (field.from_int(3),)), ((), a), (a, ()), ((), ())]
+    for a, b in pairs:
+        got, want = pt_gcd(field, a, b), ref.euclid_gcd(field, a, b)
+        assert got == want and repr(got) == repr(want), (a, b)
+
+
+def test_squarefree_part_over_a_number_field_inverts_once(monkeypatch):
+    """The squarefree part of a characteristic polynomial over Q(sqrt2)
+    costs at most one NumberField inverse: the one that makes the last
+    remainder monic; dividing by the monic gcd inverts nothing."""
+    from nilmat.linalg import Matrix, charpoly
+
+    K = NumberField((-2, 0, 1))
+    s2, o, z = K.gen(), K.one, K.zero
+    mats = [
+        Matrix.make(K, [[s2, z], [z, s2]]),
+        Matrix.make(K, [[s2, o], [z, s2]]),
+        Matrix.make(K, [[s2, o, z], [z, s2, z], [z, z, o]]),
+        Matrix.from_ints(K, [[0, -1], [1, 0]]),
+        Matrix.from_ints(K, [[1, 1], [0, 1]]),
+    ]
+    inv, calls = NumberField.inv, []
+
+    def counting(self, a):
+        calls.append(a)
+        return inv(self, a)
+
+    for m in mats:
+        chi = charpoly(m)
+        calls.clear()
+        with monkeypatch.context() as mp:
+            mp.setattr(NumberField, "inv", counting)
+            fstar = squarefree_part(chi)
+        assert len(calls) <= 1, m
+        assert (chi % fstar).is_zero() and gcd(fstar, fstar.derivative()).degree == 0

@@ -216,8 +216,10 @@ def test_is_unipotent_group_examples():
     ident_cert = is_unipotent_group([Matrix.identity(QQ, 4)])
     assert [s.dim for s in ident_cert.flag] == [4, 0]
     assert _is_unipotent_flag(ident_cert.flag, [Matrix.identity(QQ, 4)])
-    with pytest.raises(NotUnipotentGenerator):
-        is_unipotent_group([Matrix.from_ints(QQ, [[2]])])
+    # callers without a proof of unipotency still get the generator test
+    for gens in ([[[2]]], [[[1, 1], [0, 2]]], [[[1, 0], [0, 1]], [[1, 1], [0, 2]]]):
+        with pytest.raises(NotUnipotentGenerator):
+            is_unipotent_group([Matrix.from_ints(QQ, g) for g in gens])
 
 
 def test_reduction_split_examples():
@@ -288,6 +290,60 @@ def test_identity_unipotent_parts_cost_no_field_work(monkeypatch):
     monkeypatch.setattr(nilpotency, "_kernel_gens", recording)
     assert nilpotency.is_nilpotent(d8).nilpotent
     assert len(lifted) == 1 and all(s.mat is g for s, g in zip(lifted[0], d8.gens, strict=True))
+
+
+def test_reduction_split_proves_each_unipotent_part_once(monkeypatch):
+    """On UT3(Q) and the Heisenberg group every generator has f* = t - 1,
+    so reduction_split inverts no matrix and tests no part unipotent: the
+    Cayley-Hamilton argument is the proof.  A part from Newton's iteration
+    is tested once, by jordan, and not again for the flag."""
+    from nilmat import splitting
+
+    e12 = Matrix.from_ints(QQ, [[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+    e13 = Matrix.from_ints(QQ, [[1, 0, 1], [0, 1, 0], [0, 0, 1]])
+    e23 = Matrix.from_ints(QQ, [[1, 0, 0], [0, 1, 1], [0, 0, 1]])
+    block = Matrix.from_ints(QQ, [[2, 1, 0], [0, 2, 0], [0, 0, 3]])
+    cases = [([e12, e13, e23], 0, 0), ([e12, e23], 0, 0), ([block], 1, 2)]
+    invert, test = splitting.inverse, splitting.is_unipotent_matrix
+    for gens, most_tests, most_inverses in cases:
+        inverted, tested = [], []
+        with monkeypatch.context() as m:
+            m.setattr(splitting, "inverse", lambda a: inverted.append(a) or invert(a))
+            m.setattr(splitting, "is_unipotent_matrix", lambda g: tested.append(g) or test(g))
+            sr = reduction_split(GroupSpec(QQ, gens))
+        nontrivial = [u for u in sr.gens_u if not u.is_identity()]
+        assert len(nontrivial) == len(gens)
+        assert len(tested) == most_tests <= len(nontrivial)
+        assert len(inverted) <= most_inverses
+        assert _is_unipotent_flag(sr.cert_u.flag, sr.gens_u)
+    assert sr.gens_u[0] == Matrix.make(QQ, [[QQ.one, QQ.parse("1/2"), QQ.zero], [QQ.zero, QQ.one, QQ.zero], [QQ.zero, QQ.zero, QQ.one]])
+
+
+def _unipotent(field, n, rng):
+    """A random conjugate of a random upper unitriangular matrix."""
+    o, z = field.one, field.zero
+    rows = [[o if i == j else field.random_element(rng, 2) if j > i else z for j in range(n)] for i in range(n)]
+    t = random_invertible(field, n, rng)
+    return t * Matrix.make(field, rows) * inverse(t)
+
+
+@pytest.mark.parametrize("field", [QQ, NumberField((-2, 0, 1)), FunctionField(QQ)], ids=lambda f: f.name())
+def test_jordan_of_scaled_unipotent_matches_reference(field):
+    """jordan(c u), whose f* is t - c, equals the reference's Newton
+    iteration on the Krylov minimal polynomial, for c in {1, 2, -1/3},
+    u unipotent or 1, and n from 1 to 3."""
+    import reference as ref
+
+    rng = random.Random(31)
+    third = field.inv(field.from_int(-3))
+    for n in (1, 2, 3):
+        us = [Matrix.identity(field, n)] + [_unipotent(field, n, rng) for _ in range(2 if n > 1 else 0)]
+        for c in (field.one, field.from_int(2), third):
+            for u in us:
+                g = u * c
+                jp = jordan(g)
+                assert (jp.s, jp.u, jp.minpoly_s) == ref.jordan(g), (n, c, u)
+                assert jp.minpoly_s.degree == 1
 
 
 def test_reduction_split_never_rejects_oracle_nilpotent_groups(ff_corpus, ff_oracle):
