@@ -1,16 +1,16 @@
 #!/usr/bin/env python3
 """Paired benchmark runs of two commits, written as a BENCH_<n>.json.
 
-    python3 scripts/bench_pairs.py --parent REV --change REV --pairs 10 --out BENCH_24.json
-        [--seed 101] [--seconds S] [--workloads char0 ...]
+    python3 scripts/bench_pairs.py --parent REV --change REV --out BENCH_24.json
+        [--pairs 10] [--seed 101] [--workloads char0 ...]
 
 Each commit is extracted with `git archive` into its own fresh directory
 under a temporary one, and its `src` and `bench` are compiled to bytecode
 before any run: a tree whose bytecode is missing or stale compiles at
 import, which raises `peak_rss_mb`.  For every workload declared in
-BENCHMARK.json, `bench/run.py` then runs `--pairs` times in each copy,
-alternating, with the parent first in even pairs and the change first in
-odd ones.  The run length defaults to the benchmark's `run_seconds`.
+BENCHMARK.json, `bench/run.py` then runs `--pairs` times (at least 10) in
+each copy, alternating, with the parent first in even pairs and the change
+first in odd ones.  Every run lasts the benchmark's `run_seconds`.
 
 The output names, per workload and end-to-end metric, every run's value,
 the two medians and quartiles, and the pairs the change won (ties count
@@ -35,6 +35,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# a gain is judged on at least ten pairs of runs
+MIN_PAIRS = 10
 
 
 def commit_id(rev):
@@ -78,14 +80,13 @@ def main():
     ap = argparse.ArgumentParser(description="paired benchmark runs of two commits")
     ap.add_argument("--parent", default="HEAD^")
     ap.add_argument("--change", default="HEAD")
-    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--pairs", type=int, default=MIN_PAIRS)
     ap.add_argument("--seed", type=int, default=101)
-    ap.add_argument("--seconds", type=float, default=spec["run_seconds"])
     ap.add_argument("--workloads", nargs="+", choices=names, default=names)
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args()
-    if args.pairs < 1:
-        ap.error("--pairs must be positive")
+    if args.pairs < MIN_PAIRS:
+        ap.error(f"--pairs must be at least {MIN_PAIRS}")
 
     commits = {"parent": commit_id(args.parent), "change": commit_id(args.change)}
     metrics = spec["end_to_end"]
@@ -100,7 +101,7 @@ def main():
             results = {"parent": [], "change": []}
             for i in range(args.pairs):
                 for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-                    r = run_once(copies[side], w, args.seed, args.seconds)
+                    r = run_once(copies[side], w, args.seed, spec["run_seconds"])
                     ok &= bool(r["correct"])
                     results[side].append(r)
                     m = {k: round(v["value"], 6) for k, v in r["metrics"].items()}
@@ -126,7 +127,7 @@ def main():
     report = {
         "command": spec["command"],
         "seed": args.seed,
-        "seconds": args.seconds,
+        "seconds": spec["run_seconds"],
         "pairs": args.pairs,
         "nproc": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
         "python": platform.python_version(),

@@ -36,8 +36,8 @@ canonical Fractions of the plain Fraction loops: a Q(a) product is one
 integer convolution folded by the minimal polynomial, a Q(a) inverse a
 fraction-free (Bareiss) solve of the multiplication matrix, and over Q
 pt_mul, pt_divmod and pt_gcd are integer convolution, pseudo-division and
-the primitive remainder sequence.  Over Q(a) and Q(X) pt_gcd runs that
-sequence on Z[a] and Z[X] numerators and inverts one field element.
+the primitive remainder sequence.  Over Q(a) pt_gcd runs that sequence
+on Z[a] numerators and inverts one field element.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from __future__ import annotations
 import json
 import random
 from fractions import Fraction
-from itertools import chain, zip_longest
+from itertools import chain
 from math import gcd, lcm
 from operator import getitem, mul
 
@@ -194,44 +194,16 @@ def primitive_ints(fracs):
     return [c // g for c in ints] if g > 1 else ints
 
 
-def _int_prs(fa, fb):
-    """Last nonzero remainder of the primitive remainder sequence of nonzero
-    integer polynomials fa, fb: their gcd over Q, primitive, up to sign."""
-    while fb:
-        r = _int_pseudo_divmod(fa, fb)[2]
-        g = gcd(*r)
-        fa, fb = fb, [c // g for c in r]
-    return fa
-
-
 def _pt_gcd_q(a, b):
     """Monic gcd of nonzero a, b over Q by the primitive remainder sequence
     over Z, which avoids the coefficient blow-up of Fraction division; the
     remainders' signs may differ from Q's, which the final scaling undoes."""
-    fa = _int_prs(primitive_ints(a), primitive_ints(b))
+    fa, fb = primitive_ints(a), primitive_ints(b)
+    while fb:
+        r = _int_pseudo_divmod(fa, fb)[2]
+        g = gcd(*r)
+        fa, fb = fb, [c // g for c in r]
     return tuple(Fraction(c, fa[-1]) for c in fa)
-
-
-def _prs(a, b, mul, sub, primitive):
-    """Last nonzero remainder of the primitive pseudo-remainder sequence of
-    nonzero a, b over an integral domain of integer lists, given by its
-    product and difference and a `primitive` that divides a polynomial by
-    a content: each step replaces r by lc(b) r - lc(r) t^k b until
-    deg r < deg b, which keeps the gcd over the fraction field, and the
-    content keeps entries small."""
-    while b:
-        lc, m = b[-1], len(b)
-        r = list(a)
-        while len(r) >= m:
-            c, k = r[-1], len(r) - m
-            r = [mul(lc, x) for x in r]
-            for i, y in enumerate(b):
-                r[k + i] = sub(r[k + i], mul(c, y))
-            r.pop()
-            while r and not any(r[-1]):
-                r.pop()
-        a, b = b, (primitive(r) if r else [])
-    return a
 
 
 def _without_int_content(cs):
@@ -241,9 +213,11 @@ def _without_int_content(cs):
 
 
 def _pt_gcd_nf(field, a, b):
-    """Monic gcd of nonzero a, b over Q(alpha) by the primitive remainder
-    sequence on Z[alpha] coefficient vectors, integer content divided out
-    after each step, then one field inverse."""
+    """Monic gcd of nonzero a, b over Q(alpha) by the primitive
+    pseudo-remainder sequence on Z[alpha] coefficient vectors: each step
+    replaces r by lc(b) r - lc(r) t^k b until deg r < deg b, which keeps the
+    gcd over Q(alpha), and the integer content is divided out after each
+    remainder; then one field inverse makes the last remainder monic."""
     m, apow = field.degree, field._apow
 
     def mul(x, y):
@@ -258,64 +232,30 @@ def _pt_gcd_nf(field, a, b):
         ints, _ = _over_common_denominator([*chain(*cs)])
         return _without_int_content([ints[i:i + m] for i in range(0, len(ints), m)])
 
-    last = _prs(integral(a), integral(b), mul, lambda x, y: [u - v for u, v in zip(x, y)], _without_int_content)
-    if len(last) == 1:
+    a, b = integral(a), integral(b)
+    while b:
+        lc, n = b[-1], len(b)
+        r = list(a)
+        while len(r) >= n:
+            c, k = r[-1], len(r) - n
+            r = [mul(lc, x) for x in r]
+            for i, y in enumerate(b):
+                r[k + i] = [u - v for u, v in zip(r[k + i], mul(c, y))]
+            r.pop()
+            while r and not any(r[-1]):
+                r.pop()
+        a, b = b, (_without_int_content(r) if r else [])
+    if len(a) == 1:
         return (field.one,)
-    last = [tuple(Fraction(x) for x in c) for c in last]
-    return pt_scale(field, last, field.inv(last[-1]))
-
-
-def _pt_gcd_qx(field, a, b):
-    """Monic gcd of nonzero a, b over Q(X) by the primitive remainder
-    sequence on Z[X] numerators, their integer content and their gcd over
-    Q[X] divided out after each step, then one field inverse."""
-
-    def mul(x, y):
-        return int_convolution(x, y) if x and y else []
-
-    def sub(x, y):
-        out = [u - v for u, v in zip_longest(x, y, fillvalue=0)]
-        while out and not out[-1]:
-            out.pop()
-        return out
-
-    def primitive(cs):
-        cs = _without_int_content(cs)
-        nonzero = [c for c in cs if c]
-        h = nonzero[0]
-        for c in nonzero[1:]:
-            if len(h) == 1:
-                break
-            h = _int_prs(h, c)
-        if len(h) == 1:
-            return cs
-        g = gcd(*h)
-        h = [x // g for x in h]
-        # exact division by a primitive factor over Z[X] stays integral
-        return [_int_pseudo_divmod(c, h)[1] if c else c for c in cs]
-
-    def integral(cs):
-        nums, _ = field.over_common_denominator(cs)
-        ints, _ = _over_common_denominator([*chain(*nums)])
-        out, i = [], 0
-        for num in nums:
-            out.append(ints[i:i + len(num)])
-            i += len(num)
-        return primitive(out)
-
-    last = _prs(integral(a), integral(b), mul, sub, primitive)
-    if len(last) == 1:
-        return (field.one,)
-    one = field.one[1]
-    last = [(tuple(Fraction(x) for x in c), one) if c else field.zero for c in last]
+    last = [tuple(Fraction(x) for x in c) for c in a]
     return pt_scale(field, last, field.inv(last[-1]))
 
 
 def pt_gcd(field, a, b):
-    """Monic gcd, () when both are zero.  Over Q, Q(alpha) and Q(X) by the
-    primitive remainder sequence on integer, Z[alpha] and Z[X] numerators
-    (`_pt_gcd_q`, `_pt_gcd_nf`, `_pt_gcd_qx`), with at most one field
-    inverse; over GF(q) and GF(q)(X) by Euclid."""
+    """Monic gcd, () when both are zero.  Over Q and Q(alpha) by the
+    primitive remainder sequence on integer and Z[alpha] numerators
+    (`_pt_gcd_q`, `_pt_gcd_nf`), with at most one field inverse; over
+    GF(q), Q(X) and GF(q)(X) by Euclid."""
     if not a:
         a, b = b, a
     if not b:
@@ -326,8 +266,6 @@ def pt_gcd(field, a, b):
         return _pt_gcd_q(a, b)
     if isinstance(field, NumberField):
         return _pt_gcd_nf(field, a, b)
-    if isinstance(field, FunctionField) and isinstance(field.base, RationalField):
-        return _pt_gcd_qx(field, a, b)
     while b:
         a, b = b, pt_mod(field, a, b)
     return pt_scale(field, a, field.inv(a[-1]))

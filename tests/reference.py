@@ -7,7 +7,7 @@ value and repr for repr.  Polynomials are ascending coefficient tuples with
 a nonzero last entry.
 
 `euclid_gcd` is Euclid's monic gcd over any Field, the reference for the
-primitive remainder sequences of `nilmat.fields.pt_gcd` over Q(a) and Q(X).
+primitive remainder sequence of `nilmat.fields.pt_gcd` over Q(a).
 
 `minimal_polynomial` is the Krylov minimal polynomial over any Field, and
 `jordan` the Jordan split built on it and on Yun's squarefree part: the
