@@ -31,10 +31,6 @@ class ImperfectField(NilmatError):
     """Jordan splitting over an imperfect field (char-p function field)."""
 
 
-class NotUnipotentGenerator(NilmatError):
-    """A generator handed to the unipotency test is not unipotent."""
-
-
 class NoPrimeInRange(NilmatError):
     """No valid reduction prime below the configured cap."""
 

@@ -38,6 +38,12 @@ fraction-free (Bareiss) solve of the multiplication matrix, and over Q
 pt_mul, pt_divmod and pt_gcd are integer convolution, pseudo-division and
 the primitive remainder sequence.  Over Q(a) pt_gcd runs that sequence
 on Z[a] numerators and inverts one field element.
+
+GF(p^l) and Q(a) share one reduction table, the reductions of X^m ..
+X^(2m-2) modulo the defining polynomial (`_power_reductions`), and one
+fold of an integer convolution by it (`_fold`).  A given GF(p^l) modulus
+is validated, and a seeded one found, by the distinct-degree split of
+`poly.is_irreducible`.
 """
 
 from __future__ import annotations
@@ -221,12 +227,7 @@ def _pt_gcd_nf(field, a, b):
     m, apow = field.degree, field._apow
 
     def mul(x, y):
-        conv = int_convolution(x, y)
-        out = conv[:m]
-        for c, r in zip(conv[m:], apow):
-            if c:
-                out = [u + c * v for u, v in zip(out, r)]
-        return out
+        return _fold(int_convolution(x, y), apow)
 
     def integral(cs):
         ints, _ = _over_common_denominator([*chain(*cs)])
@@ -291,9 +292,6 @@ class Field:
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
 
     def is_zero(self, a):
         return a == self.zero
@@ -424,6 +422,28 @@ class RationalField(Field):
 QQ = RationalField()
 
 
+def _power_reductions(monic, p=None):
+    """Reductions of X^m .. X^(2m-2) modulo the monic integer polynomial
+    of degree m with these coefficients, as integer coefficient tuples,
+    reduced mod p when p is given."""
+    red = [tuple(-c for c in monic[:-1])]
+    for _ in range(len(monic) - 3):
+        *cur, carry = (0, *red[-1])
+        red.append(tuple(x + carry * y for x, y in zip(cur, red[0])))
+    return [tuple(c % p for c in r) for r in red] if p else red
+
+
+def _fold(conv, red):
+    """The first m coefficients of a product's integer convolution conv,
+    after folding its higher ones by the reductions red of X^m .. X^(2m-2)."""
+    m = len(red[0])
+    out = conv[:m]
+    for c, r in zip(conv[m:], red):
+        if c:
+            out = [x + c * y for x, y in zip(out, r)]
+    return out
+
+
 def _over_common_denominator(fracs):
     """(integer numerators, d) with fracs[i] == numerators[i] / d, d least."""
     dens = [c.denominator for c in fracs]
@@ -465,23 +485,16 @@ class FiniteField(Field):
         else:
             if modulus is None:
                 modulus = find_irreducible_modulus(p, l, seed)
-            modulus = tuple(int(c) % p for c in modulus)
-            if len(modulus) != l + 1 or modulus[-1] != 1:
-                raise ValueError("modulus must be monic of degree l")
-            if not _gfp_is_irreducible(p, modulus):
-                raise ValueError("modulus is not irreducible over GF(p)")
+            else:
+                modulus = tuple(int(c) % p for c in modulus)
+                if len(modulus) != l + 1 or modulus[-1] != 1:
+                    raise ValueError("modulus must be monic of degree l")
+                from .poly import Poly, is_irreducible
+
+                if not is_irreducible(Poly.from_ints(FiniteField(p), modulus)):
+                    raise ValueError("modulus is not irreducible over GF(p)")
             self.modulus = modulus
-            # reductions of X^l .. X^(2l-2) modulo the modulus, as digit vectors
-            red = []
-            cur = [(-c) % p for c in modulus[:-1]]
-            red.append(tuple(cur))
-            for _ in range(l - 2):
-                cur = [0] + cur
-                carry = cur.pop()
-                if carry:
-                    cur = [(cur[i] + carry * red[0][i]) % p for i in range(l)]
-                red.append(tuple(cur))
-            self._xpow = red
+            self._xpow = _power_reductions(modulus, p)
         # x -> x mod p on single bytes, for the byte-packed products
         self._byte_mod = (bytes(range(p)) * (255 // p + 1))[:256] if p <= _TABLE_MAX else None
         self._mul_table = None
@@ -544,24 +557,9 @@ class FiniteField(Field):
         return self.undigits([(-x) % self.p for x in self.digits(a)])
 
     def _mul_slow(self, a, b):
-        p = self.p
         if self.l == 1:
-            return a * b % p
-        da, db = self.digits(a), self.digits(b)
-        l = self.l
-        prod = [0] * (2 * l - 1)
-        for i, x in enumerate(da):
-            if not x:
-                continue
-            for j, y in enumerate(db):
-                prod[i + j] = (prod[i + j] + x * y) % p
-        out = prod[:l]
-        for k in range(l, 2 * l - 1):
-            c = prod[k]
-            if c:
-                r = self._xpow[k - l]
-                out = [(out[i] + c * r[i]) % p for i in range(l)]
-        return self.undigits(out)
+            return a * b % self.p
+        return self.undigits(_fold(int_convolution(self.digits(a), self.digits(b)), self._xpow))
 
     def mul(self, a, b):
         if self._mul_table is not None:
@@ -663,15 +661,6 @@ class FiniteField(Field):
 
         return ident, act
 
-    def _pow_slow(self, a, e):
-        out = self.one
-        while e:
-            if e & 1:
-                out = self._mul_slow(out, a)
-            a = self._mul_slow(a, a)
-            e >>= 1
-        return out
-
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
@@ -679,7 +668,7 @@ class FiniteField(Field):
             return self._inv_table[a]
         if self.l == 1:
             return pow(a, -1, self.p)
-        return self._pow_slow(a, self.q - 2)
+        return self.pow(a, self.q - 2)
 
     def from_int(self, k):
         return k % self.p
@@ -776,52 +765,15 @@ class _ScaledRow(dict):
         return out
 
 
-def _gfp_is_irreducible(p, coeffs):
-    """Irreducibility over GF(p) of a monic polynomial given by int coeffs."""
-    base = FiniteField(p)
-    f = pt_trim(base, tuple(c % p for c in coeffs))
-    l = len(f) - 1
-    if l < 1:
-        return False
-    if l == 1:
-        return True
-    x = (0, 1)
-    # x^(p^l) = x mod f, and x^(p^(l/r)) - x coprime to f for prime r | l
-    xp = x
-    powers = []
-    for _ in range(l):
-        xp = _pt_powmod(base, xp, p, f)
-        powers.append(xp)
-    if powers[-1] != pt_mod(base, x, f):
-        return False
-    from .numth import factorint
-
-    for r in factorint(l):
-        d = l // r
-        g = pt_gcd(base, pt_sub(base, powers[d - 1], x), f)
-        if len(g) - 1 > 0:
-            return False
-    return True
-
-def _pt_powmod(field, a, e, m):
-    out = pt_mod(field, (field.one,), m)
-    a = pt_mod(field, a, m)
-    while e:
-        if e & 1:
-            out = pt_mod(field, pt_mul(field, out, a), m)
-        a = pt_mod(field, pt_mul(field, a, a), m)
-        e >>= 1
-    return out
-
-
 def find_irreducible_modulus(p, l, seed=0):
     """Monic irreducible of degree l over GF(p), by seeded random search."""
+    from .poly import Poly, is_irreducible
+
+    base = FiniteField(p)
     rng = random.Random(f"modulus:{p}:{l}:{seed}")
     while True:
         coeffs = [rng.randrange(p) for _ in range(l)] + [1]
-        if coeffs[0] == 0:
-            continue
-        if _gfp_is_irreducible(p, coeffs):
+        if coeffs[0] and is_irreducible(Poly.from_ints(base, coeffs)):
             return tuple(coeffs)
 
 
@@ -844,17 +796,7 @@ class NumberField(Field):
         m = self.degree
         self.zero = tuple([Fraction(0)] * m)
         self.one = tuple([Fraction(1)] + [Fraction(0)] * (m - 1))
-        # reductions of a^m .. a^(2m-2), integral because minpoly is monic
-        red = []
-        cur = [-c for c in mp[:-1]]
-        red.append(tuple(cur))
-        for _ in range(m - 2):
-            cur = [0] + cur
-            carry = cur.pop()
-            if carry:
-                cur = [cur[i] + carry * red[0][i] for i in range(m)]
-            red.append(tuple(cur))
-        self._apow = red
+        self._apow = _power_reductions(mp)
         super().__init__()
 
     def gen(self):
@@ -876,13 +818,8 @@ class NumberField(Field):
         # normalizing gcd per coefficient
         na, da = _over_common_denominator(a)
         nb, db = _over_common_denominator(b)
-        conv = int_convolution(na, nb)
-        out = conv[: self.degree]
-        for c, r in zip(conv[self.degree :], self._apow):
-            if c:
-                out = [x + c * y for x, y in zip(out, r)]
         d = da * db
-        return tuple(Fraction(x, d) for x in out)
+        return tuple(Fraction(x, d) for x in _fold(int_convolution(na, nb), self._apow))
 
     def matmul(self, rows, cols):
         # coefficient vectors become integers over one denominator per row
@@ -914,11 +851,7 @@ class NumberField(Field):
                     c -= full
                 conv.append(c)
                 s = (s - c) >> bits
-            out = conv[:m]
-            for c, r in zip(conv[m:], apow):
-                if c:
-                    out = [x + c * y for x, y in zip(out, r)]
-            return tuple(Fraction(x, d) for x in out)
+            return tuple(Fraction(x, d) for x in _fold(conv, apow))
 
         pcols = [(pack(ints), d) for ints, d in cb]
         return tuple(
@@ -1173,9 +1106,9 @@ def _build_field(d, seed):
             nf = NumberField(mp)
         except ValueError as e:
             raise ParseError(str(e)) from None
-        from .poly import Poly, is_irreducible_over_Q
+        from .poly import Poly, is_irreducible
 
-        if not is_irreducible_over_Q(Poly.from_ints(QQ, mp)):
+        if not is_irreducible(Poly.from_ints(QQ, mp)):
             raise ParseError("number field minpoly is not irreducible over Q")
         return nf
     if kind == "FF":

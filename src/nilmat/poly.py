@@ -403,9 +403,15 @@ def _hensel_lift(g_ints, facs_modp, p, k):
     return [[c % m_target for c in f] for f in lifted]
 
 
-def is_irreducible_over_Q(f: Poly) -> bool:
+def is_irreducible(f: Poly) -> bool:
+    """Irreducibility over Q or GF(q).  Over GF(q) a monic f is irreducible
+    exactly when it is squarefree and its distinct-degree split is f alone,
+    in degree deg f; over Q f is factored."""
     if f.degree < 1:
         return False
+    if isinstance(f.field, FiniteField):
+        f = f.monic()
+        return gcd(f, f.derivative()).is_one() and _ddf(f, f.field.q) == [(f, f.degree)]
     _, facs = factor(f)
     return len(facs) == 1 and facs[0][1] == 1 and facs[0][0].degree == f.degree
 

@@ -13,9 +13,11 @@ monic characteristic polynomial of degree n, so that is (t - c)^n, and
 Cayley-Hamilton gives (g - c)^n = 0.  So u = c^-1 g is unipotent, s = c
 commutes with it, and by uniqueness these are the parts.  Every other
 unipotent part the iteration returns is checked unipotent once, in
-`jordan`; `reduction_split` builds the flag of the parts without testing
-them again, and only `is_unipotent_group`, for callers whose matrices
-carry no such proof, tests its generators.
+`jordan`.  `unipotent_flag` takes matrices already known unipotent and
+tests none of them again: `reduction_split` hands it the Jordan parts, and
+`structure` the Sylow parts for the characteristic over GF(q), which are
+unipotent because a p-element x of GL(n, p^l) has
+(x - 1)^(p^e) = x^(p^e) - 1 = 0.
 
 Element orders are computed over GF(q) only, by powering: over an
 infinite field the pipeline asks orders of its finite images.  Over
@@ -28,13 +30,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import (
-    CapExceeded,
-    ImperfectField,
-    NotNilpotentSignal,
-    NotUnipotent,
-    NotUnipotentGenerator,
-)
+from .errors import CapExceeded, ImperfectField, NotNilpotentSignal, NotUnipotent
 from .fields import FiniteField, FunctionField
 from .groups import GroupSpec
 from .linalg import (
@@ -112,18 +108,10 @@ def jordan(g: Matrix) -> JordanPair:
     return JordanPair(s, u, fstar)
 
 
-def is_unipotent_group(gens) -> UnipotentCert:
-    """Flag certificate for the group generated by unipotent matrices, or
-    NotUnipotent carrying the quotient generators with zero fixed space."""
-    if not gens:
-        raise ValueError("no generators")
-    if not all(g.is_identity() or is_unipotent_matrix(g) for g in gens):
-        raise NotUnipotentGenerator("input matrix is not unipotent")
-    return _unipotent_flag(gens)
-
-
-def _unipotent_flag(gens) -> UnipotentCert:
-    """is_unipotent_group's flag for nonempty gens already known unipotent."""
+def unipotent_flag(gens) -> UnipotentCert:
+    """Flag certificate for the group generated by the nonempty gens, which
+    the caller knows to be unipotent, or NotUnipotent carrying the quotient
+    generators with zero fixed space."""
     F = gens[0].field
     n = gens[0].n
 
@@ -139,7 +127,7 @@ def _unipotent_flag(gens) -> UnipotentCert:
         qcoords = [j for j in range(d) if j not in set(w.pivots)]
         qgens = quotient_action(cur, w)
         sub = recurse(qgens, [embed[q] for q in qcoords], level + 1)
-        w_orig = [_combine(F, embed, row) for row in w.basis]
+        w_orig = list(F.matmul(w.basis, tuple(zip(*embed))))
         return [vecs + w_orig for vecs in sub] + [w_orig]
 
     embed0 = list(Matrix.identity(F, n).rows)
@@ -148,16 +136,6 @@ def _unipotent_flag(gens) -> UnipotentCert:
     flag += [Subspace.from_vectors(F, n, vecs) for vecs in inner]
     flag.append(Subspace.zero(F, n))
     return UnipotentCert(tuple(flag))
-
-
-def _combine(F, embed, coeffs):
-    n = len(embed[0])
-    out = [F.zero] * n
-    for c, vec in zip(coeffs, embed):
-        if not F.is_zero(c):
-            for j in range(n):
-                out[j] = F.add(out[j], F.mul(c, vec[j]))
-    return tuple(out)
 
 
 def reduction_split(G: GroupSpec) -> SplitResult:
@@ -173,7 +151,7 @@ def reduction_split(G: GroupSpec) -> SplitResult:
     gens_s = tuple(p.s for p in pairs)
     gens_u = tuple(p.u for p in pairs)
     try:
-        cert = _unipotent_flag(gens_u)
+        cert = unipotent_flag(gens_u)
     except NotUnipotent as nu:
         raise NotNilpotentSignal(
             Witness(
@@ -189,10 +167,12 @@ def reduction_split(G: GroupSpec) -> SplitResult:
                 ),
             )
         ) from None
+    # a scalar s, with linear minimal polynomial, commutes with every u
+    nonscalar = [(j, p.s) for j, p in enumerate(pairs) if p.minpoly_s.degree > 1]
     for i, u in enumerate(gens_u):
         if u.is_identity():
             continue
-        for j, s in enumerate(gens_s):
+        for j, s in nonscalar:
             if not (u * s == s * u):
                 raise NotNilpotentSignal(
                     Witness(

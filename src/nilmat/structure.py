@@ -40,7 +40,7 @@ from .fields import FiniteField, FunctionField
 from .groups import Elt, GroupSpec, enumerate_group
 from .nilpotency import SylowSystem, is_nilpotent
 from .record import Record
-from .splitting import has_infinite_order, is_unipotent_group, s_part_group
+from .splitting import has_infinite_order, s_part_group, unipotent_flag
 from .witness import WItem, Witness
 
 
@@ -99,13 +99,15 @@ def _unipotent_parts(G: GroupSpec, a: dict):
     of characteristic p the verdict split nothing, and need not: a
     semisimple element of GL(n, q) has order prime to p and a unipotent one
     a power of p, so g = s u is g's split into its p'-part and its p-part,
-    both powers of g, and u is the Sylow part for p in g's cover, or 1."""
+    both powers of g, and u is the Sylow part for p in g's cover, or 1.
+    Those parts are unipotent, since (x - 1)^(p^e) = x^(p^e) - 1 = 0 for
+    a p-element x, so the flag is built without testing them."""
     if "split" in a:
         return a["split"].gens_u, a["split"].cert_u.flag
     p = G.field.characteristic()
     parts, ident = a["sylow"].components.get(p, []), G.identity
     us = [next((parts[j].mat for q, j, _ in cover if q == p), ident) for cover in a["covers"]]
-    return us, is_unipotent_group(us).flag
+    return us, unipotent_flag(us).flag
 
 
 def _finiteness(G: GroupSpec, a: dict, char_p: bool):

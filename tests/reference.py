@@ -9,6 +9,12 @@ a nonzero last entry.
 `euclid_gcd` is Euclid's monic gcd over any Field, the reference for the
 primitive remainder sequence of `nilmat.fields.pt_gcd` over Q(a).
 
+`power_reductions` is the shift-and-carry recurrence for the reductions of
+X^m .. X^(2m-2), `gf_mul` the schoolbook GF(p^l) product folded by them,
+and `gfp_is_irreducible` a search over every monic divisor: the references
+for the shared reduction table and fold of nilmat.fields and for
+`nilmat.poly.is_irreducible` over GF(p).
+
 `minimal_polynomial` is the Krylov minimal polynomial over any Field, and
 `jordan` the Jordan split built on it and on Yun's squarefree part: the
 references for the characteristic-polynomial route of nilmat.linalg and
@@ -23,6 +29,7 @@ whole-image lifted kernel built on it: the references for the engine and
 for the per-prime kernel of the verdict path.
 """
 
+import itertools
 import math
 from array import array
 from dataclasses import dataclass
@@ -103,6 +110,63 @@ def euclid_gcd(field, a, b):
     while b:
         a, b = b, pt_mod(field, a, b)
     return pt_scale(field, a, field.inv(a[-1]))
+
+
+def power_reductions(monic, p=None):
+    """Reductions of X^m .. X^(2m-2) modulo the monic integer polynomial
+    with these coefficients, reduced mod p at every step when p is given."""
+    m = len(monic) - 1
+    red = []
+    cur = [-c % p if p else -c for c in monic[:-1]]
+    red.append(tuple(cur))
+    for _ in range(m - 2):
+        cur = [0] + cur
+        carry = cur.pop()
+        if carry:
+            cur = [cur[i] + carry * red[0][i] for i in range(m)]
+            if p:
+                cur = [c % p for c in cur]
+        red.append(tuple(cur))
+    return red
+
+
+def gf_mul(F, a, b):
+    """Schoolbook product of two GF(p^l) values: the digit convolution mod
+    p, each digit from X^l up folded in by its reduction."""
+    p, l = F.p, F.l
+    da, db = F.digits(a), F.digits(b)
+    prod = [0] * (2 * l - 1)
+    for i, x in enumerate(da):
+        for j, y in enumerate(db):
+            prod[i + j] = (prod[i + j] + x * y) % p
+    out = prod[:l]
+    for k, r in zip(range(l, 2 * l - 1), power_reductions(F.modulus, p)):
+        out = [(x + prod[k] * y) % p for x, y in zip(out, r)]
+    return sum(c * p**i for i, c in enumerate(out))
+
+
+def _int_poly_mod(a, b, p):
+    """Remainder of a by the monic b over GF(p), integer coefficient lists."""
+    a = [c % p for c in a]
+    while len(a) >= len(b):
+        c = a[-1]
+        k = len(a) - len(b)
+        for i, y in enumerate(b):
+            a[k + i] = (a[k + i] - c * y) % p
+        a.pop()
+    return a
+
+
+def gfp_is_irreducible(p, coeffs):
+    """Whether the monic polynomial with these coefficients is irreducible
+    over GF(p): of degree >= 1, with no monic divisor of degree 1 ..
+    deg // 2, found by trying every one."""
+    n = len(coeffs) - 1
+    for d in range(1, n // 2 + 1):
+        for low in itertools.product(range(p), repeat=d):
+            if not any(_int_poly_mod(coeffs, [*low, 1], p)):
+                return False
+    return n >= 1
 
 
 def nf_mul(K, a, b):

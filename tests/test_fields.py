@@ -1,5 +1,6 @@
 """Field arithmetic: axioms, reduction, parsing."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,9 +13,12 @@ from nilmat.fields import (
     FiniteField,
     FunctionField,
     NumberField,
+    _power_reductions,
     field_from_json,
+    find_irreducible_modulus,
     reduce_mod,
 )
+from reference import gf_mul, power_reductions
 
 rationals = st.fractions(max_denominator=40)
 
@@ -82,8 +86,36 @@ def test_finite_field_tables_match_slow_path():
             F = FiniteField(p, l)
             q = F.q
             assert F._mul_table == [[F._mul_slow(a, b) for b in range(q)] for a in range(q)], F
-            assert F._inv_table[1:] == [F._pow_slow(a, q - 2) for a in range(1, q)], F
+            assert all(F._mul_slow(a, F._inv_table[a]) == 1 for a in range(1, q)), F
             assert all(F.mul(a, b) == F._mul_slow(a, b) for a in range(q) for b in range(q))
+
+
+def test_power_reductions_match_the_recurrence():
+    """The one reduction table of GF(p^l) and Q(a) against the
+    shift-and-carry recurrence: on every seeded modulus for p <= 7, l <= 6
+    and seeds 0-2, and on number-field minimal polynomials."""
+    for p in (2, 3, 5, 7):
+        for l in range(2, 7):
+            for seed in range(3):
+                modulus = find_irreducible_modulus(p, l, seed)
+                assert _power_reductions(modulus, p) == power_reductions(modulus, p), (p, l, seed)
+    for mp in ([-2, 0, 1], [1, 0, 1], [-2, 0, 0, 1], [1, 1, 1, 1, 1]):
+        assert _power_reductions(mp) == power_reductions(mp) == NumberField(mp)._apow, mp
+
+
+def test_slow_product_matches_schoolbook_without_tables():
+    """Fields past the table bound multiply by the shared fold: every
+    product of GF(5^3), and sampled ones of GF(101^2), against the
+    schoolbook digit loop; inverses come from `Field.pow`."""
+    F = FiniteField(5, 3)
+    assert F._mul_table is None
+    assert all(F.mul(a, b) == gf_mul(F, a, b) for a in range(F.q) for b in range(F.q))
+    F = FiniteField(101, 2)
+    assert F._mul_table is None
+    rng = random.Random(0)
+    sample = [0, 1, 100, 101, F.q - 1] + [rng.randrange(F.q) for _ in range(60)]
+    assert all(F.mul(a, b) == gf_mul(F, a, b) for a in sample for b in sample)
+    assert all(F.mul(a, F.inv(a)) == F.one for a in sample if a)
 
 
 def test_finite_field_extension_modulus_is_recorded_and_irreducible():

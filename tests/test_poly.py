@@ -1,5 +1,6 @@
 """Polynomial arithmetic and factorization."""
 
+import itertools
 import random
 
 import pytest
@@ -10,10 +11,11 @@ from nilmat.poly import (
     Poly,
     factor,
     gcd,
-    is_irreducible_over_Q,
+    is_irreducible,
     resultant,
     squarefree_part,
 )
+from reference import gfp_is_irreducible
 
 
 def expand(lead, facs, field):
@@ -141,9 +143,27 @@ def test_factor_rational_products_of_knowns():
 
 
 def test_is_irreducible_over_Q():
-    assert is_irreducible_over_Q(Poly.from_ints(QQ, [-2, 0, 1]))
-    assert not is_irreducible_over_Q(Poly.from_ints(QQ, [-1, 0, 1]))
-    assert is_irreducible_over_Q(Poly.from_ints(QQ, [1, 1, 1, 1, 1]))  # 5th cyclotomic
+    assert is_irreducible(Poly.from_ints(QQ, [-2, 0, 1]))
+    assert not is_irreducible(Poly.from_ints(QQ, [-1, 0, 1]))
+    assert is_irreducible(Poly.from_ints(QQ, [1, 1, 1, 1, 1]))  # 5th cyclotomic
+
+
+def test_is_irreducible_over_gfp_matches_divisor_search():
+    """Every monic polynomial of degree 1-4 over GF(2) and GF(3) and of
+    degree 1-3 over GF(5), against a search over all monic divisors; over
+    GF(2) these include inseparable squares such as X^2 + 1 = (X + 1)^2."""
+    for p, top in ((2, 4), (3, 4), (5, 3)):
+        F = FiniteField(p)
+        for n in range(1, top + 1):
+            for low in itertools.product(range(p), repeat=n):
+                coeffs = [*low, 1]
+                assert is_irreducible(Poly.from_ints(F, coeffs)) == gfp_is_irreducible(p, coeffs), (p, coeffs)
+    F2, F3 = FiniteField(2), FiniteField(3)
+    for square in ([1, 0, 1], [1, 0, 0, 0, 1], [1, 0, 1, 0, 1]):
+        assert not is_irreducible(Poly.from_ints(F2, square))
+    # the test makes its input monic: 2X^2 + 2 = 2(X^2 + 1) over GF(3)
+    assert is_irreducible(Poly.from_ints(F3, [2, 0, 2]))
+    assert not is_irreducible(Poly.from_ints(F3, [2]))
 
 
 def test_resultant_and_discriminant():

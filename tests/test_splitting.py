@@ -8,7 +8,6 @@ from nilmat.errors import (
     ImperfectField,
     NotNilpotentSignal,
     NotUnipotent,
-    NotUnipotentGenerator,
 )
 from nilmat.fields import QQ, FiniteField, FunctionField, NumberField
 from nilmat.groups import GroupSpec
@@ -17,10 +16,10 @@ from nilmat.poly import gcd as poly_gcd, squarefree_part
 from nilmat.splitting import (
     finite_order,
     has_infinite_order,
-    is_unipotent_group,
     is_unipotent_matrix,
     jordan,
     reduction_split,
+    unipotent_flag,
 )
 from reference import minimal_polynomial
 
@@ -204,7 +203,7 @@ def _is_unipotent_flag(flag, gens):
 def test_is_unipotent_group_examples():
     e12 = Matrix.from_ints(QQ, [[1, 1, 0], [0, 1, 0], [0, 0, 1]])
     e23 = Matrix.from_ints(QQ, [[1, 0, 0], [0, 1, 1], [0, 0, 1]])
-    cert = is_unipotent_group([e12, e23])
+    cert = unipotent_flag([e12, e23])
     assert [s.dim for s in cert.flag] == [3, 2, 1, 0]
     assert _is_unipotent_flag(cert.flag, [e12, e23])
     # a flag that skips a level is not one
@@ -212,14 +211,10 @@ def test_is_unipotent_group_examples():
     a = Matrix.from_ints(QQ, [[1, 1], [0, 1]])
     b = Matrix.from_ints(QQ, [[1, 0], [1, 1]])
     with pytest.raises(NotUnipotent):
-        is_unipotent_group([a, b])
-    ident_cert = is_unipotent_group([Matrix.identity(QQ, 4)])
+        unipotent_flag([a, b])
+    ident_cert = unipotent_flag([Matrix.identity(QQ, 4)])
     assert [s.dim for s in ident_cert.flag] == [4, 0]
     assert _is_unipotent_flag(ident_cert.flag, [Matrix.identity(QQ, 4)])
-    # callers without a proof of unipotency still get the generator test
-    for gens in ([[[2]]], [[[1, 1], [0, 2]]], [[[1, 0], [0, 1]], [[1, 1], [0, 2]]]):
-        with pytest.raises(NotUnipotentGenerator):
-            is_unipotent_group([Matrix.from_ints(QQ, g) for g in gens])
 
 
 def test_reduction_split_examples():
@@ -240,6 +235,40 @@ def test_reduction_split_examples():
     assert sc.gens_u[0] == Matrix.from_ints(QQ, [[1, 1], [0, 1]])
 
 
+def test_commutation_check_skips_scalar_parts(monkeypatch):
+    """A scalar diagonalizable part commutes with every unipotent part, so
+    the commutation loop forms no product against it.  On heisenberg(3, Q)
+    = <e12, e23> both diagonalizable parts are I, and neither the Jordan
+    split nor the flag forms a product, so each counted product would be
+    the loop's: it forms none.  A failing non-scalar pair after a scalar
+    part still gives the non_commuting_pair witness on that pair."""
+    counted = []
+    product = Matrix.__mul__
+
+    def counting(a, b):
+        counted.append(1)
+        return product(a, b)
+
+    e12 = Matrix.from_ints(QQ, [[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+    e23 = Matrix.from_ints(QQ, [[1, 0, 0], [0, 1, 1], [0, 0, 1]])
+    with monkeypatch.context() as m:
+        m.setattr(Matrix, "__mul__", counting)
+        sr = reduction_split(GroupSpec(QQ, [e12, e23]))
+    assert sr.gens_u == (e12, e23) and all(s.is_identity() for s in sr.gens_s)
+    assert len(counted) == 0
+
+    u = Matrix.from_ints(QQ, [[1, 1], [0, 1]])
+    s = Matrix.from_ints(QQ, [[-1, 0], [0, 1]])
+    with pytest.raises(NotNilpotentSignal) as exc:
+        reduction_split(GroupSpec(QQ, [Matrix.from_ints(QQ, [[2, 0], [0, 2]]), u, s]))
+    w = exc.value.witness
+    assert (w.kind, w.context) == ("non_commuting_pair", "jordan_parts")
+    assert [(i.label, i.mat, i.word, i.data) for i in w.items] == [
+        ("x", u, ((1, 1),), {"part": "u", "generator": 1}),
+        ("y", s, ((2, 1),), {"part": "s", "generator": 2}),
+    ]
+
+
 def test_identity_unipotent_parts_cost_no_field_work(monkeypatch):
     """When every generator's characteristic polynomial is squarefree,
     reduction_split forms no matrix product and no inverse: each generator
@@ -247,7 +276,8 @@ def test_identity_unipotent_parts_cost_no_field_work(monkeypatch):
     diagonalizable generator with a repeated eigenvalue is its own part
     too, found by one evaluation of f* with no inverse.  is_nilpotent
     reduces and lifts G itself instead of a copy of its diagonalizable
-    parts; one nontrivial unipotent part still gets its products."""
+    parts; a nontrivial unipotent part beside a non-scalar diagonalizable
+    part still gets its products."""
     from nilmat import nilpotency, splitting
 
     counted = []
@@ -262,7 +292,9 @@ def test_identity_unipotent_parts_cost_no_field_work(monkeypatch):
         return invert(a)
 
     d8 = GroupSpec(QQ, [Matrix.from_ints(QQ, [[0, -1], [1, 0]]), Matrix.from_ints(QQ, [[1, 0], [0, -1]])])
-    mixed = GroupSpec(QQ, [Matrix.from_ints(QQ, [[2, 0], [0, 2]]), Matrix.from_ints(QQ, [[1, 1], [0, 1]])])
+    mixed = GroupSpec(
+        QQ, [Matrix.from_ints(QQ, [[2, 0, 0], [0, 2, 0], [0, 0, 1]]), Matrix.from_ints(QQ, [[1, 1, 0], [0, 1, 0], [0, 0, 1]])]
+    )
     for G, free in ((d8, True), (mixed, False)):
         counted.clear()
         with monkeypatch.context() as m:
