@@ -23,12 +23,21 @@ one monic common denominator per row and column over function fields, with
 one reduction per entry.
 
 `Field.row_kernel` multiplies rows by fixed matrices, for the Cayley
-engine: by default one `matmul` against all their columns on value tuples.
-GF(q) with q <= 64 and n(p - 1) < 256 keeps rows as `bytes` of values and
-a product row as one integer sum of packed table entries T_j[c] = c * row j,
-one GF(p) digit per byte, reduced by one bytewise translate and, over
-GF(p^l), folded from digits to values by l - 1 masked shifts.  Its
-multiplication and inverse tables come from one discrete-log pass.
+engine.  It returns the identity rows, `act`, which gives a batch of
+rows' products with each matrix, and `values`, which decodes a row to its
+canonical values.  Rows take one of three forms, each equal to another
+exactly when their values are:
+  - `bytes` of values, over GF(q) with q <= 64 and n(p - 1) < 256.  A
+    product row is one integer sum of packed table entries T_j[c] = c *
+    row j, one GF(p) digit per byte, reduced by one bytewise translate
+    and, over GF(p^l), folded from digits to values by l - 1 masked
+    shifts.  The multiplication and inverse tables come from one
+    discrete-log pass.
+  - integer rows (d, numerators...) in lowest terms, over Q and Q(a).  A
+    product row is integer dot products, Kronecker-packed over Q(a), and
+    one gcd; a Fraction is built only by `values`.
+  - value tuples elsewhere, by the base class's one `matmul` against all
+    the matrices' columns.
 
 Over Q and number fields, element and polynomial arithmetic clears
 denominators once and runs on integers, again returning exactly the
@@ -330,16 +339,15 @@ class Field:
         return tuple(out)
 
     def row_kernel(self, mats):
-        """(identity rows, act) for rows acted on by the fixed square
-        matrices `mats` from the right: act(batch) gives, for each row of
-        batch, its products with all of mats side by side, n entries per
-        matrix.  Here rows are value tuples and act is one `matmul`
-        against all the matrices' columns; a field may return rows of
-        another sequence type, whose `tuple(row)` is the row's values."""
+        """(identity rows, act, values) for rows acted on by the fixed square
+        matrices `mats` from the right: act(batch) gives, for each matrix,
+        the list of the products of batch's rows with it, and values(row)
+        is a row's tuple of canonical values.  Here rows are value tuples
+        and act is one `matmul` against all the matrices' columns."""
         n = len(mats[0].rows)
         ident = tuple(tuple(self.one if i == j else self.zero for j in range(n)) for i in range(n))
         cols = tuple(c for m in mats for c in zip(*m.rows))
-        return ident, lambda batch: self.matmul(batch, cols)
+        return ident, lambda batch: _per_matrix(self.matmul(batch, cols), n, len(mats)), tuple
 
     def __eq__(self, other):
         if self is other:
@@ -388,6 +396,9 @@ class RationalField(Field):
             tuple(Fraction(sum(map(mul, na, nb)), da * db) for nb, db in cb)
             for na, da in ra
         )
+
+    def row_kernel(self, mats):
+        return _integer_row_kernel(mats, 1, None)
 
     def from_int(self, k):
         return Fraction(k)
@@ -453,6 +464,79 @@ def _over_common_denominator(fracs):
     return [c.numerator * (d // e) for c, e in zip(fracs, dens)], d
 
 
+def _per_matrix(prods, n, k):
+    """Product rows with k matrices' n entries side by side, cut into one
+    list of rows per matrix."""
+    return [[r[s : s + n] for r in prods] for s in range(0, n * k, n)]
+
+
+def _pack(cs, bits):
+    """The Kronecker substitution of the integers cs at 2^bits."""
+    v = 0
+    for c in reversed(cs):
+        v = (v << bits) + c
+    return v
+
+
+def _unpack(s, bits, count):
+    """The first count signed bits-bit slots of s, lowest first."""
+    mask, half, full = (1 << bits) - 1, 1 << (bits - 1), 1 << bits
+    out = []
+    for _ in range(count):
+        c = s & mask
+        if c >= half:
+            c -= full
+        out.append(c)
+        s = (s - c) >> bits
+    return out
+
+
+def _integer_row_kernel(mats, m, apow):
+    """Field.row_kernel over Q (m = 1) and over Q(a) of degree m, apow being
+    the reductions of a^m .. a^(2m-2).  A row is (d, numerators...), its n
+    entries' m power-basis coefficients over d > 0 with gcd(d, numerators)
+    = 1, so two rows are equal exactly when their values are.  Each matrix
+    is cleared to integers over one denominator D once.  A product entry is
+    an integer dot product, over Q(a) one of Kronecker substitutions at
+    2^bits folded by apow, and a product row costs one gcd with d*D."""
+    n, cleared, top = mats[0].n, [], 0
+    for mat in mats:
+        ints, d = _over_common_denominator([*chain(*mat.rows)] if m == 1 else [*chain(*chain(*mat.rows))])
+        if m == 1:
+            cleared.append((d, [ints[c::n] for c in range(n)]))
+        else:
+            top = max(top, *map(abs, ints))
+            cleared.append((d, [[ints[(j * n + c) * m : (j * n + c + 1) * m] for j in range(n)] for c in range(n)]))
+    ident = tuple((1, *(int(i == j * m) for i in range(n * m))) for j in range(n))
+    packed = {}
+
+    def canonical(d, nums):
+        g = gcd(d, *nums) if d > 1 else 1
+        return (d, *nums) if g == 1 else (d // g, *(x // g for x in nums))
+
+    def act(batch):
+        rows, mcols = [r[1:] for r in batch], cleared
+        if m == 1:
+            def entries(row, cols):
+                return [sum(map(mul, row, c)) for c in cols]
+        else:
+            bits = (n * m * top * max(map(abs, chain(*rows)), default=0)).bit_length() + 1
+            if bits not in packed:
+                packed[bits] = [(d, [[_pack(e, bits) for e in col] for col in cols]) for d, cols in cleared]
+            rows, mcols = [[_pack(r[i : i + m], bits) for i in range(0, n * m, m)] for r in rows], packed[bits]
+
+            def entries(row, cols):
+                return [x for c in cols for x in _fold(_unpack(sum(map(mul, row, c)), bits, 2 * m - 1), apow)]
+
+        return [[canonical(r[0] * d, entries(row, cols)) for r, row in zip(batch, rows)] for d, cols in mcols]
+
+    def values(row):
+        fr = [Fraction(x, row[0]) for x in row[1:]]
+        return tuple(fr) if m == 1 else tuple(tuple(fr[i : i + m]) for i in range(0, n * m, m))
+
+    return ident, act, values
+
+
 def reduce_mod(x: Fraction, p: int) -> int:
     """Reduce a rational with p-coprime denominator into GF(p)."""
     den = x.denominator
@@ -491,7 +575,7 @@ class FiniteField(Field):
                     raise ValueError("modulus must be monic of degree l")
                 from .poly import Poly, is_irreducible
 
-                if not is_irreducible(Poly.from_ints(FiniteField(p), modulus)):
+                if not is_irreducible(Poly.from_ints(field_from_json({"kind": "GF", "p": p}), modulus)):
                     raise ValueError("modulus is not irreducible over GF(p)")
             self.modulus = modulus
             self._xpow = _power_reductions(modulus, p)
@@ -657,9 +741,9 @@ class FiniteField(Field):
 
         def act(batch):
             prods = [sum(map(getitem, tables, r)).to_bytes(width, "little").translate(red) for r in batch]
-            return list(map(fold, prods)) if folds else prods
+            return _per_matrix(list(map(fold, prods)) if folds else prods, n, len(mats))
 
-        return ident, act
+        return ident, act, tuple
 
     def inv(self, a):
         if a == 0:
@@ -769,7 +853,7 @@ def find_irreducible_modulus(p, l, seed=0):
     """Monic irreducible of degree l over GF(p), by seeded random search."""
     from .poly import Poly, is_irreducible
 
-    base = FiniteField(p)
+    base = field_from_json({"kind": "GF", "p": p})
     rng = random.Random(f"modulus:{p}:{l}:{seed}")
     while True:
         coeffs = [rng.randrange(p) for _ in range(l)] + [1]
@@ -832,32 +916,21 @@ class NumberField(Field):
         k = len(cols[0]) if cols else 0
         top = max((max(map(abs, ints), default=0) for ints, _ in ra + cb), default=0)
         bits = (k * m * top * top).bit_length() + 1
-        mask, half, full = (1 << bits) - 1, 1 << (bits - 1), 1 << bits
 
         def pack(ints):
-            out = []
-            for i in range(0, len(ints), m):
-                v = 0
-                for c in reversed(ints[i:i + m]):
-                    v = (v << bits) + c
-                out.append(v)
-            return out
-
-        def unpack(s, d):
-            conv = []
-            for _ in range(2 * m - 1):
-                c = s & mask
-                if c >= half:
-                    c -= full
-                conv.append(c)
-                s = (s - c) >> bits
-            return tuple(Fraction(x, d) for x in _fold(conv, apow))
+            return [_pack(ints[i : i + m], bits) for i in range(0, len(ints), m)]
 
         pcols = [(pack(ints), d) for ints, d in cb]
         return tuple(
-            tuple(unpack(sum(map(mul, pa, pb)), da * db) for pb, db in pcols)
+            tuple(
+                tuple(Fraction(x, da * db) for x in _fold(_unpack(sum(map(mul, pa, pb)), bits, 2 * m - 1), apow))
+                for pb, db in pcols
+            )
             for pa, da in ((pack(ints), d) for ints, d in ra)
         )
+
+    def row_kernel(self, mats):
+        return _integer_row_kernel(mats, self.degree, self._apow)
 
     def inv(self, a):
         if self.is_zero(a):

@@ -4,7 +4,8 @@ the one Cayley enumeration engine the pipeline uses.  The engine works on
 interned row ids, so a Cayley edge is a few lookups and the field's work is
 one call of its row kernel per batch of rows not yet acted on, against all
 the generators at once (over GF(q), q <= 64, with n(p - 1) < 256, the rows
-are `bytes` and a product is a sum of table entries).  A vertex is kept
+are `bytes` and a product is a sum of table entries; over Q and Q(a) they
+are integer numerators over one denominator).  A vertex is kept
 as its row ids, tree parent and last letter, and its matrix and tree word
 are built only when read.  A complete enumeration's table also gives its
 central vertices and a generating set of the center, with no matrix
@@ -23,7 +24,6 @@ from __future__ import annotations
 from array import array
 from functools import cached_property
 from itertools import count
-from operator import itemgetter
 
 from .errors import Singular, SingularGenerator
 from .linalg import Matrix, inverse
@@ -181,26 +181,26 @@ class _RowAction:
     """Interned row vectors of one field and degree, acted on by fixed
     matrices through lookups: every distinct row met gets one id, the
     identity's rows being 0..n-1, and `images[i][r]` is the id of row r
-    times mats[i].  The rows and their product come from the field's
-    `row_kernel`: `bytes` of element values over a small GF(q), value
-    tuples elsewhere.  `extend` multiplies every row not yet acted on by
-    all the matrices in one call of the kernel."""
+    times mats[i].  The rows, their products and their values come from
+    the field's `row_kernel`: `bytes` of element values over a small
+    GF(q), integer rows over Q and Q(a), value tuples elsewhere.  `extend`
+    multiplies every row not yet acted on by all the matrices in one call
+    of the kernel, and `matrix` decodes a key's rows by `values`."""
 
     def __init__(self, mats):
         self.field = mats[0].field
         self.n = mats[0].n
-        ident, self.act = self.field.row_kernel(mats)
+        ident, self.act, self.values = self.field.row_kernel(mats)
         self.index = _Ids(ident)
         self.points = self.index.rows
         self.images = [[] for _ in mats]
         self.done = 0
 
     def _act(self, batch):
-        """Per matrix, the ids of the rows of batch times that matrix, cut
-        from one product of batch with all the matrices side by side; new
-        rows get ids in (matrix, row) order."""
-        n, prods, ids = self.n, self.act(batch), self.index.__getitem__
-        return [list(map(ids, map(itemgetter(slice(s, s + n)), prods))) for s in range(0, len(self.images) * n, n)]
+        """Per matrix, the ids of the rows of batch times that matrix, from
+        one call of the row kernel for all the matrices; new rows get ids
+        in (matrix, row) order."""
+        return [list(map(self.index.__getitem__, prods)) for prods in self.act(batch)]
 
     def extend(self):
         batch, self.done = self.points[self.done :], len(self.points)
@@ -208,13 +208,14 @@ class _RowAction:
             img.extend(new)
 
     def matrix(self, key):
-        return Matrix(self.field, tuple(map(tuple, map(self.points.__getitem__, key))))
+        return Matrix(self.field, tuple(map(self.values, map(self.points.__getitem__, key))))
 
 
 class _SourceAction(_RowAction):
-    """The source side of schreier_generators: only rows of transversal
+    """The source side of schreier_generators, over the source field's
+    row kernel (integer rows over Q and Q(a)): only rows of transversal
     keys are acted on, as the rows of nontrivial Schreier keys are only
-    read back by `matrix`; `images[i]` maps acted row ids, `extend` acts
+    decoded, by `matrix`; `images[i]` maps acted row ids, `extend` acts
     on the ids in `pending`."""
 
     def __init__(self, mats):

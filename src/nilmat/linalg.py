@@ -115,10 +115,6 @@ class Matrix(Frozen):
             ),
         )
 
-    def __neg__(self):
-        F = self.field
-        return Matrix(F, tuple(tuple(F.neg(c) for c in r) for r in self.rows))
-
     def __mul__(self, other):
         F = self.field
         if not isinstance(other, Matrix):

@@ -80,9 +80,6 @@ class Poly(Frozen):
     def __sub__(self, other):
         return Poly(self.field, fields.pt_sub(self.field, self.coeffs, other.coeffs))
 
-    def __neg__(self):
-        return Poly(self.field, fields.pt_neg(self.field, self.coeffs))
-
     def __mul__(self, other):
         if isinstance(other, Poly):
             return Poly(self.field, fields.pt_mul(self.field, self.coeffs, other.coeffs))
@@ -112,9 +109,6 @@ class Poly(Frozen):
         for i in range(1, len(self.coeffs)):
             out.append(F.mul(self.coeffs[i], F.from_int(i)))
         return Poly.make(F, out)
-
-    def evaluate(self, x):
-        return fields.pt_eval(self.field, self.coeffs, x)
 
     def pow_mod(self, e, m):
         F = self.field

@@ -168,16 +168,16 @@ def _rows_multiplied(monkeypatch, gens):
     rows, batches, kinds = [], [], set()
 
     def counting_kernel(mats):
-        ident, act = row_kernel(mats)
+        ident, act, values = row_kernel(mats)
 
         def counting(batch):
             rows.append(len(batch))
             kinds.update(map(type, batch))
             out = act(batch)
-            assert all(len(r) == len(mats) * len(ident) for r in out)
+            assert len(out) == len(mats) and all(len(prods) == len(batch) for prods in out)
             return out
 
-        return ident, counting
+        return ident, counting, values
 
     def counting_extend(self):
         batches.append(len(self.points) - self.done)
@@ -196,9 +196,10 @@ def _rows_multiplied(monkeypatch, gens):
 def test_engine_field_work_follows_distinct_rows(monkeypatch):
     """Each distinct row is sent to the row kernel at most once, in one
     product per row batch for all the generators, against |P| k n rows for
-    one full product per edge: on byte rows over GF(5) and GF(3), and on
+    one full product per edge: on byte rows over GF(5) and GF(3), on
     the tuple rows of the fallback over GF(3^4), past the tables, and over
-    GF(61) in degree 5, past n(p - 1) < 256."""
+    GF(61) in degree 5, past n(p - 1) < 256, and on the integer rows of a
+    rationally conjugated D8 over Q and of D16 over Q(sqrt2)."""
     G = gen_max_abs_irr_nilpotent(4, 5, 1)
     part = [x.mat for x in _prime_parts(G.elts())[0][2]]
     t = Matrix.from_ints(G.field, [[1, 0, 1, 0], [0, 1, 0, 0], [0, 0, 1, 1], [0, 0, 0, 1]])
@@ -214,6 +215,12 @@ def test_engine_field_work_follows_distinct_rows(monkeypatch):
         (q8sq, 64, tuple),
         ([cycle, sign], 160, tuple),
     ]
+    d8 = [Matrix.from_ints(QQ, [[0, -1], [1, 0]]), Matrix.from_ints(QQ, [[1, 0], [0, -1]])]
+    tq = Matrix.make(QQ, [[Fraction(1, 2), 3], [-2, Fraction(5, 3)]])
+    K = NumberField((-2, 0, 1))
+    h = (Fraction(0), Fraction(1, 2))
+    rot = Matrix.make(K, [[h, K.neg(h)], [h, h]])
+    cases += [([inverse(tq) * g * tq for g in d8], 8, tuple), ([rot, Matrix.from_ints(K, [[1, 0], [0, -1]])], 16, tuple)]
     for gens, order, kind in cases:
         multiplied, distinct, size, got_kind = _rows_multiplied(monkeypatch, gens)
         assert size == order and got_kind is kind

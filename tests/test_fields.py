@@ -127,6 +127,26 @@ def test_finite_field_extension_modulus_is_recorded_and_irreducible():
     assert d["kind"] == "GF" and "modulus" in d
 
 
+def test_extension_moduli_are_tested_over_one_prime_field(monkeypatch):
+    """A given modulus and a seeded search test irreducibility over one
+    memoized GF(p), built once per p, and a reducible modulus is still
+    rejected."""
+    from nilmat import poly
+
+    seen, is_irreducible = [], poly.is_irreducible
+
+    def recording(f):
+        seen.append(f.field)
+        return is_irreducible(f)
+
+    monkeypatch.setattr(poly, "is_irreducible", recording)
+    F = FiniteField(61, 2)
+    assert FiniteField(61, 2, F.modulus) == F and FiniteField(61, 3).q == 61**3
+    with pytest.raises(ValueError, match="not irreducible"):
+        FiniteField(61, 2, (1, 0, 1))  # X^2 + 1 has the roots +-11, as 11^2 = -1
+    assert len(seen) >= 4 and all(b is seen[0] for b in seen) and seen[0] == FiniteField(61)
+
+
 def test_finite_field_frobenius_and_order():
     F = FiniteField(5, 2)
     g = F.multiplicative_generator()

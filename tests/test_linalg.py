@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -359,10 +360,62 @@ def test_row_kernel_matches_schoolbook(p, l, n, kind):
         full = Matrix.make(F, [[c] * n for _ in range(n)])
         cases.append(([full, full], [(F.q - 1,) * n]))
     for mats, rows in cases:
-        ident, act = F.row_kernel(mats)
+        ident, act, values = F.row_kernel(mats)
         assert all(type(r) is kind for r in ident)
-        assert [tuple(r) for r in ident] == list(Matrix.identity(F, n).rows)
-        cols = tuple(c for m in mats for c in zip(*m.rows))
-        batch = [kind(r) for r in rows] + [ident[0], ident[-1]]
-        got = [tuple(r) for r in act(batch)]
-        assert got == list(Field.matmul(F, [tuple(r) for r in batch], cols))
+        _check_row_kernel(F, mats, ident, act, values, [kind(r) for r in rows] + [ident[0], ident[-1]])
+
+
+def _check_row_kernel(F, mats, ident, act, values, batch):
+    """act(batch) gives one list of rows per matrix, each the base class's
+    add/mul loop's products of batch's values with that matrix, value for
+    value and repr for repr, and the identity rows decode to the identity."""
+    n = len(ident)
+    assert [values(r) for r in ident] == list(Matrix.identity(F, n).rows)
+    got = act(batch)
+    assert len(got) == len(mats)
+    for m, prods in zip(mats, got):
+        want = Field.matmul(F, [values(r) for r in batch], tuple(zip(*m.rows)))
+        decoded = [values(r) for r in prods]
+        assert decoded == list(want) and repr(decoded) == repr(list(want))
+    return got
+
+
+def _big(rng):
+    """A 40-digit rational of either sign with a denominator."""
+    return Fraction(rng.randint(-(10**40), 10**40), rng.randint(1, 10**6))
+
+
+@pytest.mark.parametrize(
+    "F",
+    [QQ, NumberField((-2, 0, 1)), NumberField((1, 0, 1)), NumberField((-2, -1, 0, 1)), FunctionField(QQ)],
+    ids=lambda f: f.name(),
+)
+def test_char0_row_kernel_matches_schoolbook(F):
+    """The integer rows over Q and Q(a), and the value tuples over Q(X):
+    products of rows with denominators, negative entries and 40-digit
+    entries decode to the add/mul loop's, and rows reached by different
+    products with equal values are equal and hash equal, here r A A^-1 = r
+    and r (2I) (I/2) = r."""
+    rng = random.Random(F.name())
+    if isinstance(F, FunctionField):
+        # the base class's value tuples; large entries would only slow the
+        # rational-function gcds of inverse(A)
+        entry = lambda: F.random_element(rng)
+    elif isinstance(F, NumberField):
+        entry = lambda: tuple(_big(rng) for _ in range(F.degree))
+    else:
+        entry = lambda: _big(rng)
+    for n in (1, 2, 3):
+        A = Matrix.make(F, [[entry() for _ in range(n)] for _ in range(n)])
+        two = Matrix.identity(F, n) * F.from_int(2)
+        mats = [A, inverse(A), two, inverse(two)]
+        ident, act, values = F.row_kernel(mats)
+        rows_a, rows_ainv, rows_two, _ = _check_row_kernel(F, mats, ident, act, values, list(ident))
+        batch = rows_a + rows_ainv + rows_two
+        prods = _check_row_kernel(F, mats, ident, act, values, batch)
+        assert prods[1][:n] == list(ident) and list(map(hash, prods[1][:n])) == list(map(hash, ident))
+        if not isinstance(F, FunctionField):
+            # (d, integer numerators...): no Fraction is built in act
+            assert all(type(x) is int for r in chain(batch, *prods) for x in r)
+        again = _check_row_kernel(F, mats, ident, act, values, prods[2])
+        assert again[3] == batch and list(map(hash, again[3])) == list(map(hash, batch))
