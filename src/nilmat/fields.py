@@ -62,7 +62,7 @@ import random
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
-from operator import getitem, mul
+from operator import getitem, itemgetter, mul
 
 from .errors import DenominatorDivisible, ParseError
 from .numth import is_prime
@@ -467,7 +467,7 @@ def _over_common_denominator(fracs):
 def _per_matrix(prods, n, k):
     """Product rows with k matrices' n entries side by side, cut into one
     list of rows per matrix."""
-    return [[r[s : s + n] for r in prods] for s in range(0, n * k, n)]
+    return [list(map(itemgetter(slice(s, s + n)), prods)) for s in range(0, n * k, n)]
 
 
 def _pack(cs, bits):
