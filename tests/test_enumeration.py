@@ -220,7 +220,10 @@ def test_engine_field_work_follows_distinct_rows(monkeypatch):
     K = NumberField((-2, 0, 1))
     h = (Fraction(0), Fraction(1, 2))
     rot = Matrix.make(K, [[h, K.neg(h)], [h, h]])
-    cases += [([inverse(tq) * g * tq for g in d8], 8, tuple), ([rot, Matrix.from_ints(K, [[1, 0], [0, -1]])], 16, tuple)]
+    cases += [
+        ([inverse(tq) * g * tq for g in d8], 8, tuple),
+        ([rot, Matrix.from_ints(K, [[1, 0], [0, -1]])], 16, tuple),
+    ]
     for gens, order, kind in cases:
         multiplied, distinct, size, got_kind = _rows_multiplied(monkeypatch, gens)
         assert size == order and got_kind is kind
