@@ -5,7 +5,10 @@ string-encoded exact entries.  Reports are JSON with schema "nilmat/1";
 given the same file and flags they are byte-identical across runs except
 for the wall_ms timing field.  Exit codes: 0 analysis completed (the
 verdict, positive or negative, is in the report), 1 typed budget or
-capability error, 2 usage or parse error.
+capability error, 2 usage or parse error.  A budget that runs out is that
+exit 1, so a report's budgets_hit list is empty; the congruence checks
+(such as checks.image_semisimple over GF(q)(X)) describe the reduction
+and are reported under congruence, not as budgets.
 
 The fixed costs of a call are paid once per process: the argument parser
 is built on first use, field descriptors are memoized by
@@ -161,10 +164,6 @@ def run_command(cmd: str, G: GroupSpec, config: Config = DEFAULT, group_file=Non
         cd = v.artifacts.get("congruence")
         if cd is not None:
             report["congruence"] = cd.to_json()
-            if cd.checks.get("p_gt_n") is False:
-                report["budgets_hit"].append("prime_not_above_degree")
-            if cd.checks.get("image_semisimple") is False:
-                report["budgets_hit"].append("evaluation_image_not_semisimple")
         if "image_order" in v.artifacts:
             report["image_order"] = v.artifacts["image_order"]
     elif cmd in ("is-finite", "order", "sylow", "primary", "is-completely-reducible", "cr-series"):

@@ -11,20 +11,34 @@ that buy that guarantee: p odd, coprime to the denominators, unramified
 for number fields, and keeping the generators' minimal polynomials
 squarefree so the image stays semisimple.
 
+Why the kernel is torsion-free: let g = 1 + pi^k A (k >= 1, A not 0 mod
+pi) have prime order l, and let e = v(p) for the valuation v of pi.  In
+g^l - 1 = l pi^k A + (l choose 2) pi^(2k) A^2 + ... + pi^(lk) A^l the
+first term has valuation v(l) + k.  For l != p that is k, below every
+other term.  For l = p the middle terms lie at e + 2k or deeper and the
+last at pk, so the first survives when k(p - 1) > e: always once
+e < p - 1 (Minkowski), so at every unramified (e = 1) odd p.  So g^l != 1.
+Over Q(X) a torsion g in the kernel has g(a) = 1 by this, and the kernel
+of X -> a is torsion-free as every l is a unit there.  The degree n plays
+no part, and no claim of the package needs p > n: the verdict and the
+infinite primary decomposition use only this torsion-freeness (the
+latter also exp(H)), and the image's complete reducibility is never used.
+
 Two rules pick the map.  Over Q and number fields the prime is the least
-valid odd one, preferring p > n, from one trial (_try_prime) in which Q
-is the degree-1 case.  Over a function field the evaluation point is the
-first admissible one in a fixed candidate order, for either base: no
-denominator factor vanishes there, and over Q(X) the evaluated group has
-a valid prime.  Over a finite base checks.image_semisimple records
-whether that point's image is semisimple; no point is passed over for it.
+odd one up to PRIME_CAP that passes every check, from one trial
+(_try_prime) in which Q is the degree-1 case.  Over a function field the
+evaluation point is the first admissible one in a fixed candidate order,
+for either base: no denominator factor vanishes there, and over Q(X) the
+evaluated group has a valid prime.  Over a finite base the prime is the
+characteristic, and checks.image_semisimple records whether that point's
+image is semisimple; no point is passed over for it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import count, islice
+from itertools import count, islice, takewhile
 
 from .config import DEFAULT, Config
 from .errors import DenominatorDivisible, NoPrimeInRange, UnsupportedField
@@ -34,6 +48,7 @@ from .fields import (
     FunctionField,
     NumberField,
     RationalField,
+    field_from_json,
     pt_eval,
     reduce_mod,
 )
@@ -134,21 +149,6 @@ def _minpoly_stays_squarefree(h: Poly, reduce_coeff, target):
     return poly_gcd(hbar, hbar.derivative()).degree == 0
 
 
-def _first_valid_prime(G, try_prime):
-    """Least odd prime p <= PRIME_CAP with try_prime(p) not None, preferring
-    p > n."""
-    for require_gt_n in (True, False):
-        for p in odd_primes(3):
-            if p > PRIME_CAP:
-                break
-            if require_gt_n and p <= G.degree:
-                continue
-            cd = try_prime(p)
-            if cd is not None:
-                return cd
-    raise NoPrimeInRange(f"no valid odd prime below {PRIME_CAP}")
-
-
 def _frobenius_roots(target: FiniteField):
     """All roots of target's modulus, an irreducible polynomial of degree
     l > 1 over GF(p), inside target = GF(p^l), lexicographically sorted by
@@ -180,7 +180,7 @@ def _try_prime(G, pi, minpolys, disc_num, p):
     F = G.field
     if p % 2 == 0 or p in pi or disc_num % p == 0:
         return None
-    target, aimg = FiniteField(p), None
+    target, aimg = field_from_json({"kind": "GF", "p": p}), None
     checks = {"odd": True, "coprime_to_denominators": True}
     if isinstance(F, NumberField):
         _, facs = factor(Poly.from_ints(target, F.minpoly))
@@ -194,7 +194,7 @@ def _try_prime(G, pi, minpolys, disc_num, p):
     red = _reduction_map(target, aimg, p)
     if not all(_minpoly_stays_squarefree(h, red, target) for h in minpolys):
         return None
-    checks.update(minpoly_squarefree_mod_p=True, p_gt_n=p > G.degree)
+    checks["minpoly_squarefree_mod_p"] = True
     return CongruenceData(source=F, pi=pi, p=p, target=target, alpha_image=aimg, checks=checks)
 
 
@@ -220,7 +220,11 @@ def _select_prime(G, minpolys, prime_override):
         fq = Poly.from_ints(QQ, F.minpoly)
         disc_num = abs(resultant(fq, fq.derivative()).numerator)
     if prime_override is None:
-        return _first_valid_prime(G, lambda p: _try_prime(G, pi, minpolys, disc_num, p))
+        for p in takewhile(lambda p: p <= PRIME_CAP, odd_primes(3)):
+            cd = _try_prime(G, pi, minpolys, disc_num, p)
+            if cd is not None:
+                return cd
+        raise NoPrimeInRange(f"no valid odd prime below {PRIME_CAP}")
     if not is_prime(prime_override):
         raise NoPrimeInRange(f"prime {prime_override} is not prime")
     cd = _try_prime(G, pi, minpolys, disc_num, prime_override)
@@ -289,9 +293,12 @@ def _select_modulus_functionfield(G, config):
     """The first admissible point among the first EVAL_CAP candidates: no
     denominator factor vanishes there, and over Q(X) the evaluated group
     has a valid prime.  When a prime override fails at every admissible
-    point, its own failure is raised."""
+    point, its own failure is raised; over a finite base every prime but
+    the characteristic fails."""
     F = G.field
     base = F.base
+    if not isinstance(base, RationalField) and config.prime_override not in (None, base.p):
+        raise NoPrimeInRange(f"prime {config.prime_override} fails the validity checks")
     pi = denominator_set(G)
     rejected = None
     for B, a in islice(_ff_candidate_points(base, seed=config.seed), EVAL_CAP):

@@ -883,10 +883,6 @@ class NumberField(Field):
         self._apow = _power_reductions(mp)
         super().__init__()
 
-    def gen(self):
-        m = self.degree
-        return tuple([Fraction(0), Fraction(1)] + [Fraction(0)] * (m - 2))
-
     def add(self, a, b):
         return tuple(x + y for x, y in zip(a, b))
 

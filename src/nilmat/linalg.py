@@ -133,10 +133,6 @@ class Matrix(Frozen):
                 base = base * base
         return Matrix.identity(self.field, self.n) if out is None else out
 
-    def apply(self, vec):
-        """Matrix times column vector."""
-        return tuple(r[0] for r in self.field.matmul(self.rows, (vec,)))
-
     def __repr__(self):
         return f"Matrix({self.field.name()}, {[list(r) for r in self.rows]})"
 

@@ -331,7 +331,7 @@ def _hensel_lift(g_ints, facs_modp, p, k):
     Returns monic integer factor lists mod p^k whose product is g/lc mod
     p^k.
     """
-    Fp = FiniteField(p)
+    Fp = fields.field_from_json({"kind": "GF", "p": p})
 
     def pmul(a, b, m):
         out = [c % m for c in fields.int_convolution(a, b)]
@@ -421,16 +421,13 @@ def _factor_rational_squarefree(ints):
     # lc keeps its full degree
     from .numth import odd_primes
 
-    p = None
-    for cand in odd_primes(3):
-        if lc % cand == 0:
+    for p in odd_primes(3):
+        if lc % p == 0:
             continue
-        fbar = Poly.from_ints(FiniteField(cand), ints)
+        fbar = Poly.from_ints(fields.field_from_json({"kind": "GF", "p": p}), ints)
         if gcd(fbar, fbar.derivative()).degree == 0:
-            p = cand
             break
-    Fp = FiniteField(p)
-    fbar = Poly.from_ints(Fp, ints).monic()
+    fbar = fbar.monic()
     _, facs = _factor_finite(fbar)
     fac_ints = [[int(c) for c in g.coeffs] for g, _ in facs]
     if len(fac_ints) == 1:

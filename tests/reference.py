@@ -20,8 +20,8 @@ for the shared reduction table and fold of nilmat.fields and for
 references for the characteristic-polynomial route of nilmat.linalg and
 nilmat.splitting, with `finite_order` the element order over GF(q).
 `Span` is the incremental row reduction they read Krylov annihilators
-off, and `spin_dim` the enveloping-algebra dimension the corpus tests
-read irreducibility off.
+off, `apply` the matrix-vector product they step by, and `spin_dim` the
+enveloping-algebra dimension the corpus tests read irreducibility off.
 
 `enumeration` is the Cayley enumeration engine's contract as a plain
 breadth-first search keyed by whole matrices, and `congruence_kernel` the
@@ -257,6 +257,11 @@ class Span:
         return coeffs
 
 
+def apply(a: Matrix, vec):
+    """a times the column vector vec, through the field's matmul."""
+    return tuple(r[0] for r in a.field.matmul(a.rows, (vec,)))
+
+
 def spin_dim(gens) -> int:
     """Dimension of the enveloping algebra of gens: the breadth-first
     closure of {1} under right multiplication by the generators, keeping
@@ -283,7 +288,7 @@ def minimal_polynomial(a: Matrix) -> Poly:
         span = Span(F, n)
         cur = tuple(F.one if i == j else F.zero for i in range(n))
         while span.insert(cur):
-            cur = a.apply(cur)
+            cur = apply(a, cur)
         coeffs = span.coords(cur)
         ann = Poly.make(F, [F.neg(c) for c in coeffs] + [F.one])
         overall = (overall * ann) // gcd(overall, ann)

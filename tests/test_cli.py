@@ -398,10 +398,11 @@ def test_batch_mode_exits_one_on_a_budget_error(tmp_path, capsys):
     assert reports[1]["error"].startswith("CapExceeded: ")
 
 
-def test_budgets_hit_flags_the_reduction(tmp_path, capsys):
-    """A reduction prime not above the degree, and an evaluation image that
-    is not semisimple, are recorded in budgets_hit: Q8 <= GL(4, Q) reduced
-    at the forced prime 3, and <[[1, 1], [0, 1]], X I> over GF(5)(X)."""
+def test_budgets_hit_is_empty_for_the_reduction(tmp_path, capsys):
+    """The reduction's checks are not budgets: budgets_hit stays empty for
+    Q8 <= GL(4, Q) reduced at 3, a prime not above the degree, and for
+    <[[1, 1], [0, 1]], X I> over GF(5)(X), whose evaluation image is not
+    semisimple, which checks.image_semisimple still reports."""
     from corpus import rational_corpus
 
     q8 = next(e.group for e in rational_corpus() if e.name == "Q8")
@@ -410,8 +411,8 @@ def test_budgets_hit_flags_the_reduction(tmp_path, capsys):
     assert main(["is-nilpotent", str(path), "--json", "--prime", "3"]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep["verdict"]["nilpotent"] is True
-    assert rep["congruence"]["p"] == 3 and rep["congruence"]["checks"]["p_gt_n"] is False
-    assert rep["budgets_hit"] == ["prime_not_above_degree"]
+    assert rep["congruence"]["p"] == 3 and "p_gt_n" not in rep["congruence"]["checks"]
+    assert rep["budgets_hit"] == []
     one, zero, x = {"num": ["1"], "den": ["1"]}, {"num": [], "den": ["1"]}, {"num": ["0", "1"], "den": ["1"]}
     ffp = {
         "field": {"kind": "FF", "base": {"kind": "GF", "p": 5, "l": 1}},
@@ -422,7 +423,21 @@ def test_budgets_hit_flags_the_reduction(tmp_path, capsys):
     rep = json.loads(capsys.readouterr().out)
     assert rep["verdict"]["nilpotent"] is True
     assert rep["congruence"]["checks"]["image_semisimple"] is False
-    assert rep["budgets_hit"] == ["evaluation_image_not_semisimple"]
+    assert rep["budgets_hit"] == []
+
+
+def test_prime_override_over_gf_x_must_be_the_characteristic(tmp_path, capsys):
+    """Over GF(5)(X) the reduction is an evaluation with no prime to choose:
+    --prime 7 on <X I> fails the validity checks (exit 1) rather than being
+    ignored, and --prime 5 is the reduction's own prime."""
+    x, zero = {"num": ["0", "1"], "den": ["1"]}, {"num": [], "den": ["1"]}
+    xi = {"field": {"kind": "FF", "base": {"kind": "GF", "p": 5, "l": 1}}, "generators": [[[x, zero], [zero, x]]]}
+    path = write(tmp_path, "xi.json", xi)
+    assert main(["is-nilpotent", str(path), "--json", "--prime", "7"]) == 1
+    assert capsys.readouterr().err.strip().endswith("NoPrimeInRange: prime 7 fails the validity checks")
+    assert main(["is-nilpotent", str(path), "--json", "--prime", "5"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["flags"]["prime"] == 5 and rep["congruence"]["p"] == 5
 
 
 def test_prime_override_over_q_x_names_the_prime(tmp_path, capsys):

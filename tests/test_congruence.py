@@ -80,9 +80,21 @@ def test_select_modulus_respects_pi_and_override():
             select_modulus(G, DEFAULT.with_(prime_override=bad))
 
 
+def test_search_takes_the_least_valid_prime_whatever_the_degree():
+    """With no override the prime is the least odd one that passes every
+    check, however small next to the degree: Q8 <= GL(4, Q) and
+    D8 x C2 <= GL(3, Q) reduce at 3, and A4 <= GL(4, Q) at 5, since its
+    generator of order 3 has the minimal polynomial t^3 - 1 = (t - 1)^3
+    mod 3."""
+    groups = {e.name: e.group for e in rational_finite_corpus()}
+    for name, degree, p in (("Q8", 4, 3), ("D8xC2", 3, 3), ("A4", 4, 5)):
+        assert groups[name].degree == degree
+        assert select_modulus(groups[name]).p == p, name
+
+
 def test_select_modulus_numberfield():
     nf = NumberField((-2, 0, 1))
-    G = GroupSpec(nf, [Matrix.diagonal(nf, (nf.gen(), nf.one))])
+    G = GroupSpec(nf, [Matrix.diagonal(nf, (nf.parse(["0", "1"]), nf.one))])
     cd7 = select_modulus(G, DEFAULT.with_(prime_override=7))
     assert cd7.target.q == 7 and cd7.alpha_image == 3  # least root of X^2 - 2 mod 7
     cd5 = select_modulus(G, DEFAULT.with_(prime_override=5))
@@ -101,7 +113,7 @@ def test_search_and_override_share_one_prime_trial(monkeypatch):
     from nilmat import congruence
 
     K = NumberField((-3, 0, 1))
-    G = GroupSpec(K, [Matrix.diagonal(K, (K.gen(), K.inv(K.from_int(5))))])
+    G = GroupSpec(K, [Matrix.diagonal(K, (K.parse(["0", "1"]), K.inv(K.from_int(5))))])
     counts = {"denominator_set": 0, "resultant": 0}
     for name in counts:
         original = getattr(congruence, name)
@@ -152,7 +164,7 @@ def test_select_modulus_function_field_rational_base():
 
 def test_select_modulus_unramified_check_reverified():
     nf = NumberField((-2, 0, 1))
-    G = GroupSpec(nf, [Matrix.diagonal(nf, (nf.gen(), nf.one))])
+    G = GroupSpec(nf, [Matrix.diagonal(nf, (nf.parse(["0", "1"]), nf.one))])
     cd = select_modulus(G)
     assert cd.checks["unramified"]
     fq = Poly.from_ints(QQ, nf.minpoly)
@@ -262,7 +274,7 @@ def test_apply_congruence_examples():
     assert apply_congruence(m, cd).rows == ((3, 0), (0, 1))
     assert apply_congruence(Matrix.identity(QQ, 2), cd).is_identity()
     nf = NumberField((-2, 0, 1))
-    Gn = GroupSpec(nf, [Matrix.diagonal(nf, (nf.gen(), nf.one))])
+    Gn = GroupSpec(nf, [Matrix.diagonal(nf, (nf.parse(["0", "1"]), nf.one))])
     cdn = select_modulus(Gn, DEFAULT.with_(prime_override=7))
     assert apply_congruence(Gn.gens[0], cdn).rows == ((3, 0), (0, 1))
 

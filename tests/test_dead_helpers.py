@@ -1,27 +1,43 @@
-"""No dead helpers: every private function or class in the package is used.
+"""No dead helpers: every private function or class in the package is used,
+and so is every public function or method outside the library API.
 
-A `_`-prefixed function or class (dunder methods aside) that no code in
-`src/nilmat` names, apart from its own definition, is dead.  A use is a
-name, an attribute or an imported name anywhere in the package; one inside
-the helper's own body, such as a recursive call, does not count."""
+A `_`-prefixed function or class, or a public function or method that
+README's Library section does not show (dunder methods aside), that no
+code in `src/nilmat` names, apart from its own definition, is dead.  A use
+is a name, an attribute or an imported name anywhere in the package; one
+inside the helper's own body, such as a recursive call, does not count."""
 
 import ast
+import re
 from collections import defaultdict
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "nilmat"
+README = PACKAGE.parent.parent / "README.md"
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def _is_private(name):
     return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
 
 
-def dead_helpers(package=PACKAGE):
-    """[(module, line, name)] of the private helpers nothing names."""
+def library_api(readme=README):
+    """The identifiers in the code of README's Library section, comments
+    left out: the names callers outside the package are shown."""
+    section = readme.read_text().split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    code = " ".join(re.sub(r"#.*", "", c) for c in re.findall(r"```.*?```|`[^`]*`", section, re.S))
+    return set(re.findall(r"[A-Za-z_]\w*", code))
+
+
+def dead_helpers(package=PACKAGE, exempt=frozenset()):
+    """[(module, line, name)] of the private helpers, and of the public
+    functions and methods not in exempt, that nothing names."""
     defs, uses = [], defaultdict(list)
     for path in sorted(package.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and _is_private(node.name):
+            if isinstance(node, FUNCTIONS + (ast.ClassDef,)) and _is_private(node.name):
+                defs.append((path.name, node))
+            elif isinstance(node, FUNCTIONS) and not node.name.startswith("_") and node.name not in exempt:
                 defs.append((path.name, node))
             if isinstance(node, ast.Name):
                 uses[node.id].append((path.name, node.lineno))
@@ -29,15 +45,21 @@ def dead_helpers(package=PACKAGE):
                 uses[node.attr].append((path.name, node.lineno))
             elif isinstance(node, ast.alias):
                 uses[node.name].append((path.name, getattr(node, "lineno", 0)))
-    return [
+    return sorted(
         (module, node.lineno, node.name)
         for module, node in defs
         if all(m == module and node.lineno <= line <= node.end_lineno for m, line in uses[node.name])
-    ]
+    )
 
 
 def test_no_dead_private_helpers():
-    assert dead_helpers() == []
+    assert [d for d in dead_helpers() if _is_private(d[2])] == []
+
+
+def test_no_dead_public_functions():
+    api = library_api()
+    assert {"is_nilpotent", "analyze", "from_ints", "GroupSpec"} <= api
+    assert dead_helpers(exempt=api) == []
 
 
 def test_an_uncalled_helper_is_found(tmp_path):
@@ -47,4 +69,16 @@ def test_an_uncalled_helper_is_found(tmp_path):
         "class _Dead:\n    def __init__(self):\n        pass\n\n\n"
         "def public():\n    return _used()\n"
     )
-    assert dead_helpers(tmp_path) == [("mod.py", 5, "_recursive"), ("mod.py", 9, "_Dead")]
+    assert dead_helpers(tmp_path, exempt={"public"}) == [("mod.py", 5, "_recursive"), ("mod.py", 9, "_Dead")]
+
+
+def test_an_unused_public_method_is_found(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "class Box:\n"
+        "    def used(self):\n        return 1\n\n"
+        "    def unused(self):\n        return self.unused() + self.used()\n\n"
+        "    def __repr__(self):\n        return 'Box'\n\n\n"
+        "def shown():\n    return Box().used()\n"
+    )
+    assert dead_helpers(tmp_path, exempt={"shown"}) == [("mod.py", 5, "unused")]
+    assert dead_helpers(tmp_path) == [("mod.py", 5, "unused"), ("mod.py", 12, "shown")]

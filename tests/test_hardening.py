@@ -158,7 +158,7 @@ def test_dihedral_16_over_quadratic_field():
 
     nf = NumberField((-2, 0, 1))
     half = QQ.parse("1/2")
-    a_half = tuple(c * half for c in nf.gen())  # sqrt2 / 2
+    a_half = tuple(c * half for c in nf.parse(["0", "1"]))  # sqrt2 / 2
     neg = nf.neg(a_half)
     r45 = Matrix.make(nf, [[a_half, neg], [a_half, a_half]])
     refl = Matrix.make(nf, [[nf.one, nf.zero], [nf.zero, nf.neg(nf.one)]])
@@ -552,7 +552,7 @@ def test_nilpotent_number_field_group_through_files(tmp_path):
     """A dihedral-type group over Q(sqrt 2): the wreath of a root of unity,
     analyzed through the file interface end to end."""
     nf = NumberField((-2, 0, 1))
-    g = Matrix.diagonal(nf, (nf.gen(), nf.one))  # infinite order
+    g = Matrix.diagonal(nf, (nf.parse(["0", "1"]), nf.one))  # infinite order
     G = GroupSpec(nf, [g])
     path = tmp_path / "nf.json"
     path.write_text(json.dumps(group_to_json(G)))

@@ -84,7 +84,7 @@ def test_is_nilpotent_examples():
 
 def test_is_nilpotent_number_field():
     nf = NumberField((-2, 0, 1))
-    g = Matrix.diagonal(nf, (nf.gen(), nf.one))
+    g = Matrix.diagonal(nf, (nf.parse(["0", "1"]), nf.one))
     v = is_nilpotent(GroupSpec(nf, [g]))
     assert v.nilpotent
     swap = _m(nf, [[0, 1], [1, 0]])
@@ -94,7 +94,7 @@ def test_is_nilpotent_number_field():
 
 def test_is_nilpotent_cubic_number_field():
     nf = NumberField((-2, 0, 0, 1))  # cube root of 2
-    g = Matrix.diagonal(nf, (nf.gen(), nf.one))
+    g = Matrix.diagonal(nf, (nf.parse(["0", "1"]), nf.one))
     v = is_nilpotent(GroupSpec(nf, [g]))
     assert v.nilpotent
     rot = _m(nf, [[0, -1], [1, 0]])

@@ -271,7 +271,7 @@ def test_squarefree_part_over_a_number_field_inverts_once(monkeypatch):
     from nilmat.linalg import Matrix, charpoly
 
     K = NumberField((-2, 0, 1))
-    s2, o, z = K.gen(), K.one, K.zero
+    s2, o, z = K.parse(["0", "1"]), K.one, K.zero
     mats = [
         Matrix.make(K, [[s2, z], [z, s2]]),
         Matrix.make(K, [[s2, o], [z, s2]]),

@@ -21,7 +21,7 @@ from nilmat.splitting import (
     reduction_split,
     unipotent_flag,
 )
-from reference import minimal_polynomial
+from reference import apply, minimal_polynomial
 
 JORDAN_FIELDS = [QQ, FiniteField(5), FiniteField(3, 2), NumberField((-2, 0, 1)), FunctionField(QQ)]
 
@@ -124,7 +124,7 @@ def _charpoly_stock(F, rng):
     conjugate."""
     cands = [F.from_int(2), F.neg(F.one), F.one]
     if isinstance(F, NumberField):
-        cands.insert(0, F.gen())
+        cands.insert(0, F.parse(["0", "1"]))
     if isinstance(F, FunctionField):
         cands.insert(0, F.x())
     if isinstance(F, FiniteField) and F.l > 1:
@@ -193,7 +193,7 @@ def _is_unipotent_flag(flag, gens):
     """(g - 1) V_i lies in V_(i+1) for every generator g and level i."""
     ident = Matrix.identity(gens[0].field, gens[0].n)
     return all(
-        below.contains((g - ident).apply(v))
+        below.contains(apply(g - ident, v))
         for above, below in zip(flag, flag[1:])
         for g in gens
         for v in above.basis
