@@ -16,7 +16,7 @@ pi) have prime order l, and let e = v(p) for the valuation v of pi.  In
 g^l - 1 = l pi^k A + (l choose 2) pi^(2k) A^2 + ... + pi^(lk) A^l the
 first term has valuation v(l) + k.  For l != p that is k, below every
 other term.  For l = p the middle terms lie at e + 2k or deeper and the
-last at pk, so the first survives when k(p - 1) > e: always once
+last at pk or deeper, so the first survives when k(p - 1) > e: always once
 e < p - 1 (Minkowski), so at every unramified (e = 1) odd p.  So g^l != 1.
 Over Q(X) a torsion g in the kernel has g(a) = 1 by this, and the kernel
 of X -> a is torsion-free as every l is a unit there.  The degree n plays
