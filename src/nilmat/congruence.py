@@ -377,13 +377,24 @@ def kernel_is_central(G: GroupSpec, kernel_elts):
     generator; otherwise (False, (z, i)) for the first offending pair in
     kernel order.
 
-    The verdict's normal generators are distinct and never the identity
-    (nilpotency._kernel_gens), so each pair is two products; in
-    characteristic 0 a finite group has a trivial kernel, so there are none
-    and no product is formed.
+    No Matrix product is formed: one row kernel acts by the kernel
+    matrices and one by the generators, and rows are canonical, so four
+    act calls give the rows of every z, every g, every z g and every g z,
+    which are compared.  The verdict's normal generators are distinct and
+    never the identity (nilpotency._kernel_gens); in characteristic 0 a
+    finite group has a trivial kernel, so there are none and no row kernel
+    is built.
     """
-    for z in kernel_elts:
-        for i, g in enumerate(G.gens):
-            if not (z.mat * g == g * z.mat):
+    if not kernel_elts or not G.gens:
+        return True, None
+    _, act_z, _ = G.field.row_kernel([z.mat for z in kernel_elts])
+    ident, act_g, _ = G.field.row_kernel(G.gens)
+    n = G.degree
+    z_rows, g_rows = act_z(ident), act_g(ident)
+    zg = act_g([r for rows in z_rows for r in rows])
+    gz = act_z([r for rows in g_rows for r in rows])
+    for j, z in enumerate(kernel_elts):
+        for i in range(len(G.gens)):
+            if zg[i][j * n : (j + 1) * n] != gz[j][i * n : (i + 1) * n]:
                 return False, (z, i)
     return True, None

@@ -10,8 +10,8 @@ as its row ids, tree parent and last letter, and its matrix and tree word
 are built only when read.  A complete enumeration's table also gives its
 central vertices and a generating set of the center, with no matrix
 products, and, lifted to a source group, the Schreier generators of the
-kernel in one more pass (schreier_generators), whose transversal runs on
-the source's row ids as the engine does.
+kernel in one more pass (schreier_generators), which runs on the
+source's row ids as the engine does and forms no matrix product.
 
 A Word is a tuple of (generator index, +1 | -1) pairs; the empty word is
 the identity.  Pipeline elements travel as Elt pairs (matrix, word) so a
@@ -212,11 +212,12 @@ class _RowAction:
 
 
 class _SourceAction(_RowAction):
-    """The source side of schreier_generators, over the source field's
-    row kernel (integer rows over Q and Q(a)): only rows of transversal
-    keys are acted on, as the rows of nontrivial Schreier keys are only
-    decoded, by `matrix`; `images[i]` maps acted row ids, `extend` acts
-    on the ids in `pending`."""
+    """A source side of schreier_generators, over the source field's row
+    kernel (integer rows over Q and Q(a)), acting only on the rows asked
+    for: `images[i]` maps acted row ids, and `extend` acts on the ids in
+    `pending`.  One is built over the lift, for the rows of transversal
+    keys, and one over the lift's inverses, for the rows met on the
+    nontrivial Schreier keys' walks up the tree."""
 
     def __init__(self, mats):
         super().__init__(mats)
@@ -291,9 +292,17 @@ def schreier_generators(enum: Enumeration, lift) -> list:
     tree edge maps T(v)'s ids and costs no product; the first edge met
     into vertex w is its tree edge.  When the mapped key of T(v) lift[i]
     equals T(w)'s the generator is the identity and nothing is recorded;
-    otherwise that key's matrix is multiplied once by T(w)^-1, which is
-    built along the tree from the lift's inverses on first need, and its
-    word is T(v)'s and T(w)'s tree words mapped through the lift's words.
+    otherwise the edge is kept with that key.
+
+    No Matrix product is formed.  The kept keys are interned in a second
+    row action, over the lift's inverses, and walked up their targets'
+    tree paths in lockstep: T(w) = T(parent(w)) lift[letter(w)], so each
+    level maps a key through lift[letter(u)]^-1 and moves u to its parent,
+    one extend per level acting on the rows not yet acted on.  Each key
+    then holds the rows of T(v) lift[i] T(w)^-1, which are canonical, so
+    each distinct key is decoded once and its edges share the Matrix.  A
+    generator's word is T(v)'s and T(w)'s tree words mapped through the
+    lift's words.
     """
     if enum.overflowed:
         raise ValueError("Schreier generators need a complete enumeration")
@@ -301,25 +310,7 @@ def schreier_generators(enum: Enumeration, lift) -> list:
     src = _SourceAction([s.mat for s in lift])
     simages = src.images
     tkeys = [tuple(range(src.n))]
-    tinvs, lift_invs = {0: Matrix.identity(src.field, src.n)}, [None] * k
-
-    def tword(v):
-        return word_mul(*(lift[i].word for i, _ in enum.word(v)))
-
-    def tinv(v):
-        path = []
-        while v not in tinvs:
-            path.append(v)
-            v = parents[v]
-        out = tinvs[v]
-        for u in reversed(path):
-            i = letters[u]
-            if lift_invs[i] is None:
-                lift_invs[i] = inverse(lift[i].mat)
-            out = tinvs[u] = lift_invs[i] * out
-        return out
-
-    out = []
+    edges = []
     for v in range(len(enum)):
         t = tkeys[v]
         if not src.pending.isdisjoint(t):
@@ -330,8 +321,32 @@ def schreier_generators(enum: Enumeration, lift) -> list:
                 tkeys.append(tw)
                 src.pending.update(r for r in tw if r not in simages[0])
             elif tw != tkeys[w]:
-                word = word_mul(tword(v), lift[i].word, word_inverse(tword(w)))
-                out.append(Elt(src.matrix(tw) * tinv(w), word))
+                edges.append((v, i, w, tw))
+    if not edges:
+        return []
+
+    inv = _SourceAction([inverse(s.mat) for s in lift])
+    iimages, intern = inv.images, inv.index.__getitem__
+    keys = [tuple(map(intern, map(src.points.__getitem__, tw))) for *_, tw in edges]
+    at = [w for _, _, w, _ in edges]
+    live = [e for e, u in enumerate(at) if u]
+    while live:
+        inv.pending = {r for e in live for r in keys[e] if r not in iimages[0]}
+        if inv.pending:
+            inv.extend()
+        for e in live:
+            u = at[e]
+            keys[e], at[e] = tuple(map(iimages[letters[u]].__getitem__, keys[e])), parents[u]
+        live = [e for e in live if at[e]]
+
+    def tword(v):
+        return word_mul(*(lift[i].word for i, _ in enum.word(v)))
+
+    mats, out = {}, []
+    for (v, i, w, _), key in zip(edges, keys):
+        if key not in mats:
+            mats[key] = inv.matrix(key)
+        out.append(Elt(mats[key], word_mul(tword(v), lift[i].word, word_inverse(tword(w)))))
     return out
 
 

@@ -34,10 +34,15 @@ parts (groups.schreier_generators), the s_i (prod y)^-1, and the
 commutators of source parts for distinct primes.  Each Q_p is enumerated
 once and walked once more, so the work is sum |Q_p|, where the image has
 prod |Q_p| elements, and a negative image verdict lifts nothing.  The
-list keeps each distinct matrix once, so its consumers never deduplicate
-it.  They need only that these normally generate the kernel: a central
-normal generator is its own normal closure, so once every one commutes
-with the s_i they generate the kernel as a subgroup.
+walk runs on source row ids and forms no matrix product: a Schreier
+generator's rows are carried up its target's tree path by the parts'
+inverses, and each distinct one is decoded once.  The list keeps each
+distinct matrix once, so its consumers never deduplicate it.  They need
+only that these normally generate the kernel: a central normal
+generator is its own normal closure, so once every one commutes with
+the s_i they generate the kernel as a subgroup.  kernel_is_central
+tests that on the rows of every z s_i and s_i z, with no matrix product
+either.
 
 The verdict's Sylow systems, with the Cayley tables of their components,
 are also what structure.analyze reads the center and the primary

@@ -21,7 +21,7 @@ from nilmat.congruence import (
 from nilmat.errors import CapExceeded, NoPrimeInRange, UnsupportedField
 from nilmat.fields import QQ, FiniteField, FunctionField, NumberField, reduce_mod
 from nilmat.groups import GroupSpec, enumerate_group, schreier_generators
-from nilmat.linalg import Matrix
+from nilmat.linalg import Matrix, inverse
 from nilmat.nilpotency import is_nilpotent
 from nilmat.poly import Poly, resultant
 from nilmat.structure import analyze
@@ -361,13 +361,12 @@ def test_lifted_kernel_generators_replay(q_corpus, monkeypatch):
     the Schreier generators of the image's Sylow subgroups, lifted by their
     source parts, come first (each distinct matrix once), one pass over
     each Sylow subgroup's table.
-    The source transversal runs on row ids: only
-    the distinct rows of transversal elements go through the row kernel's
-    act, each once, against all the generators at once (the rows of
-    nontrivial Schreier generators are never acted on), and a source
-    Matrix product is formed only for a nontrivial
-    generator or a tree vertex whose transversal inverse that generator
-    needs, so a finite group forms none."""
+    The pass runs on row ids and forms no source Matrix product: only the
+    distinct rows of transversal elements go through the transversal
+    action's act, each once, against all the generators at once, and only
+    the distinct rows met on the nontrivial generators' walks up their
+    targets' tree paths go through the inverse action's, so a finite
+    group, which has no nontrivial generator, builds no inverse action."""
     from nilmat import nilpotency
 
     lifted_pass = nilpotency.schreier_generators
@@ -403,21 +402,25 @@ def test_lifted_kernel_generators_replay(q_corpus, monkeypatch):
 
 def _check_lifted_work(monkeypatch, enum, lift, schreier, entry):
     """Reruns one lifted pass counting the source field's work: the rows
-    sent through the row kernel's act, and the source Matrix products."""
+    sent through each row kernel's act (the transversal's, then the
+    inverse action's), and the Matrix products."""
     formed, sent, met = [0], [], set(Matrix.identity(QQ, lift[0].mat.n).rows)
     product, row_kernel = Matrix.__mul__, QQ.row_kernel
 
     def counting_product(a, b):
-        formed[0] += a.field is QQ
+        formed[0] += 1
         return product(a, b)
 
     def counting_kernel(mats):
         ident, act, values = row_kernel(mats)
+        sent.append([])
+        first = len(sent) == 1
 
         def counting(batch):
             out = act(batch)
-            sent.append(len(batch))
-            met.update(map(values, chain(batch, *out)))
+            sent[-1].append(len(batch))
+            if first:
+                met.update(map(values, chain(batch, *out)))
             return out
 
         return ident, counting, values
@@ -426,33 +429,75 @@ def _check_lifted_work(monkeypatch, enum, lift, schreier, entry):
         m.setattr(Matrix, "__mul__", counting_product)
         m.setattr(QQ, "row_kernel", counting_kernel)
         again = schreier_generators(enum, lift)
-    assert again == schreier, entry.name
+    assert again == schreier and formed[0] == 0, entry.name
     # the source transversal along the tree, the non-tree edges whose
-    # lifted generator is nontrivial, and the tree vertices on the paths
-    # to their targets
+    # lifted generator is nontrivial, and the rows of T(u) lift[i] on its
+    # walk up the tree path to its target j, one inverse letter a step
     lmats, k = [s.mat for s in lift], enum.ngens
     T = [Matrix.identity(QQ, lmats[0].n)]
     for v in range(1, len(enum)):
         T.append(T[enum.parents[v]] * lmats[enum.letters[v]])
-    targets = [
-        j
+    edges = [
+        (u, i, j)
         for u in range(len(enum))
         for i in range(k)
         for j in [enum.table[u * k + i]]
         if enum.word(j) != enum.word(u) + ((i, 1),) and not (T[u] * lmats[i] == T[j])
     ]
-    assert len(targets) == len(schreier), entry.name
-    inverted = set()
-    for j in targets:
+    assert len(edges) == len(schreier), entry.name
+    walked = set()
+    for (u, i, j), z in zip(edges, schreier):
+        x = T[u] * lmats[i]
         while j:
-            inverted.add(j)
-            j = enum.parents[j]
-    assert formed[0] <= len(targets) + len(inverted), entry.name
+            walked.update(x.rows)
+            x, j = x * inverse(lmats[enum.letters[j]]), enum.parents[j]
+        assert x == z.mat, entry.name
     transversal_rows = {r for t in T for r in t.rows}
-    assert sum(sent) <= len(transversal_rows), entry.name
+    assert len(sent) == 1 + bool(edges), entry.name
+    assert sum(sent[0]) <= len(transversal_rows), entry.name
+    if edges:
+        assert sum(sent[1]) <= len(walked), entry.name
     if entry.finite:
-        assert formed[0] == 0 and sum(sent) <= len(met), entry.name
+        assert not edges and sum(sent[0]) <= len(met), entry.name
         assert met == transversal_rows, entry.name
+
+
+def test_lifted_pass_decodes_each_distinct_generator_once(monkeypatch):
+    """On D16 x <sqrt2 I> over Q(sqrt2) the lifted pass over the image's
+    Sylow 2-subgroup of order 32 finds 23 nontrivial Schreier generators
+    but only 3 distinct matrices: it decodes each once (n values calls a
+    matrix), and generators with equal rows share the one Matrix."""
+    from nilmat import nilpotency
+
+    G, _ = _sqrt2_groups()
+    K, lifted_pass, calls = G.field, nilpotency.schreier_generators, []
+
+    def recording(enum, lift):
+        calls.append((enum, lift))
+        return lifted_pass(enum, lift)
+
+    monkeypatch.setattr(nilpotency, "schreier_generators", recording)
+    assert is_nilpotent(G).nilpotent
+    [(enum, lift)] = calls
+    decoded, row_kernel = [], K.row_kernel
+
+    def counting_kernel(mats):
+        ident, act, values = row_kernel(mats)
+
+        def counting(row):
+            decoded.append(row)
+            return values(row)
+
+        return ident, act, counting
+
+    with monkeypatch.context() as m:
+        m.setattr(K, "row_kernel", counting_kernel)
+        out = schreier_generators(enum, lift)
+    assert len(enum) == 32 and len(out) == 23
+    assert len({z.mat for z in out}) == 3 and len(decoded) == 3 * G.degree
+    for z in out:
+        for y in out:
+            assert (z.mat == y.mat) == (z.mat is y.mat)
 
 
 def test_kernel_is_central_examples():
@@ -503,11 +548,24 @@ def _plain_centrality(G, kernel):
     return True, None
 
 
+def _sqrt2_groups():
+    """D16 x <sqrt2 I>, whose congruence kernel is central, and
+    <diag(sqrt2, 1), swap>, whose kernel is not, over Q(sqrt2)."""
+    K = NumberField((-2, 0, 1))
+    h, s2 = (Fraction(0), Fraction(1, 2)), (Fraction(0), Fraction(1))
+    rot45 = Matrix.make(K, [[h, K.neg(h)], [h, h]])
+    swap = Matrix.from_ints(K, [[0, 1], [1, 0]])
+    d16 = GroupSpec(K, [rot45, Matrix.from_ints(K, [[1, 0], [0, -1]]), Matrix.diagonal(K, (s2, s2))])
+    return d16, GroupSpec(K, [Matrix.diagonal(K, (s2, K.one)), swap])
+
+
 def test_kernel_is_central_tests_each_distinct_nontrivial_generator_once(q_corpus, monkeypatch):
     """The verdict's kernel generators are distinct matrices, and
-    kernel_is_central forms two products per generator for each of them,
-    returning the same pair as the plain loop over every kernel generator.
-    They are never the identity: a finite group has none."""
+    kernel_is_central compares the rows of every z g and g z, read from
+    row kernels with no Matrix product, returning the same pair as the
+    plain loop over every kernel generator: over Q, Q(X), GF(5)(X) and,
+    through the Kronecker-packed integer rows, over Q(sqrt2).  They are
+    never the identity: a finite group has none."""
     counted = []
     product = Matrix.__mul__
 
@@ -529,26 +587,31 @@ def test_kernel_is_central_tests_each_distinct_nontrivial_generator_once(q_corpu
 
     Gs, kernel = _reduced_kernel(_d8_times_xI(QQ))
     assert kernel and len({z.mat for z in kernel}) == len(kernel)
-    out, products = central_counted(Gs, kernel)
-    assert out == (True, None)
-    assert products == 2 * len(Gs.gens) * len(kernel)
+    assert central_counted(Gs, kernel) == ((True, None), 0)
 
     diag_x_swap = [
         GroupSpec(ff, [Matrix.diagonal(ff, (ff.x(), ff.one)), Matrix.from_ints(ff, [[0, 1], [1, 0]])])
         for ff in (FunctionField(QQ), FunctionField(FiniteField(5)))
     ]
     groups = [e.group for e in q_corpus] + [_d8_times_xI(QQ), _d8_times_xI(FiniteField(5))] + diag_x_swap
-    refuted = 0
-    for reduced in filter(None, map(_reduced_kernel, groups)):
+    groups += _sqrt2_groups()
+    refuted, sqrt2 = 0, []
+    for G in groups:
+        reduced = _reduced_kernel(G)
+        if reduced is None:
+            continue
         Gs, kernel = reduced
         assert not any(z.is_identity() for z in kernel)
         assert len({z.mat for z in kernel}) == len(kernel)
-        got, want = kernel_is_central(Gs, kernel), _plain_centrality(Gs, kernel)
-        assert got == want
+        (got, products), want = central_counted(Gs, kernel), _plain_centrality(Gs, kernel)
+        assert got == want and products == 0
         if not want[0]:
             assert got[1][0] is want[1][0]
             refuted += 1
-    assert refuted >= 3
+        if isinstance(G.field, NumberField):
+            sqrt2.append((bool(kernel), want[0]))
+    assert refuted >= 4
+    assert sqrt2 == [(True, True), (True, False)]
 
 
 def test_faithful_image_orders_on_finite_groups(ff_corpus):
