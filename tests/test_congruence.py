@@ -361,7 +361,7 @@ def test_lifted_kernel_generators_replay(q_corpus, monkeypatch):
     the Schreier generators of the image's Sylow subgroups, lifted by their
     source parts, come first (each distinct matrix once), one pass over
     each Sylow subgroup's table.
-    The pass runs on row ids and forms no source Matrix product: only the
+    The pass runs on row ids and forms no Matrix product: only the
     distinct rows of transversal elements go through the transversal
     action's act, each once, against all the generators at once, and only
     the distinct rows met on the nontrivial generators' walks up their
