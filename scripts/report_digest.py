@@ -5,7 +5,8 @@
     python3 scripts/report_digest.py --seed N --hashes > tests/data/report-hashes-N.txt
 
 Every group of the `finite`, `char0` and `cli` stocks (bench/stock.py,
-drawn at seed N) and of the tests/corpus.py corpora, plus each finite
+drawn at seed N) and of the tests/corpus.py corpora (rational, GF(q) and
+GF(p)(X)), plus each finite
 rational group conjugated by an integer matrix of determinant 3 (so that
 its entries have denominators), is written to a group file and run
 through `nilmat.cli` with `--json`, once for each of is-nilpotent, order,
@@ -60,9 +61,11 @@ def groups(seed):
     for k in (2, 3):
         yield f"corpus-gf/Q8^{k}-diag", corpus.q8_power_with_diagonal(k)
     yield "corpus-gf/semidihedral(127)", corpus.semidihedral(127)
-    # last: each report names its group file, whose number is the group's place here
+    # new groups go last: each report names its group file, whose number is the group's place here
     for c in (corpus.denominator_conjugate(e) for e in base if e.finite):
         yield f"corpus-q/{c.name}", c.group
+    for e in corpus.function_field_corpus():
+        yield f"corpus-ff/{e.name}", e.group
 
 
 def run(cmd, path):

@@ -5,10 +5,18 @@ string-encoded exact entries.  Reports are JSON with schema "nilmat/1";
 given the same file and flags they are byte-identical across runs except
 for the wall_ms timing field.  Exit codes: 0 analysis completed (the
 verdict, positive or negative, is in the report), 1 typed budget or
-capability error, 2 usage or parse error.  A budget that runs out is that
-exit 1, so a report's budgets_hit list is empty; the congruence checks
-(such as checks.image_semisimple over GF(q)(X)) describe the reduction
-and are reported under congruence, not as budgets.
+capability error, 2 usage or parse error.  Every nilpotency, finiteness,
+order, Sylow and primary query is decided over every supported field, so
+exit 1 is a budget that ran out (CapExceeded, NoPrimeInRange) or a
+complete-reducibility query over GF(q)(X), which is refused
+(ImperfectField).  A budget that runs out is that exit 1, so a report's
+budgets_hit list is empty; the congruence checks (such as
+checks.image_semisimple over GF(q)(X)) describe the reduction and are
+reported under congruence, not as budgets.  When the Jordan split over
+GF(q)(X) was taken over GF(q)(Y), X = Y^(p^k) with k > 0, the report
+states p^k as split_root_power, and the matrices built from the split
+(witness items, the congruence data, an infinite group's Sylow
+components) have their entries in Y.
 
 The fixed costs of a call are paid once per process: the argument parser
 is built on first use, field descriptors are memoized by
@@ -33,7 +41,6 @@ from .errors import (
     NoPrimeInRange,
     ParseError,
     SingularGenerator,
-    VerdictUnavailable,
 )
 from .fields import FunctionField, field_from_json
 from .groups import GroupSpec
@@ -159,6 +166,8 @@ def run_command(cmd: str, G: GroupSpec, config: Config = DEFAULT, group_file=Non
     if cmd == "is-nilpotent":
         v = is_nilpotent(G, config)
         report["verdict"] = {"nilpotent": v.nilpotent}
+        if "root_power" in v.artifacts:
+            report["split_root_power"] = v.artifacts["root_power"]
         if v.witness is not None:
             report["witness"] = serialize_witness(v.witness)
         cd = v.artifacts.get("congruence")
@@ -180,6 +189,8 @@ def run_command(cmd: str, G: GroupSpec, config: Config = DEFAULT, group_file=Non
             if rep.completely_reducible is not None:
                 verdict["completely_reducible"] = rep.completely_reducible
         report["verdict"] = verdict
+        if rep.root_power > 1:
+            report["split_root_power"] = rep.root_power
         if rep.witness is not None:
             report["witness"] = serialize_witness(rep.witness)
         if rep.notes:
@@ -308,7 +319,7 @@ def main(argv=None) -> int:
     except (ParseError, SingularGenerator) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (CapExceeded, NoPrimeInRange, VerdictUnavailable) as e:
+    except (CapExceeded, NoPrimeInRange) as e:
         print(f"budget: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
     except NilmatError as e:

@@ -1,10 +1,11 @@
 """Congruence homomorphisms onto matrix groups over finite fields.
 
 A validated modulus reduces GL(n, D_pi) onto GL(n, GF(p^l)) with a kernel
-that is torsion-free in characteristic zero, so a finite group maps
-injectively.  The kernel's normal generators come from the Cayley tables
-of a nilpotent image's Sylow subgroups, each enumerated once by the
-image's Sylow test and walked once more lifted to the source group
+that is torsion-free in characteristic zero, and on a group of semisimple
+elements over GF(q)(X) too, so a finite group maps injectively.  The
+kernel's normal generators come from the Cayley tables of a nilpotent
+image's Sylow subgroups, each enumerated once by the image's Sylow test
+and walked once more lifted to the source group
 (nilpotency._kernel_gens), never from the whole image; kernel_is_central
 tests them.  The checks bundled in CongruenceData are exactly the ones
 that buy that guarantee: p odd, coprime to the denominators, unramified
@@ -19,10 +20,17 @@ other term.  For l = p the middle terms lie at e + 2k or deeper and the
 last at pk or deeper, so the first survives when k(p - 1) > e: always once
 e < p - 1 (Minkowski), so at every unramified (e = 1) odd p.  So g^l != 1.
 Over Q(X) a torsion g in the kernel has g(a) = 1 by this, and the kernel
-of X -> a is torsion-free as every l is a unit there.  The degree n plays
-no part, and no claim of the package needs p > n: the verdict and the
-infinite primary decomposition use only this torsion-freeness (the
-latter also exp(H)), and the image's complete reducibility is never used.
+of X -> a is torsion-free as every l is a unit there.  Over GF(q)(X) the
+same lowest term, at the place of the evaluation point, excludes every
+l != p, and g^p = 1 makes (g - 1)^p = 0, so g is unipotent.  The pipeline
+reduces only the diagonalizable parts s_i; when G_s = <s_i> is nilpotent
+its semisimple elements form a subgroup (Suprunenko, Matrix Groups, 1976),
+which holds the s_i and so all of G_s, and a semisimple unipotent g is 1.
+So the kernel of a nilpotent G_s is torsion-free in every characteristic.
+The degree n plays no part, and no claim of the package needs p > n: the
+verdict and the infinite primary decomposition use only this
+torsion-freeness (the latter also exp(H)), and the image's complete
+reducibility is never used.
 
 Two rules pick the map.  Over Q and number fields the prime is the least
 odd one up to PRIME_CAP that passes every check, from one trial

@@ -23,12 +23,8 @@ class Singular(NilmatError):
     """Matrix inversion of a singular matrix."""
 
 
-class NotInvariant(NilmatError):
-    """Quotient action requested for a non-invariant subspace."""
-
-
 class ImperfectField(NilmatError):
-    """Jordan splitting over an imperfect field (char-p function field)."""
+    """A p-th root that GF(q)(X) lacks, or a query it cannot answer."""
 
 
 class NoPrimeInRange(NilmatError):
@@ -50,10 +46,6 @@ class NonexistenceError(NilmatError):
 
 class UnsupportedTwoCase(NilmatError):
     """Wreath construction for r = 2 with p^l = 3 mod 4 is not provided."""
-
-
-class VerdictUnavailable(NilmatError):
-    """The implemented machinery cannot decide this input; never a verdict."""
 
 
 class ParseError(NilmatError):

@@ -20,7 +20,7 @@ import operator
 from functools import partial, reduce
 from fractions import Fraction
 
-from .errors import NotInvariant, Singular
+from .errors import Singular
 from .fields import Field, FunctionField, RationalField, primitive_ints, pt_add, pt_mul, pt_neg
 from .poly import Poly, squarefree_part
 from .record import Frozen
@@ -259,14 +259,6 @@ class Subspace(Frozen):
                     v[j] = F.sub(v[j], F.mul(c, row[j]))
         return tuple(v)
 
-    def contains(self, v):
-        F = self.field
-        return all(F.is_zero(c) for c in self.reduce_vec(v))
-
-    def is_invariant(self, mats):
-        F = self.field
-        return all(self.contains(img) for m in mats for img in zip(*F.matmul(m.rows, self.basis)))
-
 
 def fixed_space(gens) -> Subspace:
     """Common fixed vectors of the generators: the kernel of the stacked g - 1."""
@@ -283,15 +275,15 @@ def fixed_space(gens) -> Subspace:
 
 
 def quotient_action(gens, w: Subspace):
-    """Induced matrices on V/w in the non-pivot standard coordinates."""
+    """Induced matrices on V/w in the non-pivot standard coordinates; w
+    must be invariant under gens (unipotent_flag passes their fixed
+    space), which is not checked."""
     if not gens:
         return []
     F = gens[0].field
     n = gens[0].n
     if w.dim == 0:
         return list(gens)
-    if not w.is_invariant(gens):
-        raise NotInvariant("subspace is not invariant under all generators")
     qcoords = [j for j in range(n) if j not in set(w.pivots)]
     out = []
     for g in gens:

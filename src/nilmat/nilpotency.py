@@ -7,10 +7,17 @@ orders over GF(q) (the group's own field, or its finite image's), parts
 for distinct primes must commute, and the parts for each prime must close
 into a p-group.  A failure of either is the negative verdict, and its witness
 replays; a closure past its cap is a budget error, never a verdict.  No
-verdict rests on a bound on the nilpotency class.  Over infinite fields the
-group is split into diagonalizable and unipotent parts, the diagonalizable
-part is reduced through a validated congruence, and the verdict combines
-the finite image verdict with centrality of the congruence kernel.
+verdict rests on a bound on the nilpotency class.  Over every infinite
+field, GF(q)(X) included, the group is split into diagonalizable and
+unipotent parts, the diagonalizable part is reduced through a validated
+congruence, and the verdict combines the finite image verdict with
+centrality of the congruence kernel: a central extension of a nilpotent
+image is nilpotent, and the kernel of a nilpotent G_s is torsion-free
+(congruence), hence central, as it meets the finite derived group of the
+center-by-finite G_s trivially (Detinko & Flannery, LMS J. Comput. Math.
+9, 2006).  Over GF(q)(X) the split may need p-th roots that the field
+lacks; it is then taken over GF(q)(Y), X = Y^(p^k), where the input group
+has an isomorphic copy, for the least k that gives them (splitting).
 
 Once the image's Sylow test has found it nilpotent, its Cayley tables
 also yield the kernel, with no second enumeration (_kernel_gens).  Let
@@ -53,13 +60,13 @@ from __future__ import annotations
 
 from .config import DEFAULT, Config
 from .congruence import apply_congruence, kernel_is_central, select_modulus
-from .errors import CapExceeded, NotNilpotentSignal, VerdictUnavailable
-from .fields import FiniteField, FunctionField
+from .errors import CapExceeded, ImperfectField, NotNilpotentSignal
+from .fields import FiniteField
 from .groups import Elt, GroupSpec, enumerate_group, schreier_generators, word_inverse, word_mul
-from .linalg import inverse
+from .linalg import Matrix, inverse
 from .numth import factorint
 from .record import Record
-from .splitting import finite_order, is_unipotent_matrix, reduction_split, s_part_group
+from .splitting import finite_order, reduction_split, s_part_group
 from .witness import WItem, Witness
 
 
@@ -111,23 +118,23 @@ class Verdict(Record):
 # ---------------------------------------------------------------------------
 # the finite core
 
-def _prime_parts(seq):
+def _prime_parts(seq, orders=None):
     """(parts, covers): the distinct prime-power parts of the elements of
     seq, per prime, in order of first appearance; and per element its
     cover, one (p, j, t) for each prime p dividing its order, its p-part
     being x^t = parts[p][j].  The identity's cover is empty, and a
-    repeated element has its first occurrence's.  The elements lie over
-    GF(q), where finite_order gives their orders."""
+    repeated element has its first occurrence's.  The orders are given,
+    or the elements lie over GF(q), where finite_order gives them."""
     parts: dict = {}
     index: dict = {}
     memo: dict = {}
     covers = []
-    for x in seq:
+    for k, x in enumerate(seq):
         cover = memo.get(x.mat)
         if cover is None:
             cover = memo[x.mat] = []
             if not x.is_identity():
-                m = finite_order(x.mat)
+                m = finite_order(x.mat) if orders is None else orders[k]
                 for p, e in factorint(m).items():
                     mp = m // p**e
                     t = mp * pow(mp, -1, p**e) % m
@@ -205,7 +212,7 @@ def _kernel_gens(lift, covers, sylow) -> list:
     return list(distinct.values())
 
 
-def _sylow_test(elts, config: Config) -> Verdict:
+def _sylow_test(elts, config: Config, orders=None) -> Verdict:
     """Nilpotency of the finite group <elts>, decided both ways by its
     Sylow system in one pass over the inputs' prime parts.
 
@@ -219,12 +226,13 @@ def _sylow_test(elts, config: Config) -> Verdict:
     subgroup: a cross-prime pair that fails to commute, or an element of
     the p-parts' closure whose order is not a power of p, is the witness.
     A component past the cap raises CapExceeded.  The elements lie over
-    GF(q): the input group itself, or a congruence or evaluation image.
-    A nilpotent verdict keeps each input's cover (artifact "covers", see
+    GF(q), the input group itself or a congruence image, unless their
+    orders are given (a finite group over GF(q)(X), see structure).  A
+    nilpotent verdict keeps each input's cover (artifact "covers", see
     _prime_parts), from which analyze reads the unipotent parts over GF(q)
     and _kernel_gens the source parts.
     """
-    parts, covers = _prime_parts(elts)
+    parts, covers = _prime_parts(elts, orders)
     for p, q, x, y in _cross_prime_pairs(parts):
         if not (x.mat * y.mat == y.mat * x.mat):
             return Verdict(
@@ -267,9 +275,10 @@ def _non_p_witness(p, parts, enum) -> Witness:
     return Witness(kind="non_p_element", context="input", items=items, note=note)
 
 
-def is_finite_nilpotent(G: GroupSpec, config: Config = DEFAULT) -> Verdict:
-    """Nilpotency with Sylow decomposition for groups over finite fields."""
-    return _sylow_test(G.elts(), config)
+def is_finite_nilpotent(G: GroupSpec, config: Config = DEFAULT, orders=None) -> Verdict:
+    """Nilpotency with Sylow decomposition for a group over a finite field,
+    or for a finite group whose generators' orders are given."""
+    return _sylow_test(G.elts(), config, orders)
 
 
 # ---------------------------------------------------------------------------
@@ -282,38 +291,59 @@ def _attach_context_gens(witness: Witness, gens) -> Witness:
     return Witness(witness.kind, witness.context, items, witness.note)
 
 
+def _over_root(G: GroupSpec, m: int) -> GroupSpec:
+    """G over GF(q)(Y) with X = Y^m, written over the same field object:
+    each entry a(X)/b(X) becomes a(Y^m)/b(Y^m), still in lowest terms with
+    a monic denominator, since s a + t b = 1 gives s(Y^m) a(Y^m) +
+    t(Y^m) b(Y^m) = 1."""
+    F = G.field
+    zero = F.base.zero
+
+    def spread(cs):
+        out = [zero] * (m * (len(cs) - 1) + 1) if cs else []
+        out[::m] = cs
+        return tuple(out)
+
+    return GroupSpec(F, [Matrix(F, tuple(tuple((spread(a), spread(b)) for a, b in row) for row in g.rows)) for g in G.gens])
+
+
 def is_nilpotent(G: GroupSpec, config: Config = DEFAULT) -> Verdict:
     """Nilpotency of a finitely generated matrix group over any supported field.
 
-    Over an infinite field the group is reduced onto a finite image, whose
-    verdict comes first; the congruence kernel must then be central.  One
-    Sylow test on the image gives its verdict, and only a nilpotent image's
-    tables are walked again for the kernel's normal generators (module
-    docstring).  In characteristic zero only the diagonalizable parts are
-    reduced, and modulus selection takes their minimal polynomials from the
-    split; char-p function fields are imperfect, so the generators are
-    reduced as given.
+    Over an infinite field the generators are split into diagonalizable
+    and unipotent parts, and the diagonalizable parts are reduced onto a
+    finite image, whose verdict comes first; the congruence kernel must
+    then be central.  One Sylow test on the image gives its verdict, and
+    only a nilpotent image's tables are walked again for the kernel's
+    normal generators (module docstring).  Modulus selection takes the
+    minimal polynomials from the split.  Over GF(q)(X) the split is taken
+    over GF(q)(Y), X = Y^(p^k), for the least k at which it exists
+    (splitting module docstring), and artifacts["root_power"] records
+    p^k when k > 0: the matrices from the split, and all that is built
+    from them, have their entries in Y.
     """
     if not G.gens or G.is_trivial():
         return Verdict(True, artifacts={"order": 1, "trivial": True})
-    F = G.field
-    if isinstance(F, FiniteField):
+    if isinstance(G.field, FiniteField):
         return is_finite_nilpotent(G, config)
-    char_p = isinstance(F, FunctionField) and F.characteristic() > 0
-    artifacts = {}
-    if char_p:
-        Gs, minpolys = G, None
-    else:
+    artifacts, H = {}, G
+    while True:
         try:
-            split = reduction_split(G)
+            split = artifacts["split"] = reduction_split(H)
+            break
+        except ImperfectField:
+            m = artifacts.get("root_power", 1)
+            if m >= G.degree:
+                raise
+            artifacts["root_power"] = m * G.field.characteristic()
+            H = _over_root(G, artifacts["root_power"])
         except NotNilpotentSignal as s:
-            return Verdict(False, s.witness)
-        artifacts["split"] = split
-        if all(s.is_identity() for s in split.gens_s):
-            artifacts["unipotent"] = True
-            return Verdict(True, artifacts=artifacts)
-        Gs, minpolys = s_part_group(G, split), split.minpolys_s
-    cd = select_modulus(Gs, config, minpolys)
+            return Verdict(False, s.witness, artifacts)
+    Gs = artifacts["s_parts"] = s_part_group(H, split)
+    if all(s.is_identity() for s in split.gens_s):
+        artifacts["unipotent"] = True
+        return Verdict(True, artifacts=artifacts)
+    cd = select_modulus(Gs, config, split.minpolys_s)
     artifacts["congruence"] = cd
     image_gens = [apply_congruence(g, cd) for g in Gs.gens]
     artifacts["image_gens"] = image_gens
@@ -321,8 +351,7 @@ def is_nilpotent(G: GroupSpec, config: Config = DEFAULT) -> Verdict:
     v_img = _sylow_test(image, config)
     if not v_img.nilpotent:
         w = v_img.witness
-        where = "evaluation" if char_p else "congruence"
-        w = Witness(w.kind, "image", w.items, w.note + f" (found in the {where} image)")
+        w = Witness(w.kind, "image", w.items, w.note + " (found in the congruence image)")
         return Verdict(False, _attach_context_gens(w, image_gens), artifacts)
     sylow = artifacts["image_sylow"] = v_img.artifacts["sylow"]
     artifacts["image_order"] = v_img.artifacts["order"]
@@ -330,8 +359,6 @@ def is_nilpotent(G: GroupSpec, config: Config = DEFAULT) -> Verdict:
     ok, bad = kernel_is_central(Gs, kernel)
     if ok:
         return Verdict(True, artifacts=artifacts)
-    if char_p:
-        return _refute_char_p(G, kernel, artifacts)
     z, gi = bad
     w = Witness(
         kind="noncentral_kernel_element",
@@ -346,40 +373,3 @@ def is_nilpotent(G: GroupSpec, config: Config = DEFAULT) -> Verdict:
         ),
     )
     return Verdict(False, _attach_context_gens(w, Gs.gens), artifacts)
-
-
-def _refute_char_p(G: GroupSpec, kernel, artifacts) -> Verdict:
-    """A char-p evaluation kernel that is not central decides nilpotency
-    only through a non-unipotent commutator; otherwise the deciding
-    machinery is beyond the implemented one."""
-    # In a nilpotent group the semisimple parts form a homomorphic image in
-    # which the evaluation kernel lands centrally, so every commutator of a
-    # kernel generator against a generator must be unipotent.  A
-    # non-unipotent one refutes nilpotency outright.
-    for z in kernel:
-        zinv = inverse(z.mat)
-        for i, (g, ginv) in enumerate(zip(G.gens, G.invs)):
-            c = zinv * ginv * z.mat * g
-            if not is_unipotent_matrix(c):
-                return Verdict(
-                    False,
-                    Witness(
-                        kind="non_unipotent_commutator",
-                        context="input",
-                        items=(
-                            WItem("z", z.mat, z.word),
-                            WItem("g", g, ((i, 1),)),
-                            WItem("c", c),
-                        ),
-                        note=(
-                            "a commutator of an evaluation kernel generator with a group "
-                            "generator is not unipotent; in a nilpotent group it would be"
-                        ),
-                    ),
-                    artifacts,
-                )
-    raise VerdictUnavailable(
-        "the evaluation image is nilpotent and all kernel commutators are unipotent, "
-        "but a kernel generator is not central; deciding nilpotency here needs the "
-        "unipotent-radical machinery, which is not provided"
-    )

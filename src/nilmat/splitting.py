@@ -3,10 +3,15 @@
 The multiplicative decomposition g = s u (s diagonalizable, u unipotent,
 commuting) is computed by the classical Newton iteration on f*, the
 squarefree part of the characteristic polynomial (that of the minimal
-polynomial too); over the perfect fields supported here the components
-stay over the ground field.  f* also decides semisimplicity.  Char-p
-function fields are refused, the top-level pipeline reduces those by
-evaluation first.
+polynomial too).  f* also decides semisimplicity.  Over Q, number fields,
+GF(q) and Q(X) the parts stay over the ground field.  GF(q)(X) is not
+perfect: when an irreducible factor of chi is inseparable, the p-th roots
+that Yun's loop takes of its coefficients do not exist, and
+squarefree_part raises ImperfectField.  Every such factor is
+f_0(t^(p^e)) with f_0 separable and p^e <= n, so over GF(q)(Y) with
+X = Y^(p^k) and p^k >= n it is the p^e-th power of a separable
+polynomial, and the split exists there; the pipeline takes the least k
+at which it does (nilpotency.is_nilpotent).
 
 A linear f* = t - c needs no iteration: f* is the squarefree part of the
 monic characteristic polynomial of degree n, so that is (t - c)^n, and
@@ -20,17 +25,16 @@ unipotent because a p-element x of GL(n, p^l) has
 (x - 1)^(p^e) = x^(p^e) - 1 = 0.
 
 Element orders are computed over GF(q) only, by powering: over an
-infinite field the pipeline asks orders of its finite images.  Over
-GF(q)(X) the one question it asks, whether a kernel generator has
-infinite order, is answered from the characteristic polynomial
-(has_infinite_order).
+infinite field the pipeline asks orders of its finite images.  Whether an
+element over GF(q)(X) has infinite order, a claim the verifier replays,
+is read off its characteristic polynomial (has_infinite_order).
 """
 
 from __future__ import annotations
 
 import math
 
-from .errors import CapExceeded, ImperfectField, NotNilpotentSignal, NotUnipotent
+from .errors import CapExceeded, NotNilpotentSignal, NotUnipotent
 from .fields import FiniteField, FunctionField
 from .groups import GroupSpec
 from .linalg import (
@@ -62,11 +66,6 @@ class SplitResult(Frozen):
     _defaults = {"minpolys_s": ()}
 
 
-def _check_perfect(field):
-    if isinstance(field, FunctionField) and field.characteristic() > 0:
-        raise ImperfectField("char-p function fields are not perfect; reduce by evaluation first")
-
-
 def is_unipotent_matrix(g: Matrix) -> bool:
     F = g.field
     n = g.n
@@ -77,9 +76,10 @@ def jordan(g: Matrix) -> JordanPair:
     """Unique commuting factorization g = s u with s diagonalizable, u
     unipotent, and s's minimal polynomial f*, the squarefree part of g's
     characteristic polynomial.  g is its own s when f* has degree n or
-    f*(g) = 0, which the Newton iteration's first step finds."""
+    f*(g) = 0, which the Newton iteration's first step finds.  Over
+    GF(q)(X) an inseparable factor of chi raises ImperfectField (module
+    docstring)."""
     F = g.field
-    _check_perfect(F)
     n = g.n
     ident = Matrix.identity(F, n)
     fstar = squarefree_part(charpoly(g))
@@ -122,8 +122,6 @@ def unipotent_flag(gens) -> UnipotentCert:
         w = fixed_space(cur)
         if w.dim == 0:
             raise NotUnipotent(level, cur)
-        if w.dim == d:
-            return []
         qcoords = [j for j in range(d) if j not in set(w.pivots)]
         qgens = quotient_action(cur, w)
         sub = recurse(qgens, [embed[q] for q in qcoords], level + 1)
@@ -141,12 +139,8 @@ def unipotent_flag(gens) -> UnipotentCert:
 def reduction_split(G: GroupSpec) -> SplitResult:
     """Split the generators into diagonalizable and unipotent parts, certify
     the unipotent part, and check the parts commute; a failed check raises
-    NotNilpotentSignal with the witness."""
-    _check_perfect(G.field)
-    n = G.degree
-    if not G.gens:
-        ident_cert = UnipotentCert((Subspace.full(G.field, n), Subspace.zero(G.field, n)))
-        return SplitResult((), (), ident_cert)
+    NotNilpotentSignal with the witness.  Every generator is split before
+    anything is checked, so over GF(q)(X) an ImperfectField comes first."""
     pairs = [jordan(g) for g in G.gens]
     gens_s = tuple(p.s for p in pairs)
     gens_u = tuple(p.u for p in pairs)

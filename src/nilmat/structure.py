@@ -3,10 +3,10 @@
 `analyze` decides nilpotency once and answers every structural question
 the paper asks of a nilpotent group (finiteness, order, complete
 reducibility, the primary/Sylow decomposition and the center) from that
-one verdict's artifacts: the Jordan split, the congruence or evaluation
-image with its Sylow system, and the kernel's normal generators.  No step
-reruns the verdict or recomputes what it carries.  Over GF(q) nothing is
-split at all: a generator's unipotent part is its Sylow part for the
+one verdict's artifacts: the Jordan split, the congruence image with its
+Sylow system, and the kernel's normal generators.  No step reruns the
+verdict or recomputes what it carries.  Over GF(q) nothing is split at
+all: a generator's unipotent part is its Sylow part for the
 characteristic, which the verdict already holds.
 
 The normal generators come from one pass over each Sylow subgroup's
@@ -15,8 +15,14 @@ nilpotent (nilpotency._kernel_gens); they are distinct matrices, and none
 is the identity.  A nilpotent verdict has found each of them central,
 and a central normal generator is its own normal closure, so together
 they generate the kernel as a subgroup: the kernel is trivial exactly
-when there are none, and over char-p function fields its order is their
-closure's.
+when there are none, and as it is torsion-free (congruence), G_s is
+finite exactly then.  In characteristic 0 a nontrivial unipotent part has
+infinite order.  Over GF(q)(X) every unipotent part u has order p^e, the
+least p-power with (u - 1)^(p^e) = 0, so G is finite exactly when the
+kernel is trivial; one Sylow test of G itself then gives its order and
+Sylow system, given each generator's order as that of its s-part's image
+times p^e (s and u commute with coprime orders, and a finite G_s maps
+injectively), so no matrix over GF(q)(X) is powered to find an order.
 
 The center is read off the Cayley tables that the Sylow certificate
 enumerated (Z(G) is the product of the Sylow subgroups' centers), with no
@@ -29,18 +35,20 @@ in K, so [g, x]^e = [g, x^e] = 1, and [g, x] = 1.  Hence Z(G_s) is
 generated by the pulled-back generators of Z(H) with the kernel's, and
 G_s/Z(G_s) = H/Z(H): the primary components of an infinite group are
 those of H modulo its center, one per prime p whose Sylow subgroup Q_p of
-H is nonabelian.  In characteristic 0 no enumeration runs beyond the
-verdict's."""
+H is nonabelian.  No enumeration runs beyond the verdict's, except the
+Sylow test of a finite group over GF(q)(X).
+
+Complete reducibility is left unanswered over GF(q)(X): the split lives
+over GF(q)(Y), X = Y^(p^k), and decides it there, not over GF(q)(X)."""
 
 from __future__ import annotations
 
 from .config import DEFAULT, Config
-from .errors import CapExceeded, VerdictUnavailable
 from .fields import FiniteField, FunctionField
-from .groups import Elt, GroupSpec, enumerate_group
-from .nilpotency import SylowSystem, is_nilpotent
+from .groups import Elt, GroupSpec
+from .nilpotency import SylowSystem, is_finite_nilpotent, is_nilpotent
 from .record import Record
-from .splitting import has_infinite_order, s_part_group, unipotent_flag
+from .splitting import finite_order, unipotent_flag
 from .witness import WItem, Witness
 
 
@@ -48,10 +56,12 @@ class StructureReport(Record):
     __slots__ = (
         "nilpotent", "finite", "order", "completely_reducible", "cr_series_dims", "primary",
         "primary_is_extension", "center_gens", "witness", "route", "notes",
+        "root_power",   # p^k when the split was taken over GF(q)(Y), X = Y^(p^k), k > 0; else 1
     )
     _defaults = {
         "finite": None, "order": None, "completely_reducible": None, "cr_series_dims": None, "primary": None,
         "primary_is_extension": False, "center_gens": None, "witness": None, "route": "", "notes": list,
+        "root_power": 1,
     }
 
 
@@ -59,26 +69,27 @@ def analyze(G: GroupSpec, config: Config = DEFAULT) -> StructureReport:
     """Full structural report: nilpotency first, then every query that
     applies to the input, each answered from the verdict's artifacts."""
     verdict = is_nilpotent(G, config)
-    if not verdict.nilpotent:
-        return StructureReport(nilpotent=False, witness=verdict.witness)
     a = verdict.artifacts
+    root = a.get("root_power", 1)
+    if not verdict.nilpotent:
+        return StructureReport(nilpotent=False, witness=verdict.witness, root_power=root)
     F = G.field
-    char_p = isinstance(F, FunctionField) and F.characteristic() > 0
-    fin, route, witness = _finiteness(G, a, char_p)
-    report = StructureReport(nilpotent=True, finite=fin, route=route, witness=witness)
+    imperfect = isinstance(F, FunctionField) and F.characteristic() > 0
+    fin, route, witness = _finiteness(G, a)
+    report = StructureReport(nilpotent=True, finite=fin, route=route, witness=witness, root_power=root)
+    if fin and imperfect and not a.get("trivial"):
+        # the Sylow test of G itself (module docstring)
+        a = dict(a, **is_finite_nilpotent(G, config, _generator_orders(a, F.characteristic())).artifacts)
     if fin:
-        report.order = _order(G, a, char_p, config)
-    if not char_p:
+        report.order = a["order"] if "order" in a else a["image_order"]
+    if not imperfect:
         if a.get("trivial"):
             report.completely_reducible, report.cr_series_dims = True, [G.degree, 0]
         else:
             us, flag = _unipotent_parts(G, a)
             report.completely_reducible = all(u.is_identity() for u in us)
             report.cr_series_dims = [s.dim for s in flag]
-    try:
-        report.primary, report.primary_is_extension = _primary(G, a, fin, char_p)
-    except VerdictUnavailable as e:
-        report.notes.append(str(e))
+    report.primary, report.primary_is_extension = _primary(G, a, fin)
     if report.primary_is_extension:
         report.notes.append(
             "primary components of an infinite group are reported modulo the center "
@@ -110,86 +121,68 @@ def _unipotent_parts(G: GroupSpec, a: dict):
     return us, unipotent_flag(us).flag
 
 
-def _finiteness(G: GroupSpec, a: dict, char_p: bool):
+def _generator_orders(a: dict, p: int):
+    """The generators' orders in a finite nilpotent group over GF(q)(X) of
+    characteristic p: that of the image of the diagonalizable part (1 when
+    it was not reduced, being 1) times the least p^e with u^(p^e) = 1,
+    which is (u - 1)^(p^e) = 0, for the unipotent part u."""
+    split = a["split"]
+    images = a.get("image_gens") or [None] * len(split.gens_u)
+    out = []
+    for h, u in zip(images, split.gens_u):
+        m = 1 if h is None else finite_order(h)
+        while not u.is_identity():
+            u, m = u**p, m * p
+        out.append(m)
+    return out
+
+
+def _finiteness(G: GroupSpec, a: dict):
     """(finite?, route marker, witness for the infinite case)."""
     if isinstance(G.field, FiniteField):
         return True, "finite-field", None
     if a.get("trivial"):
         return True, "trivial", None
-    if char_p:
-        for z in a["kernel_gens"]:
-            if has_infinite_order(z.mat):
-                return False, "evaluation-kernel", Witness(
-                    kind="infinite_order_element",
-                    context="input",
-                    items=(WItem("z", z.mat, z.word),),
-                    note="an evaluation kernel generator has infinite order",
-                )
-        return True, "evaluation-kernel", None
-    # G is nontrivial, so a trivial u-part leaves a nontrivial s-part, and
-    # the verdict reduced it and kept the kernel
     split = a["split"]
-    for i, u in enumerate(split.gens_u):
-        if not u.is_identity():
-            return False, "unipotent-part", Witness(
-                kind="nontrivial_unipotent_part",
-                context="input",
-                items=(
-                    WItem("g", G.gens[i], ((i, 1),)),
-                    WItem("s", split.gens_s[i]),
-                    WItem("u", u),
-                ),
-                note="a generator has a nontrivial unipotent part, which has infinite order in characteristic zero",
-            )
-    if a["kernel_gens"]:
+    char0 = G.field.characteristic() == 0
+    if char0:
+        for i, u in enumerate(split.gens_u):
+            if not u.is_identity():
+                return False, "unipotent-part", Witness(
+                    kind="nontrivial_unipotent_part",
+                    context="input",
+                    items=(
+                        WItem("g", G.gens[i], ((i, 1),)),
+                        WItem("s", split.gens_s[i]),
+                        WItem("u", u),
+                    ),
+                    note="a generator has a nontrivial unipotent part, which has infinite order in characteristic zero",
+                )
+    if a.get("kernel_gens"):
         z = a["kernel_gens"][0]
         items = (WItem("z", z.mat, z.word),) + tuple(
             WItem(f"context_gen_{i}", g) for i, g in enumerate(split.gens_s)
         )
-        return False, "congruence-kernel", Witness(
-            kind="nontrivial_kernel_element",
-            context="s_parts",
-            items=items,
-            note="a congruence kernel generator is nontrivial, and the kernel is torsion-free",
-        )
+        if char0:
+            kind, note = "nontrivial_kernel_element", "a congruence kernel generator is nontrivial, and the kernel is torsion-free"
+        else:
+            kind, note = "infinite_order_element", "a congruence kernel generator is nontrivial, so of infinite order"
+        return False, "congruence-kernel", Witness(kind=kind, context="s_parts", items=items, note=note)
     return True, "congruence-kernel", None
 
 
-def _order(G: GroupSpec, a: dict, char_p: bool, config: Config) -> int:
-    """Exact order of a finite nilpotent group."""
-    if isinstance(G.field, FiniteField) or a.get("trivial"):
-        # the product of the verified Sylow component orders, or 1
-        return a["order"]
-    if char_p:
-        kernel = [z.mat for z in a["kernel_gens"]]
-        if not kernel:
-            return a["image_order"]
-        enum = enumerate_group(kernel, config.closure_cap)
-        if enum.overflowed:
-            raise CapExceeded(config.closure_cap, "subgroup closure")
-        return a["image_order"] * len(enum)
-    # a finite group in characteristic 0 has a trivial congruence kernel
-    return a["image_order"]
-
-
-def _primary(G: GroupSpec, a: dict, fin: bool, char_p: bool):
+def _primary(G: GroupSpec, a: dict, fin: bool):
     """(Sylow/primary system, extension?): the exact Sylow decomposition of
     a finite group, and for an infinite group the components of the
     diagonalizable part modulo its center (an extension of the finite
     notion, labeled as such)."""
     if a.get("trivial"):
         return SylowSystem({}, {}), False
-    if isinstance(G.field, FiniteField):
+    if "sylow" in a:
+        # over GF(q), or a finite group over GF(q)(X)
         return a["sylow"], False
-    if char_p:
-        if not fin:
-            raise VerdictUnavailable(
-                "primary decomposition over char-p function fields is provided for finite groups only"
-            )
-        if a["kernel_gens"]:
-            raise VerdictUnavailable("primary decomposition needs a faithful evaluation image here")
     if fin:
-        # a faithful congruence or evaluation image: pull its Sylow system back by words
+        # a faithful congruence image: pull its Sylow system back by words
         image_sylow = a["image_sylow"]
         comps = {
             p: [Elt(G.evaluate(e.word), e.word) for e in elts]
@@ -198,10 +191,9 @@ def _primary(G: GroupSpec, a: dict, fin: bool, char_p: bool):
         return SylowSystem(comps, dict(image_sylow.orders)), False
     # infinite: G_s/Z(G_s) = H/Z(H), so the component for p is the image's
     # Q_p modulo its center, generated by the p-parts outside it
-    split = a["split"]
-    if all(s.is_identity() for s in split.gens_s):
+    if all(s.is_identity() for s in a["split"].gens_s):
         return SylowSystem({}, {}, central_part=()), True
-    Gs = s_part_group(G, split)
+    Gs = a["s_parts"]
     image_sylow = a["image_sylow"]
     comps, orders = {}, {}
     for p, enum in image_sylow.enums.items():

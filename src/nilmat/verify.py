@@ -4,9 +4,13 @@ Every check here is plain matrix arithmetic on the matrices recorded in
 the report (plus characteristic polynomial work where a claim is about
 semisimplicity or element order), so a verdict can be audited without
 rerunning the pipeline that produced it.  Element orders are replayed
-where the pipeline computes them: a p-element claim over GF(q) only, and
-an infinite-order claim over a char-p function field only; anywhere else
-such a claim is not confirmed.
+where the pipeline claims them: a p-element over GF(q) only, and an
+element of infinite order (a nontrivial congruence kernel generator) over
+a char-p function field only, where its characteristic polynomial decides
+the claim; anywhere else such a claim is not confirmed.  Over GF(q)(X)
+the matrices of a split taken over GF(q)(Y), X = Y^(p^k), are recorded
+with entries in Y (the report's split_root_power is p^k), and every check
+on them is the same field arithmetic.
 """
 
 from __future__ import annotations
@@ -178,13 +182,6 @@ def verify_witness(witness: Witness, group: GroupSpec | None = None):
                 fac = factorint(m)
                 add("order exact", all(not (y.mat ** (m // t)).is_identity() for t in fac))
                 add("order not a p power", bool(set(fac) - {p}))
-    elif kind == "non_unipotent_commutator":
-        z, g, c = witness.find("z"), witness.find("g"), witness.find("c")
-        add("all present", all(v is not None for v in (z, g, c)))
-        if z and g and c:
-            add("c = [z, g]", inverse(z.mat) * inverse(g.mat) * z.mat * g.mat == c.mat)
-            add("c not unipotent", not is_unipotent_matrix(c.mat))
-            add("z word consistent", word_consistent(z))
     else:
         add(f"known witness kind ({kind})", False)
     ok = all(passed for _, passed, _ in checks)

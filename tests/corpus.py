@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from random import Random
 
-from nilmat.fields import QQ, FiniteField
+from nilmat.fields import QQ, FiniteField, FunctionField
 from nilmat.groups import GroupSpec
 from nilmat.linalg import Matrix, inverse, kron
 from nilmat.testkit import gen_max_abs_irr_nilpotent, gen_reducible_nilpotent
@@ -277,6 +277,52 @@ def finite_field_corpus():
     entries.append(
         CorpusGroup("scalars-GF25", GroupSpec(F25, [Matrix.diagonal(F25, (F25.multiplicative_generator(),))]), True, True, 24)
     )
+    return entries
+
+
+def function_field_corpus():
+    """Groups over GF(p)(X).  The companion matrix of t^3 - X over GF(3)(X)
+    has an inseparable characteristic polynomial, so its Jordan split
+    exists only over GF(3)(Y), X = Y^3, where it is Y I times a unipotent
+    matrix; the two groups holding it need that root.  Finite groups have
+    characteristic polynomials over GF(p) and split over GF(p)(X) itself;
+    D8 and S3 are conjugated by 1 + X e12 so that their entries hold X."""
+    entries = []
+    F = FunctionField(FiniteField(5))
+    x, o, z, two = F.x(), F.one, F.zero, F.from_int(2)
+    e12x = Matrix.make(F, [[o, x, z], [z, o, z], [z, z, o]])
+    e23 = Matrix.from_ints(F, [[1, 0, 0], [0, 1, 1], [0, 0, 1]])
+    rot, refl = Matrix.from_ints(F, [[0, -1], [1, 0]]), Matrix.from_ints(F, [[1, 0], [0, -1]])
+    swap = Matrix.from_ints(F, [[0, 1], [1, 0]])
+    t2 = Matrix.make(F, [[o, x], [z, o]])
+    t3 = Matrix.make(F, [[o, x, z], [z, o, z], [z, z, o]])
+    c3 = Matrix.from_ints(F, [[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+    t12 = Matrix.from_ints(F, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+
+    def conj(t, gens):
+        tinv = inverse(t)
+        return GroupSpec(F, [t * g * tinv for g in gens])
+
+    entries += [
+        CorpusGroup("heisenberg-e12(X)-GF5(X)", GroupSpec(F, [e12x, e23]), True, True, 125),
+        CorpusGroup("2u(X)-GF5(X)", GroupSpec(F, [Matrix.make(F, [[two, F.mul(two, x)], [z, two]])]), True, True, 20),
+        CorpusGroup("D8-conj-GF5(X)", conj(t2, [rot, refl]), True, True, 8),
+        CorpusGroup("S3-conj-GF5(X)", conj(t3, [c3, t12]), False, True, 6),
+        CorpusGroup("D8x<XI>-GF5(X)", GroupSpec(F, [rot, refl, Matrix.diagonal(F, (x, x))]), True, False),
+        CorpusGroup("diag(X,1)+swap-GF5(X)", GroupSpec(F, [Matrix.diagonal(F, (x, o)), swap]), False, False),
+    ]
+    F3 = FunctionField(FiniteField(3))
+    x, o, z = F3.x(), F3.one, F3.zero
+    companion = Matrix.make(F3, [[z, z, x], [o, z, z], [z, o, z]])
+    entries += [
+        CorpusGroup("companion(t^3-X)-GF3(X)", GroupSpec(F3, [companion]), True, False),
+        CorpusGroup(
+            "companion(t^3-X)+diag(2,1,1)-GF3(X)",
+            GroupSpec(F3, [companion, Matrix.from_ints(F3, [[2, 0, 0], [0, 1, 0], [0, 0, 1]])]),
+            False,
+            False,
+        ),
+    ]
     return entries
 
 

@@ -22,6 +22,8 @@ nilmat.splitting, with `finite_order` the element order over GF(q).
 `Span` is the incremental row reduction they read Krylov annihilators
 off, `apply` the matrix-vector product they step by, and `spin_dim` the
 enveloping-algebra dimension the corpus tests read irreducibility off.
+`contains` is subspace membership, which the flag and quotient tests
+check against.
 
 `enumeration` is the Cayley enumeration engine's contract as a plain
 breadth-first search keyed by whole matrices, and `congruence_kernel` the
@@ -260,6 +262,12 @@ class Span:
 def apply(a: Matrix, vec):
     """a times the column vector vec, through the field's matmul."""
     return tuple(r[0] for r in a.field.matmul(a.rows, (vec,)))
+
+
+def contains(w, v):
+    """Whether the vector v lies in the Subspace w: its residue after
+    reduction by w's row echelon basis is zero."""
+    return all(w.field.is_zero(c) for c in w.reduce_vec(v))
 
 
 def spin_dim(gens) -> int:

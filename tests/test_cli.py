@@ -401,8 +401,10 @@ def test_batch_mode_exits_one_on_a_budget_error(tmp_path, capsys):
 def test_budgets_hit_is_empty_for_the_reduction(tmp_path, capsys):
     """The reduction's checks are not budgets: budgets_hit stays empty for
     Q8 <= GL(4, Q) reduced at 3, a prime not above the degree, and for
-    <[[1, 1], [0, 1]], X I> over GF(5)(X), whose evaluation image is not
-    semisimple, which checks.image_semisimple still reports."""
+    <[[1, 1], [0, X]]> over GF(5)(X), its own diagonalizable part, whose
+    image at X = 1 (X = 0 is a root of the inverse's denominator) is the
+    unipotent [[1, 1], [0, 1]], not semisimple, which
+    checks.image_semisimple still reports."""
     from corpus import rational_corpus
 
     q8 = next(e.group for e in rational_corpus() if e.name == "Q8")
@@ -416,7 +418,7 @@ def test_budgets_hit_is_empty_for_the_reduction(tmp_path, capsys):
     one, zero, x = {"num": ["1"], "den": ["1"]}, {"num": [], "den": ["1"]}, {"num": ["0", "1"], "den": ["1"]}
     ffp = {
         "field": {"kind": "FF", "base": {"kind": "GF", "p": 5, "l": 1}},
-        "generators": [[[one, one], [zero, one]], [[x, zero], [zero, x]]],
+        "generators": [[[one, one], [zero, x]]],
     }
     path = write(tmp_path, "ffp.json", ffp)
     assert main(["is-nilpotent", str(path), "--json"]) == 0
@@ -471,6 +473,26 @@ def test_imperfect_field_commands_exit_one(tmp_path, capsys):
     assert main(["is-completely-reducible", str(path)]) == 1
     capsys.readouterr()
     assert main(["is-nilpotent", str(path)]) == 0
+
+
+def test_split_root_power_is_reported_only_when_taken():
+    """Over GF(3)(X) the companion matrix of t^3 - X splits only over
+    GF(3)(Y), X = Y^3: its is-nilpotent and order reports state 3 as
+    split_root_power, and the infinite-order witness of the order report,
+    over Y, replays with the group.  D8 x <X I> over GF(5)(X) splits over
+    GF(5)(X) itself, and its reports have no such key."""
+    from corpus import function_field_corpus
+
+    from nilmat.verify import verify_report
+
+    groups = {e.name: e.group for e in function_field_corpus()}
+    companion, d8x = groups["companion(t^3-X)-GF3(X)"], groups["D8x<XI>-GF5(X)"]
+    for cmd in ("is-nilpotent", "order"):
+        assert run_command(cmd, companion)["split_root_power"] == 3
+        assert "split_root_power" not in run_command(cmd, d8x)
+    rep = run_command("order", companion)
+    assert rep["verdict"]["finite"] is False and rep["witness"]["kind"] == "infinite_order_element"
+    assert verify_report(rep, companion)[0]
 
 
 def test_reduce_number_field_through_files(tmp_path, capsys):

@@ -219,8 +219,10 @@ def test_function_field_point_is_the_first_admissible_one(monkeypatch):
 def test_function_field_first_point_decides_heisenberg_and_witness():
     """<e12(X + 1), e23(X + 1)> over GF(5)(X) is evaluated at X = 0, where
     its image is faithful, so it gets the oracle's answer (at X = 4 both
-    generators are 1).  <[[1, X + 1], [0, 1]], swap> is refuted by a pair
-    in its image at X = 0, and the witness replays over the source."""
+    generators are 1).  <[[1, X + 1], [0, 1]], swap> is refuted by its
+    Jordan parts before any point is chosen: the first generator is its
+    own unipotent part and the swap its own diagonalizable part, and they
+    fail to commute; the witness replays over the source."""
     ff = FunctionField(FiniteField(5))
     c, o, z = ff.add(ff.x(), ff.one), ff.one, ff.zero
     heis = GroupSpec(ff, [Matrix.make(ff, [[o, c, z], [z, o, z], [z, z, o]]), Matrix.make(ff, [[o, z, z], [z, o, c], [z, z, o]])])
@@ -229,7 +231,7 @@ def test_function_field_first_point_decides_heisenberg_and_witness():
     assert (rep.nilpotent, rep.finite, rep.order) == (truth["nilpotent"], True, truth["order"]) == (True, True, 125)
     G = GroupSpec(ff, [Matrix.make(ff, [[o, c], [z, o]]), Matrix.from_ints(ff, [[0, 1], [1, 0]])])
     v = is_nilpotent(G)
-    assert not v.nilpotent and (v.witness.kind, v.witness.context) == ("non_commuting_pair", "image")
+    assert not v.nilpotent and (v.witness.kind, v.witness.context) == ("non_commuting_pair", "jordan_parts")
     ok, checks = verify_report({"witness": serialize_witness(v.witness)}, G)
     assert ok, checks
 
@@ -805,7 +807,8 @@ def test_embedding_factors_each_modulus_once(monkeypatch):
     F = FunctionField(FiniteField(2, 2))
     x = F.x()
     g = Matrix.make(F, [[F.add(F.mul(F.mul(x, x), F.mul(x, x)), x), F.zero], [F.zero, F.one]])
-    swap = Matrix.make(F, [[F.zero, F.one], [F.one, F.zero]])
+    # of order 3 and semisimple (a swap would be unipotent in characteristic 2)
+    c3 = Matrix.make(F, [[F.zero, F.one], [F.one, F.one]])
     factored, factor = [], congruence.factor
 
     def counting(f):
@@ -815,7 +818,7 @@ def test_embedding_factors_each_modulus_once(monkeypatch):
     congruence._modulus_root.cache_clear()
     monkeypatch.setattr(congruence, "factor", counting)
     for _ in range(3):
-        v = is_nilpotent(GroupSpec(F, [g, swap]))
+        v = is_nilpotent(GroupSpec(F, [g, c3]))
     assert not v.nilpotent
     assert v.artifacts["congruence"].eval_target.q == 16
     # the denominators X (X + 1) (X^2 + X + 1) are factored over the base itself

@@ -1,11 +1,14 @@
 """No dead helpers: every private function or class in the package is used,
-and so is every public function or method outside the library API.
+and so is every public function or method outside the library API, and
+every exception class in errors.py is raised.
 
 A `_`-prefixed function or class, or a public function or method that
 README's Library section does not show (dunder methods aside), that no
 code in `src/nilmat` names, apart from its own definition, is dead.  A use
 is a name, an attribute or an imported name anywhere in the package; one
-inside the helper's own body, such as a recursive call, does not count."""
+inside the helper's own body, such as a recursive call, does not count.
+An exception class is dead when no `raise` in the package raises it or a
+class derived from it: catching it does not count."""
 
 import ast
 import re
@@ -52,6 +55,28 @@ def dead_helpers(package=PACKAGE, exempt=frozenset()):
     )
 
 
+def unraised_errors(package=PACKAGE):
+    """The exception classes of errors.py that no `raise` in the package
+    raises, neither themselves nor through a class derived from them."""
+    bases, raised = {}, set()
+    for node in ast.walk(ast.parse((package / "errors.py").read_text())):
+        if isinstance(node, ast.ClassDef):
+            bases[node.name] = [b.id for b in node.bases if isinstance(b, ast.Name)]
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(exc.id if isinstance(exc, ast.Name) else getattr(exc, "attr", None))
+    live = set()
+    todo = [name for name in bases if name in raised]
+    while todo:
+        name = todo.pop()
+        if name not in live:
+            live.add(name)
+            todo += bases.get(name, [])
+    return sorted(set(bases) - live)
+
+
 def test_no_dead_private_helpers():
     assert [d for d in dead_helpers() if _is_private(d[2])] == []
 
@@ -82,3 +107,21 @@ def test_an_unused_public_method_is_found(tmp_path):
     )
     assert dead_helpers(tmp_path, exempt={"shown"}) == [("mod.py", 5, "unused")]
     assert dead_helpers(tmp_path) == [("mod.py", 5, "unused"), ("mod.py", 12, "shown")]
+
+
+def test_no_unraised_error_classes():
+    assert unraised_errors() == []
+
+
+def test_a_caught_but_unraised_error_is_found(tmp_path):
+    (tmp_path / "errors.py").write_text(
+        "class Base(Exception):\n    pass\n\n\n"
+        "class Raised(Base):\n    pass\n\n\n"
+        "class OnlyCaught(Base):\n    pass\n\n\n"
+        "class Unused(Exception):\n    pass\n"
+    )
+    (tmp_path / "mod.py").write_text(
+        "from .errors import OnlyCaught, Raised\n\n\n"
+        "def f():\n    try:\n        raise Raised('x')\n    except OnlyCaught:\n        pass\n"
+    )
+    assert unraised_errors(tmp_path) == ["OnlyCaught", "Unused"]

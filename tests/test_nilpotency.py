@@ -1,8 +1,5 @@
 """The decision core: the Sylow test and verdicts."""
 
-import pytest
-
-from nilmat.errors import VerdictUnavailable
 from nilmat.fields import QQ, FiniteField, FunctionField, NumberField
 from nilmat.groups import GroupSpec
 from nilmat.linalg import Matrix
@@ -126,7 +123,8 @@ def test_is_nilpotent_function_field_char_p():
     dx = Matrix.make(ffp, [[x, ffp.zero], [ffp.zero, ffp.one]])
     v = is_nilpotent(GroupSpec(ffp, [dx]))
     assert v.nilpotent
-    # nilpotent group whose evaluation kernel is not central: undecidable here
+    # nilpotent of order 125, though its congruence image at X = 0 is not
+    # faithful: the unipotent parts are not reduced at all
     heis_x = GroupSpec(
         ffp,
         [
@@ -134,8 +132,11 @@ def test_is_nilpotent_function_field_char_p():
             Matrix.make(ffp, [[ffp.one, ffp.zero, ffp.zero], [ffp.zero, ffp.one, ffp.one], [ffp.zero, ffp.zero, ffp.one]]),
         ],
     )
-    with pytest.raises(VerdictUnavailable):
-        is_nilpotent(heis_x)
+    assert is_nilpotent(heis_x).nilpotent
+    from nilmat.structure import analyze
+
+    rep = analyze(heis_x)
+    assert (rep.finite, rep.order, rep.primary.orders) == (True, 125, {5: 125})
     # non-nilpotent image stays a clean negative
     swap = _m(ffp, [[0, 1], [1, 0]])
     d2x = Matrix.make(ffp, [[ffp.from_int(2), ffp.zero], [ffp.zero, x]])
@@ -237,28 +238,65 @@ def test_positive_verdicts_never_run_the_chain(monkeypatch, ff_corpus):
             assert order is None or not rep.finite or rep.order == order, name
 
 
-def test_char_p_refutation_is_the_first_non_unipotent_commutator():
-    """diag(X, 1) and a swap over GF(5)(X): the witness is the first
-    non-unipotent commutator [z, g] in kernel order, identity and repeated
-    kernel generators included in the reference loop."""
-    from nilmat.linalg import inverse
-    from nilmat.splitting import is_unipotent_matrix
-
+def test_char_p_refutation_is_the_first_noncentral_kernel_element():
+    """diag(X, 1) and a swap over GF(5)(X) go down the characteristic-0
+    path: both are semisimple, so G_s = G, and the witness is the first
+    kernel generator in kernel order that fails to commute with a
+    generator, against the generators in their order."""
     ffp = FunctionField(FiniteField(5))
     G = GroupSpec(ffp, [Matrix.diagonal(ffp, (ffp.x(), ffp.one)), _m(ffp, [[0, 1], [1, 0]])])
     v = is_nilpotent(G)
-    assert not v.nilpotent and v.witness.kind == "non_unipotent_commutator"
-    z, i, c = next(
-        (z, i, c)
-        for z in v.artifacts["kernel_gens"]
-        for i, g in enumerate(G.gens)
-        for c in [inverse(z.mat) * inverse(g) * z.mat * g]
-        if not is_unipotent_matrix(c)
-    )
+    assert not v.nilpotent and (v.witness.kind, v.witness.context) == ("noncentral_kernel_element", "s_parts")
+    assert v.artifacts["split"].gens_s == G.gens and "root_power" not in v.artifacts
+    z, i = next((z, i) for z in v.artifacts["kernel_gens"] for i, g in enumerate(G.gens) if not (z.mat * g == g * z.mat))
     items = {w.label: w for w in v.witness.items}
     assert (items["z"].mat, items["z"].word) == (z.mat, z.word)
     assert (items["g"].mat, items["g"].word) == (G.gens[i], ((i, 1),))
-    assert items["c"].mat == c
+    assert [items[f"context_gen_{j}"].mat for j in range(2)] == list(G.gens)
+
+
+def test_function_field_corpus_against_oracle():
+    """The GF(p)(X) corpus: every verdict is the constructed one, and every
+    is_nilpotent and analyze call returns one.  Finite groups agree with
+    the closure oracle on verdict, order and Sylow orders; infinite
+    nilpotent ones carry an infinite-order witness over the s-parts and a
+    primary decomposition marked as an extension; every negative witness
+    replays against its group.  Exactly the two groups holding the
+    companion matrix of t^3 - X over GF(3)(X) split over GF(3)(Y), X = Y^3,
+    and say so."""
+    from corpus import function_field_corpus
+
+    from nilmat.numth import factorint
+    from nilmat.structure import analyze
+    from nilmat.testkit import closure, oracle_invariants
+    from nilmat.verify import verify_report
+    from nilmat.witness import serialize_witness
+
+    def replays(w, G):
+        return verify_report({"witness": serialize_witness(w)}, G)[0]
+
+    corpus = function_field_corpus()
+    assert len(corpus) == 8
+    for e in corpus:
+        v, rep = is_nilpotent(e.group), analyze(e.group)
+        assert v.nilpotent == rep.nilpotent == e.nilpotent, e.name
+        assert v.artifacts.get("root_power", 1) == rep.root_power == (3 if "t^3-X" in e.name else 1), e.name
+        if not e.nilpotent:
+            assert replays(v.witness, e.group), e.name
+            continue
+        assert rep.finite == e.finite, e.name
+        if e.finite:
+            truth = oracle_invariants(closure(list(e.group.gens), 10**4))
+            assert truth["nilpotent"] and rep.order == truth["order"] == e.order, e.name
+            assert rep.primary.orders == {p: p**k for p, k in factorint(e.order).items()}, e.name
+            assert rep.witness is None and not rep.primary_is_extension, e.name
+        else:
+            assert (rep.witness.kind, rep.witness.context) == ("infinite_order_element", "s_parts"), e.name
+            assert replays(rep.witness, e.group) and rep.primary_is_extension, e.name
+        assert rep.completely_reducible is None, e.name
+    for e in corpus:
+        if e.finite and not e.nilpotent:
+            assert not oracle_invariants(closure(list(e.group.gens), 10**4))["nilpotent"], e.name
 
 
 def _minpoly_stock():

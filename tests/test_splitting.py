@@ -21,7 +21,7 @@ from nilmat.splitting import (
     reduction_split,
     unipotent_flag,
 )
-from reference import apply, minimal_polynomial
+from reference import apply, contains, minimal_polynomial
 
 JORDAN_FIELDS = [QQ, FiniteField(5), FiniteField(3, 2), NumberField((-2, 0, 1)), FunctionField(QQ)]
 
@@ -182,18 +182,31 @@ def test_charpoly_route_matches_krylov_reference(field):
 
 
 def test_jordan_rejects_imperfect_fields():
+    """Over GF(5)(X), diag(X, 1) has a separable characteristic polynomial
+    and is its own diagonalizable part, while the companion matrix C of
+    t^5 - X, inseparable and irreducible, has no split over GF(5)(X).
+    Over GF(5)(Y) with X = Y^5 it does: C becomes the companion of
+    (t - Y)^5, with s = Y I and u = Y^-1 C."""
     ff = FunctionField(FiniteField(5))
-    x = ff.x()
-    g = Matrix.make(ff, [[x, ff.zero], [ff.zero, ff.one]])
+    x, o, z = ff.x(), ff.one, ff.zero
+    g = Matrix.make(ff, [[x, z], [z, o]])
+    assert jordan(g).s == g
+    companion = [[o if i == j + 1 else z for j in range(5)] for i in range(5)]
+    companion[0][4] = x
     with pytest.raises(ImperfectField):
-        jordan(g)
+        jordan(Matrix.make(ff, companion))
+    y5 = ff.make((0, 0, 0, 0, 0, 1), (1,))
+    companion[0][4] = y5
+    c = Matrix.make(ff, companion)
+    jp = jordan(c)
+    assert jp.s == Matrix.diagonal(ff, (x,) * 5) and jp.s * jp.u == c and is_unipotent_matrix(jp.u)
 
 
 def _is_unipotent_flag(flag, gens):
     """(g - 1) V_i lies in V_(i+1) for every generator g and level i."""
     ident = Matrix.identity(gens[0].field, gens[0].n)
     return all(
-        below.contains(apply(g - ident, v))
+        contains(below, apply(g - ident, v))
         for above, below in zip(flag, flag[1:])
         for g in gens
         for v in above.basis

@@ -470,8 +470,8 @@ def test_verdicts_do_not_depend_on_the_prime(monkeypatch):
     met = {"commutator": 0, "dropped": 0}
     prime_parts, commutators = nilpotency._prime_parts, nilpotency._cross_prime_commutators
 
-    def parts_recording(seq):
-        parts, covers = prime_parts(seq)
+    def parts_recording(seq, orders=None):
+        parts, covers = prime_parts(seq, orders)
         # an element's part is dropped when it repeats a kept one or the element is 1
         met["dropped"] += sum(map(len, covers)) > sum(map(len, parts.values())) or [] in covers
         return parts, covers
