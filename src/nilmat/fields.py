@@ -39,14 +39,14 @@ exactly when their values are:
   - value tuples elsewhere, by the base class's one `matmul` against all
     the matrices' columns.
 
-Over Q and number fields, element and polynomial arithmetic clears
-denominators once and runs on integers, again returning exactly the
-canonical Fractions of the plain Fraction loops: a Q(a) product is one
-integer convolution folded by the minimal polynomial, a Q(a) inverse a
-fraction-free (Bareiss) solve of the multiplication matrix, and over Q
-pt_mul, pt_divmod and pt_gcd are integer convolution, pseudo-division and
-the primitive remainder sequence.  Over Q(a) pt_gcd runs that sequence
-on Z[a] numerators and inverts one field element.
+Over Q and number fields, matmul, the row kernel and pt_gcd clear
+denominators once and run on integers, as do a Q(a) product (one integer
+convolution folded by the minimal polynomial) and inverse (a fraction-free
+Bareiss solve of the multiplication matrix); pt_gcd is the primitive
+remainder sequence on integer or Z[a] numerators, with one field inverse
+over Q(a).  Each returns exactly the canonical Fractions of the plain loop,
+and each paid on a workload.  Over Q, pt_mul and pt_divmod are the plain
+Fraction loops: integer versions showed no gain in a paired A/B.
 
 GF(p^l) and Q(a) share one reduction table, the reductions of X^m ..
 X^(2m-2) modulo the defining polynomial (`_power_reductions`), and one
@@ -102,8 +102,6 @@ def pt_sub(field, a, b):
 def pt_mul(field, a, b):
     if not a or not b:
         return ()
-    if isinstance(field, RationalField):
-        return _pt_mul_q(a, b)
     out = [field.zero] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if field.is_zero(x):
@@ -122,8 +120,6 @@ def pt_scale(field, a, c):
 def pt_divmod(field, a, b):
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    if isinstance(field, RationalField):
-        return _pt_divmod_q(a, b)
     a = list(a)
     q = [field.zero] * max(0, len(a) - len(b) + 1)
     monic = field.is_one(b[-1])
@@ -153,52 +149,25 @@ def int_convolution(a, b):
     return out
 
 
-def _pt_mul_q(a, b):
-    """Product over Q: one integer convolution of the numerators over one
-    common denominator each, and one normalizing gcd per coefficient."""
-    na, da = _over_common_denominator(a)
-    nb, db = _over_common_denominator(b)
-    out = int_convolution(na, nb)
-    while out and not out[-1]:
-        out.pop()
-    d = da * db
-    return tuple(Fraction(c, d) for c in out)
-
-
-def _int_pseudo_divmod(a, b):
-    """(s, q, r) with s*a = q*b + r over the integers and len(r) < len(b).
-    A step whose leading coefficient c is not a multiple of lc(b) first
-    scales by lc(b)/gcd(c, lc(b)), so s = 1 when lc(b) = +-1."""
+def _int_pseudo_remainder(a, b):
+    """r with s*a = q*b + r and len(r) < len(b) over the integers, for some
+    s != 0 and q.  A step whose leading coefficient c is not a multiple of
+    lc(b) first scales by lc(b)/gcd(c, lc(b))."""
     r = list(a)
     while r and not r[-1]:
         r.pop()
-    lc, m, s = b[-1], len(b), 1
-    q = [0] * max(0, len(r) - m + 1)
+    lc, m = b[-1], len(b)
     while len(r) >= m:
         c = r[-1]
         if c % lc:
             f = lc // gcd(c, lc)
-            r, q, s, c = [x * f for x in r], [x * f for x in q], s * f, c * f
-        t = c // lc
-        k = len(r) - m
-        q[k] = t
+            r, c = [x * f for x in r], c * f
+        t, k = c // lc, len(r) - m
         for i, y in enumerate(b):
             r[k + i] -= t * y
         while r and not r[-1]:
             r.pop()
-    return s, q, r
-
-
-def _pt_divmod_q(a, b):
-    """Division with remainder over Q by integer pseudo-division: with
-    a = A/da, b = B/db and s*A = Q*B + R, a = (Q*db/(s*da))*b + R/(s*da)."""
-    na, da = _over_common_denominator(a)
-    nb, db = _over_common_denominator(b)
-    s, q, r = _int_pseudo_divmod(na, nb)
-    if not q:
-        return (), tuple(a[: len(r)])
-    d = s * da
-    return tuple(Fraction(x * db, d) for x in q), tuple(Fraction(x, d) for x in r)
+    return r
 
 
 def primitive_ints(fracs):
@@ -215,7 +184,7 @@ def _pt_gcd_q(a, b):
     remainders' signs may differ from Q's, which the final scaling undoes."""
     fa, fb = primitive_ints(a), primitive_ints(b)
     while fb:
-        r = _int_pseudo_divmod(fa, fb)[2]
+        r = _int_pseudo_remainder(fa, fb)
         g = gcd(*r)
         fa, fb = fb, [c // g for c in r]
     return tuple(Fraction(c, fa[-1]) for c in fa)
@@ -369,6 +338,9 @@ class RationalField(Field):
     def add(self, a, b):
         return a + b
 
+    def sub(self, a, b):
+        return a - b
+
     def mul(self, a, b):
         return a * b
 
@@ -378,7 +350,8 @@ class RationalField(Field):
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
-        return 1 / a
+        # a Fraction also for an int entry, which 1 / a would make a float
+        return self.one / a
 
     # comparing with an int takes Fraction's fast path
     def is_zero(self, a):
@@ -807,18 +780,14 @@ class FiniteField(Field):
 
     def parse(self, s):
         if self.l == 1:
-            if isinstance(s, str):
-                try:
-                    return int(s) % self.p
-                except ValueError:
-                    raise ParseError(f"bad GF({self.p}) entry {s!r}") from None
-            if isinstance(s, int):
-                return s % self.p
-            raise ParseError(f"bad GF({self.p}) entry {s!r}")
+            try:
+                return _json_int(s) % self.p
+            except (ValueError, TypeError):
+                raise ParseError(f"bad GF({self.p}) entry {s!r}") from None
         if not isinstance(s, (list, tuple)):
             raise ParseError(f"GF({self.p}^{self.l}) entry must be a coefficient array")
         try:
-            return self.from_coeffs([int(c) for c in s])
+            return self.from_coeffs([_json_int(c) for c in s])
         except (ValueError, TypeError):
             raise ParseError(f"bad GF({self.p}^{self.l}) entry {s!r}") from None
 
@@ -1147,6 +1116,14 @@ def field_from_json(d, seed=0):
     return field
 
 
+def _json_int(v):
+    """An int or integer string from a group file as an int.  Booleans and
+    floats, which int() would read as 1 or truncate, raise TypeError."""
+    if isinstance(v, bool) or not isinstance(v, (int, str)):
+        raise TypeError(f"not an integer: {v!r}")
+    return int(v)
+
+
 def _build_field(d, seed):
     if not isinstance(d, dict) or "kind" not in d:
         raise ParseError("field descriptor must be an object with a 'kind'")
@@ -1155,11 +1132,11 @@ def _build_field(d, seed):
         return QQ
     if kind == "GF":
         try:
-            p = int(d["p"])
-            l = int(d.get("l", 1))
+            p = _json_int(d["p"])
+            l = _json_int(d.get("l", 1))
             modulus = d.get("modulus")
             if modulus is not None:
-                modulus = tuple(int(c) for c in modulus)
+                modulus = tuple(_json_int(c) for c in modulus)
         except (KeyError, ValueError, TypeError):
             raise ParseError(f"bad GF descriptor {d!r}") from None
         try:
@@ -1168,7 +1145,7 @@ def _build_field(d, seed):
             raise ParseError(str(e)) from None
     if kind == "NF":
         try:
-            mp = tuple(int(c) for c in d["minpoly"])
+            mp = tuple(_json_int(c) for c in d["minpoly"])
         except (KeyError, ValueError, TypeError):
             raise ParseError(f"bad NF descriptor {d!r}") from None
         try:

@@ -2,15 +2,15 @@
 
 Vectors are coefficient tuples, matrices act on column vectors.  Matrix
 and matrix-vector products are the field's own `matmul` kernel, so this
-module holds no per-field product code.  Row echelon work over Q (`rref`,
-hence `nullspace` and `inverse`) clears denominators and eliminates by
-integer cross multiplication with per-row content stripping, which keeps
-entry growth in check without floating point or modular tricks.
-`charpoly` is Berkowitz's division-free recurrence, on integer or
-polynomial numerators over Q and function fields and on the field's own
-operations elsewhere; the semisimplicity test and the minimal polynomial
-of a semisimple matrix (`semisimple_minpoly`) come from its squarefree
-part, so no Krylov sequence is reduced.
+module holds no per-field product code.  `rref`, hence `nullspace`,
+`inverse` and `Subspace`, is one Gauss-Jordan loop on the field's own
+operations over every field: fraction-free integer elimination over Q
+showed no gain on any workload.  `charpoly` is Berkowitz's division-free
+recurrence, on integer or polynomial numerators over Q and function fields
+(on Fractions, the `char0` operations over Q ran a tenth slower) and on
+the field's own operations elsewhere; the semisimplicity test and the
+minimal polynomial of a semisimple matrix (`semisimple_minpoly`) come from
+its squarefree part, so no Krylov sequence is reduced.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from functools import partial, reduce
 from fractions import Fraction
 
 from .errors import Singular
-from .fields import Field, FunctionField, RationalField, primitive_ints, pt_add, pt_mul, pt_neg
+from .fields import Field, FunctionField, RationalField, pt_add, pt_mul, pt_neg
 from .poly import Poly, squarefree_part
 from .record import Frozen
 
@@ -142,8 +142,6 @@ class Matrix(Frozen):
 
 def rref(field, rows):
     """Reduced row echelon form; returns (rows as tuples, pivot columns)."""
-    if isinstance(field, RationalField):
-        return _rref_q(rows)
     work = [list(r) for r in rows]
     m = len(work)
     ncols = len(work[0]) if work else 0
@@ -170,47 +168,6 @@ def rref(field, rows):
             break
     out = [tuple(work[i]) for i in range(r)]
     return out, pivots
-
-
-def _rref_q(rows):
-    """Fraction-free forward elimination over the integers, then pivot
-    normalization; equivalent to rref over Q with controlled entry growth."""
-    work = [primitive_ints([Fraction(c) for c in r]) for r in rows]
-    m = len(work)
-    ncols = len(work[0]) if work else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, m):
-            if work[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        work[r], work[pr] = work[pr], work[r]
-        lead = work[r][c]
-        for i in range(r + 1, m):
-            if work[i][c]:
-                f = work[i][c]
-                work[i] = [lead * x - f * y for x, y in zip(work[i], work[r])]
-                g = math.gcd(*work[i])
-                if g > 1:
-                    work[i] = [x // g for x in work[i]]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    # back substitution with Fractions
-    frac = [[Fraction(x) for x in work[i]] for i in range(r)]
-    for i in range(r - 1, -1, -1):
-        c = pivots[i]
-        frac[i] = [x / frac[i][c] for x in frac[i]]
-        for k in range(i):
-            f = frac[k][c]
-            if f:
-                frac[k] = [x - f * y for x, y in zip(frac[k], frac[i])]
-    return [tuple(row) for row in frac], pivots
 
 
 def nullspace(field, rows, ncols):

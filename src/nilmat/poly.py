@@ -8,11 +8,11 @@ the polynomial itself so runs are reproducible.  Over Q: reduction mod an
 auxiliary good prime, Hensel lifting to a Mignotte-style bound, then naive
 subset recombination, which is fine at the degrees this package meets.
 
-Arithmetic goes through the coefficient-tuple helpers of `fields`, so over
-Q products, division with remainder and gcd (hence the squarefree part and
-decomposition) run on integers: convolution, pseudo-division and the
-primitive remainder sequence.  In characteristic 0 the squarefree part
-is the single quotient f // gcd(f, f'); Yun's loop runs only for the full
+Arithmetic goes through the coefficient-tuple helpers of `fields`.  Over
+Q, gcd (hence the squarefree part and decomposition) runs on integers by
+the primitive remainder sequence; products and division with remainder
+are the Fraction loops.  In characteristic 0 the squarefree part is the
+single quotient f // gcd(f, f'); Yun's loop runs only for the full
 decomposition and in characteristic p.
 """
 

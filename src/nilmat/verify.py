@@ -10,7 +10,9 @@ a char-p function field only, where its characteristic polynomial decides
 the claim; anywhere else such a claim is not confirmed.  Over GF(q)(X)
 the matrices of a split taken over GF(q)(Y), X = Y^(p^k), are recorded
 with entries in Y (the report's split_root_power is p^k), and every check
-on them is the same field arithmetic.
+on them is the same field arithmetic.  Given the group, every principal
+item (x, y, z, g, part_i) must carry a word that replays; only the s and u
+of nontrivial_unipotent_part and quotient generators carry none.
 """
 
 from __future__ import annotations
@@ -89,8 +91,11 @@ def verify_witness(witness: Witness, group: GroupSpec | None = None):
         ctx_gens = list(group.gens)
 
     def word_consistent(item):
-        if item.word is None or item.mat is None:
+        if item.mat is None:
             return True
+        if item.word is None:
+            # a word-less item is tied to no group: given one, fail closed
+            return group is None
         if ctx_gens is None:
             # an input word indexes the group's generators: with neither
             # the group nor context generators there is nothing to replay it
@@ -133,6 +138,7 @@ def verify_witness(witness: Witness, group: GroupSpec | None = None):
         if z and g:
             add("z g != g z", not (z.mat * g.mat == g.mat * z.mat))
             add("z word consistent", word_consistent(z))
+            add("g word consistent", word_consistent(g))
     elif kind == "nontrivial_kernel_element":
         z = witness.find("z")
         add("present", z is not None)

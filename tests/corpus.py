@@ -11,9 +11,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from random import Random
 
+from nilmat.errors import Singular
 from nilmat.fields import QQ, FiniteField, FunctionField
 from nilmat.groups import GroupSpec
 from nilmat.linalg import Matrix, inverse, kron
+from nilmat.poly import Poly
 from nilmat.testkit import gen_max_abs_irr_nilpotent, gen_reducible_nilpotent
 
 
@@ -324,6 +326,37 @@ def function_field_corpus():
         ),
     ]
     return entries
+
+
+def dense_signed_permutations(n, count, seed=0):
+    """count triples (a, chi, fixed) over Q.  a = t p t^-1 for a random
+    signed permutation matrix p of degree n and a random invertible integer
+    matrix t with entries in [-3, 3], so a is dense, with large numerators
+    and denominators.  chi = det(x - a) and fixed, the dimension of a's
+    fixed space, are read off p's cycles: a k-cycle whose signs multiply
+    to e contributes x^k - e to chi, and one fixed vector when e = 1."""
+    rng = Random(f"dense:{n}:{seed}")
+    out = []
+    while len(out) < count:
+        try:
+            t = Matrix.from_ints(QQ, [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+            tinv = inverse(t)
+        except Singular:
+            continue
+        perm, signs = rng.sample(range(n), n), [rng.choice((1, -1)) for _ in range(n)]
+        # p e_j = signs[j] e_perm[j]
+        p = Matrix.from_ints(QQ, [[signs[j] * (perm[j] == i) for j in range(n)] for i in range(n)])
+        chi, fixed, seen = Poly.one_(QQ), 0, set()
+        for j in range(n):
+            k, e, i = 0, 1, j
+            while i not in seen:
+                seen.add(i)
+                k, e, i = k + 1, e * signs[i], perm[i]
+            if k:
+                chi = chi * Poly.from_ints(QQ, [-e] + [0] * (k - 1) + [1])
+                fixed += e == 1
+        out.append((t * p * tinv, chi, fixed))
+    return out
 
 
 def q8_power_with_diagonal(k):

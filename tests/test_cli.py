@@ -70,6 +70,24 @@ def test_parse_group_json_examples():
         parse_group_json({"field": {"kind": "Q"}, "generators": [[["1/0"]]]})
     with pytest.raises(SingularGenerator):
         parse_group_json({"field": {"kind": "Q"}, "generators": [[["1", "1"], ["1", "1"]]]})
+    # GF integers are ints or integer strings: a boolean or a float would be
+    # read as 1 or truncated into another group
+    gf25, gf5 = {"kind": "GF", "p": 5, "l": 2}, {"kind": "GF", "p": 5}
+    for field, entry in (
+        (gf25, [2.7]),
+        (gf25, [True]),
+        (gf5, True),
+        (gf5, 2.0),
+        ({"kind": "GF", "p": 5.9}, "1"),
+        ({"kind": "GF", "p": 5, "l": True}, "1"),
+        ({"kind": "GF", "p": 5, "l": 2, "modulus": [2, 0, True]}, ["1"]),
+        ({"kind": "NF", "minpoly": [-2, 0, 1.0]}, ["1"]),
+    ):
+        with pytest.raises(ParseError):
+            parse_group_json({"field": field, "generators": [[[entry]]]})
+    for field in (gf5, {"kind": "GF", "p": "5"}, {"kind": "GF", "p": 5, "l": "1"}):
+        G = parse_group_json({"field": field, "generators": [[[7]], [["3"]]]})
+        assert G.field.name() == "GF(5)" and [g.rows for g in G.gens] == [((2,),), ((3,),)]
 
 
 def test_parse_group_file_reports_position(tmp_path):

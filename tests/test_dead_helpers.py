@@ -8,7 +8,9 @@ code in `src/nilmat` names, apart from its own definition, is dead.  A use
 is a name, an attribute or an imported name anywhere in the package; one
 inside the helper's own body, such as a recursive call, does not count.
 An exception class is dead when no `raise` in the package raises it or a
-class derived from it: catching it does not count."""
+class derived from it: catching it does not count.  An import is dead when
+its module never names what it binds; `from __future__` imports and the
+re-exports listed in `__init__.__all__` are exempt."""
 
 import ast
 import re
@@ -77,6 +79,24 @@ def unraised_errors(package=PACKAGE):
     return sorted(set(bases) - live)
 
 
+def unused_imports(package=PACKAGE):
+    """[(module, line, name)] of the names a module imports and never
+    names itself, apart from `from __future__` imports and, in
+    `__init__.py`, the names its `__all__` lists."""
+    out = []
+    for path in sorted(package.glob("*.py")):
+        imported, used = [], set()
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import) or isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported += [(node.lineno, a.asname or a.name.split(".")[0]) for a in node.names]
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Assign) and path.name == "__init__.py" and ast.unparse(node.targets[0]) == "__all__":
+                used |= set(ast.literal_eval(node.value))
+        out += [(path.name, line, name) for line, name in imported if name not in used]
+    return sorted(out)
+
+
 def test_no_dead_private_helpers():
     assert [d for d in dead_helpers() if _is_private(d[2])] == []
 
@@ -125,3 +145,17 @@ def test_a_caught_but_unraised_error_is_found(tmp_path):
         "def f():\n    try:\n        raise Raised('x')\n    except OnlyCaught:\n        pass\n"
     )
     assert unraised_errors(tmp_path) == ["OnlyCaught", "Unused"]
+
+
+def test_no_unused_imports():
+    assert unused_imports() == []
+
+
+def test_an_unused_import_is_found(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .mod import hidden, shown\n\n__all__ = ['shown']\n")
+    (tmp_path / "mod.py").write_text(
+        "from __future__ import annotations\n\n"
+        "import math\nimport os.path\nfrom fractions import Fraction as F\nfrom operator import add, mul\n\n\n"
+        "def shown():\n    return os.path.join(str(F(1)), str(add(1, 2)))\n"
+    )
+    assert unused_imports(tmp_path) == [("__init__.py", 1, "hidden"), ("mod.py", 3, "math"), ("mod.py", 6, "mul")]

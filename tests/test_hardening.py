@@ -290,6 +290,32 @@ def test_input_words_need_the_group():
     assert ok, checks
 
 
+def test_wordless_principal_items_are_not_confirmed():
+    """Given the group, a principal item without a word ties the claim to
+    no group: on the nilpotent D8 = <rot90, diag(1, -1)> over Q, a
+    noncentral kernel element, a nontrivial kernel element and a generator
+    with a nontrivial unipotent part, each claimed for matrices that carry
+    no word, are not confirmed.  Without the group, a word-less item is
+    not held against the claim."""
+    rot, refl = Matrix.from_ints(QQ, [[0, -1], [1, 0]]), Matrix.diagonal(QQ, (QQ.one, -QQ.one))
+    u = Matrix.from_ints(QQ, [[1, 1], [0, 1]])
+    G = GroupSpec(QQ, [rot, refl])
+    assert is_nilpotent(G).nilpotent
+    forgeries = (
+        (Witness("noncentral_kernel_element", "s_parts", (WItem("z", rot), WItem("g", refl))), "z word consistent"),
+        (Witness("nontrivial_kernel_element", "s_parts", (WItem("z", rot),)), "z word consistent"),
+        (
+            Witness("nontrivial_unipotent_part", "input", (WItem("g", u), WItem("s", Matrix.identity(QQ, 2)), WItem("u", u))),
+            "g word consistent",
+        ),
+    )
+    for forged, failing in forgeries:
+        ok, checks = verify_report({"witness": serialize_witness(forged)}, G)
+        assert not ok and (failing, False, "") in checks, (forged.kind, checks)
+        ok, checks = verify_report({"witness": serialize_witness(forged)})
+        assert (failing, True, "") in checks, (forged.kind, checks)
+
+
 def test_forged_adjoint_context_is_not_confirmed():
     """No path emits the retired adjoint context, whose items carry no
     generators to replay against: on D8 over GF(7) a cross-prime pair of

@@ -23,6 +23,7 @@ from nilmat.linalg import (
     rref,
 )
 from nilmat.poly import Poly
+from corpus import dense_signed_permutations
 from reference import apply, contains, minimal_polynomial, spin_dim
 
 
@@ -45,6 +46,15 @@ def test_inverse_examples():
     assert inverse(m) == Matrix.from_ints(QQ, [[1, -1], [0, 1]])
     with pytest.raises(Singular):
         inverse(Matrix.from_ints(QQ, [[1, 1], [1, 1]]))
+    # int entries over Q invert to Fractions, never floats
+    inv = inverse(Matrix.diagonal(QQ, (-1, 2)))
+    assert inv == Matrix.make(QQ, [[-1, 0], [0, Fraction(1, 2)]])
+    assert all(type(c) is Fraction for row in inv.rows for c in row)
+    # dense rational inputs: conjugated signed permutations in degrees 6 and 8
+    for n in (6, 8):
+        for a, _, _ in dense_signed_permutations(n, 3):
+            b = inverse(a)
+            assert (a * b).is_identity() and (b * a).is_identity()
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name())
@@ -211,6 +221,14 @@ def test_nullspace_and_rref_rational_blowup_control():
             for a, b in zip(row, v):
                 acc += a * b
             assert acc == 0
+    # the fixed spaces of dense conjugated signed permutations, whose
+    # dimensions are read off the permutations' cycles
+    for n in (6, 8):
+        for a, _, fixed in dense_signed_permutations(n, 3):
+            rows = (a - Matrix.identity(QQ, n)).rows
+            ns = nullspace(QQ, rows, n)
+            assert len(ns) == fixed and len(rref(QQ, rows)[1]) == n - fixed
+            assert all(apply(a, v) == v for v in ns)
 
 
 def schoolbook(field, rows, cols):

@@ -191,10 +191,10 @@ def test_poly_divmod_and_gcd():
 
 
 def test_rational_polynomial_kernels_match_fraction_reference():
-    """Over Q, pt_mul and pt_divmod (integer numerators, pseudo-division),
-    gcd (the integer remainder sequence) and squarefree_part return
-    exactly the values and reprs of Fraction long division and Euclid, on
-    random pairs and on zero operands, len(a) < len(b), constant and monic
+    """Over Q, pt_mul and pt_divmod (the Fraction loops), gcd (the
+    integer remainder sequence) and squarefree_part return exactly the
+    values and reprs of Fraction long division and Euclid, on random
+    pairs and on zero operands, len(a) < len(b), constant and monic
     divisors, integral coefficients and large denominators."""
     from fractions import Fraction
 

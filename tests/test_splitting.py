@@ -21,6 +21,7 @@ from nilmat.splitting import (
     reduction_split,
     unipotent_flag,
 )
+from corpus import dense_signed_permutations
 from reference import apply, contains, minimal_polynomial
 
 JORDAN_FIELDS = [QQ, FiniteField(5), FiniteField(3, 2), NumberField((-2, 0, 1)), FunctionField(QQ)]
@@ -167,7 +168,13 @@ def test_charpoly_route_matches_krylov_reference(field):
     import reference as ref
 
     rng = random.Random(43)
-    for g in _charpoly_stock(field, rng):
+    stock = _charpoly_stock(field, rng)
+    if field is QQ:
+        # dense conjugated signed permutations, det(x - g) known from their cycles
+        dense = [d for n in (6, 8) for d in dense_signed_permutations(n, 2)]
+        assert [charpoly(g) for g, _, _ in dense] == [chi for _, chi, _ in dense]
+        stock += [g for g, _, _ in dense]
+    for g in stock:
         chi = charpoly(g)
         assert chi.degree == g.n and field.is_one(chi.lc())
         assert poly_at_matrix(chi, g) == Matrix.zero(field, g.n)
