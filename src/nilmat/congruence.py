@@ -10,7 +10,10 @@ and walked once more lifted to the source group
 tests them.  The checks bundled in CongruenceData are exactly the ones
 that buy that guarantee: p odd, coprime to the denominators, unramified
 for number fields, and keeping the generators' minimal polynomials
-squarefree so the image stays semisimple.
+squarefree so the image stays semisimple.  Over Q(a) one factorization of
+a's minimal polynomial f mod p gives both the ramification check (p does
+not divide disc f exactly when f mod p has no repeated factor) and a's
+image, a root of f in GF(p^l).
 
 Why the kernel is torsion-free: let g = 1 + pi^k A (k >= 1, A not 0 mod
 pi) have prime order l, and let e = v(p) for the valuation v of pi.  In
@@ -63,7 +66,7 @@ from .fields import (
 from .groups import GroupSpec
 from .linalg import Matrix, semisimple_minpoly
 from .numth import factorint, is_prime, odd_primes
-from .poly import Poly, factor, gcd as poly_gcd, resultant
+from .poly import Poly, factor, gcd as poly_gcd
 from .record import Frozen
 
 PRIME_CAP = 2**20    # largest reduction prime tried
@@ -104,11 +107,12 @@ class CongruenceData(Frozen):
 
 
 def _denominator_primes(field, mats):
-    """Primes dividing the least integer that clears some entry: over Q the
-    entry's denominator, over a number field that of its power-basis
-    coefficients."""
-    clear = (lambda c: c.denominator) if isinstance(field, RationalField) else field.denominator_clearing
-    dens = {clear(c) for m in mats for row in m.rows for c in row}
+    """Primes dividing the denominator of some entry over Q, or of some
+    power-basis coefficient of an entry over a number field."""
+    entries = [c for m in mats for row in m.rows for c in row]
+    if isinstance(field, NumberField):
+        entries = [x for c in entries for x in c]
+    dens = {c.denominator for c in entries}
     return tuple(sorted({q for z in dens if z > 1 for q in factorint(z)}))
 
 
@@ -157,19 +161,6 @@ def _minpoly_stays_squarefree(h: Poly, reduce_coeff, target):
     return poly_gcd(hbar, hbar.derivative()).degree == 0
 
 
-def _frobenius_roots(target: FiniteField):
-    """All roots of target's modulus, an irreducible polynomial of degree
-    l > 1 over GF(p), inside target = GF(p^l), lexicographically sorted by
-    coefficient vector."""
-    roots = []
-    cur = target.from_coeffs([0, 1])
-    for _ in range(target.l):
-        roots.append(cur)
-        cur = target.frobenius(cur)
-    roots.sort(key=lambda a: tuple(target.digits(a)))
-    return roots
-
-
 def _reduction_map(target, aimg, p):
     """Coefficient reduction into target: Q -> GF(p) when aimg is None, else
     Q(a) -> GF(p^l) on coefficient tuples at the chosen root aimg (an
@@ -179,25 +170,28 @@ def _reduction_map(target, aimg, p):
     return lambda c: pt_eval(target, [reduce_mod(x, p) for x in c], aimg)
 
 
-def _try_prime(G, pi, minpolys, disc_num, p):
+def _try_prime(G, pi, minpolys, p):
     """The CongruenceData of the prime p for G over Q or a number field, or
-    None when p fails a check.  Q is the degree-1 case: disc_num is 1 and
-    the target is GF(p).  A number field maps its generator to the least
-    root of its defining polynomial in GF(p^l), l the least degree of a
-    factor mod p."""
+    None when p fails a check.  Q is the degree-1 case: the target is GF(p).
+    A number field's minimal polynomial f, monic over the integers, is
+    factored once mod p.  p is unramified (p does not divide disc f)
+    exactly when no factor repeats, and the generator maps to the least
+    root of f in GF(p^l), l the least degree of a factor."""
     F = G.field
-    if p % 2 == 0 or p in pi or disc_num % p == 0:
+    if p % 2 == 0 or p in pi:
         return None
     target, aimg = field_from_json({"kind": "GF", "p": p}), None
     checks = {"odd": True, "coprime_to_denominators": True}
     if isinstance(F, NumberField):
         _, facs = factor(Poly.from_ints(target, F.minpoly))
+        if any(e > 1 for _, e in facs):
+            return None
         facs = sorted((g for g, _ in facs), key=lambda g: (g.degree, g.coeffs))
         if facs[0].degree == 1:
             aimg = min(target.neg(g.coeffs[0]) for g in facs if g.degree == 1)
         else:
             target = FiniteField(p, facs[0].degree, tuple(int(c) for c in facs[0].coeffs))
-            aimg = _frobenius_roots(target)[0]
+            aimg = _modulus_root(target, target)
         checks["unramified"] = True
     red = _reduction_map(target, aimg, p)
     if not all(_minpoly_stays_squarefree(h, red, target) for h in minpolys):
@@ -208,8 +202,8 @@ def _try_prime(G, pi, minpolys, disc_num, p):
 
 def _select_prime(G, minpolys, prime_override):
     """The user's prime when it passes every check, else the least valid
-    one; NoPrimeInRange when there is none.  The denominator primes and a
-    number field's discriminant are computed once for all primes tried.
+    one; NoPrimeInRange when there is none.  The denominator primes are
+    computed once for all primes tried.
 
     A generator that is not semisimple (minpolys holds None for it) has a
     minimal polynomial h with a repeated factor g^2, which fails at every
@@ -221,21 +215,16 @@ def _select_prime(G, minpolys, prime_override):
     for i, h in enumerate(minpolys):
         if h is None:
             raise NoPrimeInRange(f"generator {i} is not semisimple, so no prime keeps its minimal polynomial squarefree")
-    F = G.field
     pi = denominator_set(G)
-    disc_num = 1
-    if isinstance(F, NumberField):
-        fq = Poly.from_ints(QQ, F.minpoly)
-        disc_num = abs(resultant(fq, fq.derivative()).numerator)
     if prime_override is None:
         for p in takewhile(lambda p: p <= PRIME_CAP, odd_primes(3)):
-            cd = _try_prime(G, pi, minpolys, disc_num, p)
+            cd = _try_prime(G, pi, minpolys, p)
             if cd is not None:
                 return cd
         raise NoPrimeInRange(f"no valid odd prime below {PRIME_CAP}")
     if not is_prime(prime_override):
         raise NoPrimeInRange(f"prime {prime_override} is not prime")
-    cd = _try_prime(G, pi, minpolys, disc_num, prime_override)
+    cd = _try_prime(G, pi, minpolys, prime_override)
     if cd is None:
         raise NoPrimeInRange(f"prime {prime_override} fails the validity checks")
     return cd
@@ -269,9 +258,10 @@ def _embedding(base, ext):
 
 @cache
 def _modulus_root(base, ext):
-    """The least root in ext of the modulus of base, factored once per
-    (base, ext) pair: every candidate point and every reduced matrix asks
-    for the same embedding."""
+    """The least root, by digits, in ext of the modulus of base, factored
+    once per (base, ext) pair: every candidate point and every reduced
+    matrix asks for the same embedding, and every number-field prime with
+    target ext = base for the image of the field's generator."""
     _, facs = factor(Poly.from_ints(ext, base.modulus))
     roots = sorted(
         (ext.neg(g.coeffs[0]) for g, _ in facs if g.degree == 1),

@@ -655,15 +655,7 @@ class FiniteField(Field):
         low = (1 << (bits * l)) - 1
         lows = range(bits * (l - 1), -1, -bits)
 
-        def pack(v):
-            out = shift = 0
-            while v:
-                v, d = divmod(v, p)
-                out |= d << shift
-                shift += bits
-            return out
-
-        folds = [(bits * (l + j), pack(self.undigits(r))) for j, r in enumerate(self._xpow)]
+        folds = [(bits * (l + j), _pack(r, bits)) for j, r in enumerate(self._xpow)]
 
         def unpack(s):
             f = s & low
@@ -674,7 +666,7 @@ class FiniteField(Field):
                 v = v * p + ((f >> shift) & mask) % p
             return v
 
-        packed = {v: pack(v) for v in {*chain(*rows), *chain(*cols)}}.__getitem__
+        packed = {v: _pack(self.digits(v), bits) for v in {*chain(*rows), *chain(*cols)}}.__getitem__
         pcols = [tuple(map(packed, c)) for c in cols]
         return tuple(
             tuple(unpack(sum(map(mul, pr, pc))) for pc in pcols)
@@ -735,9 +727,6 @@ class FiniteField(Field):
 
     def elements(self):
         return range(self.q)
-
-    def frobenius(self, a):
-        return self.pow(a, self.p)
 
     def from_coeffs(self, cs):
         """Element from a GF(p) coefficient list (length <= l)."""
@@ -941,8 +930,9 @@ class NumberField(Field):
         if not isinstance(s, (list, tuple)) or len(s) > self.degree:
             raise ParseError(f"number field entry must be a coefficient array of length <= {self.degree}")
         try:
-            cs = [Fraction(str(c)) for c in s]
-        except (ValueError, ZeroDivisionError):
+            # a float has already lost digits, so only ints and strings
+            cs = [Fraction(c if isinstance(c, str) else _json_int(c)) for c in s]
+        except (ValueError, TypeError, ZeroDivisionError):
             raise ParseError(f"bad number field entry {s!r}") from None
         cs += [Fraction(0)] * (self.degree - len(cs))
         return tuple(cs)
@@ -952,10 +942,6 @@ class NumberField(Field):
 
     def random_element(self, rng, size=4):
         return tuple(Fraction(rng.randint(-size, size), rng.randint(1, 2)) for _ in range(self.degree))
-
-    def denominator_clearing(self, a):
-        """Least positive z with z*a integral in the power basis."""
-        return lcm(*[c.denominator for c in a]) if a else 1
 
 
 class FunctionField(Field):
@@ -1072,6 +1058,8 @@ class FunctionField(Field):
     def parse(self, s):
         if not isinstance(s, dict) or "num" not in s or "den" not in s:
             raise ParseError("function field entry must be {\"num\": [...], \"den\": [...]}")
+        if not all(isinstance(s[k], (list, tuple)) for k in ("num", "den")):
+            raise ParseError(f"function field entry {s!r} must give num and den as arrays")
         B = self.base
         try:
             num = tuple(B.parse(c) for c in s["num"])
@@ -1124,6 +1112,15 @@ def _json_int(v):
     return int(v)
 
 
+def _json_ints(v):
+    """A JSON array of _json_int values as a tuple of ints.  Anything but an
+    array, which would be iterated by character or by key, raises
+    TypeError."""
+    if not isinstance(v, (list, tuple)):
+        raise TypeError(f"not an array: {v!r}")
+    return tuple(map(_json_int, v))
+
+
 def _build_field(d, seed):
     if not isinstance(d, dict) or "kind" not in d:
         raise ParseError("field descriptor must be an object with a 'kind'")
@@ -1136,7 +1133,7 @@ def _build_field(d, seed):
             l = _json_int(d.get("l", 1))
             modulus = d.get("modulus")
             if modulus is not None:
-                modulus = tuple(_json_int(c) for c in modulus)
+                modulus = _json_ints(modulus)
         except (KeyError, ValueError, TypeError):
             raise ParseError(f"bad GF descriptor {d!r}") from None
         try:
@@ -1145,7 +1142,7 @@ def _build_field(d, seed):
             raise ParseError(str(e)) from None
     if kind == "NF":
         try:
-            mp = tuple(_json_int(c) for c in d["minpoly"])
+            mp = _json_ints(d["minpoly"])
         except (KeyError, ValueError, TypeError):
             raise ParseError(f"bad NF descriptor {d!r}") from None
         try:

@@ -235,11 +235,9 @@ def squarefree_part(f: Poly) -> Poly:
 
 
 def _stable_rng(tag, *data):
-    # imported on first use: hashlib loads OpenSSL, which no cold start should pay for
-    import hashlib
-
-    h = hashlib.sha256(repr((tag,) + data).encode()).hexdigest()
-    return random.Random(int(h, 16))
+    # random seeds from a string by its own SHA-512, whatever PYTHONHASHSEED
+    # is, and without importing hashlib, which loads OpenSSL
+    return random.Random(repr((tag,) + data))
 
 
 def _ddf(f: Poly, q: int):
@@ -339,22 +337,6 @@ def _hensel_lift(g_ints, facs_modp, p, k):
             out.pop()
         return out
 
-    def prem(a, b, m):
-        # quotient and remainder of a by monic b, coefficients mod m
-        a = [x % m for x in a]
-        q = [0] * max(1, len(a) - len(b) + 1)
-        while len(a) >= len(b):
-            c = a[-1] % m
-            kk = len(a) - len(b)
-            q[kk] = c
-            for i, y in enumerate(b):
-                a[kk + i] = (a[kk + i] - c * y) % m
-            while len(a) > 1 and a[-1] % m == 0:
-                a.pop()
-            if len(a) == 1 and a[0] % m == 0:
-                break
-        return q, [x % m for x in a]
-
     r = len(facs_modp)
     # bezout basis over GF(p): sigma_i with sum sigma_i * prod_{j != i} f_j = 1
     polys = [Poly.from_ints(Fp, f) for f in facs_modp]
@@ -388,7 +370,7 @@ def _hensel_lift(g_ints, facs_modp, p, k):
         for i in range(r):
             # delta_i = (e * sigma_i) mod f_i over GF(p)
             es = pmul(e_div, sig_ints[i], p)
-            _, delta = prem(es, [c % p for c in lifted[i]], p)
+            delta = fields.pt_mod(Fp, es, tuple(c % p for c in lifted[i]))
             lifted[i] = [
                 (lifted[i][j] + modulus * (delta[j] if j < len(delta) else 0)) % new_mod
                 for j in range(len(lifted[i]))
@@ -486,22 +468,14 @@ def _factor_rational_squarefree(ints):
 
 
 def _factor_rational(f: Poly):
-    lead_total = QQ.one
-    content, ints = _to_int_primitive(f)
-    lead_total = lead_total * content
-    fq = Poly.from_ints(QQ, ints)
-    lead2, dec = squarefree_decomposition(fq)
-    lead_total = lead_total * lead2
+    _, ints = _to_int_primitive(f)
+    _, dec = squarefree_decomposition(Poly.from_ints(QQ, ints))
     out = []
     for g, e in dec:
-        g_content, g_ints = _to_int_primitive(g)
-        lead_total = lead_total * QQ.pow(g_content, e)
-        for fac in _factor_rational_squarefree(g_ints):
-            gp = Poly.from_ints(QQ, fac)
-            lead_total = lead_total * QQ.pow(gp.lc(), e)
-            out.append((gp.monic(), e))
+        _, g_ints = _to_int_primitive(g)
+        out.extend((Poly.from_ints(QQ, fac).monic(), e) for fac in _factor_rational_squarefree(g_ints))
     out.sort(key=lambda t: (t[0].degree, t[0].coeffs))
-    return lead_total, out
+    return f.lc(), out
 
 
 def factor(f: Poly):
@@ -514,20 +488,3 @@ def factor(f: Poly):
     if isinstance(F, FiniteField):
         return _factor_finite(f)
     raise UnsupportedField(f"factorization over {F.name()} is not provided")
-
-
-def resultant(f: Poly, g: Poly):
-    """res(f, g) over the coefficient field, by the Euclidean formula."""
-    F = f.field
-    if f.is_zero() or g.is_zero():
-        return F.zero
-    if g.degree == 0:
-        return F.pow(g.coeffs[0], f.degree)
-    if f.degree == 0:
-        return F.pow(f.coeffs[0], g.degree)
-    r = f % g
-    sign = F.from_int((-1) ** (f.degree * g.degree))
-    if r.is_zero():
-        return F.zero
-    scale = F.pow(g.lc(), f.degree - r.degree)
-    return F.mul(sign, F.mul(scale, resultant(g, r)))

@@ -20,7 +20,7 @@ from __future__ import annotations
 from .errors import ParseError
 from .fields import FiniteField, FunctionField
 from .groups import GroupSpec, evaluate_word
-from .linalg import Matrix, inverse, nullspace, semisimple_minpoly
+from .linalg import Matrix, fixed_space, inverse, semisimple_minpoly
 from .numth import factorint, is_prime
 from .splitting import finite_order, has_infinite_order, is_unipotent_matrix
 from .witness import Witness, deserialize_witness, deserialize_word
@@ -123,15 +123,9 @@ def verify_witness(witness: Witness, group: GroupSpec | None = None):
         mats = [it.mat for it in witness.items if it.mat is not None and it.label.startswith("quotient_gen_")]
         add("generators present", bool(mats))
         if mats:
-            F = mats[0].field
-            n = mats[0].n
-            add("space nontrivial", n >= 1)
-            ident = Matrix.identity(F, n)
+            add("space nontrivial", mats[0].n >= 1)
             add("all unipotent", all(is_unipotent_matrix(m) for m in mats))
-            stacked = []
-            for m in mats:
-                stacked.extend(list(r) for r in (m - ident).rows)
-            add("zero common fixed space", len(nullspace(F, stacked, n)) == 0)
+            add("zero common fixed space", fixed_space(mats).dim == 0)
     elif kind == "noncentral_kernel_element":
         z, g = witness.find("z"), witness.find("g")
         add("both present", z is not None and g is not None)

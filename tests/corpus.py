@@ -392,7 +392,7 @@ def semidihedral(q):
     E = FiniteField(q, 2)
     two = (q + 1) & -(q + 1)
     z = E.element_of_order(2 * two)
-    zq = E.frobenius(z)
+    zq = E.pow(z, E.p)
     a, b = E.neg(E.add(z, zq)), E.mul(z, zq)  # both lie in GF(q)
     F = FiniteField(q)
     return GroupSpec(F, [Matrix.from_ints(F, [[0, -b], [1, -a]]), Matrix.from_ints(F, [[1, -a], [0, -1]])])

@@ -13,7 +13,9 @@ primitive remainder sequence of `nilmat.fields.pt_gcd` over Q(a).
 X^m .. X^(2m-2), `gf_mul` the schoolbook GF(p^l) product folded by them,
 and `gfp_is_irreducible` a search over every monic divisor: the references
 for the shared reduction table and fold of nilmat.fields and for
-`nilmat.poly.is_irreducible` over GF(p).
+`nilmat.poly.is_irreducible` over GF(p).  `resultant` is the Euclidean
+formula over any Field, which the discriminants that the prime checks of
+nilmat.congruence are tested against come from.
 
 `minimal_polynomial` is the Krylov minimal polynomial over any Field, and
 `jordan` the Jordan split built on it and on Yun's squarefree part: the
@@ -169,6 +171,23 @@ def gfp_is_irreducible(p, coeffs):
             if not any(_int_poly_mod(coeffs, [*low, 1], p)):
                 return False
     return n >= 1
+
+
+def resultant(f: Poly, g: Poly):
+    """res(f, g) over the coefficient field, by the Euclidean formula."""
+    F = f.field
+    if f.is_zero() or g.is_zero():
+        return F.zero
+    if g.degree == 0:
+        return F.pow(g.coeffs[0], f.degree)
+    if f.degree == 0:
+        return F.pow(f.coeffs[0], g.degree)
+    r = f % g
+    sign = F.from_int((-1) ** (f.degree * g.degree))
+    if r.is_zero():
+        return F.zero
+    scale = F.pow(g.lc(), f.degree - r.degree)
+    return F.mul(sign, F.mul(scale, resultant(g, r)))
 
 
 def nf_mul(K, a, b):

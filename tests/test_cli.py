@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -40,6 +41,13 @@ DIAG2 = {"field": {"kind": "Q"}, "generators": [[["2"]]]}
 D8 = {
     "field": {"kind": "Q"},
     "generators": [[["0", "-1"], ["1", "0"]], [["1", "0"], ["0", "-1"]]],
+}
+
+# <sqrt2 I, swap> over Q(sqrt2): x^2 - 2 is irreducible mod 3, so the
+# reduction at 3 finds the image of sqrt2 by factoring over GF(9)
+SQRT2_SWAP = {
+    "field": {"kind": "NF", "minpoly": [-2, 0, 1]},
+    "generators": [[[["0", "1"], ["0"]], [["0"], ["0", "1"]]], [[["0"], ["1"]], [["1"], ["0"]]]],
 }
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -82,9 +90,33 @@ def test_parse_group_json_examples():
         ({"kind": "GF", "p": 5, "l": True}, "1"),
         ({"kind": "GF", "p": 5, "l": 2, "modulus": [2, 0, True]}, ["1"]),
         ({"kind": "NF", "minpoly": [-2, 0, 1.0]}, ["1"]),
+        # a float has lost digits: this was read as 1543209862654321/12500000000000000
+        ({"kind": "NF", "minpoly": [-2, 0, 1]}, [0.12345678901234567890123]),
+        ({"kind": "NF", "minpoly": [-2, 0, 1]}, [0.5]),
+        ({"kind": "NF", "minpoly": [-2, 0, 1]}, [True]),
     ):
         with pytest.raises(ParseError):
             parse_group_json({"field": field, "generators": [[[entry]]]})
+    # arrays stay arrays: a string would be read by character ("101" as
+    # X^2 + 1, "201" as x^2 + 2, "12" as 1 + 2X), an object by its keys, and
+    # an int raised TypeError
+    ff = {"kind": "FF", "base": {"kind": "Q"}}
+    for field, entry in (
+        ({"kind": "GF", "p": 3, "l": 2, "modulus": "101"}, ["1"]),
+        ({"kind": "GF", "p": 3, "l": 2, "modulus": 101}, ["1"]),
+        ({"kind": "NF", "minpoly": "201"}, ["1"]),
+        ({"kind": "NF", "minpoly": {"-2": 0, "0": 1, "1": 2}}, ["1"]),
+        ({"kind": "NF", "minpoly": 201}, ["1"]),
+        (ff, {"num": "12", "den": ["1"]}),
+        (ff, {"num": ["1"], "den": "1"}),
+        (ff, {"num": 5, "den": ["1"]}),
+        (ff, {"num": {"1": "1"}, "den": ["1"]}),
+    ):
+        with pytest.raises(ParseError):
+            parse_group_json({"field": field, "generators": [[[entry]]]})
+    for entry in (["1/2", 3], ["0.5", "3"]):
+        G = parse_group_json({"field": {"kind": "NF", "minpoly": [-2, 0, 1]}, "generators": [[[entry]]]})
+        assert G.gens[0].rows == (((Fraction(1, 2), Fraction(3)),),)
     for field in (gf5, {"kind": "GF", "p": "5"}, {"kind": "GF", "p": 5, "l": "1"}):
         G = parse_group_json({"field": field, "generators": [[[7]], [["3"]]]})
         assert G.field.name() == "GF(5)" and [g.rows for g in G.gens] == [((2,),), ((3,),)]
@@ -270,10 +302,12 @@ def test_cold_run_is_lean(tmp_path):
     """A whole fresh `is-nilpotent` run, the command as well as the import,
     loads none of NOT_LOADED beyond what the standard modules it needs load."""
     stdlib, _ = imported_modules("-c", "import random, fractions, json, argparse")
-    for name, payload in (("d8.json", D8), ("s3.json", S3)):
+    for name, payload in (("d8.json", D8), ("s3.json", S3), ("sqrt2.json", SQRT2_SWAP)):
         path = write(tmp_path, name, payload)
         loaded, out = imported_modules("-m", "nilmat.cli", "is-nilpotent", str(path), "--json")
         assert "nilmat.linalg" in loaded and '"schema": "nilmat/1"' in out
+        if payload is SQRT2_SWAP:
+            assert json.loads(out)["congruence"]["target"] == {"kind": "GF", "p": 3, "l": 2, "modulus": ["1", "0", "1"]}
         extra = (loaded - stdlib).intersection(NOT_LOADED)
         assert not extra, sorted(extra)
 
@@ -398,10 +432,16 @@ def test_batch_mode(tmp_path, capsys):
 def test_batch_mode_collects_errors(tmp_path, capsys):
     write(tmp_path, "a_heis.json", HEIS)
     (tmp_path / "b_broken.json").write_text("{\"field\": {\"kind\": \"Q\"}, \"generators\": [[[\"1/0\"]]]}")
+    write(tmp_path, "c_num_int.json", {"field": {"kind": "FF", "base": {"kind": "Q"}}, "generators": [[[{"num": 5, "den": ["1"]}]]]})
+    write(tmp_path, "d_d8.json", D8)
     assert main(["is-nilpotent", "--dir", str(tmp_path)]) == 2
-    reports = json.loads(capsys.readouterr().out)
+    out, err = capsys.readouterr()
+    reports = json.loads(out)
     assert reports[0]["verdict"]["nilpotent"] is True
     assert "error" in reports[1]
+    assert reports[2]["group_file"].endswith("c_num_int.json") and "as arrays" in reports[2]["error"]
+    assert reports[3]["verdict"]["nilpotent"] is True
+    assert "Traceback" not in err
 
 
 def test_batch_mode_exits_one_on_a_budget_error(tmp_path, capsys):

@@ -2,12 +2,12 @@
 
 import random
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, takewhile
 
 import pytest
 
 from corpus import char0_groups, prime_part_groups, rational_finite_corpus
-from reference import congruence_kernel
+from reference import congruence_kernel, resultant
 
 from nilmat.cli import run_command
 from nilmat.config import DEFAULT
@@ -23,7 +23,8 @@ from nilmat.fields import QQ, FiniteField, FunctionField, NumberField, reduce_mo
 from nilmat.groups import GroupSpec, enumerate_group, schreier_generators
 from nilmat.linalg import Matrix, inverse
 from nilmat.nilpotency import is_nilpotent
-from nilmat.poly import Poly, resultant
+from nilmat.numth import odd_primes
+from nilmat.poly import Poly
 from nilmat.structure import analyze
 from nilmat.testkit import closure, oracle_invariants
 from nilmat.verify import verify_report
@@ -107,14 +108,14 @@ def test_select_modulus_numberfield():
 
 def test_search_and_override_share_one_prime_trial(monkeypatch):
     """Over Q(sqrt3) the search and --prime run the same checks, with the
-    denominators and the discriminant computed once per selection: the
-    override of the found prime gives the same data, and the ramified 3 and
-    the denominator prime 5 fail with the override message."""
+    denominators computed once per selection: the override of the found
+    prime gives the same data, and the ramified 3 and the denominator prime
+    5 fail with the override message."""
     from nilmat import congruence
 
     K = NumberField((-3, 0, 1))
     G = GroupSpec(K, [Matrix.diagonal(K, (K.parse(["0", "1"]), K.inv(K.from_int(5))))])
-    counts = {"denominator_set": 0, "resultant": 0}
+    counts = {"denominator_set": 0}
     for name in counts:
         original = getattr(congruence, name)
 
@@ -124,9 +125,9 @@ def test_search_and_override_share_one_prime_trial(monkeypatch):
 
         monkeypatch.setattr(congruence, name, counting)
     cd = select_modulus(G)
-    assert counts == {"denominator_set": 1, "resultant": 1}
+    assert counts == {"denominator_set": 1}
     assert select_modulus(G, DEFAULT.with_(prime_override=cd.p)) == cd
-    assert counts == {"denominator_set": 2, "resultant": 2}
+    assert counts == {"denominator_set": 2}
     for bad in (3, 5):
         with pytest.raises(NoPrimeInRange, match=f"^prime {bad} fails the validity checks$"):
             select_modulus(G, DEFAULT.with_(prime_override=bad))
@@ -170,6 +171,32 @@ def test_select_modulus_unramified_check_reverified():
     fq = Poly.from_ints(QQ, nf.minpoly)
     disc = resultant(fq, fq.derivative())
     assert disc.numerator % cd.p != 0
+    # "unramified" is read off f mod p having no repeated factor: over the
+    # repo's number fields, at every odd p < 200, <I> reduces exactly when p
+    # does not divide the resultant res(f, f'), and a goes to the least root
+    # of f in the target, by digits: in GF(p), the least root; in GF(p^l),
+    # the least element of the Frobenius orbit of X, a root of the modulus
+    for minpoly in ((-2, 0, 1), (1, 0, 1), (-3, 0, 1), (-2, -1, 0, 1), (-2, 0, 0, 1)):
+        nf = NumberField(minpoly)
+        fq = Poly.from_ints(QQ, minpoly)
+        disc = resultant(fq, fq.derivative()).numerator
+        G = GroupSpec(nf, [Matrix.identity(nf, 2)])
+        for p in takewhile(lambda p: p < 200, odd_primes(3)):
+            config = DEFAULT.with_(prime_override=p)
+            if disc % p == 0:
+                with pytest.raises(NoPrimeInRange):
+                    select_modulus(G, config)
+                continue
+            cd = select_modulus(G, config)
+            E = cd.target
+            assert cd.checks["unramified"], (minpoly, p)
+            if E.l == 1:
+                roots = [r for r in range(p) if sum(c * r**i for i, c in enumerate(minpoly)) % p == 0]
+            else:
+                roots = [E.from_coeffs([0, 1])]
+                while E.pow(roots[-1], p) != roots[0]:
+                    roots.append(E.pow(roots[-1], p))
+            assert cd.alpha_image == min(roots, key=E.digits), (minpoly, p)
 
 
 def test_function_field_finite_base_extension_point():

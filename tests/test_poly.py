@@ -12,10 +12,9 @@ from nilmat.poly import (
     factor,
     gcd,
     is_irreducible,
-    resultant,
     squarefree_part,
 )
-from reference import gfp_is_irreducible
+from reference import gfp_is_irreducible, resultant
 
 
 def expand(lead, facs, field):
